@@ -20,6 +20,11 @@ class ParamError(LowMachError, ValueError):
         super().__init__(message)
         self.code = code
 
+    def __reduce__(self):
+        # Rebuild from both constructor arguments, so the error crosses a
+        # process boundary (a sweep worker) intact.
+        return type(self), (self.code, *self.args), self.__dict__
+
 
 class UnsupportedGridError(LowMachError, ValueError):
     """Grid shape incompatible with the requested operation (e.g. odd cell
@@ -52,6 +57,9 @@ class PositivityError(NumericsError):
     def __init__(self, index, message):
         super().__init__(message)
         self.index = index
+
+    def __reduce__(self):
+        return type(self), (self.index, *self.args), self.__dict__
 
 
 class InstabilityError(NumericsError):

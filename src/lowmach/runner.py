@@ -444,12 +444,26 @@ def _run_sweep_entry(raw: dict) -> tuple:
     return raw["output_dir"], result.status, result.message
 
 
+def _sweep_procs_from_env():
+    """Worker count requested by the environment, or None when unset."""
+    env = os.environ.get(SWEEP_PROCS_ENV)
+    if not env:
+        return None
+    try:
+        procs = int(env)
+    except ValueError:
+        raise ConfigError(f"{SWEEP_PROCS_ENV} must be an integer, got {env!r}") from None
+    if procs < 1:
+        raise ConfigError(f"{SWEEP_PROCS_ENV} must be >= 1, got {procs}")
+    return procs
+
+
 def run_sweep(base_raw: dict, varied: dict, output_dir, max_workers=None):
     """Cartesian product of the varied keys, one run per combination in its
-    own subdirectory; combinations run concurrently."""
+    own subdirectory; combinations run concurrently on at most
+    min(workers, combinations, CPUs) processes."""
     if max_workers is None:
-        env = os.environ.get(SWEEP_PROCS_ENV)
-        max_workers = int(env) if env else (os.cpu_count() or 1)
+        max_workers = _sweep_procs_from_env() or os.cpu_count() or 1
     keys = sorted(varied)
     combos = list(product(*(varied[k] for k in keys)))
     entries = []
@@ -463,7 +477,8 @@ def run_sweep(base_raw: dict, varied: dict, output_dir, max_workers=None):
     # Validate everything before launching any work.
     for raw in entries:
         build_config(raw)
-    if max_workers <= 1 or len(entries) <= 1:
+    max_workers = min(max_workers, len(entries), os.cpu_count() or 1)
+    if max_workers <= 1:
         return [_run_sweep_entry(raw) for raw in entries]
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(_run_sweep_entry, entries))

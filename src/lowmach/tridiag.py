@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import SingularSystemError
 
@@ -71,6 +70,11 @@ def solve_periodic_tridiagonal(sys: PeriodicTridiagonalSystem, linear_tol: float
     Writes the cyclic matrix as T + u v^T with T tridiagonal and solves
     two banded systems (one for the rhs, one for u).
     """
+    # scipy.linalg is imported here, not at module level: only the 1D
+    # elliptic solves need it, and loading it about doubles the memory and
+    # the import time of the package.
+    from scipy.linalg import solve_banded
+
     n = sys.n
     gamma = -sys.diag[0] if sys.diag[0] != 0.0 else -1.0
 

@@ -9,6 +9,7 @@ import pytest
 from lowmach.cli import main
 from lowmach.config import RunConfig, build_config, config_to_dict, parse_config_file
 from lowmach.errors import ConfigError
+from lowmach import runner as runner_module
 from lowmach.runner import compare_ice, run_raw, run_sweep
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -213,6 +214,52 @@ def test_sweep_validates_before_running(tmp_path):
     base = {"preset": "example1", "m": 40, "dt": 0.002, "t_final": 0.006}
     with pytest.raises(ConfigError):
         run_sweep(base, {"epsilon": [0.3], "gamma": [1.4]}, tmp_path / "sweep2")
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
+def test_sweep_rejects_invalid_procs(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("LOWMACH_SWEEP_PROCS", value)
+    base = {"preset": "example1", "m": 40, "dt": 0.002, "t_final": 0.006}
+    with pytest.raises(ConfigError, match="LOWMACH_SWEEP_PROCS"):
+        run_sweep(base, {"epsilon": [0.3, 0.1]}, tmp_path / "sweep")
+    assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("procs,cpus,expected", [("64", 8, 3), ("64", 2, 2), ("2", 8, 2)])
+def test_sweep_workers_capped(tmp_path, monkeypatch, procs, cpus, expected):
+    # Worker count is min(requested, combinations, CPUs); the pool is faked
+    # so that no process starts.
+    used = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            used.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, entries):
+            return [(raw["output_dir"], 0, "") for raw in entries]
+
+    monkeypatch.setenv("LOWMACH_SWEEP_PROCS", procs)
+    monkeypatch.setattr(runner_module.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(runner_module, "ProcessPoolExecutor", FakePool)
+    base = {"preset": "example1", "m": 40, "dt": 0.002, "t_final": 0.006}
+    results = run_sweep(base, {"epsilon": [0.3, 0.2, 0.1]}, tmp_path / "sweep")
+    assert len(results) == 3 and used == [expected]
+
+
+def test_cli_sweep_invalid_procs_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setenv("LOWMACH_SWEEP_PROCS", "abc")
+    code = main([
+        "sweep", "--preset", "example1", "--m", "40", "--dt", "0.002",
+        "--t-final", "0.006", "--vary", "epsilon=0.3,0.1",
+        "--sweep-dir", str(tmp_path / "sw"),
+    ])
+    assert code == 2
 
 
 def test_cli_sweep(tmp_path, monkeypatch):

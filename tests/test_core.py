@@ -1,8 +1,13 @@
-"""Core types: equation of state, grids, states, parameter validation."""
+"""Core types: equation of state, grids, states, parameter validation,
+and the package's exception types."""
+
+import inspect
+import pickle
 
 import numpy as np
 import pytest
 
+from lowmach import errors
 from lowmach import (
     DtPolicy,
     EquationOfState,
@@ -119,3 +124,23 @@ def test_dt_policy_constructors():
     fixed = DtPolicy.fixed(0.01)
     assert fixed.kind == "fixed" and fixed.dt == 0.01
     assert DtPolicy.adaptive().dt is None
+
+
+ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                 if issubclass(cls, errors.LowMachError)]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_errors_survive_pickle_roundtrip(cls):
+    # Sweep workers send their exceptions back to the parent process.
+    if cls is errors.ParamError:
+        err = cls("alpha-exceeds-bound", "alpha too large")
+    elif cls is errors.PositivityError:
+        err = cls((3, 5), "density lost positivity at cell (3, 5)")
+    else:
+        err = cls("something went wrong")
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is cls
+    assert str(back) == str(err)
+    assert getattr(back, "code", None) == getattr(err, "code", None)
+    assert getattr(back, "index", None) == getattr(err, "index", None)

@@ -8,14 +8,18 @@ from lowmach import (
     EllipticCoefficients,
     EquationOfState,
     NewtonDivergenceError,
+    SchemeParams,
+    SolverFailureError,
     UnsupportedGridError,
     beta_coefficient,
     solve_elliptic_2d,
     solve_elliptic_l_1d,
     solve_elliptic_ld_1d,
     solve_elliptic_nl_1d,
+    step_ap_2d,
 )
 from lowmach.elliptic import apply_elliptic_operator_1d, apply_elliptic_operator_2d
+from lowmach.presets import example3_eos, example3_grid, example3_state
 
 EOS2 = EquationOfState(1.0, 2.0)
 
@@ -268,6 +272,39 @@ def test_2d_wide_requires_even_cells():
         solve_elliptic_2d(np.ones((7, 8)), np.ones((7, 8)), coeff, 1 / 7, 1 / 8, stencil="wide")
 
 
+def test_2d_wide_anisotropic_matches_dense_oracle():
+    # m1 != m2 and dx != dy.  With constant mobility the FFT preconditioner
+    # is the exact inverse, so one iteration (two, with rounding at large
+    # beta) must suffice: a stride-2 symbol with an axis's length or spacing
+    # wrong takes many more.
+    rng = np.random.default_rng(31)
+    m1, m2 = 6, 10
+    dx, dy = 0.7 / m1, 1.9 / m2
+    for k in range(6):
+        constant = k == 0
+        mob = np.full((m1, m2), 1.3) if constant else 0.5 + rng.random((m1, m2))
+        beta = 1.0 if constant else float(10.0 ** rng.uniform(-3, 0))
+        dphi = 1 + 0.4 * rng.standard_normal((m1, m2))
+        coeff = EllipticCoefficients(beta=beta, mobility=mob)
+        out, iters = solve_elliptic_2d(np.ones((m1, m2)), dphi, coeff, dx, dy, stencil="wide")
+        oracle = np.linalg.solve(dense_matrix_2d("wide", mob, beta, dx, dy), dphi.ravel())
+        assert np.max(np.abs(out.ravel() - oracle)) <= 1e-10 * max(1.0, np.max(np.abs(oracle)))
+        if constant:
+            assert iters <= 2
+
+
+@pytest.mark.parametrize("stencil", ["wide", "reduced"])
+def test_2d_low_mach_solve_takes_few_iterations(stencil):
+    # example3 at eps = 0.005 on a mesh that does not resolve eps: plain CG
+    # needs hundreds of iterations here; the FFT preconditioner a handful.
+    eps = 0.005
+    grid = example3_grid(64, 64)
+    params = SchemeParams(epsilon=eps, alpha=0.0)
+    _, report = step_ap_2d(example3_state(grid, eps), example3_eos(), params, stencil,
+                           1 / 512, grid.dx, grid.dy)
+    assert 1 <= report.linear_iters <= 10
+
+
 def test_2d_iteration_cap_reports_failure():
     from lowmach import SolverFailureError
 
@@ -277,6 +314,15 @@ def test_2d_iteration_cap_reports_failure():
     with pytest.raises(SolverFailureError):
         solve_elliptic_2d(np.ones((8, 8)), dphi, coeff, 1 / 8, 1 / 8,
                           stencil="reduced", maxiter=1)
+
+
+def test_2d_wide_iteration_cap_reports_failure():
+    rng = np.random.default_rng(29)
+    dphi = 1 + 0.3 * rng.standard_normal((8, 8))
+    coeff = EllipticCoefficients(beta=0.5, mobility=0.5 + rng.random((8, 8)))
+    with pytest.raises(SolverFailureError):
+        solve_elliptic_2d(np.ones((8, 8)), dphi, coeff, 1 / 8, 1 / 8,
+                          stencil="wide", maxiter=1)
 
 
 def test_2d_unknown_stencil_rejected():

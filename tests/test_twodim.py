@@ -1,9 +1,16 @@
 """2D operators and stepper: directional speeds, the elliptic right-hand
 side against a term-by-term loop oracle, conservation, and symmetry."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lowmach
 from lowmach import (
     EquationOfState,
     FluidState2D,
@@ -258,3 +265,24 @@ def test_step_2d_benchmark_run_divergence():
     div = np.max(np.abs(discrete_divergence_2d(st, grid.dx, grid.dy)))
     # pinned regression: C * (dx*dt + eps^2) with C = 50
     assert div <= 50.0 * (grid.dx * (1 / 80) + 0.05**2)
+
+
+def test_2d_path_does_not_load_scipy_linalg():
+    # scipy.linalg serves only the 1D tridiagonal solves; the 2D step must not
+    # pay for importing it.
+    code = textwrap.dedent("""
+        import sys
+        import lowmach
+        from lowmach.presets import example3_eos, example3_grid, example3_state
+        grid = example3_grid(8, 8)
+        params = lowmach.SchemeParams(epsilon=0.05, alpha=0.0)
+        for stencil in ("reduced", "wide"):
+            state = example3_state(grid, 0.05)
+            lowmach.step_ap_2d(state, example3_eos(), params, stencil, 0.01, grid.dx, grid.dy)
+        assert "scipy.linalg" not in sys.modules, "scipy.linalg was imported"
+    """)
+    src = str(Path(lowmach.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
