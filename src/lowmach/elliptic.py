@@ -223,9 +223,9 @@ def _stride(stencil: str) -> int:
     raise ValueError(f"unknown 2D stencil {stencil!r}")
 
 
-def _cg(matvec, b, rtol, maxiter, precond=None):
+def _cg(matvec, b, rtol, maxiter, precond):
     """Conjugate gradients for an SPD operator, preconditioned by the SPD
-    map ``precond`` when one is given; returns (x, iters).
+    map ``precond``; returns (x, iters).
 
     The stopping test is on the unpreconditioned residual,
     ||b - A x|| <= rtol ||b||, whatever the preconditioner.
@@ -235,7 +235,7 @@ def _cg(matvec, b, rtol, maxiter, precond=None):
         return np.zeros_like(b), 0
     x = np.zeros_like(b)
     r = b.copy()
-    z = r if precond is None else precond(r)
+    z = precond(r)
     p = z.copy()
     rr = float(np.vdot(r, r))
     rz = float(np.vdot(r, z))
@@ -254,7 +254,7 @@ def _cg(matvec, b, rtol, maxiter, precond=None):
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        z = r if precond is None else precond(r)
+        z = precond(r)
         rz_new = float(np.vdot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -278,11 +278,11 @@ def _fft_preconditioner(shape, stride, coeff: EllipticCoefficients, dx: float, d
     k1 = np.arange(m1)[:, None]
     k2 = np.arange(m2 // 2 + 1)[None, :]
     mean_mob = float(np.mean(coeff.mobility))
-    symbol = 1.0 + mean_mob * (b_x * 4.0 * np.sin(np.pi * stride * k1 / m1) ** 2
-                               + b_y * 4.0 * np.sin(np.pi * stride * k2 / m2) ** 2)
+    inv_symbol = 1.0 / (1.0 + mean_mob * (b_x * 4.0 * np.sin(np.pi * stride * k1 / m1) ** 2
+                                          + b_y * 4.0 * np.sin(np.pi * stride * k2 / m2) ** 2))
 
     def precond(r):
-        return np.fft.irfft2(np.fft.rfft2(r) / symbol, s=shape)
+        return np.fft.irfft2(np.fft.rfft2(r) * inv_symbol, s=shape)
 
     return precond
 
@@ -311,27 +311,33 @@ def solve_elliptic_2d(rho_n, dphi, coeff: EllipticCoefficients, dx: float, dy: f
     shift = dphi.flat[0]
     rhs = dphi - shift
 
-    x, iters = _cg(lambda v: apply_elliptic_operator_2d(stencil, v, coeff, dx, dy), rhs,
-                   rtol, maxiter, _fft_preconditioner((m1, m2), stride, coeff, dx, dy))
+    faces = _face_coefficients(stride, coeff, dx, dy)
+    x, iters = _cg(lambda v: _flux_operator(v, stride, faces), rhs, rtol, maxiter,
+                   _fft_preconditioner((m1, m2), stride, coeff, dx, dy))
     return x + shift, iters
+
+
+def _face_coefficients(stride: int, coeff: EllipticCoefficients, dx: float, dy: float):
+    """Per-axis face coefficients beta/(s h)^2 p'_{i+1} of the flux form."""
+    return tuple((coeff.beta / (stride * h) ** 2) * np.roll(coeff.mobility, -1, axis=axis)
+                 for axis, h in enumerate((dx, dy)))
+
+
+def _flux_operator(rho, stride: int, faces) -> np.ndarray:
+    """rho - beta div(p' grad rho) in flux form: along each axis the flux
+    between cells i and i+s is F_i = face_i (rho_{i+s} - rho_i), and row i
+    takes F_i - F_{i-s}."""
+    out = rho.copy()
+    for axis, face in enumerate(faces):
+        flux = face * (np.roll(rho, -stride, axis=axis) - rho)
+        out -= flux - np.roll(flux, stride, axis=axis)
+    return out
 
 
 def apply_elliptic_operator_2d(stencil: str, rho, coeff: EllipticCoefficients,
                                dx: float, dy: float) -> np.ndarray:
-    """Left-hand side rho - beta div(p' grad rho) of the 2D elliptic equation:
-    the operator of the solve and of the step's residual check.
-
-    In flux form along each axis: with s the stride, the flux between cells
-    i and i+s is F_i = beta/(s dx)^2 p'_{i+1} (rho_{i+s} - rho_i), and row i
-    takes F_i - F_{i-s}.  Likewise along y.
-    """
-    rho = np.asarray(rho, dtype=float)
-    s = _stride(stencil)
-    mob = coeff.mobility
-
-    def div(axis, h):
-        flux = (coeff.beta / (s * h) ** 2) * np.roll(mob, -1, axis=axis) \
-            * (np.roll(rho, -s, axis=axis) - rho)
-        return flux - np.roll(flux, s, axis=axis)
-
-    return rho - div(0, dx) - div(1, dy)
+    """Left-hand side rho - beta div(p' grad rho) of the 2D elliptic equation,
+    for residual checks; the same operator the solve iterates on."""
+    stride = _stride(stencil)
+    return _flux_operator(np.asarray(rho, dtype=float), stride,
+                          _face_coefficients(stride, coeff, dx, dy))
