@@ -294,7 +294,7 @@ def solve_elliptic_2d(rho_n, dphi, coeff: EllipticCoefficients, dx: float, dy: f
 
     ``stencil`` is "wide" (stride-2 in each direction, requires even cell
     counts) or "reduced" (5-point).  Both run one FFT-preconditioned CG on
-    the full grid with ``apply_elliptic_operator_2d`` as the operator.
+    the full grid with the operator of ``apply_elliptic_operator_2d``.
     Returns (rho, cg_iterations).
     """
     dphi = np.asarray(dphi, dtype=float)
