@@ -11,8 +11,6 @@ from .core import (
     Grid1D,
     Grid2D,
     SchemeParams,
-    pressure,
-    pressure_derivative,
     validate_params,
 )
 from .diagnostics import (

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .core import DtPolicy
-from .errors import ConfigError
+from .core import DtPolicy, EquationOfState, SchemeParams, validate_params
+from .elliptic import _VARIANT_STRIDE
+from .errors import ConfigError, InvalidStateError, ParamError
 from .presets import PRESET_NAMES
 
 _STEPPERS = ("ap", "explicit_llf", "ice")
@@ -216,6 +217,28 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError("domain_b must exceed domain_a")
     if cfg.preset == "custom" and not cfg.rho0 > 0.0:
         raise ConfigError("custom preset requires rho0 > 0")
+    if cfg.dimension == 2 and (cfg.domain_a, cfg.domain_b) != (0.0, 1.0):
+        raise ConfigError("2D runs are on the unit square: domain_a, domain_b must be 0, 1")
+    if cfg.dimension == 1 and cfg.stepper != "explicit_llf":
+        # The ICE correction always solves on the three-point stencil, and
+        # the cyclic tridiagonal solve of each residue class needs three cells.
+        stride = _VARIANT_STRIDE[cfg.variant] if cfg.stepper == "ap" else 1
+        if cfg.m % stride != 0:
+            raise ConfigError(f"variant {cfg.variant} requires an even m, got {cfg.m}")
+        if cfg.m < 3 * stride:
+            raise ConfigError(f"m must be >= {3 * stride} for the elliptic solve, got {cfg.m}")
+    if cfg.dimension == 2 and cfg.stencil == "wide" and (cfg.m1 % 2 or cfg.m2 % 2):
+        raise ConfigError(f"wide stencil requires even m1, m2, got {cfg.m1}, {cfg.m2}")
+    try:
+        EquationOfState(lambda_coeff=cfg.lambda_coeff, gamma=cfg.gamma)
+        validate_params(scheme_params(cfg))
+    except (InvalidStateError, ParamError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def scheme_params(cfg: RunConfig) -> SchemeParams:
+    return SchemeParams(epsilon=cfg.epsilon, alpha=cfg.alpha, sigma=cfg.sigma,
+                        dt_policy=cfg.dt_policy)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

@@ -46,14 +46,6 @@ class EquationOfState:
         return self.lambda_coeff * self.gamma * rho ** (self.gamma - 1.0)
 
 
-def pressure(eos: EquationOfState, rho):
-    return eos.pressure(rho)
-
-
-def pressure_derivative(eos: EquationOfState, rho):
-    return eos.pressure_derivative(rho)
-
-
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform periodic 1D grid on [a, b] with m cells.

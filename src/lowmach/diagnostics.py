@@ -14,13 +14,10 @@ from .errors import UnsupportedGridError
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Relative L2 errors of density and momentum; orders filled in by
-    convergence studies."""
+    """Relative L2 errors of density and momentum."""
 
     e_rho: float
     e_q: float
-    order_rho: float | None = None
-    order_q: float | None = None
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,19 @@ time level from a screened-diffusion equation
 
 with beta = (1 - alpha eps^2) dt^2 / eps^2 and mobility the pressure
 derivative frozen at the old density (or, for the nonlinear variant, the
-pressure itself under the second difference).  Three 1D variants:
+pressure itself under the second difference).
 
-* LD -- three-point stencil, one cyclic tridiagonal solve;
-* L  -- five-point stride-2 stencil; even and odd sublattices decouple
-  into two independent cyclic tridiagonal solves (cell count must be even);
+The linear operators, 1D and 2D, are one flux form at neighbour distance
+(stride) s: along each axis the flux between cells i and i+s is
+F_i = beta/(s h)^2 p'_{i+1} (rho_{i+s} - rho_i), and row i takes
+F_i - F_{i-s}.  The solves and the residual checks apply the same face
+coefficients.  Three 1D variants:
+
+* LD -- stride 1, one cyclic tridiagonal solve;
+* L  -- stride 2; even and odd cells decouple into two cyclic tridiagonal
+  solves (cell count must be even);
 * NL -- nonlinear stride-2 system in p(rho), solved by Newton iteration
-  with the exact power-law Jacobian (stride-2 operator with p' at the
-  stencil points of the current iterate).
+  with the exact power-law Jacobian, itself a stride-2 tridiagonal solve.
 
 The 2D solves (wide stride-2 or reduced five-point stencil) run one
 conjugate-gradient iteration on the full grid, preconditioned by the
@@ -41,6 +46,9 @@ from .tridiag import PeriodicTridiagonalSystem, solve_periodic_tridiagonal
 # conservation identities survive the linear solve at the 1e-12 level.
 _CG_RTOL_CAP = 1e-13
 
+# Neighbour distance of each 1D variant's stencil.
+_VARIANT_STRIDE = {"nl": 2, "l": 2, "ld": 1}
+
 
 @dataclass(frozen=True)
 class EllipticCoefficients:
@@ -64,37 +72,68 @@ def beta_coefficient(epsilon: float, alpha: float, dt: float) -> float:
     return max((1.0 - alpha * epsilon**2), 0.0) * dt**2 / epsilon**2
 
 
+# ---------------------------------------------------------------------------
+# Flux-form operator, shared by the 1D and 2D linear solves
+
+def _face_coefficients(stride: int, coeff: EllipticCoefficients, spacings):
+    """Face coefficients beta/(s h)^2 p'_{i+1} of the flux form, one array per
+    axis, with h the spacing along that axis."""
+    return tuple((coeff.beta / (stride * h) ** 2) * np.roll(coeff.mobility, -1, axis=axis)
+                 for axis, h in enumerate(spacings))
+
+
+def _flux_operator(rho, stride: int, faces) -> np.ndarray:
+    """rho - beta div(p' grad rho) in flux form: along each axis the flux
+    between cells i and i+s is F_i = face_i (rho_{i+s} - rho_i), and row i
+    takes F_i - F_{i-s}."""
+    out = rho.copy()
+    for axis, face in enumerate(faces):
+        flux = face * (np.roll(rho, -stride, axis=axis) - rho)
+        out -= flux - np.roll(flux, stride, axis=axis)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# 1D solves
+
+def _solve_strided_tridiagonal(sub, diag, sup, rhs, stride: int, linear_tol: float):
+    """Solve rows sub_i x_{i-s} + diag_i x_i + sup_i x_{i+s} = rhs_i (indices
+    modulo the length): each residue class mod s is an independent cyclic
+    tridiagonal system."""
+    out = np.empty_like(rhs)
+    for p in range(stride):
+        sys = PeriodicTridiagonalSystem(sub=sub[p::stride], diag=diag[p::stride],
+                                        sup=sup[p::stride], rhs=rhs[p::stride])
+        out[p::stride] = solve_periodic_tridiagonal(sys, linear_tol=linear_tol)
+    return out
+
+
+def _solve_linear_1d(dphi, coeff: EllipticCoefficients, dx: float, stride: int,
+                     linear_tol: float) -> np.ndarray:
+    """Solve the stride-s flux-form equation; row i is
+    (1 + face_i + face_{i-s}) rho_i - face_i rho_{i+s} - face_{i-s} rho_{i-s}."""
+    dphi = np.asarray(dphi, dtype=float)
+    if dphi.shape[0] % stride != 0:
+        raise UnsupportedGridError("stride-2 elliptic variant requires an even cell count")
+    if coeff.beta == 0.0:
+        return dphi.copy()
+    (face,) = _face_coefficients(stride, coeff, (dx,))
+    face_w = np.roll(face, stride)
+    # Constants lie in the diffusion operator's kernel: solving for the
+    # deviation from dphi[0] keeps exactly-constant inputs exact fixed
+    # points (free-stream preservation to the bit).
+    shift = dphi[0]
+    return _solve_strided_tridiagonal(-face_w, 1.0 + face + face_w, -face, dphi - shift,
+                                      stride, linear_tol) + shift
+
+
 def solve_elliptic_ld_1d(rho_n, dphi, coeff: EllipticCoefficients, dx: float,
                          linear_tol: float = 1e-11) -> np.ndarray:
     """Three-point variant:
 
     rho_j - (beta/dx^2) [ p'_{j+1} (rho_{j+1}-rho_j) - p'_j (rho_j-rho_{j-1}) ] = dphi_j
     """
-    dphi = np.asarray(dphi, dtype=float)
-    if coeff.beta == 0.0:
-        return dphi.copy()
-    mob = coeff.mobility
-    b = coeff.beta / dx**2
-    mob_e = np.roll(mob, -1)  # p'(rho^n_{j+1}) on the east interface
-    sub = -b * mob
-    sup = -b * mob_e
-    diag = 1.0 + b * (mob_e + mob)
-    # Constants lie in the diffusion operator's kernel: solving for the
-    # deviation from dphi[0] keeps exactly-constant inputs exact fixed
-    # points (free-stream preservation to the bit).
-    shift = dphi[0]
-    sys = PeriodicTridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=dphi - shift)
-    return solve_periodic_tridiagonal(sys, linear_tol=linear_tol) + shift
-
-
-def _sublattice_solve(mob_e, mob_w, rhs, b4, linear_tol):
-    """One stride-2 sublattice: rows j couple j-2, j, j+2 with mobilities at
-    the midpoints j+-1.  Inputs are already restricted to the sublattice."""
-    sub = -b4 * mob_w
-    sup = -b4 * mob_e
-    diag = 1.0 + b4 * (mob_e + mob_w)
-    sys = PeriodicTridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
-    return solve_periodic_tridiagonal(sys, linear_tol=linear_tol)
+    return _solve_linear_1d(dphi, coeff, dx, 1, linear_tol)
 
 
 def solve_elliptic_l_1d(rho_n, dphi, coeff: EllipticCoefficients, dx: float,
@@ -105,23 +144,7 @@ def solve_elliptic_l_1d(rho_n, dphi, coeff: EllipticCoefficients, dx: float,
 
     Couples only same-parity cells; requires an even cell count.
     """
-    dphi = np.asarray(dphi, dtype=float)
-    m = dphi.shape[0]
-    if m % 2 != 0:
-        raise UnsupportedGridError("stride-2 elliptic variant requires an even cell count")
-    if coeff.beta == 0.0:
-        return dphi.copy()
-    mob = coeff.mobility
-    b4 = coeff.beta / (4.0 * dx**2)
-    shift = dphi[0]
-    rhs = dphi - shift
-    out = np.empty(m)
-    for parity in (0, 1):
-        cells = np.arange(parity, m, 2)
-        mob_e = mob[(cells + 1) % m]
-        mob_w = mob[(cells - 1) % m]
-        out[cells] = _sublattice_solve(mob_e, mob_w, rhs[cells], b4, linear_tol)
-    return out + shift
+    return _solve_linear_1d(dphi, coeff, dx, 2, linear_tol)
 
 
 def _stride2_pressure_term(p_vals, dx):
@@ -156,10 +179,13 @@ def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: Equation
             bad = int(np.argmin(rho))
             raise PositivityError(bad, f"Newton iterate non-positive at cell {bad}")
         g = residual(rho)
-        # Exact Jacobian of the power law: stride-2 operator with p' at the
-        # stencil points of the current iterate; still even/odd decoupled.
-        delta = _solve_newton_jacobian(eos.pressure_derivative(rho), -g,
-                                       coeff.beta / (4.0 * dx**2), linear_tol)
+        # Exact Jacobian of the power law, (I - b4 S2 diag(p'(rho))) with S2
+        # the stride-2 second difference: p' sits at the stencil points of
+        # the current iterate, and even/odd cells still decouple.
+        dp = eos.pressure_derivative(rho)
+        b4 = coeff.beta / (4.0 * dx**2)
+        delta = _solve_strided_tridiagonal(-b4 * np.roll(dp, 2), 1.0 + 2.0 * b4 * dp,
+                                           -b4 * np.roll(dp, -2), -g, 2, linear_tol)
         rho = rho + delta
         converged = np.max(np.abs(delta)) <= newton_tol
         if not converged:
@@ -178,37 +204,16 @@ def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: Equation
     )
 
 
-def _solve_newton_jacobian(dp, rhs, b4, linear_tol):
-    """Solve (I - b4 * S2 diag(dp)) delta = rhs per parity sublattice, where
-    row j couples dp_{j-2} delta_{j-2} - 2 dp_j delta_j + dp_{j+2} delta_{j+2}."""
-    m = rhs.shape[0]
-    out = np.empty(m)
-    for parity in (0, 1):
-        cells = np.arange(parity, m, 2)
-        sub = -b4 * dp[(cells - 2) % m]
-        sup = -b4 * dp[(cells + 2) % m]
-        diag = 1.0 + 2.0 * b4 * dp[cells]
-        sys = PeriodicTridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs[cells])
-        out[cells] = solve_periodic_tridiagonal(sys, linear_tol=linear_tol)
-    return out
-
-
 def apply_elliptic_operator_1d(variant: str, rho, rho_n, coeff: EllipticCoefficients,
                                eos: EquationOfState, dx: float) -> np.ndarray:
     """Left-hand side of the variant's elliptic equation, for residual checks."""
     rho = np.asarray(rho, dtype=float)
     if variant == "nl":
         return rho - coeff.beta * _stride2_pressure_term(eos.pressure(rho), dx)
-    mob = coeff.mobility
-    if variant == "l":
-        b4 = coeff.beta / (4.0 * dx**2)
-        term = np.roll(mob, -1) * (np.roll(rho, -2) - rho) - np.roll(mob, 1) * (rho - np.roll(rho, 2))
-        return rho - b4 * term
-    if variant == "ld":
-        b = coeff.beta / dx**2
-        term = np.roll(mob, -1) * (np.roll(rho, -1) - rho) - mob * (rho - np.roll(rho, 1))
-        return rho - b * term
-    raise ValueError(f"unknown variant {variant!r}")
+    if variant not in _VARIANT_STRIDE:
+        raise ValueError(f"unknown variant {variant!r}")
+    stride = _VARIANT_STRIDE[variant]
+    return _flux_operator(rho, stride, _face_coefficients(stride, coeff, (dx,)))
 
 
 # ---------------------------------------------------------------------------
@@ -311,27 +316,10 @@ def solve_elliptic_2d(rho_n, dphi, coeff: EllipticCoefficients, dx: float, dy: f
     shift = dphi.flat[0]
     rhs = dphi - shift
 
-    faces = _face_coefficients(stride, coeff, dx, dy)
+    faces = _face_coefficients(stride, coeff, (dx, dy))
     x, iters = _cg(lambda v: _flux_operator(v, stride, faces), rhs, rtol, maxiter,
                    _fft_preconditioner((m1, m2), stride, coeff, dx, dy))
     return x + shift, iters
-
-
-def _face_coefficients(stride: int, coeff: EllipticCoefficients, dx: float, dy: float):
-    """Per-axis face coefficients beta/(s h)^2 p'_{i+1} of the flux form."""
-    return tuple((coeff.beta / (stride * h) ** 2) * np.roll(coeff.mobility, -1, axis=axis)
-                 for axis, h in enumerate((dx, dy)))
-
-
-def _flux_operator(rho, stride: int, faces) -> np.ndarray:
-    """rho - beta div(p' grad rho) in flux form: along each axis the flux
-    between cells i and i+s is F_i = face_i (rho_{i+s} - rho_i), and row i
-    takes F_i - F_{i-s}."""
-    out = rho.copy()
-    for axis, face in enumerate(faces):
-        flux = face * (np.roll(rho, -stride, axis=axis) - rho)
-        out -= flux - np.roll(flux, stride, axis=axis)
-    return out
 
 
 def apply_elliptic_operator_2d(stencil: str, rho, coeff: EllipticCoefficients,
@@ -340,4 +328,4 @@ def apply_elliptic_operator_2d(stencil: str, rho, coeff: EllipticCoefficients,
     for residual checks; the same operator the solve iterates on."""
     stride = _stride(stencil)
     return _flux_operator(np.asarray(rho, dtype=float), stride,
-                          _face_coefficients(stride, coeff, dx, dy))
+                          _face_coefficients(stride, coeff, (dx, dy)))

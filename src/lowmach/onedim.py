@@ -1,16 +1,18 @@
 """1D spatial operators and time steppers on periodic grids.
 
-Three steppers share the local Lax-Friedrichs machinery:
+All three steppers use one first-order local Lax-Friedrichs kernel,
+:func:`_llf_fluxes`, and differ only in the per-cell sound speed and the
+pressure term of the momentum flux they pass it:
 
-* :func:`step_ap_1d` -- semi-implicit scheme: the density flux carries the
-  new-time momentum average and the stiff pressure gradient is implicit,
-  which after elimination yields one elliptic solve for the new density
-  (variant NL, L or LD) followed by an explicit momentum update;
+* :func:`step_ap_1d` -- semi-implicit scheme, sqrt(alpha p') and alpha p:
+  the density flux carries the new-time momentum average and the stiff
+  pressure gradient is implicit, which after elimination yields one
+  elliptic solve for the new density (variant NL, L or LD) followed by an
+  explicit momentum update;
 * :func:`step_explicit_llf_1d` -- fully explicit LLF for the unsplit
-  system, with the full pressure p/eps^2 in the momentum flux and wave
-  speeds u +- sqrt(p')/eps;
+  system, sqrt(p')/eps and p/eps^2;
 * :func:`step_ice_1d` -- predictor/corrector baseline: pressureless LLF
-  predictor, then an implicit pressure correction solved on the
+  predictor (0 and 0), then an implicit pressure correction solved on the
   three-point stencil.
 
 Interface speeds always use old-time values.  All steppers are pure
@@ -71,23 +73,34 @@ def interface_speed(lambda_cell_j, lambda_cell_j1):
     return np.maximum(lambda_cell_j, lambda_cell_j1)
 
 
-def _cell_max_speed(eos, rho, u, alpha):
-    return np.abs(u) + np.sqrt(alpha * eos.pressure_derivative(rho))
-
-
-def _interface_fluxes(rho, q, eos, alpha):
-    """Explicit interface fluxes at j+1/2 for all j (index j holds j+1/2).
+def _llf_fluxes(rho, q, sound, pressure_flux):
+    """LLF interface fluxes at j+1/2 for all j (index j holds j+1/2).
 
     f1 = (q_j + q_{j+1})/2 - A/2 (rho_{j+1} - rho_j)
-    f2 = (g_j + g_{j+1})/2 - A/2 (q_{j+1} - q_j),  g = rho u^2 + alpha p
+    f2 = (g_j + g_{j+1})/2 - A/2 (q_{j+1} - q_j),  g = rho u^2 + pressure_flux
+
+    with A the larger of the cell speeds |u| + sound on either side.
+    Returns (f1, f2, cell speeds).
     """
     u = q / rho
-    cell_max = _cell_max_speed(eos, rho, u, alpha)
+    cell_max = np.abs(u) + sound
     a = interface_speed(cell_max, np.roll(cell_max, -1))
-    g = q * u + alpha * eos.pressure(rho)
+    g = q * u + pressure_flux
     f1 = 0.5 * (q + np.roll(q, -1)) - 0.5 * a * (np.roll(rho, -1) - rho)
     f2 = 0.5 * (g + np.roll(g, -1)) - 0.5 * a * (np.roll(q, -1) - q)
-    return f1, f2, a, cell_max
+    return f1, f2, cell_max
+
+
+def _ap_fluxes(rho, q, eos, alpha):
+    """Explicit fluxes of the semi-implicit scheme: sound speed sqrt(alpha p')
+    and the explicit pressure part alpha p."""
+    return _llf_fluxes(rho, q, np.sqrt(alpha * eos.pressure_derivative(rho)),
+                       alpha * eos.pressure(rho))
+
+
+def _conservative_update(v, f, dt, dx):
+    """v_j - dt/dx (f_{j+1/2} - f_{j-1/2})."""
+    return v - (dt / dx) * (f - np.roll(f, 1))
 
 
 def llf_flux_pair(state: FluidState1D, eos: EquationOfState, alpha: float, j: int):
@@ -97,24 +110,21 @@ def llf_flux_pair(state: FluidState1D, eos: EquationOfState, alpha: float, j: in
     it is eliminated through the momentum update when assembling the
     elliptic system.
     """
-    f1, f2, _, _ = _interface_fluxes(state.rho, state.q, eos, alpha)
+    f1, f2, _ = _ap_fluxes(state.rho, state.q, eos, alpha)
     j = j % state.m
     return float(f1[j]), float(f2[j])
 
 
 def _dphi_from_fluxes(rho, f1, f2, dt, dx):
     df2 = (f2 - np.roll(f2, 1)) / dx  # Df2_j = (f2_{j+1/2} - f2_{j-1/2})/dx
-    return (
-        rho
-        - (dt / dx) * (f1 - np.roll(f1, 1))
-        + (dt**2 / (2.0 * dx)) * (np.roll(df2, -1) - np.roll(df2, 1))
-    )
+    return (_conservative_update(rho, f1, dt, dx)
+            + (dt**2 / (2.0 * dx)) * (np.roll(df2, -1) - np.roll(df2, 1)))
 
 
 def assemble_dphi_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
                      dt: float, dx: float) -> np.ndarray:
     """Right-hand side of the per-step elliptic equation, from old-time fluxes."""
-    f1, f2, _, _ = _interface_fluxes(state.rho, state.q, eos, params.alpha)
+    f1, f2, _ = _ap_fluxes(state.rho, state.q, eos, params.alpha)
     return _dphi_from_fluxes(state.rho, f1, f2, dt, dx)
 
 
@@ -129,7 +139,7 @@ def momentum_update_1d(state_n: FluidState1D, rho_np1, eos: EquationOfState,
     """q^{n+1} = q^n - dt Df2(old fluxes) - (1-alpha eps^2)/eps^2 * dt/(2dx) *
     (p(rho^{n+1})_{j+1} - p(rho^{n+1})_{j-1})."""
     rho_np1 = np.asarray(rho_np1, dtype=float)
-    _, f2, _, _ = _interface_fluxes(state_n.rho, state_n.q, eos, params.alpha)
+    _, f2, _ = _ap_fluxes(state_n.rho, state_n.q, eos, params.alpha)
     c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
     return _momentum_from_fluxes(state_n.q, f2, eos.pressure(rho_np1), c, dt, dx)
 
@@ -153,9 +163,8 @@ def step_ap_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
     """One semi-implicit step; returns (new_state, StepReport).
 
     The report's consistency_residual is the max-norm residual of the
-    coupled update: the density row evaluated through the variant's
-    elliptic operator (in density units) and the momentum row through its
-    defining update (in momentum units).
+    density row: the new density put through the variant's elliptic
+    operator, minus the right-hand side (in density units).
     """
     variant = _as_variant(variant)
     validate_params(params)
@@ -163,7 +172,7 @@ def step_ap_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
         raise ValueError("dt must be positive")
 
     rho, q = state.rho, state.q
-    f1, f2, _, cell_max = _interface_fluxes(rho, q, eos, params.alpha)
+    f1, f2, cell_max = _ap_fluxes(rho, q, eos, params.alpha)
     dphi = _dphi_from_fluxes(rho, f1, f2, dt, dx)
     beta = beta_coefficient(params.epsilon, params.alpha, dt)
     coeff = EllipticCoefficients(beta=beta, mobility=eos.pressure_derivative(rho))
@@ -183,15 +192,12 @@ def step_ap_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
     _check_new_density(rho_new)
 
     c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
-    p_new = eos.pressure(rho_new)
-    q_new = _momentum_from_fluxes(q, f2, p_new, c, dt, dx)
+    q_new = _momentum_from_fluxes(q, f2, eos.pressure(rho_new), c, dt, dx)
     if not np.all(np.isfinite(q_new)):
         raise InstabilityError("non-finite momentum after step")
 
     r_density = apply_elliptic_operator_1d(variant.value, rho_new, rho, coeff, eos, dx) - dphi
-    df2 = (f2 - np.roll(f2, 1)) / dx
-    r_momentum = q_new - (q - dt * df2 - c * (dt / (2.0 * dx)) * (np.roll(p_new, -1) - np.roll(p_new, 1)))
-    residual = max(np.max(np.abs(r_density)), np.max(np.abs(r_momentum)))
+    residual = np.max(np.abs(r_density))
 
     new_state = FluidState1D(rho=rho_new, q=q_new)
     report = StepReport(
@@ -217,14 +223,10 @@ def step_explicit_llf_1d(state: FluidState1D, eos: EquationOfState, params: Sche
         raise ValueError("epsilon must be positive")
 
     rho, q = state.rho, state.q
-    u = q / rho
-    cell_max = np.abs(u) + np.sqrt(eos.pressure_derivative(rho)) / eps
-    a = interface_speed(cell_max, np.roll(cell_max, -1))
-    h = q * u + eos.pressure(rho) / eps**2
-    flux1 = 0.5 * (q + np.roll(q, -1)) - 0.5 * a * (np.roll(rho, -1) - rho)
-    flux2 = 0.5 * (h + np.roll(h, -1)) - 0.5 * a * (np.roll(q, -1) - q)
-    rho_new = rho - (dt / dx) * (flux1 - np.roll(flux1, 1))
-    q_new = q - (dt / dx) * (flux2 - np.roll(flux2, 1))
+    f1, f2, cell_max = _llf_fluxes(rho, q, np.sqrt(eos.pressure_derivative(rho)) / eps,
+                                   eos.pressure(rho) / eps**2)
+    rho_new = _conservative_update(rho, f1, dt, dx)
+    q_new = _conservative_update(q, f2, dt, dx)
 
     _check_new_density(rho_new)
     if not np.all(np.isfinite(q_new)):
@@ -254,15 +256,10 @@ def step_ice_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
     eps = params.epsilon
 
     rho, q = state.rho, state.q
-    u = q / rho
     # The predictor system carries no pressure; its wave speeds are u alone.
-    cell_max = np.abs(u)
-    a = interface_speed(cell_max, np.roll(cell_max, -1))
-    g = q * u
-    f1 = 0.5 * (q + np.roll(q, -1)) - 0.5 * a * (np.roll(rho, -1) - rho)
-    f2 = 0.5 * (g + np.roll(g, -1)) - 0.5 * a * (np.roll(q, -1) - q)
-    rho_star = rho - (dt / dx) * (f1 - np.roll(f1, 1))
-    q_star = q - (dt / dx) * (f2 - np.roll(f2, 1))
+    f1, f2, cell_max = _llf_fluxes(rho, q, 0.0, 0.0)
+    rho_star = _conservative_update(rho, f1, dt, dx)
+    q_star = _conservative_update(q, f2, dt, dx)
     if not (np.all(np.isfinite(rho_star)) and np.all(np.isfinite(q_star))):
         raise InstabilityError("non-finite predictor state")
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, build_config, config_to_dict
+from .config import RunConfig, build_config, config_to_dict, scheme_params
 from .core import (
     DtPolicy,
     EquationOfState,
@@ -57,10 +57,9 @@ STATUS_IO = 4
 
 SWEEP_PROCS_ENV = "LOWMACH_SWEEP_PROCS"
 
-# Reference resolutions for error tables and figure-style comparisons,
-# as (cells, 1/dt); both integrate with the explicit scheme to T=0.1.
+# Reference resolution for the error tables, as (cells, 1/dt); it
+# integrates with the explicit scheme to T=0.1.
 TABLE_REFERENCE = (1280, 128000)
-FIGURE_REFERENCE = (500, 20000)
 
 _EVENT_TOL = 1e-12
 
@@ -83,24 +82,21 @@ def _write_text(path: Path, text: str):
     path.write_text(text, encoding="utf-8")
 
 
-def _snapshot_csv_1d(grid: Grid1D, state) -> str:
-    x = grid.cell_centers()
-    lines = ["x,rho,q"]
-    for j in range(grid.m):
-        lines.append(f"{_fmt(x[j])},{_fmt(state.rho[j])},{_fmt(state.q[j])}")
-    return "\n".join(lines) + "\n"
+def _write_csv(path: Path, header: str, columns):
+    """One row per index of the equal-length ``columns``, every value in
+    the same ``%.17g`` form as :func:`_fmt`."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=header, comments="")
 
 
-def _snapshot_csv_2d(grid: Grid2D, state) -> str:
-    x, y = grid.cell_centers()
-    lines = ["x,y,rho,q1,q2"]
-    for i in range(grid.m1):
-        for j in range(grid.m2):
-            lines.append(
-                f"{_fmt(x[i])},{_fmt(y[j])},{_fmt(state.rho[i, j])},"
-                f"{_fmt(state.q1[i, j])},{_fmt(state.q2[i, j])}"
-            )
-    return "\n".join(lines) + "\n"
+def _snapshot_csv_1d(path: Path, grid: Grid1D, state):
+    _write_csv(path, "x,rho,q", (grid.cell_centers(), state.rho, state.q))
+
+
+def _snapshot_csv_2d(path: Path, grid: Grid2D, state):
+    x, y = np.meshgrid(*grid.cell_centers(), indexing="ij")
+    _write_csv(path, "x,y,rho,q1,q2",
+               [v.ravel() for v in (x, y, state.rho, state.q1, state.q2)])
 
 
 def build_problem(cfg: RunConfig):
@@ -120,11 +116,6 @@ def build_problem(cfg: RunConfig):
         return eos, grid, custom_state_1d(grid, cfg.rho0, cfg.q0)
     grid = Grid2D(m1=cfg.m1, m2=cfg.m2)
     return eos, grid, custom_state_2d(grid, cfg.rho0, cfg.q0)
-
-
-def scheme_params(cfg: RunConfig) -> SchemeParams:
-    return SchemeParams(epsilon=cfg.epsilon, alpha=cfg.alpha, sigma=cfg.sigma,
-                        dt_policy=cfg.dt_policy)
 
 
 def _max_speed(cfg: RunConfig, eos, state, params) -> float:
@@ -181,7 +172,7 @@ def run(cfg: RunConfig) -> RunResult:
     def write_snapshot(st):
         nonlocal snap_index
         name = f"snapshot_{snap_index:03d}.csv"
-        _write_text(out_dir / name, snapshot(grid, st))
+        snapshot(out_dir / name, grid, st)
         outputs.append(name)
         snap_index += 1
 
@@ -252,6 +243,10 @@ def run_raw(raw: dict) -> RunResult:
 # Table reproduction
 
 
+def _write_table(path: Path, rows, keys):
+    _write_csv(path, ",".join(keys), [[r[k] for r in rows] for k in keys])
+
+
 def _integrate_fixed(state, eos, params, stepper, dt, n_steps, dx):
     max_lambda = 0.0
     for _ in range(n_steps):
@@ -291,10 +286,7 @@ def reproduce_table1(eps_list, dx_list, variant="ld", t_final=0.1, alpha=1.0,
                 "courant": max_lambda * stable_dt / grid.dx,
             })
     if output_path is not None:
-        lines = ["epsilon,max_lambda,dx,stable_dt,courant"]
-        for r in rows:
-            lines.append(",".join(_fmt(r[k]) for k in ("epsilon", "max_lambda", "dx", "stable_dt", "courant")))
-        _write_text(Path(output_path), "\n".join(lines) + "\n")
+        _write_table(Path(output_path), rows, ("epsilon", "max_lambda", "dx", "stable_dt", "courant"))
     return rows
 
 
@@ -379,10 +371,7 @@ def reproduce_table2(eps_list, refinement_levels=5, coarsest_m=20, t_final=0.1,
             rows.append(row)
             prev = row
     if output_path is not None:
-        lines = ["epsilon,dx,dt,e_rho,ratio_rho,e_q,ratio_q"]
-        for r in rows:
-            lines.append(",".join(_fmt(r[k]) for k in ("epsilon", "dx", "dt", "e_rho", "ratio_rho", "e_q", "ratio_q")))
-        _write_text(Path(output_path), "\n".join(lines) + "\n")
+        _write_table(Path(output_path), rows, ("epsilon", "dx", "dt", "e_rho", "ratio_rho", "e_q", "ratio_q"))
     return rows
 
 
@@ -414,14 +403,8 @@ def compare_ice(epsilon, dx, dt, t_final, variant="ld", output_dir=None):
     if output_dir is not None:
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        x = grid.cell_centers()
-        lines = ["x,rho_ap,q_ap,rho_ice,q_ice"]
-        for j in range(m):
-            lines.append(
-                f"{_fmt(x[j])},{_fmt(ap_state.rho[j])},{_fmt(ap_state.q[j])},"
-                f"{_fmt(ice_state.rho[j])},{_fmt(ice_state.q[j])}"
-            )
-        _write_text(out / "compare_ice_solutions.csv", "\n".join(lines) + "\n")
+        _write_csv(out / "compare_ice_solutions.csv", "x,rho_ap,q_ap,rho_ice,q_ice",
+                   (grid.cell_centers(), ap_state.rho, ap_state.q, ice_state.rho, ice_state.q))
         tv_lines = [
             "method,tv_rho,tv_q",
             f"ap,{_fmt(result['tv_rho_ap'])},{_fmt(result['tv_q_ap'])}",

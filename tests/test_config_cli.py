@@ -171,6 +171,30 @@ def test_cli_run_exit_codes(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("flags", [
+    ["--preset", "example1", "--epsilon", "0.5", "--alpha", "10"],  # alpha > 1/eps^2
+    ["--preset", "example1", "--sigma", "1.5"],
+    ["--preset", "example1", "--m", "51", "--variant", "l"],
+    ["--preset", "example1", "--m", "51", "--variant", "nl"],
+    ["--preset", "example1", "--m", "2", "--variant", "ld"],
+    ["--preset", "example3", "--m1", "21", "--stencil", "wide"],
+    ["--preset", "custom", "--dimension", "2", "--m2", "9", "--stencil", "wide"],
+    ["--preset", "custom", "--gamma", "0.5"],
+    ["--preset", "custom", "--lambda-coeff", "-1"],
+    ["--preset", "custom", "--dimension", "2", "--domain-b", "2"],
+])
+def test_cli_run_invalid_config_exits_2(tmp_path, flags):
+    out = tmp_path / "bad"
+    assert main(["run", *flags, "--t-final", "0.002", "--output-dir", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_odd_m_allowed_where_no_stride2_solve_runs():
+    build_config({"preset": "example1", "m": 51, "variant": "l", "stepper": "ice"})
+    build_config({"preset": "example1", "m": 51, "variant": "nl", "stepper": "explicit_llf"})
+    build_config({"preset": "example3", "m1": 21, "stencil": "reduced"})
+
+
 def test_cli_config_file_with_flag_override(tmp_path):
     path = write_config(tmp_path, BASIC)
     out = tmp_path / "cfgrun"
@@ -214,6 +238,15 @@ def test_sweep_validates_before_running(tmp_path):
     base = {"preset": "example1", "m": 40, "dt": 0.002, "t_final": 0.006}
     with pytest.raises(ConfigError):
         run_sweep(base, {"epsilon": [0.3], "gamma": [1.4]}, tmp_path / "sweep2")
+
+
+def test_cli_sweep_invalid_entry_exits_2_before_running(tmp_path):
+    sweep_dir = tmp_path / "sweep"
+    code = main(["sweep", "--preset", "example1", "--epsilon", "0.5", "--m", "40",
+                 "--dt", "0.002", "--t-final", "0.006", "--vary", "alpha=1,1000",
+                 "--sweep-dir", str(sweep_dir)])
+    assert code == 2
+    assert not sweep_dir.exists()
 
 
 @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])

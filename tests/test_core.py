@@ -18,22 +18,20 @@ from lowmach import (
     InvalidStateError,
     ParamError,
     SchemeParams,
-    pressure,
-    pressure_derivative,
     validate_params,
 )
 
 
 def test_pressure_values():
-    assert pressure(EquationOfState(1.0, 2.0), 2.0) == 4.0
-    assert pressure(EquationOfState(1.0, 2.0), 1.0) == 1.0
-    assert pressure(EquationOfState(1.0, 1.4), 1.0) == 1.0
+    assert EquationOfState(1.0, 2.0).pressure(2.0) == 4.0
+    assert EquationOfState(1.0, 2.0).pressure(1.0) == 1.0
+    assert EquationOfState(1.0, 1.4).pressure(1.0) == 1.0
 
 
 def test_pressure_derivative_values():
-    assert pressure_derivative(EquationOfState(1.0, 2.0), 1.0) == 2.0
-    assert pressure_derivative(EquationOfState(1.0, 2.0), 3.0) == 6.0
-    assert pressure_derivative(EquationOfState(1.0, 1.4), 1.0) == pytest.approx(1.4)
+    assert EquationOfState(1.0, 2.0).pressure_derivative(1.0) == 2.0
+    assert EquationOfState(1.0, 2.0).pressure_derivative(3.0) == 6.0
+    assert EquationOfState(1.0, 1.4).pressure_derivative(1.0) == pytest.approx(1.4)
 
 
 def test_pressure_rejects_nonpositive_density():

@@ -105,8 +105,12 @@ def test_linear_solvers_match_dense_oracle_randomized(variant, solver):
         dphi = 1 + 0.5 * rng.standard_normal(m)
         coeff = EllipticCoefficients(beta=beta, mobility=mob)
         out = solver(np.ones(m), dphi, coeff, 1 / m)
-        oracle = np.linalg.solve(dense_matrix_1d(variant, mob, beta, 1 / m, m), dphi)
+        dense = dense_matrix_1d(variant, mob, beta, 1 / m, m)
+        oracle = np.linalg.solve(dense, dphi)
         assert np.max(np.abs(out - oracle)) <= 1e-10 * max(1.0, np.max(np.abs(oracle)))
+        # The residual check applies the same operator the solve inverts.
+        applied = apply_elliptic_operator_1d(variant, dphi, None, coeff, EOS2, 1 / m)
+        assert np.max(np.abs(applied - dense @ dphi)) <= 1e-13 * max(1.0, np.max(np.abs(dense @ dphi)))
 
 
 def test_l_requires_even_m():

@@ -323,6 +323,52 @@ def test_explicit_blows_up_on_unresolved_mesh():
 # ICE
 
 
+def ice_oracle(rho, q, eos, eps, dt, dx):
+    """Pressureless LLF predictor, loops and all, then the implicit pressure
+    correction as a dense three-point solve."""
+    m = len(rho)
+    u = q / rho
+    g = rho * u**2
+    lam = np.abs(u)
+    rho_star = np.empty(m)
+    q_star = np.empty(m)
+    for j in range(m):
+        jp, jm = (j + 1) % m, (j - 1) % m
+        a_p = max(lam[j], lam[jp])
+        a_m = max(lam[jm], lam[j])
+        f1_p = 0.5 * (q[j] + q[jp]) - 0.5 * a_p * (rho[jp] - rho[j])
+        f1_m = 0.5 * (q[jm] + q[j]) - 0.5 * a_m * (rho[j] - rho[jm])
+        f2_p = 0.5 * (g[j] + g[jp]) - 0.5 * a_p * (q[jp] - q[j])
+        f2_m = 0.5 * (g[jm] + g[j]) - 0.5 * a_m * (q[j] - q[jm])
+        rho_star[j] = rho[j] - dt / dx * (f1_p - f1_m)
+        q_star[j] = q[j] - dt / dx * (f2_p - f2_m)
+    # rho - (dt/eps)^2 D(p'(rho^n) D rho) = rho_star on the three-point stencil
+    mob = eos.pressure_derivative(rho)
+    b = dt**2 / (eps**2 * dx**2)
+    a = np.eye(m)
+    for j in range(m):
+        jp, jm = (j + 1) % m, (j - 1) % m
+        a[j, jp] -= b * mob[jp]
+        a[j, j] += b * (mob[jp] + mob[j])
+        a[j, jm] -= b * mob[j]
+    rho_new = np.linalg.solve(a, rho_star)
+    p = eos.pressure(rho_new)
+    q_new = np.array([q_star[j] - dt / eps**2 * (p[(j + 1) % m] - p[j - 1]) / (2 * dx)
+                      for j in range(m)])
+    return rho_new, q_new
+
+
+def test_ice_matches_oracle():
+    rng = np.random.default_rng(12)
+    for m, eps in ((16, 0.8), (48, 0.1), (64, 0.02)):
+        st = random_state(rng, m, q_amp=0.3)
+        dt = 0.4 / (m * (1.0 + np.max(np.abs(st.q / st.rho))))
+        out, _ = step_ice_1d(st, EOS2, SchemeParams(epsilon=eps), dt, 1 / m)
+        rho_o, q_o = ice_oracle(st.rho, st.q, EOS2, eps, dt, 1 / m)
+        assert np.max(np.abs(out.rho - rho_o)) <= 1e-12
+        assert np.max(np.abs(out.q - q_o)) <= 1e-12 * max(1.0, np.max(np.abs(q_o)))
+
+
 def test_ice_constant_state():
     st = FluidState1D(rho=np.full(10, 1.1), q=np.zeros(10))
     out, _ = step_ice_1d(st, EOS2, SchemeParams(epsilon=0.4), 0.001, 0.1)

@@ -5,8 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from lowmach import FluidState1D, FluidState2D, Grid1D, Grid2D
 from lowmach.cli import main
 from lowmach.runner import (
+    _snapshot_csv_1d,
+    _snapshot_csv_2d,
+    _write_csv,
     compare_ice,
     reference_solution,
     reproduce_table1,
@@ -120,3 +124,34 @@ def test_cli_io_error_exit_code(tmp_path):
                  "--dt", "0.001", "--t-final", "0.002",
                  "--output-dir", str(blocker / "nested")])
     assert code == 4
+
+
+def _fmt_rows(header, rows):
+    return "".join([header + "\n"] + [",".join(f"{v:.17g}" for v in row) + "\n" for row in rows])
+
+
+def test_csv_bytes_match_repr_format(tmp_path):
+    # Manifest hashes are over these bytes: every value is written as
+    # f"{v:.17g}", the header first, one "\n"-terminated line per row.
+    values = [0.0, -0.0, 5e-324, 1e-310, 1 / 3, -2.5e300, np.nan, np.inf, -np.inf, 1.0]
+    path = tmp_path / "special.csv"
+    _write_csv(path, "a,b", (values, values[::-1]))
+    assert path.read_bytes() == _fmt_rows("a,b", zip(values, values[::-1])).encode()
+
+    grid = Grid1D(a=-1.0, b=1.0, m=3)
+    state = FluidState1D(rho=[1 / 3, 2.0, 1e-310], q=[-0.0, 0.1, -7.25])
+    path = tmp_path / "snap1d.csv"
+    _snapshot_csv_1d(path, grid, state)
+    expected = _fmt_rows("x,rho,q", zip(grid.cell_centers(), state.rho, state.q))
+    assert path.read_bytes() == expected.encode()
+
+    grid = Grid2D(m1=4, m2=5)
+    rng = np.random.default_rng(3)
+    state = FluidState2D(rho=1 + rng.random((4, 5)), q1=rng.standard_normal((4, 5)),
+                         q2=rng.standard_normal((4, 5)))
+    path = tmp_path / "snap2d.csv"
+    _snapshot_csv_2d(path, grid, state)
+    x, y = grid.cell_centers()
+    rows = [(x[i], y[j], state.rho[i, j], state.q1[i, j], state.q2[i, j])
+            for i in range(4) for j in range(5)]
+    assert path.read_bytes() == _fmt_rows("x,y,rho,q1,q2", rows).encode()
