@@ -220,13 +220,8 @@ def _validate_config(cfg: RunConfig) -> None:
     if cfg.dimension == 2 and (cfg.domain_a, cfg.domain_b) != (0.0, 1.0):
         raise ConfigError("2D runs are on the unit square: domain_a, domain_b must be 0, 1")
     if cfg.dimension == 1 and cfg.stepper != "explicit_llf":
-        # The ICE correction always solves on the three-point stencil, and
-        # the cyclic tridiagonal solve of each residue class needs three cells.
-        stride = _VARIANT_STRIDE[cfg.variant] if cfg.stepper == "ap" else 1
-        if cfg.m % stride != 0:
-            raise ConfigError(f"variant {cfg.variant} requires an even m, got {cfg.m}")
-        if cfg.m < 3 * stride:
-            raise ConfigError(f"m must be >= {3 * stride} for the elliptic solve, got {cfg.m}")
+        # The ICE correction always solves on the three-point stencil.
+        check_solve_cells(cfg.m, cfg.variant if cfg.stepper == "ap" else "ld")
     if cfg.dimension == 2 and cfg.stencil == "wide" and (cfg.m1 % 2 or cfg.m2 % 2):
         raise ConfigError(f"wide stencil requires even m1, m2, got {cfg.m1}, {cfg.m2}")
     try:
@@ -234,6 +229,17 @@ def _validate_config(cfg: RunConfig) -> None:
         validate_params(scheme_params(cfg))
     except (InvalidStateError, ParamError) as exc:
         raise ConfigError(str(exc)) from None
+
+
+def check_solve_cells(m: int, variant: str) -> None:
+    """Raise :class:`ConfigError` unless the 1D elliptic solve of ``variant``
+    runs on ``m`` cells: the cyclic tridiagonal solve of each residue class
+    modulo the stride needs three cells."""
+    stride = _VARIANT_STRIDE[variant]
+    if m % stride != 0:
+        raise ConfigError(f"variant {variant} requires an even m, got {m}")
+    if m < 3 * stride:
+        raise ConfigError(f"m must be >= {3 * stride} for the elliptic solve, got {m}")
 
 
 def scheme_params(cfg: RunConfig) -> SchemeParams:

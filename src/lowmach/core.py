@@ -34,15 +34,25 @@ class EquationOfState:
     def pressure(self, rho):
         """Pressure at density rho (scalar or array); rho must be > 0."""
         rho = np.asarray(rho, dtype=float)
-        if np.any(rho <= 0.0) or not np.all(np.isfinite(rho)):
+        if (rho <= 0.0).any() or not np.isfinite(rho).all():
             raise InvalidStateError("pressure requires strictly positive density")
-        return self.lambda_coeff * rho**self.gamma
+        return self._pressure(rho)
 
     def pressure_derivative(self, rho):
         """dp/drho = lambda_coeff * gamma * rho**(gamma-1); rho must be > 0."""
         rho = np.asarray(rho, dtype=float)
-        if np.any(rho <= 0.0) or not np.all(np.isfinite(rho)):
+        if (rho <= 0.0).any() or not np.isfinite(rho).all():
             raise InvalidStateError("pressure_derivative requires strictly positive density")
+        return self._pressure_derivative(rho)
+
+    # Unchecked evaluators, for float arrays already known to be positive and
+    # finite (the density of a FluidState1D, or one that passed a stepper's
+    # positivity check).
+
+    def _pressure(self, rho):
+        return self.lambda_coeff * rho**self.gamma
+
+    def _pressure_derivative(self, rho):
         return self.lambda_coeff * self.gamma * rho ** (self.gamma - 1.0)
 
 
@@ -100,6 +110,15 @@ class Grid2D:
         return x, y
 
 
+def _shift(x, k, axis=0):
+    """``np.roll(x, k, axis)``.  A 1D array is built from two slices, which
+    at the sizes of the 1D steppers costs a fraction of ``np.roll``."""
+    if x.ndim != 1 or not x.size:
+        return np.roll(x, k, axis=axis)
+    k %= x.shape[0]
+    return np.concatenate((x[-k:], x[:-k]))
+
+
 def _frozen_array(values, name):
     arr = np.array(values, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -125,6 +144,18 @@ class FluidState1D:
             raise InvalidStateError(f"non-positive density at cell {bad}")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "q", q)
+
+    @classmethod
+    def _trusted(cls, rho, q):
+        """State over float arrays the caller has checked (finite, positive
+        density, equal 1D shapes), owns, and will not write again: they are
+        frozen in place, without the copy and re-check of the constructor."""
+        rho.flags.writeable = False
+        q.flags.writeable = False
+        state = object.__new__(cls)
+        object.__setattr__(state, "rho", rho)
+        object.__setattr__(state, "q", q)
+        return state
 
     @property
     def m(self) -> int:

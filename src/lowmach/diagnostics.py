@@ -8,7 +8,7 @@ from math import log2
 
 import numpy as np
 
-from .core import FluidState1D, FluidState2D
+from .core import FluidState1D, FluidState2D, _shift
 from .errors import UnsupportedGridError
 
 
@@ -65,7 +65,7 @@ def total_variation(field) -> float:
     field = np.asarray(field, dtype=float)
     if field.ndim != 1:
         raise ValueError("total_variation expects a 1D field")
-    return float(np.sum(np.abs(np.roll(field, -1) - field)))
+    return float(np.sum(np.abs(_shift(field, -1) - field)))
 
 
 def convergence_order(errors):

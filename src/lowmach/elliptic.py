@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EquationOfState
+from .core import EquationOfState, _shift
 from .errors import (
     NewtonDivergenceError,
     PositivityError,
@@ -61,7 +61,7 @@ class EllipticCoefficients:
         mob = np.asarray(self.mobility, dtype=float)
         if not (np.isfinite(self.beta) and self.beta >= 0.0):
             raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if np.any(mob <= 0.0) or not np.all(np.isfinite(mob)):
+        if (mob <= 0.0).any() or not np.isfinite(mob).all():
             raise ValueError("mobility must be strictly positive and finite")
         object.__setattr__(self, "mobility", mob)
 
@@ -78,7 +78,7 @@ def beta_coefficient(epsilon: float, alpha: float, dt: float) -> float:
 def _face_coefficients(stride: int, coeff: EllipticCoefficients, spacings):
     """Face coefficients beta/(s h)^2 p'_{i+1} of the flux form, one array per
     axis, with h the spacing along that axis."""
-    return tuple((coeff.beta / (stride * h) ** 2) * np.roll(coeff.mobility, -1, axis=axis)
+    return tuple((coeff.beta / (stride * h) ** 2) * _shift(coeff.mobility, -1, axis)
                  for axis, h in enumerate(spacings))
 
 
@@ -88,8 +88,8 @@ def _flux_operator(rho, stride: int, faces) -> np.ndarray:
     takes F_i - F_{i-s}."""
     out = rho.copy()
     for axis, face in enumerate(faces):
-        flux = face * (np.roll(rho, -stride, axis=axis) - rho)
-        out -= flux - np.roll(flux, stride, axis=axis)
+        flux = face * (_shift(rho, -stride, axis) - rho)
+        out -= flux - _shift(flux, stride, axis)
     return out
 
 
@@ -118,7 +118,7 @@ def _solve_linear_1d(dphi, coeff: EllipticCoefficients, dx: float, stride: int,
     if coeff.beta == 0.0:
         return dphi.copy()
     (face,) = _face_coefficients(stride, coeff, (dx,))
-    face_w = np.roll(face, stride)
+    face_w = _shift(face, stride)
     # Constants lie in the diffusion operator's kernel: solving for the
     # deviation from dphi[0] keeps exactly-constant inputs exact fixed
     # points (free-stream preservation to the bit).
@@ -149,7 +149,7 @@ def solve_elliptic_l_1d(rho_n, dphi, coeff: EllipticCoefficients, dx: float,
 
 def _stride2_pressure_term(p_vals, dx):
     """(p_{j+2} - 2 p_j + p_{j-2}) / (4 dx^2), periodic."""
-    return (np.roll(p_vals, -2) - 2.0 * p_vals + np.roll(p_vals, 2)) / (4.0 * dx**2)
+    return (_shift(p_vals, -2) - 2.0 * p_vals + _shift(p_vals, 2)) / (4.0 * dx**2)
 
 
 def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: EquationOfState,
@@ -173,10 +173,10 @@ def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: Equation
         return r - coeff.beta * _stride2_pressure_term(eos.pressure(r), dx) - dphi
 
     rho = rho_n.copy()
-    scale = max(1.0, float(np.max(np.abs(dphi))))
+    scale = max(1.0, float(np.abs(dphi).max()))
     for it in range(1, newton_max_iter + 1):
-        if np.any(rho <= 0.0):
-            bad = int(np.argmin(rho))
+        if (rho <= 0.0).any():
+            bad = int(rho.argmin())
             raise PositivityError(bad, f"Newton iterate non-positive at cell {bad}")
         g = residual(rho)
         # Exact Jacobian of the power law, (I - b4 S2 diag(p'(rho))) with S2
@@ -184,18 +184,18 @@ def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: Equation
         # the current iterate, and even/odd cells still decouple.
         dp = eos.pressure_derivative(rho)
         b4 = coeff.beta / (4.0 * dx**2)
-        delta = _solve_strided_tridiagonal(-b4 * np.roll(dp, 2), 1.0 + 2.0 * b4 * dp,
-                                           -b4 * np.roll(dp, -2), -g, 2, linear_tol)
+        delta = _solve_strided_tridiagonal(-b4 * _shift(dp, 2), 1.0 + 2.0 * b4 * dp,
+                                           -b4 * _shift(dp, -2), -g, 2, linear_tol)
         rho = rho + delta
-        converged = np.max(np.abs(delta)) <= newton_tol
+        converged = np.abs(delta).max() <= newton_tol
         if not converged:
-            if np.any(rho <= 0.0):
-                bad = int(np.argmin(rho))
+            if (rho <= 0.0).any():
+                bad = int(rho.argmin())
                 raise PositivityError(bad, f"Newton iterate non-positive at cell {bad}")
-            converged = np.max(np.abs(residual(rho))) <= newton_tol * scale
+            converged = np.abs(residual(rho)).max() <= newton_tol * scale
         if converged:
-            if np.any(rho <= 0.0):
-                bad = int(np.argmin(rho))
+            if (rho <= 0.0).any():
+                bad = int(rho.argmin())
                 raise PositivityError(bad, f"Newton solution non-positive at cell {bad}")
             return rho, it
     raise NewtonDivergenceError(

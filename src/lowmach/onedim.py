@@ -27,7 +27,7 @@ from math import ceil
 
 import numpy as np
 
-from .core import EquationOfState, FluidState1D, SchemeParams, validate_params
+from .core import EquationOfState, FluidState1D, SchemeParams, _shift, validate_params
 from .diagnostics import total_variation
 from .elliptic import (
     EllipticCoefficients,
@@ -84,23 +84,37 @@ def _llf_fluxes(rho, q, sound, pressure_flux):
     """
     u = q / rho
     cell_max = np.abs(u) + sound
-    a = interface_speed(cell_max, np.roll(cell_max, -1))
+    a = interface_speed(cell_max, _shift(cell_max, -1))
     g = q * u + pressure_flux
-    f1 = 0.5 * (q + np.roll(q, -1)) - 0.5 * a * (np.roll(rho, -1) - rho)
-    f2 = 0.5 * (g + np.roll(g, -1)) - 0.5 * a * (np.roll(q, -1) - q)
+    q_east = _shift(q, -1)
+    half_a = 0.5 * a
+    f1 = 0.5 * (q + q_east) - half_a * (_shift(rho, -1) - rho)
+    f2 = 0.5 * (g + _shift(g, -1)) - half_a * (q_east - q)
     return f1, f2, cell_max
 
 
-def _ap_fluxes(rho, q, eos, alpha):
+def _ap_fluxes(state: FluidState1D, eos, alpha):
     """Explicit fluxes of the semi-implicit scheme: sound speed sqrt(alpha p')
-    and the explicit pressure part alpha p."""
-    return _llf_fluxes(rho, q, np.sqrt(alpha * eos.pressure_derivative(rho)),
-                       alpha * eos.pressure(rho))
+    and the explicit pressure part alpha p.  Returns (f1, f2, cell speeds,
+    p'), the state's density having been validated by its constructor."""
+    dp = eos._pressure_derivative(state.rho)
+    return (*_llf_fluxes(state.rho, state.q, np.sqrt(alpha * dp), alpha * eos._pressure(state.rho)),
+            dp)
 
 
 def _conservative_update(v, f, dt, dx):
     """v_j - dt/dx (f_{j+1/2} - f_{j-1/2})."""
-    return v - (dt / dx) * (f - np.roll(f, 1))
+    return v - (dt / dx) * (f - _shift(f, 1))
+
+
+def _flux_derivative(f, dx):
+    """Df_j = (f_{j+1/2} - f_{j-1/2}) / dx."""
+    return (f - _shift(f, 1)) / dx
+
+
+def _centered_difference(v):
+    """v_{j+1} - v_{j-1}."""
+    return _shift(v, -1) - _shift(v, 1)
 
 
 def llf_flux_pair(state: FluidState1D, eos: EquationOfState, alpha: float, j: int):
@@ -110,28 +124,25 @@ def llf_flux_pair(state: FluidState1D, eos: EquationOfState, alpha: float, j: in
     it is eliminated through the momentum update when assembling the
     elliptic system.
     """
-    f1, f2, _ = _ap_fluxes(state.rho, state.q, eos, alpha)
+    f1, f2, _, _ = _ap_fluxes(state, eos, alpha)
     j = j % state.m
     return float(f1[j]), float(f2[j])
 
 
-def _dphi_from_fluxes(rho, f1, f2, dt, dx):
-    df2 = (f2 - np.roll(f2, 1)) / dx  # Df2_j = (f2_{j+1/2} - f2_{j-1/2})/dx
+def _dphi_from_fluxes(rho, f1, df2, dt, dx):
     return (_conservative_update(rho, f1, dt, dx)
-            + (dt**2 / (2.0 * dx)) * (np.roll(df2, -1) - np.roll(df2, 1)))
+            + (dt**2 / (2.0 * dx)) * _centered_difference(df2))
 
 
 def assemble_dphi_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
                      dt: float, dx: float) -> np.ndarray:
     """Right-hand side of the per-step elliptic equation, from old-time fluxes."""
-    f1, f2, _ = _ap_fluxes(state.rho, state.q, eos, params.alpha)
-    return _dphi_from_fluxes(state.rho, f1, f2, dt, dx)
+    f1, f2, _, _ = _ap_fluxes(state, eos, params.alpha)
+    return _dphi_from_fluxes(state.rho, f1, _flux_derivative(f2, dx), dt, dx)
 
 
-def _momentum_from_fluxes(q, f2, p_new, coeff_c, dt, dx):
-    df2 = (f2 - np.roll(f2, 1)) / dx
-    dp = np.roll(p_new, -1) - np.roll(p_new, 1)
-    return q - dt * df2 - coeff_c * (dt / (2.0 * dx)) * dp
+def _momentum_from_fluxes(q, df2, p_new, coeff_c, dt, dx):
+    return q - dt * df2 - coeff_c * (dt / (2.0 * dx)) * _centered_difference(p_new)
 
 
 def momentum_update_1d(state_n: FluidState1D, rho_np1, eos: EquationOfState,
@@ -139,16 +150,17 @@ def momentum_update_1d(state_n: FluidState1D, rho_np1, eos: EquationOfState,
     """q^{n+1} = q^n - dt Df2(old fluxes) - (1-alpha eps^2)/eps^2 * dt/(2dx) *
     (p(rho^{n+1})_{j+1} - p(rho^{n+1})_{j-1})."""
     rho_np1 = np.asarray(rho_np1, dtype=float)
-    _, f2, _ = _ap_fluxes(state_n.rho, state_n.q, eos, params.alpha)
+    _, f2, _, _ = _ap_fluxes(state_n, eos, params.alpha)
     c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
-    return _momentum_from_fluxes(state_n.q, f2, eos.pressure(rho_np1), c, dt, dx)
+    return _momentum_from_fluxes(state_n.q, _flux_derivative(f2, dx), eos.pressure(rho_np1),
+                                 c, dt, dx)
 
 
 def _check_new_density(rho_new):
-    if not np.all(np.isfinite(rho_new)):
+    if not np.isfinite(rho_new).all():
         raise InstabilityError("non-finite density after step")
-    if np.any(rho_new <= 0.0):
-        bad = int(np.argmin(rho_new))
+    if (rho_new <= 0.0).any():
+        bad = int(rho_new.argmin())
         raise PositivityError(bad, f"density lost positivity at cell {bad}")
 
 
@@ -172,10 +184,12 @@ def step_ap_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
         raise ValueError("dt must be positive")
 
     rho, q = state.rho, state.q
-    f1, f2, cell_max = _ap_fluxes(rho, q, eos, params.alpha)
-    dphi = _dphi_from_fluxes(rho, f1, f2, dt, dx)
+    # p'(rho^n) is both the sound speed and the mobility.
+    f1, f2, cell_max, dp = _ap_fluxes(state, eos, params.alpha)
+    df2 = _flux_derivative(f2, dx)
+    dphi = _dphi_from_fluxes(rho, f1, df2, dt, dx)
     beta = beta_coefficient(params.epsilon, params.alpha, dt)
-    coeff = EllipticCoefficients(beta=beta, mobility=eos.pressure_derivative(rho))
+    coeff = EllipticCoefficients(beta=beta, mobility=dp)
 
     newton_iters = 0
     if variant is SchemeVariant.LD:
@@ -192,18 +206,18 @@ def step_ap_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
     _check_new_density(rho_new)
 
     c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
-    q_new = _momentum_from_fluxes(q, f2, eos.pressure(rho_new), c, dt, dx)
-    if not np.all(np.isfinite(q_new)):
+    q_new = _momentum_from_fluxes(q, df2, eos._pressure(rho_new), c, dt, dx)
+    if not np.isfinite(q_new).all():
         raise InstabilityError("non-finite momentum after step")
 
     r_density = apply_elliptic_operator_1d(variant.value, rho_new, rho, coeff, eos, dx) - dphi
-    residual = np.max(np.abs(r_density))
+    residual = np.abs(r_density).max()
 
-    new_state = FluidState1D(rho=rho_new, q=q_new)
+    new_state = FluidState1D._trusted(rho_new, q_new)
     report = StepReport(
-        max_wave_speed=float(np.max(cell_max)),
-        mass_total=float(np.sum(rho_new) * dx),
-        momentum_total=float(np.sum(q_new) * dx),
+        max_wave_speed=float(cell_max.max()),
+        mass_total=float(rho_new.sum() * dx),
+        momentum_total=float(q_new.sum() * dx),
         consistency_residual=float(residual),
         newton_iters=newton_iters,
         linear_iters=0,
@@ -223,20 +237,20 @@ def step_explicit_llf_1d(state: FluidState1D, eos: EquationOfState, params: Sche
         raise ValueError("epsilon must be positive")
 
     rho, q = state.rho, state.q
-    f1, f2, cell_max = _llf_fluxes(rho, q, np.sqrt(eos.pressure_derivative(rho)) / eps,
-                                   eos.pressure(rho) / eps**2)
+    f1, f2, cell_max = _llf_fluxes(rho, q, np.sqrt(eos._pressure_derivative(rho)) / eps,
+                                   eos._pressure(rho) / eps**2)
     rho_new = _conservative_update(rho, f1, dt, dx)
     q_new = _conservative_update(q, f2, dt, dx)
 
     _check_new_density(rho_new)
-    if not np.all(np.isfinite(q_new)):
+    if not np.isfinite(q_new).all():
         raise InstabilityError("non-finite momentum after step")
 
-    new_state = FluidState1D(rho=rho_new, q=q_new)
+    new_state = FluidState1D._trusted(rho_new, q_new)
     report = StepReport(
-        max_wave_speed=float(np.max(cell_max)),
-        mass_total=float(np.sum(rho_new) * dx),
-        momentum_total=float(np.sum(q_new) * dx),
+        max_wave_speed=float(cell_max.max()),
+        mass_total=float(rho_new.sum() * dx),
+        momentum_total=float(q_new.sum() * dx),
         consistency_residual=0.0,
         newton_iters=0,
         linear_iters=0,
@@ -260,26 +274,25 @@ def step_ice_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
     f1, f2, cell_max = _llf_fluxes(rho, q, 0.0, 0.0)
     rho_star = _conservative_update(rho, f1, dt, dx)
     q_star = _conservative_update(q, f2, dt, dx)
-    if not (np.all(np.isfinite(rho_star)) and np.all(np.isfinite(q_star))):
+    if not (np.isfinite(rho_star).all() and np.isfinite(q_star).all()):
         raise InstabilityError("non-finite predictor state")
 
-    coeff = EllipticCoefficients(beta=dt**2 / eps**2, mobility=eos.pressure_derivative(rho))
+    coeff = EllipticCoefficients(beta=dt**2 / eps**2, mobility=eos._pressure_derivative(rho))
     rho_new = solve_elliptic_ld_1d(rho, rho_star, coeff, dx, params.linear_tol)
     _check_new_density(rho_new)
 
-    p_new = eos.pressure(rho_new)
-    q_new = q_star - (dt / eps**2) * (np.roll(p_new, -1) - np.roll(p_new, 1)) / (2.0 * dx)
-    if not np.all(np.isfinite(q_new)):
+    q_new = q_star - (dt / eps**2) * _centered_difference(eos._pressure(rho_new)) / (2.0 * dx)
+    if not np.isfinite(q_new).all():
         raise InstabilityError("non-finite momentum after step")
 
     r_density = apply_elliptic_operator_1d("ld", rho_new, rho, coeff, eos, dx) - rho_star
-    residual = float(np.max(np.abs(r_density)))
+    residual = float(np.abs(r_density).max())
 
-    new_state = FluidState1D(rho=rho_new, q=q_new)
+    new_state = FluidState1D._trusted(rho_new, q_new)
     report = StepReport(
-        max_wave_speed=float(np.max(cell_max)),
-        mass_total=float(np.sum(rho_new) * dx),
-        momentum_total=float(np.sum(q_new) * dx),
+        max_wave_speed=float(cell_max.max()),
+        mass_total=float(rho_new.sum() * dx),
+        momentum_total=float(q_new.sum() * dx),
         consistency_residual=residual,
         newton_iters=0,
         linear_iters=0,
@@ -315,17 +328,17 @@ def max_stable_dt_scan(initial: FluidState1D, eos: EquationOfState, params: Sche
     """
     if not dt_lo < dt_hi:
         raise ValueError("dt_lo must be < dt_hi")
-    rho_cap = 10.0 * float(np.max(initial.rho))
-    q_cap = 10.0 * max(float(np.max(np.abs(initial.q))), float(np.max(initial.rho)))
+    rho_cap = 10.0 * float(initial.rho.max())
+    q_cap = 10.0 * max(float(np.abs(initial.q).max()), float(initial.rho.max()))
 
     def run_trial(dt):
         state = initial
         try:
             for _ in range(ceil(T / dt)):
                 state, _ = stepper(state, eos, params, dt, dx)
-                if float(np.max(state.rho)) > rho_cap:
+                if float(state.rho.max()) > rho_cap:
                     return None
-                if float(np.max(np.abs(state.q))) > q_cap:
+                if float(np.abs(state.q).max()) > q_cap:
                     return None
         except NumericsError:
             return None

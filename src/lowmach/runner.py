@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, build_config, config_to_dict, scheme_params
+from .config import RunConfig, build_config, check_solve_cells, config_to_dict, scheme_params
 from .core import (
     DtPolicy,
     EquationOfState,
@@ -25,10 +25,13 @@ from .core import (
     Grid1D,
     Grid2D,
     SchemeParams,
+    validate_params,
 )
 from .diagnostics import _sample_indices, relative_l2_error, total_variation
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, NumericsError, ParamError
 from .onedim import (
+    SchemeVariant,
+    _as_variant,
     ap_stepper,
     max_stable_dt_scan,
     step_ap_1d,
@@ -247,6 +250,34 @@ def _write_table(path: Path, rows, keys):
     _write_csv(path, ",".join(keys), [[r[k] for r in rows] for k in keys])
 
 
+def _cells_for(dx) -> int:
+    """Cell count of the unit-interval grid with spacing about dx."""
+    if not (np.isfinite(dx) and dx > 0.0):
+        raise ConfigError(f"dx must be > 0, got {dx}")
+    return round(1.0 / dx)
+
+
+def _check_table_inputs(variant, eps_list, cell_counts, alpha, t_final) -> SchemeVariant:
+    """Validate the inputs of a table or comparison run before any work
+    starts: each epsilon with ``alpha`` (sigma 0.9), each cell count for the
+    variant's elliptic solve, and t_final.  Raises :class:`ConfigError`;
+    returns the variant."""
+    try:
+        variant = _as_variant(variant)
+    except ValueError:
+        raise ConfigError(f"variant must be one of nl, l, ld, got {variant!r}") from None
+    if not t_final > 0.0:
+        raise ConfigError(f"t_final must be > 0, got {t_final}")
+    for m in cell_counts:
+        check_solve_cells(m, variant.value)
+    for eps in eps_list:
+        try:
+            validate_params(SchemeParams(epsilon=eps, alpha=alpha, sigma=0.9))
+        except ParamError as exc:
+            raise ConfigError(str(exc)) from None
+    return variant
+
+
 def _integrate_fixed(state, eos, params, stepper, dt, n_steps, dx):
     max_lambda = 0.0
     for _ in range(n_steps):
@@ -260,11 +291,11 @@ def reproduce_table1(eps_list, dx_list, variant="ld", t_final=0.1, alpha=1.0,
     """Stability scan over (epsilon, dx): the largest stable dt of the
     semi-implicit scheme on the stacked-Riemann preset, with the observed
     maximal wave speed and the implied Courant number."""
-    stepper = ap_stepper(variant)
+    cell_counts = [_cells_for(dx) for dx in dx_list]
+    stepper = ap_stepper(_check_table_inputs(variant, eps_list, cell_counts, alpha, t_final))
     rows = []
     for eps in eps_list:
-        for dx in dx_list:
-            m = round(1.0 / dx)
+        for m in cell_counts:
             grid = example1_grid(m)
             state = example1_state(grid, eps)
             params = SchemeParams(epsilon=eps, alpha=alpha, sigma=0.9,
@@ -339,8 +370,9 @@ def reproduce_table2(eps_list, refinement_levels=5, coarsest_m=20, t_final=0.1,
                      variant="ld", alpha=1.0, output_path=None, reference_states=None):
     """Relative-error table: semi-implicit runs on halving grids against the
     fine explicit reference, with successive error ratios."""
+    cell_counts = [coarsest_m * 2**level for level in range(refinement_levels)]
+    stepper = ap_stepper(_check_table_inputs(variant, eps_list, cell_counts, alpha, t_final))
     eos = example1_eos()
-    stepper = ap_stepper(variant)
     rows = []
     for eps in eps_list:
         if reference_states is not None and eps in reference_states:
@@ -348,8 +380,7 @@ def reproduce_table2(eps_list, refinement_levels=5, coarsest_m=20, t_final=0.1,
         else:
             ref = reference_solution(eps, t_final=t_final)
         prev = None
-        for level in range(refinement_levels):
-            m = coarsest_m * 2**level
+        for m in cell_counts:
             grid = example1_grid(m)
             state = example1_state(grid, eps)
             params = SchemeParams(epsilon=eps, alpha=alpha, sigma=0.9)
@@ -379,7 +410,12 @@ def compare_ice(epsilon, dx, dt, t_final, variant="ld", output_dir=None):
     """Run the semi-implicit scheme (alpha=1) and the predictor/corrector
     baseline side by side on the stacked-Riemann preset; report solutions
     and total variation of each."""
-    m = round(1.0 / dx)
+    m = _cells_for(dx)
+    # The predictor/corrector baseline solves on the three-point stencil.
+    check_solve_cells(m, "ld")
+    stepper = ap_stepper(_check_table_inputs(variant, [epsilon], [m], 1.0, t_final))
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ConfigError(f"dt must be > 0, got {dt}")
     grid = example1_grid(m)
     eos = example1_eos()
     params = SchemeParams(epsilon=epsilon, alpha=1.0, sigma=0.9)
@@ -387,7 +423,6 @@ def compare_ice(epsilon, dx, dt, t_final, variant="ld", output_dir=None):
 
     ap_state = example1_state(grid, epsilon)
     ice_state = example1_state(grid, epsilon)
-    stepper = ap_stepper(variant)
     for _ in range(n_steps):
         ap_state, _ = stepper(ap_state, eos, params, dt, grid.dx)
         ice_state, _ = step_ice_1d(ice_state, eos, params, dt, grid.dx)

@@ -2,7 +2,8 @@
 
 The per-step elliptic systems of the 1D schemes reduce to tridiagonal
 systems with wrap-around corner couplings.  They are solved in O(N) by a
-rank-one (Sherman-Morrison) correction of an ordinary banded solve.
+rank-one (Sherman-Morrison) correction of an ordinary tridiagonal solve:
+one call of LAPACK ``dgtsv`` with two right-hand sides.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _shift
 from .errors import SingularSystemError
 
 # Near-zero threshold for the Sherman-Morrison denominator; a vanishing
@@ -50,7 +52,7 @@ class PeriodicTridiagonalSystem:
         return self.diag.shape[0]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.sub * np.roll(x, 1) + self.diag * x + self.sup * np.roll(x, -1)
+        return self.sub * _shift(x, 1) + self.diag * x + self.sup * _shift(x, -1)
 
     def dense(self) -> np.ndarray:
         """Dense matrix form, for oracle comparisons on small N."""
@@ -68,35 +70,35 @@ def solve_periodic_tridiagonal(sys: PeriodicTridiagonalSystem, linear_tol: float
     is numerically singular or the residual check fails.
 
     Writes the cyclic matrix as T + u v^T with T tridiagonal and solves
-    two banded systems (one for the rhs, one for u).
+    T for the rhs and for u in one ``dgtsv`` call.
     """
     # scipy.linalg is imported here, not at module level: only the 1D
     # elliptic solves need it, and loading it about doubles the memory and
     # the import time of the package.
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dgtsv
 
     n = sys.n
     gamma = -sys.diag[0] if sys.diag[0] != 0.0 else -1.0
 
-    # Banded core with the corners folded into rows 0 and N-1.
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sys.sup[:-1]
-    ab[1, :] = sys.diag
-    ab[1, 0] -= gamma
-    ab[1, -1] -= sys.sup[-1] * sys.sub[0] / gamma
-    ab[2, :-1] = sys.sub[1:]
+    # Tridiagonal core with the corners folded into rows 0 and N-1.
+    d = sys.diag.copy()
+    d[0] -= gamma
+    d[-1] -= sys.sup[-1] * sys.sub[0] / gamma
 
-    u = np.zeros(n)
-    u[0] = gamma
-    u[-1] = sys.sup[-1]
+    # Right-hand sides rhs and u as the columns of a Fortran-ordered array,
+    # which dgtsv overwrites with the solutions y and z.
+    b = np.zeros((2, n))
+    b[0] = sys.rhs
+    b[1, 0] = gamma
+    b[1, -1] = sys.sup[-1]
 
-    try:
-        yz = solve_banded((1, 1), ab, np.column_stack([sys.rhs, u]))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"banded core singular: {exc}") from exc
+    _, _, _, yz, info = dgtsv(sys.sub[1:], d, sys.sup[:-1], b.T,
+                              overwrite_d=True, overwrite_b=True)
+    if info != 0:
+        raise SingularSystemError(f"tridiagonal core singular (dgtsv info {info})")
     y, z = yz[:, 0], yz[:, 1]
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(z))):
-        raise SingularSystemError("banded core produced non-finite solution")
+    if not np.isfinite(yz).all():
+        raise SingularSystemError("tridiagonal core produced non-finite solution")
 
     # x = y - z (v.y)/(1 + v.z) with v = (1, 0, ..., 0, sub[0]/gamma).
     vy = y[0] + sys.sub[0] / gamma * y[-1]
@@ -107,12 +109,12 @@ def solve_periodic_tridiagonal(sys: PeriodicTridiagonalSystem, linear_tol: float
         raise SingularSystemError("cyclic system is numerically singular")
     x = y - z * (vy / denom)
 
-    resid = np.max(np.abs(sys.matvec(x) - sys.rhs))
-    rhs_scale = np.max(np.abs(sys.rhs))
+    resid = np.abs(sys.matvec(x) - sys.rhs).max()
+    rhs_scale = np.abs(sys.rhs).max()
     if rhs_scale > 0.0 and resid > linear_tol * rhs_scale:
         raise SingularSystemError(
             f"residual {resid:.3e} exceeds {linear_tol:.1e} * ||rhs|| = {linear_tol * rhs_scale:.3e}"
         )
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise SingularSystemError("solution contains non-finite entries")
     return x

@@ -195,6 +195,21 @@ def test_odd_m_allowed_where_no_stride2_solve_runs():
     build_config({"preset": "example3", "m1": 21, "stencil": "reduced"})
 
 
+@pytest.mark.parametrize("argv", [
+    ["table1", "--variant", "bogus"],
+    ["table1", "--variant", "l", "--epsilons", "0.8", "--dxs", "0.0303"],  # 33 cells
+    ["compare-ice", "--epsilon", "0.3", "--dx", "0.5"],  # 2 cells
+    ["compare-ice", "--epsilon", "0", "--dx", "0.05"],
+    ["table2", "--epsilons", "0.8", "--levels", "1", "--variant", "xx"],
+])
+def test_cli_table_verbs_invalid_input_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    flag = "--output-dir" if argv[0] == "compare-ice" else "--output"
+    assert main([*argv, flag, str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_config_file_with_flag_override(tmp_path):
     path = write_config(tmp_path, BASIC)
     out = tmp_path / "cfgrun"
@@ -304,6 +319,30 @@ def test_cli_sweep(tmp_path, monkeypatch):
     ])
     assert code == 0
     assert (tmp_path / "sw" / "epsilon=0.3" / "manifest.json").exists()
+
+
+def test_cli_sweep_runtime_failure_spares_other_entries(tmp_path, monkeypatch):
+    # Every entry passes build_config; the explicit scheme at epsilon 0.005
+    # on this mesh loses positivity at run time (exit 3), the others finish.
+    monkeypatch.setenv("LOWMACH_SWEEP_PROCS", "2")
+    sweep_dir = tmp_path / "sw"
+    code = main([
+        "sweep", "--preset", "example1", "--m", "20", "--dt", "0.002", "--t-final", "0.01",
+        "--stepper", "explicit_llf", "--snapshot-times", "0.004",
+        "--vary", "epsilon=0.8,0.005,0.5", "--sweep-dir", str(sweep_dir),
+    ])
+    assert code == 3
+    for eps, status in (("0.8", 0), ("0.005", 3), ("0.5", 0)):
+        out = sweep_dir / f"epsilon={eps}"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == status
+        if status == 0:
+            assert sorted(manifest["outputs"]) == ["snapshot_000.csv", "steps.csv"]
+            for name, digest in manifest["outputs"].items():
+                assert digest == "sha256:" + hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert len((out / "steps.csv").read_text().splitlines()) == 6
+        else:
+            assert "lost positivity" in manifest["message"]
 
 
 def test_config_to_dict_roundtrip():

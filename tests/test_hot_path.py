@@ -1,0 +1,156 @@
+"""The 1D hot path: the periodic shift that replaces np.roll, the
+validate-once contract of the steppers, and the direct tridiagonal solve."""
+
+import sys
+
+import numpy as np
+import pytest
+
+from lowmach import (
+    EquationOfState,
+    FluidState1D,
+    InvalidStateError,
+    PeriodicTridiagonalSystem,
+    PositivityError,
+    SchemeParams,
+    SingularSystemError,
+    solve_periodic_tridiagonal,
+    step_ap_1d,
+    step_explicit_llf_1d,
+    step_ice_1d,
+)
+from lowmach.core import _shift
+from lowmach.presets import example1_eos, example1_grid, example1_state
+
+EOS2 = EquationOfState(1.0, 2.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 11])
+def test_shift_equals_roll(m):
+    x = np.random.default_rng(m).standard_normal(m)
+    for k in range(-m - 1, m + 2):
+        shifted = _shift(x, k)
+        assert np.array_equal(shifted, np.roll(x, k))
+        assert shifted is not x and not np.shares_memory(shifted, x)
+
+
+def test_shift_on_2d_and_empty_input_equals_roll():
+    x = np.arange(12.0).reshape(3, 4)
+    for axis in (0, 1):
+        for k in (-2, 1, 5):
+            assert np.array_equal(_shift(x, k, axis), np.roll(x, k, axis=axis))
+    assert _shift(np.zeros(0), 1).shape == (0,)
+
+
+def _rolled(x, k, axis=0):
+    return np.roll(x, k, axis=axis)
+
+
+def _twenty_steps(stepper):
+    eos, grid = example1_eos(), example1_grid(100)
+    state = example1_state(grid, 0.3)
+    params = SchemeParams(epsilon=0.3, alpha=1.0, sigma=0.9)
+    reports = []
+    for _ in range(20):
+        state, report = stepper(state, eos, params, grid.dx)
+        reports.append(report)
+    return state, reports
+
+
+_STEPPERS = {
+    "explicit_llf": lambda s, eos, p, dx: step_explicit_llf_1d(s, eos, p, 0.06 * dx, dx),
+    "ice": lambda s, eos, p, dx: step_ice_1d(s, eos, p, 0.3 * dx, dx),
+    "ap_nl": lambda s, eos, p, dx: step_ap_1d(s, eos, p, "nl", 0.3 * dx, dx),
+    "ap_l": lambda s, eos, p, dx: step_ap_1d(s, eos, p, "l", 0.3 * dx, dx),
+    "ap_ld": lambda s, eos, p, dx: step_ap_1d(s, eos, p, "ld", 0.3 * dx, dx),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STEPPERS))
+def test_steps_bit_identical_to_np_roll(name, monkeypatch):
+    stepper = _STEPPERS[name]
+    fast_state, fast_reports = _twenty_steps(stepper)
+    patched = [mod for mod_name, mod in sys.modules.items()
+               if mod_name.startswith("lowmach.") and vars(mod).get("_shift") is _shift]
+    assert {m.__name__ for m in patched} >= {"lowmach.onedim", "lowmach.elliptic",
+                                            "lowmach.tridiag", "lowmach.diagnostics"}
+    for mod in patched:
+        monkeypatch.setattr(mod, "_shift", _rolled)
+    roll_state, roll_reports = _twenty_steps(stepper)
+    assert np.array_equal(fast_state.rho, roll_state.rho)
+    assert np.array_equal(fast_state.q, roll_state.q)
+    assert fast_reports == roll_reports
+
+
+# ---------------------------------------------------------------------------
+# validation contract
+
+_BAD_DENSITIES = [np.array([1.0, 0.0, 1.0]), np.array([1.0, -2.0, 1.0]),
+                  np.array([1.0, np.nan, 1.0]), np.array([1.0, np.inf, 1.0])]
+
+
+@pytest.mark.parametrize("rho", _BAD_DENSITIES)
+def test_public_constructor_and_eos_still_validate(rho):
+    with pytest.raises(InvalidStateError):
+        FluidState1D(rho=rho, q=np.zeros(3))
+    with pytest.raises(InvalidStateError):
+        EOS2.pressure(rho)
+    with pytest.raises(InvalidStateError):
+        EOS2.pressure_derivative(rho)
+
+
+def test_public_constructor_rejects_non_finite_momentum():
+    with pytest.raises(InvalidStateError):
+        FluidState1D(rho=np.ones(3), q=np.array([0.0, np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("name", sorted(_STEPPERS))
+def test_stepped_state_is_read_only(name):
+    state, _ = _twenty_steps(_STEPPERS[name])
+    for arr in (state.rho, state.q):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    # The stepper's state passes the public constructor's checks.
+    checked = FluidState1D(rho=state.rho, q=state.q)
+    assert np.array_equal(checked.rho, state.rho) and np.array_equal(checked.q, state.q)
+
+
+@pytest.mark.parametrize("variant", ["ld", "l", "nl"])
+def test_ap_step_losing_positivity_names_the_cell(variant):
+    rho = np.full(16, 1.0)
+    rho[5] = 1e-3
+    q = np.zeros(16)
+    q[4], q[6] = -1.0, 1.0
+    state = FluidState1D(rho=rho, q=q)
+    with pytest.raises(PositivityError) as err:
+        step_ap_1d(state, EOS2, SchemeParams(epsilon=0.8, alpha=1.0), variant, 0.05, 1 / 16)
+    assert isinstance(err.value.index, int) and 0 <= err.value.index < 16
+    assert f"cell {err.value.index}" in str(err.value)
+
+
+def test_singular_tridiagonal_core_raises():
+    from scipy.linalg.lapack import dgtsv
+
+    # gamma = -diag[0] = -1 folds the core to diag(2, 0, 1): exactly
+    # singular, so dgtsv meets a zero pivot and reports info > 0.
+    sys_ = PeriodicTridiagonalSystem(sub=np.zeros(3), diag=np.array([1.0, 0.0, 1.0]),
+                                     sup=np.zeros(3), rhs=np.ones(3))
+    *_, info = dgtsv(np.zeros(2), np.array([2.0, 0.0, 1.0]), np.zeros(2), np.ones((3, 2)))
+    assert info > 0
+    with pytest.raises(SingularSystemError, match="dgtsv info"):
+        solve_periodic_tridiagonal(sys_)
+
+
+def test_tridiagonal_solve_leaves_system_unchanged():
+    rng = np.random.default_rng(3)
+    n = 12
+    sub, sup = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+    diag = 3.0 + rng.uniform(0, 1, n)
+    rhs = rng.standard_normal(n)
+    sys_ = PeriodicTridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
+    copies = [a.copy() for a in (sys_.sub, sys_.diag, sys_.sup, sys_.rhs)]
+    x = solve_periodic_tridiagonal(sys_)
+    for a, b in zip((sys_.sub, sys_.diag, sys_.sup, sys_.rhs), copies):
+        assert np.array_equal(a, b)
+    assert np.max(np.abs(sys_.dense() @ x - rhs)) <= 1e-12
