@@ -65,6 +65,26 @@ class EllipticCoefficients:
             raise ValueError("mobility must be strictly positive and finite")
         object.__setattr__(self, "mobility", mob)
 
+    @classmethod
+    def _of_step(cls, beta: float, mobility: np.ndarray) -> "EllipticCoefficients":
+        """Coefficients of a time step, with mobility p'(rho^n) of a valid
+        density.  p' can still underflow to 0 or overflow; that is a
+        numerical failure of the step, raised as a PositivityError naming
+        the first such cell.  A bad beta raises ValueError as the
+        constructor does."""
+        try:
+            return cls(beta=beta, mobility=mobility)
+        except ValueError:
+            bad = ~((mobility > 0.0) & (mobility < np.inf))
+            if not bad.any():
+                raise
+            cell = int(np.argmax(bad))
+            if mobility.ndim > 1:
+                cell = tuple(int(i) for i in np.unravel_index(cell, mobility.shape))
+            raise PositivityError(
+                cell, f"mobility p'(rho) = {mobility[cell]:.3g} is not positive and finite "
+                      f"at cell {cell}") from None
+
 
 def beta_coefficient(epsilon: float, alpha: float, dt: float) -> float:
     """(1 - alpha eps^2) dt^2 / eps^2; zero at the fully explicit limit
@@ -147,9 +167,21 @@ def solve_elliptic_l_1d(rho_n, dphi, coeff: EllipticCoefficients, dx: float,
     return _solve_linear_1d(dphi, coeff, dx, 2, linear_tol)
 
 
-def _stride2_pressure_term(p_vals, dx):
-    """(p_{j+2} - 2 p_j + p_{j-2}) / (4 dx^2), periodic."""
-    return (_shift(p_vals, -2) - 2.0 * p_vals + _shift(p_vals, 2)) / (4.0 * dx**2)
+def _nl_operator(rho, p, beta: float, dx: float) -> np.ndarray:
+    """rho - beta (p_{j+2} - 2 p_j + p_{j-2}) / (4 dx^2), periodic, for p = p(rho)."""
+    return rho - beta * ((_shift(p, -2) - 2.0 * p + _shift(p, 2)) / (4.0 * dx**2))
+
+
+def _check_newton_iterate(rho, what: str):
+    """Raise PositivityError naming a cell unless rho is positive and finite."""
+    if rho.min() > 0.0 and rho.max() < np.inf:
+        return
+    finite = np.isfinite(rho)
+    if finite.all():
+        bad, kind = int(rho.argmin()), "non-positive"
+    else:
+        bad, kind = int(np.argmin(finite)), "non-finite"
+    raise PositivityError(bad, f"Newton {what} {kind} at cell {bad}")
 
 
 def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: EquationOfState,
@@ -160,43 +192,39 @@ def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: Equation
     G(rho) = rho - beta * (p(rho)_{j+2} - 2 p(rho)_j + p(rho)_{j-2})/(4 dx^2) - dphi = 0
 
     by Newton iteration started from rho_n.  Returns (rho, iterations).
+
+    Each iterate is checked once (positive and finite, else PositivityError)
+    and p, p' and G are then evaluated once on it, unchecked; the G of the
+    convergence test is the next Newton step's right-hand side.
     """
     rho_n = np.asarray(rho_n, dtype=float)
     dphi = np.asarray(dphi, dtype=float)
     m = dphi.shape[0]
     if m % 2 != 0:
         raise UnsupportedGridError("stride-2 elliptic variant requires an even cell count")
-    if coeff.beta == 0.0:
+    beta = coeff.beta
+    if beta == 0.0:
         return dphi.copy(), 1
 
-    def residual(r):
-        return r - coeff.beta * _stride2_pressure_term(eos.pressure(r), dx) - dphi
-
     rho = rho_n.copy()
+    _check_newton_iterate(rho, "iterate")
+    g = _nl_operator(rho, eos._pressure(rho), beta, dx) - dphi
     scale = max(1.0, float(np.abs(dphi).max()))
+    b4 = beta / (4.0 * dx**2)
     for it in range(1, newton_max_iter + 1):
-        if (rho <= 0.0).any():
-            bad = int(rho.argmin())
-            raise PositivityError(bad, f"Newton iterate non-positive at cell {bad}")
-        g = residual(rho)
         # Exact Jacobian of the power law, (I - b4 S2 diag(p'(rho))) with S2
         # the stride-2 second difference: p' sits at the stencil points of
         # the current iterate, and even/odd cells still decouple.
-        dp = eos.pressure_derivative(rho)
-        b4 = coeff.beta / (4.0 * dx**2)
+        dp = eos._pressure_derivative(rho)
         delta = _solve_strided_tridiagonal(-b4 * _shift(dp, 2), 1.0 + 2.0 * b4 * dp,
                                            -b4 * _shift(dp, -2), -g, 2, linear_tol)
         rho = rho + delta
-        converged = np.abs(delta).max() <= newton_tol
-        if not converged:
-            if (rho <= 0.0).any():
-                bad = int(rho.argmin())
-                raise PositivityError(bad, f"Newton iterate non-positive at cell {bad}")
-            converged = np.abs(residual(rho)).max() <= newton_tol * scale
-        if converged:
-            if (rho <= 0.0).any():
-                bad = int(rho.argmin())
-                raise PositivityError(bad, f"Newton solution non-positive at cell {bad}")
+        if np.abs(delta).max() <= newton_tol:
+            _check_newton_iterate(rho, "solution")
+            return rho, it
+        _check_newton_iterate(rho, "iterate")
+        g = _nl_operator(rho, eos._pressure(rho), beta, dx) - dphi
+        if np.abs(g).max() <= newton_tol * scale:
             return rho, it
     raise NewtonDivergenceError(
         f"Newton did not converge in {newton_max_iter} iterations "
@@ -209,7 +237,7 @@ def apply_elliptic_operator_1d(variant: str, rho, rho_n, coeff: EllipticCoeffici
     """Left-hand side of the variant's elliptic equation, for residual checks."""
     rho = np.asarray(rho, dtype=float)
     if variant == "nl":
-        return rho - coeff.beta * _stride2_pressure_term(eos.pressure(rho), dx)
+        return _nl_operator(rho, eos.pressure(rho), coeff.beta, dx)
     if variant not in _VARIANT_STRIDE:
         raise ValueError(f"unknown variant {variant!r}")
     stride = _VARIANT_STRIDE[variant]

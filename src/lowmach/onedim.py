@@ -31,6 +31,7 @@ from .core import EquationOfState, FluidState1D, SchemeParams, _shift, validate_
 from .diagnostics import total_variation
 from .elliptic import (
     EllipticCoefficients,
+    _nl_operator,
     apply_elliptic_operator_1d,
     beta_coefficient,
     solve_elliptic_l_1d,
@@ -189,7 +190,7 @@ def step_ap_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
     df2 = _flux_derivative(f2, dx)
     dphi = _dphi_from_fluxes(rho, f1, df2, dt, dx)
     beta = beta_coefficient(params.epsilon, params.alpha, dt)
-    coeff = EllipticCoefficients(beta=beta, mobility=dp)
+    coeff = EllipticCoefficients._of_step(beta, dp)
 
     newton_iters = 0
     if variant is SchemeVariant.LD:
@@ -205,12 +206,16 @@ def step_ap_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
         )
     _check_new_density(rho_new)
 
+    p_new = eos._pressure(rho_new)
     c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
-    q_new = _momentum_from_fluxes(q, df2, eos._pressure(rho_new), c, dt, dx)
+    q_new = _momentum_from_fluxes(q, df2, p_new, c, dt, dx)
     if not np.isfinite(q_new).all():
         raise InstabilityError("non-finite momentum after step")
 
-    r_density = apply_elliptic_operator_1d(variant.value, rho_new, rho, coeff, eos, dx) - dphi
+    if variant is SchemeVariant.NL:
+        r_density = _nl_operator(rho_new, p_new, beta, dx) - dphi
+    else:
+        r_density = apply_elliptic_operator_1d(variant.value, rho_new, rho, coeff, eos, dx) - dphi
     residual = np.abs(r_density).max()
 
     new_state = FluidState1D._trusted(rho_new, q_new)
@@ -277,7 +282,7 @@ def step_ice_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
     if not (np.isfinite(rho_star).all() and np.isfinite(q_star).all()):
         raise InstabilityError("non-finite predictor state")
 
-    coeff = EllipticCoefficients(beta=dt**2 / eps**2, mobility=eos._pressure_derivative(rho))
+    coeff = EllipticCoefficients._of_step(dt**2 / eps**2, eos._pressure_derivative(rho))
     rho_new = solve_elliptic_ld_1d(rho, rho_star, coeff, dx, params.linear_tol)
     _check_new_density(rho_new)
 

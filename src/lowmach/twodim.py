@@ -133,7 +133,7 @@ def step_ap_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
 
     dphi = assemble_dphi_2d(state, eos, params, dt, dx, dy, literal=dphi2_literal)
     beta = beta_coefficient(params.epsilon, params.alpha, dt)
-    coeff = EllipticCoefficients(beta=beta, mobility=eos.pressure_derivative(rho))
+    coeff = EllipticCoefficients._of_step(beta, eos.pressure_derivative(rho))
     rho_new, cg_iters = solve_elliptic_2d(rho, dphi, coeff, dx, dy, stencil=stencil,
                                           linear_tol=params.linear_tol)
 

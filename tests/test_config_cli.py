@@ -1,11 +1,19 @@
 """Config parsing, the run orchestrator, CSV/manifest output, CLI verbs."""
 
+import concurrent.futures
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lowmach
 from lowmach.cli import main
 from lowmach.config import RunConfig, build_config, config_to_dict, parse_config_file
 from lowmach.errors import ConfigError
@@ -172,6 +180,41 @@ def test_cli_run_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [
+    [],
+    ["--stepper", "ice"],
+    ["--dimension", "2", "--m1", "8", "--m2", "8"],
+])
+def test_cli_run_mobility_underflow_exits_3(tmp_path, capsys, flags):
+    # p' = 3 rho^2 of the valid density 1e-200 underflows to 0: the step
+    # fails numerically, naming the cell, and the run still writes its logs.
+    out = tmp_path / "tiny"
+    code = main(["run", "--preset", "custom", "--gamma", "3", "--rho0", "1e-200", "--m", "10",
+                 "--dt", "0.001", "--t-final", "0.002", *flags, "--output-dir", str(out)])
+    assert code == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == 3
+    assert re.search(r"at cell \(?\d", manifest["message"])
+    assert re.search(r"at cell \(?\d", capsys.readouterr().out)
+    assert (out / "steps.csv").read_text().count("\n") == 1
+
+
+def test_cli_import_does_not_load_process_pool():
+    # Only a pooled sweep needs concurrent.futures.process and multiprocessing;
+    # every other verb must not pay for importing them.
+    code = textwrap.dedent("""
+        import sys
+        import lowmach.cli
+        for name in ("concurrent.futures.process", "multiprocessing"):
+            assert name not in sys.modules, name + " was imported"
+    """)
+    src = str(Path(lowmach.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("flags", [
     ["--preset", "example1", "--epsilon", "0.5", "--alpha", "10"],  # alpha > 1/eps^2
     ["--preset", "example1", "--sigma", "1.5"],
     ["--preset", "example1", "--m", "51", "--variant", "l"],
@@ -294,7 +337,7 @@ def test_sweep_workers_capped(tmp_path, monkeypatch, procs, cpus, expected):
 
     monkeypatch.setenv("LOWMACH_SWEEP_PROCS", procs)
     monkeypatch.setattr(runner_module.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(runner_module, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     base = {"preset": "example1", "m": 40, "dt": 0.002, "t_final": 0.006}
     results = run_sweep(base, {"epsilon": [0.3, 0.2, 0.1]}, tmp_path / "sweep")
     assert len(results) == 3 and used == [expected]

@@ -8,6 +8,7 @@ from lowmach import (
     EllipticCoefficients,
     EquationOfState,
     NewtonDivergenceError,
+    PositivityError,
     SchemeParams,
     SolverFailureError,
     UnsupportedGridError,
@@ -45,6 +46,20 @@ def dense_matrix_1d(variant, mob, beta, dx, m):
     else:
         raise ValueError(variant)
     return a
+
+
+@pytest.mark.parametrize("mobility, cell", [(np.array([1.0, 1.0, 0.0, 0.0]), 2),
+                                           (np.array([1.0, np.inf, 1.0, 1.0]), 1)])
+def test_step_coefficients_name_the_bad_mobility_cell(mobility, cell):
+    # Direct construction keeps rejecting bad input as ValueError; inside a
+    # step the same mobility is a numerical failure that names the cell.
+    with pytest.raises(ValueError):
+        EllipticCoefficients(beta=1.0, mobility=mobility)
+    with pytest.raises(PositivityError, match="at cell") as err:
+        EllipticCoefficients._of_step(1.0, mobility)
+    assert err.value.index == cell and f"cell {cell}" in str(err.value)
+    with pytest.raises(ValueError):
+        EllipticCoefficients._of_step(np.nan, np.ones(4))
 
 
 def test_beta_coefficient():
@@ -162,7 +177,7 @@ def test_nl_divergence_reported():
     m = 8
     coeff = EllipticCoefficients(beta=10.0, mobility=np.ones(m))
     dphi = np.array([1e6, -1e6] * 4, dtype=float)
-    with pytest.raises((NewtonDivergenceError, Exception)):
+    with pytest.raises((NewtonDivergenceError, PositivityError)):
         solve_elliptic_nl_1d(np.ones(m), dphi, coeff, EOS2, 1 / m, newton_max_iter=4)
 
 

@@ -1,5 +1,6 @@
 """The 1D hot path: the periodic shift that replaces np.roll, the
-validate-once contract of the steppers, and the direct tridiagonal solve."""
+validate-once contract of the steppers and of the Newton solve, and the
+direct tridiagonal solve."""
 
 import sys
 
@@ -7,19 +8,26 @@ import numpy as np
 import pytest
 
 from lowmach import (
+    EllipticCoefficients,
     EquationOfState,
     FluidState1D,
     InvalidStateError,
+    NumericsError,
     PeriodicTridiagonalSystem,
     PositivityError,
     SchemeParams,
     SingularSystemError,
+    assemble_dphi_1d,
+    beta_coefficient,
+    momentum_update_1d,
+    solve_elliptic_nl_1d,
     solve_periodic_tridiagonal,
     step_ap_1d,
     step_explicit_llf_1d,
     step_ice_1d,
 )
 from lowmach.core import _shift
+from lowmach.elliptic import _solve_strided_tridiagonal
 from lowmach.presets import example1_eos, example1_grid, example1_state
 
 EOS2 = EquationOfState(1.0, 2.0)
@@ -127,6 +135,100 @@ def test_ap_step_losing_positivity_names_the_cell(variant):
         step_ap_1d(state, EOS2, SchemeParams(epsilon=0.8, alpha=1.0), variant, 0.05, 1 / 16)
     assert isinstance(err.value.index, int) and 0 <= err.value.index < 16
     assert f"cell {err.value.index}" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# Newton solve: p, p' and the residual once per iterate
+
+def _validated_newton(rho_n, dphi, coeff, eos, dx, newton_tol=1e-12, newton_max_iter=50,
+                      linear_tol=1e-11):
+    """The Newton loop with validating EOS calls and the residual of each
+    iterate evaluated twice (for the convergence test and again as the
+    next right-hand side); the reference the solve must match bit for bit."""
+    def residual(r):
+        p = eos.pressure(r)
+        return r - coeff.beta * ((_shift(p, -2) - 2.0 * p + _shift(p, 2)) / (4.0 * dx**2)) - dphi
+
+    rho = rho_n.copy()
+    scale = max(1.0, float(np.abs(dphi).max()))
+    for it in range(1, newton_max_iter + 1):
+        assert (rho > 0.0).all()
+        g = residual(rho)
+        dp = eos.pressure_derivative(rho)
+        b4 = coeff.beta / (4.0 * dx**2)
+        delta = _solve_strided_tridiagonal(-b4 * _shift(dp, 2), 1.0 + 2.0 * b4 * dp,
+                                           -b4 * _shift(dp, -2), -g, 2, linear_tol)
+        rho = rho + delta
+        converged = np.abs(delta).max() <= newton_tol
+        if not converged:
+            assert (rho > 0.0).all()
+            converged = np.abs(residual(rho)).max() <= newton_tol * scale
+        if converged:
+            return rho, it
+    raise AssertionError("reference Newton loop did not converge")
+
+
+def _newton_case(gamma, seed):
+    rng = np.random.default_rng(seed)
+    m = 32
+    eos = EquationOfState(lambda_coeff=rng.uniform(0.5, 2.0), gamma=gamma)
+    state = FluidState1D(rho=rng.uniform(0.5, 1.5, m), q=0.3 * rng.standard_normal(m))
+    dphi = state.rho + 0.05 * rng.standard_normal(m)
+    coeff = EllipticCoefficients(beta=rng.uniform(0.001, 0.02),
+                                 mobility=eos.pressure_derivative(state.rho))
+    return eos, state, dphi, coeff, 1 / m
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("validating EOS method called")
+
+
+@pytest.mark.parametrize("gamma", [1.4, 2.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_newton_solve_matches_validated_loop(gamma, seed, monkeypatch):
+    eos, state, dphi, coeff, dx = _newton_case(gamma, seed)
+    expected, expected_iters = _validated_newton(state.rho, dphi, coeff, eos, dx)
+    assert expected_iters > 1
+    monkeypatch.setattr(EquationOfState, "pressure", _raise)
+    monkeypatch.setattr(EquationOfState, "pressure_derivative", _raise)
+    rho, iters = solve_elliptic_nl_1d(state.rho, dphi, coeff, eos, dx)
+    assert np.array_equal(rho, expected) and iters == expected_iters
+
+
+@pytest.mark.parametrize("gamma", [1.4, 2.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_nl_step_matches_validated_loop(gamma, seed, monkeypatch):
+    eos, state, _, _, dx = _newton_case(gamma, seed)
+    params = SchemeParams(epsilon=0.3, alpha=1.0)
+    dt = 0.3 * dx
+    dphi = assemble_dphi_1d(state, eos, params, dt, dx)
+    coeff = EllipticCoefficients(beta=beta_coefficient(params.epsilon, params.alpha, dt),
+                                 mobility=eos.pressure_derivative(state.rho))
+    rho_new, iters = _validated_newton(state.rho, dphi, coeff, eos, dx)
+    q_new = momentum_update_1d(state, rho_new, eos, params, dt, dx)
+    p_new = eos.pressure(rho_new)
+    residual = np.abs(rho_new - coeff.beta * ((_shift(p_new, -2) - 2.0 * p_new + _shift(p_new, 2))
+                                              / (4.0 * dx**2)) - dphi).max()
+
+    monkeypatch.setattr(EquationOfState, "pressure", _raise)
+    monkeypatch.setattr(EquationOfState, "pressure_derivative", _raise)
+    out, report = step_ap_1d(state, eos, params, "nl", dt, dx)
+    assert np.array_equal(out.rho, rho_new) and np.array_equal(out.q, q_new)
+    assert report.newton_iters == iters and report.consistency_residual == float(residual)
+
+
+@pytest.mark.parametrize("where", ["dphi", "rho_n"])
+def test_newton_non_finite_input_is_a_numerics_error(where):
+    # A NaN in the start iterate used to reach the validating eos.pressure and
+    # end as InvalidStateError; both inputs must end as a numerical failure.
+    eos, state, dphi, coeff, dx = _newton_case(2.0, 0)
+    rho_n = state.rho.copy()
+    (dphi if where == "dphi" else rho_n)[5] = np.nan
+    with pytest.raises(NumericsError) as err:
+        solve_elliptic_nl_1d(rho_n, dphi, coeff, eos, dx)
+    assert not isinstance(err.value, InvalidStateError)
+    if isinstance(err.value, PositivityError):
+        assert err.value.index == 5 and "cell 5" in str(err.value)
 
 
 def test_singular_tridiagonal_core_raises():

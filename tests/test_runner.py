@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from lowmach import FluidState1D, FluidState2D, Grid1D, Grid2D
+from lowmach import FluidState1D, FluidState2D, Grid1D, Grid2D, onedim
 from lowmach.cli import main
 from lowmach.runner import (
     _snapshot_csv_1d,
@@ -155,3 +155,39 @@ def test_csv_bytes_match_repr_format(tmp_path):
     rows = [(x[i], y[j], state.rho[i, j], state.q1[i, j], state.q2[i, j])
             for i in range(4) for j in range(5)]
     assert path.read_bytes() == _fmt_rows("x,y,rho,q1,q2", rows).encode()
+
+
+def _per_step_lines(reports):
+    """steps.csv as written one f-string line per step, integers as ints."""
+    lines = ["step,t,dt,max_wave_speed,mass_total,momentum_total,momentum2_total,"
+             "consistency_residual,newton_iters,linear_iters"]
+    t = 0.0
+    for n, r in enumerate(reports, 1):
+        t += r.dt_used
+        lines.append(f"{n},{t:.17g},{r.dt_used:.17g},{r.max_wave_speed:.17g},"
+                     f"{r.mass_total:.17g},{r.momentum_total:.17g},{r.momentum2_total:.17g},"
+                     f"{r.consistency_residual:.17g},{r.newton_iters},{r.linear_iters}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("raw, status", [
+    # adaptive dt with a snapshot in between: completes
+    ({"preset": "example2", "epsilon": 0.05, "m": 100, "sigma": 0.9, "t_final": 0.05,
+      "snapshot_times": "0.02"}, 0),
+    # fixed dt too large for eps = 0.8: loses positivity at step 13
+    ({"preset": "example1", "epsilon": 0.8, "m": 100, "dt": 0.003, "t_final": 0.05}, 3),
+])
+def test_steps_csv_bytes_match_per_step_lines(tmp_path, monkeypatch, raw, status):
+    reports = []
+    step = onedim.step_ap_1d
+
+    def recording_step(*args, **kwargs):
+        state, report = step(*args, **kwargs)
+        reports.append(report)
+        return state, report
+
+    monkeypatch.setattr(onedim, "step_ap_1d", recording_step)
+    out = tmp_path / "run"
+    result = run_raw(dict(raw, variant="nl", output_dir=str(out)))
+    assert result.status == status and result.steps_taken == len(reports) > 5
+    assert (out / "steps.csv").read_bytes() == _per_step_lines(reports).encode()
