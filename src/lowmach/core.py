@@ -8,6 +8,7 @@ invalid parameter sets can still be constructed and inspected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,6 +239,12 @@ def validate_params(p: SchemeParams) -> None:
     violated invariant; return None when all hold."""
     if not (np.isfinite(p.epsilon) and p.epsilon > 0.0):
         raise ParamError("epsilon-not-positive", f"epsilon must be in (0, inf), got {p.epsilon}")
+    # The steps divide by eps^2: it and 1/eps^2 must be finite and nonzero.
+    # eps * eps overflows to inf where eps**2 would raise.
+    eps2 = p.epsilon * p.epsilon
+    if not (0.0 < eps2 < math.inf and 1.0 / eps2 < math.inf):
+        raise ParamError("epsilon-scale-not-finite",
+                         f"epsilon={p.epsilon} puts epsilon^2 or 1/epsilon^2 out of float range")
     if not (np.isfinite(p.alpha) and p.alpha >= 0.0):
         raise ParamError("alpha-negative", f"alpha must be >= 0, got {p.alpha}")
     if p.alpha > 1.0 / p.epsilon**2:

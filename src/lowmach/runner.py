@@ -50,7 +50,7 @@ from .presets import (
     example3_grid,
     example3_state,
 )
-from .twodim import step_ap_2d
+from .twodim import _cell_speeds, step_ap_2d
 
 STATUS_OK = 0
 STATUS_CONFIG = 2
@@ -130,9 +130,8 @@ def _max_speed(cfg: RunConfig, eos, state, params) -> float:
     """Largest wave speed relevant to the chosen stepper's CFL condition;
     the state's density was validated by its constructor."""
     if cfg.dimension == 2:
-        u1, u2 = state.velocity()
-        s = np.sqrt(params.alpha * eos._pressure_derivative(state.rho))
-        return float(np.max(np.maximum(np.abs(u1), np.abs(u2)) + s))
+        return float(np.max(_cell_speeds(*state.velocity(), eos._pressure_derivative(state.rho),
+                                         params.alpha)))
     u = state.velocity()
     if cfg.stepper == "explicit_llf":
         s = np.sqrt(eos._pressure_derivative(state.rho)) / params.epsilon

@@ -1,12 +1,18 @@
 """2D operators and the semi-implicit stepper on the periodic unit square.
 
-Arrays are indexed [i, j] with i along x and j along y.  The scheme is the
-dimension-by-dimension analogue of the 1D one: centered flux derivatives
-plus per-direction LLF dissipation, an implicit new-time momentum average
-in the density flux, and the stiff pressure gradient implicit.  Eliminating
-the momentum updates from the density equation leaves one elliptic solve
-for the new density (wide stride-2 stencil or reduced 5-point stencil),
-then explicit momentum updates.
+Arrays are indexed [i, j] with i along x (axis 0) and j along y (axis 1).
+The scheme is the dimension-by-dimension analogue of the 1D one: centered
+flux derivatives plus per-direction LLF dissipation, an implicit new-time
+momentum average in the density flux, and the stiff pressure gradient
+implicit.  Eliminating the momentum updates from the density equation
+leaves one elliptic solve for the new density (wide stride-2 stencil or
+reduced 5-point stencil), then explicit momentum updates.
+
+As in :func:`lowmach.onedim.step_ap_1d`, :func:`_explicit_terms` evaluates
+the explicit terms of rho^n once per step: p and p' (unchecked: the state's
+density is valid), the cell and interface speeds, and the eight flux and
+dissipation differences that the elliptic right-hand side differentiates
+once more and the momentum update sums.
 
 Expression groupings below deliberately pair x/y swap partners so that the
 assembled right-hand side is bitwise equivariant under transposition
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EquationOfState, FluidState2D, SchemeParams, validate_params
+from .core import EquationOfState, FluidState2D, SchemeParams, _shift, validate_params
 from .elliptic import (
     EllipticCoefficients,
     apply_elliptic_operator_2d,
@@ -40,39 +46,63 @@ class DirectionalSpeeds:
     a_y: np.ndarray
 
 
-def _cell_speeds_2d(state: FluidState2D, eos: EquationOfState, alpha: float) -> np.ndarray:
-    u1, u2 = state.velocity()
-    s = np.sqrt(alpha * eos.pressure_derivative(state.rho))
-    return np.maximum(np.abs(u1), np.abs(u2)) + s
+def _cell_speeds(u1, u2, dp, alpha):
+    """Largest eigenvalue magnitude per cell: max(|u1|, |u2|) + sqrt(alpha p')."""
+    return np.maximum(np.abs(u1), np.abs(u2)) + np.sqrt(alpha * dp)
+
+
+def _interface_speeds(cell_max) -> DirectionalSpeeds:
+    return DirectionalSpeeds(a_x=np.maximum(cell_max, _shift(cell_max, -1, 0)),
+                             a_y=np.maximum(cell_max, _shift(cell_max, -1, 1)))
 
 
 def directional_speeds_2d(state: FluidState2D, eos: EquationOfState, alpha: float) -> DirectionalSpeeds:
-    m = _cell_speeds_2d(state, eos, alpha)
-    a_x = np.maximum(m, np.roll(m, -1, axis=0))
-    a_y = np.maximum(m, np.roll(m, -1, axis=1))
-    return DirectionalSpeeds(a_x=a_x, a_y=a_y)
+    return _interface_speeds(_cell_speeds(*state.velocity(), eos._pressure_derivative(state.rho),
+                                          alpha))
 
 
-def _dxc(u, dx):
-    return (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)) / (2.0 * dx)
+def _dc(u, h, axis):
+    """Centered difference (u_{+1} - u_{-1}) / 2h along ``axis``."""
+    return (_shift(u, -1, axis) - _shift(u, 1, axis)) / (2.0 * h)
 
 
-def _dyc(u, dy):
-    return (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * dy)
+def _diss(u, a, h, axis):
+    """(1/2)(A_{-1/2} D- - A_{+1/2} D+) u along ``axis``, with a[i] the speed
+    at interface i+1/2: minus the LLF diffusion; it enters the updates with
+    the flux-divergence sign."""
+    dm = (u - _shift(u, 1, axis)) / h
+    dp = (_shift(u, -1, axis) - u) / h
+    return 0.5 * (_shift(a, 1, axis) * dm - a * dp)
 
 
-def _diss_x(u, a_x, dx):
-    """(1/2)(A_{i-1/2,j} Dx- - A_{i+1/2,j} Dx+) u: minus the x-direction
-    LLF diffusion; it enters the updates with the flux-divergence sign."""
-    dm = (u - np.roll(u, 1, axis=0)) / dx
-    dp = (np.roll(u, -1, axis=0) - u) / dx
-    return 0.5 * (np.roll(a_x, 1, axis=0) * dm - a_x * dp)
+def _explicit_terms(state: FluidState2D, eos: EquationOfState, alpha: float, dx: float, dy: float):
+    """(p', cell speeds, interface speeds, dflux, diss) of rho^n, with
+    dflux[k][d] the derivative along axis d of the flux (g1, w; w, g2) of
+    momentum k and diss[k][d] the dissipation of q_k along axis d."""
+    rho, q1, q2 = state.rho, state.q1, state.q2
+    u1, u2 = state.velocity()
+    dp = eos._pressure_derivative(rho)
+    cell_max = _cell_speeds(u1, u2, dp, alpha)
+    speeds = _interface_speeds(cell_max)
+    p = eos._pressure(rho)
+    w = rho * (u1 * u2)
+    dflux = ((_dc(q1 * u1 + alpha * p, dx, 0), _dc(w, dy, 1)),
+             (_dc(w, dx, 0), _dc(q2 * u2 + alpha * p, dy, 1)))
+    diss = tuple((_diss(q, speeds.a_x, dx, 0), _diss(q, speeds.a_y, dy, 1)) for q in (q1, q2))
+    return dp, cell_max, speeds, dflux, diss
 
 
-def _diss_y(u, a_y, dy):
-    dm = (u - np.roll(u, 1, axis=1)) / dy
-    dp = (np.roll(u, -1, axis=1) - u) / dy
-    return 0.5 * (np.roll(a_y, 1, axis=1) * dm - a_y * dp)
+def _dphi_from_terms(state: FluidState2D, speeds: DirectionalSpeeds, dflux, diss,
+                     dt: float, dx: float, dy: float, literal: bool) -> np.ndarray:
+    rho = state.rho
+    first_order = (_dc(state.q1, dx, 0) + _dc(state.q2, dy, 1)) + (
+        _diss(rho, speeds.a_x, dx, 0) + _diss(rho, speeds.a_y, dy, 1))
+    t_axis = _dc(dflux[0][0], dx, 0) + _dc(dflux[1][1], dy, 1)
+    t_mixed = _dc(dflux[0][1], dx, 0) + _dc(dflux[1][0], dy, 1)
+    t_diss = _dc(diss[0][0], dx, 0) + _dc(diss[1][1], dy, 1)
+    if literal:
+        t_diss = t_diss + (_dc(diss[0][1], dx, 0) + _dc(diss[1][0], dy, 1))
+    return rho - dt * first_order + dt**2 * (t_axis + t_mixed + t_diss)
 
 
 def assemble_dphi_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
@@ -85,29 +115,8 @@ def assemble_dphi_2d(state: FluidState2D, eos: EquationOfState, params: SchemePa
     where each momentum's dissipation is differentiated only along its own
     flux direction.  The two differ at O(dt^2 dx).
     """
-    rho, q1, q2 = state.rho, state.q1, state.q2
-    u1, u2 = state.velocity()
-    alpha = params.alpha
-    speeds = directional_speeds_2d(state, eos, alpha)
-    a_x, a_y = speeds.a_x, speeds.a_y
-
-    p = eos.pressure(rho)
-    g1 = q1 * u1 + alpha * p
-    g2 = q2 * u2 + alpha * p
-    w = rho * (u1 * u2)
-
-    first_order = (_dxc(q1, dx) + _dyc(q2, dy)) + (_diss_x(rho, a_x, dx) + _diss_y(rho, a_y, dy))
-
-    t_axis = _dxc(_dxc(g1, dx), dx) + _dyc(_dyc(g2, dy), dy)
-    t_mixed = _dxc(_dyc(w, dy), dx) + _dyc(_dxc(w, dx), dy)
-    if literal:
-        t_diss = (_dxc(_diss_x(q1, a_x, dx), dx) + _dyc(_diss_y(q2, a_y, dy), dy)) + (
-            _dxc(_diss_y(q1, a_y, dy), dx) + _dyc(_diss_x(q2, a_x, dx), dy)
-        )
-    else:
-        t_diss = _dxc(_diss_x(q1, a_x, dx), dx) + _dyc(_diss_y(q2, a_y, dy), dy)
-
-    return rho - dt * first_order + dt**2 * (t_axis + t_mixed + t_diss)
+    _, _, speeds, dflux, diss = _explicit_terms(state, eos, params.alpha, dx, dy)
+    return _dphi_from_terms(state, speeds, dflux, diss, dt, dx, dy, literal)
 
 
 def step_ap_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
@@ -125,15 +134,12 @@ def step_ap_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
     if stencil not in ("wide", "reduced"):
         raise ValueError(f"unknown 2D stencil {stencil!r}")
 
-    rho, q1, q2 = state.rho, state.q1, state.q2
-    u1, u2 = state.velocity()
-    alpha = params.alpha
-    speeds = directional_speeds_2d(state, eos, alpha)
-    a_x, a_y = speeds.a_x, speeds.a_y
-
-    dphi = assemble_dphi_2d(state, eos, params, dt, dx, dy, literal=dphi2_literal)
+    rho = state.rho
+    # p'(rho^n) is both the sound speed and the mobility.
+    dp, cell_max, speeds, dflux, diss = _explicit_terms(state, eos, params.alpha, dx, dy)
+    dphi = _dphi_from_terms(state, speeds, dflux, diss, dt, dx, dy, dphi2_literal)
     beta = beta_coefficient(params.epsilon, params.alpha, dt)
-    coeff = EllipticCoefficients._of_step(beta, eos.pressure_derivative(rho))
+    coeff = EllipticCoefficients._of_step(beta, dp)
     rho_new, cg_iters = solve_elliptic_2d(rho, dphi, coeff, dx, dy, stencil=stencil,
                                           linear_tol=params.linear_tol)
 
@@ -143,26 +149,18 @@ def step_ap_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
         bad = np.unravel_index(int(np.argmin(rho_new)), rho_new.shape)
         raise PositivityError(bad, f"density lost positivity at cell {bad}")
 
-    p = eos.pressure(rho)
-    p_new = eos.pressure(rho_new)
-    c = (1.0 - alpha * params.epsilon**2) / params.epsilon**2
-    g1 = q1 * u1 + alpha * p
-    g2 = q2 * u2 + alpha * p
-    w = rho * (u1 * u2)
-
-    rhs1 = (_dxc(g1, dx) + _dyc(w, dy)) + (_diss_x(q1, a_x, dx) + _diss_y(q1, a_y, dy)) \
-        + c * _dxc(p_new, dx)
-    rhs2 = (_dxc(w, dx) + _dyc(g2, dy)) + (_diss_x(q2, a_x, dx) + _diss_y(q2, a_y, dy)) \
-        + c * _dyc(p_new, dy)
-    q1_new = q1 - dt * rhs1
-    q2_new = q2 - dt * rhs2
+    p_new = eos._pressure(rho_new)
+    c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
+    rhs1 = (dflux[0][0] + dflux[0][1]) + (diss[0][0] + diss[0][1]) + c * _dc(p_new, dx, 0)
+    rhs2 = (dflux[1][0] + dflux[1][1]) + (diss[1][0] + diss[1][1]) + c * _dc(p_new, dy, 1)
+    q1_new = state.q1 - dt * rhs1
+    q2_new = state.q2 - dt * rhs2
     if not (np.all(np.isfinite(q1_new)) and np.all(np.isfinite(q2_new))):
         raise InstabilityError("non-finite momentum after step")
 
     r_density = apply_elliptic_operator_2d(stencil, rho_new, coeff, dx, dy) - dphi
     residual = float(np.max(np.abs(r_density)))
 
-    cell_max = _cell_speeds_2d(state, eos, alpha)
     area = dx * dy
     new_state = FluidState2D(rho=rho_new, q1=q1_new, q2=q2_new)
     report = StepReport(

@@ -225,6 +225,9 @@ def test_cli_import_does_not_load_process_pool():
     ["--preset", "custom", "--gamma", "0.5"],
     ["--preset", "custom", "--lambda-coeff", "-1"],
     ["--preset", "custom", "--dimension", "2", "--domain-b", "2"],
+    # eps^2 underflows to 0; 1/eps^2 overflows
+    ["--preset", "example1", "--epsilon", "1e-170", "--m", "20", "--dt", "0.001"],
+    ["--preset", "example1", "--epsilon", "1e-160", "--m", "20", "--dt", "0.001"],
 ])
 def test_cli_run_invalid_config_exits_2(tmp_path, flags):
     out = tmp_path / "bad"
@@ -244,6 +247,7 @@ def test_odd_m_allowed_where_no_stride2_solve_runs():
     ["compare-ice", "--epsilon", "0.3", "--dx", "0.5"],  # 2 cells
     ["compare-ice", "--epsilon", "0", "--dx", "0.05"],
     ["table2", "--epsilons", "0.8", "--levels", "1", "--variant", "xx"],
+    ["table1", "--epsilons", "1e-170"],
 ])
 def test_cli_table_verbs_invalid_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"

@@ -105,6 +105,9 @@ def test_validate_params_examples():
 def test_validate_params_named_errors():
     cases = [
         (SchemeParams(epsilon=-1.0), "epsilon-not-positive"),
+        (SchemeParams(epsilon=1e-170), "epsilon-scale-not-finite"),  # eps^2 underflows to 0
+        (SchemeParams(epsilon=1e-160), "epsilon-scale-not-finite"),  # 1/eps^2 overflows
+        (SchemeParams(epsilon=1e155, alpha=0.0), "epsilon-scale-not-finite"),  # eps^2 overflows
         (SchemeParams(epsilon=0.1, alpha=-0.5), "alpha-negative"),
         (SchemeParams(epsilon=0.1, sigma=1.5), "sigma-out-of-range"),
         (SchemeParams(epsilon=0.1, dt_policy=DtPolicy(kind="fixed", dt=-1.0)), "dt-not-positive"),

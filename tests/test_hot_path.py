@@ -1,6 +1,6 @@
-"""The 1D hot path: the periodic shift that replaces np.roll, the
-validate-once contract of the steppers and of the Newton solve, and the
-direct tridiagonal solve."""
+"""The hot path: the periodic shift that replaces np.roll, the
+validate-once contract of the 1D and 2D steppers and of the Newton solve,
+and the direct tridiagonal solve."""
 
 import sys
 
@@ -23,12 +23,20 @@ from lowmach import (
     solve_elliptic_nl_1d,
     solve_periodic_tridiagonal,
     step_ap_1d,
+    step_ap_2d,
     step_explicit_llf_1d,
     step_ice_1d,
 )
 from lowmach.core import _shift
 from lowmach.elliptic import _solve_strided_tridiagonal
-from lowmach.presets import example1_eos, example1_grid, example1_state
+from lowmach.presets import (
+    example1_eos,
+    example1_grid,
+    example1_state,
+    example3_eos,
+    example3_grid,
+    example3_state,
+)
 
 EOS2 = EquationOfState(1.0, 2.0)
 
@@ -215,6 +223,23 @@ def test_nl_step_matches_validated_loop(gamma, seed, monkeypatch):
     out, report = step_ap_1d(state, eos, params, "nl", dt, dx)
     assert np.array_equal(out.rho, rho_new) and np.array_equal(out.q, q_new)
     assert report.newton_iters == iters and report.consistency_residual == float(residual)
+
+
+@pytest.mark.parametrize("stencil", ["wide", "reduced"])
+@pytest.mark.parametrize("eps", [0.8, 0.005])
+def test_2d_step_makes_no_validating_eos_call(eps, stencil, monkeypatch):
+    grid = example3_grid(16, 16)
+    eos, state = example3_eos(), example3_state(grid, eps)
+    params = SchemeParams(epsilon=eps, alpha=1.0)
+    dt = 0.25 * grid.dx
+    expected, expected_report = step_ap_2d(state, eos, params, stencil, dt, grid.dx, grid.dy)
+
+    monkeypatch.setattr(EquationOfState, "pressure", _raise)
+    monkeypatch.setattr(EquationOfState, "pressure_derivative", _raise)
+    out, report = step_ap_2d(state, eos, params, stencil, dt, grid.dx, grid.dy)
+    for name in ("rho", "q1", "q2"):
+        assert np.array_equal(getattr(out, name), getattr(expected, name))
+    assert report == expected_report
 
 
 @pytest.mark.parametrize("where", ["dphi", "rho_n"])
