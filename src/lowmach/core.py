@@ -120,6 +120,14 @@ def _shift(x, k, axis=0):
     return np.concatenate((x[-k:], x[:-k]))
 
 
+def _cell_index(flat: int, shape):
+    """Cell of the flat index ``flat`` in an array of ``shape``: an int in 1D,
+    a tuple of ints beyond."""
+    if len(shape) == 1:
+        return int(flat)
+    return tuple(int(i) for i in np.unravel_index(flat, shape))
+
+
 def _frozen_array(values, name):
     arr = np.array(values, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -128,8 +136,25 @@ def _frozen_array(values, name):
     return arr
 
 
+class _State:
+    """Shared by the fluid states: :meth:`_trusted`, the constructor of
+    checked stepper output."""
+
+    @classmethod
+    def _trusted(cls, *arrays):
+        """State over float arrays, one per field in order, that the caller
+        has checked (finite, positive density, equal shapes of the class's
+        dimension), owns, and will not write again: they are frozen in
+        place, without the copy and re-check of the constructor."""
+        state = object.__new__(cls)
+        for name, arr in zip(cls.__match_args__, arrays):
+            arr.flags.writeable = False
+            object.__setattr__(state, name, arr)
+        return state
+
+
 @dataclass(frozen=True)
-class FluidState1D:
+class FluidState1D(_State):
     """Cell-centered density and momentum on a periodic 1D grid."""
 
     rho: np.ndarray
@@ -146,18 +171,6 @@ class FluidState1D:
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "q", q)
 
-    @classmethod
-    def _trusted(cls, rho, q):
-        """State over float arrays the caller has checked (finite, positive
-        density, equal 1D shapes), owns, and will not write again: they are
-        frozen in place, without the copy and re-check of the constructor."""
-        rho.flags.writeable = False
-        q.flags.writeable = False
-        state = object.__new__(cls)
-        object.__setattr__(state, "rho", rho)
-        object.__setattr__(state, "q", q)
-        return state
-
     @property
     def m(self) -> int:
         return self.rho.shape[0]
@@ -167,7 +180,7 @@ class FluidState1D:
 
 
 @dataclass(frozen=True)
-class FluidState2D:
+class FluidState2D(_State):
     """Cell-centered density and momentum components on a periodic 2D grid.
 
     Arrays are indexed [i, j] with i along x and j along y.
@@ -184,8 +197,7 @@ class FluidState2D:
         if rho.ndim != 2 or rho.shape != q1.shape or rho.shape != q2.shape:
             raise InvalidStateError("rho, q1, q2 must be 2D arrays of equal shape")
         if np.any(rho <= 0.0):
-            flat = int(np.argmin(rho))
-            bad = np.unravel_index(flat, rho.shape)
+            bad = _cell_index(np.argmin(rho), rho.shape)
             raise InvalidStateError(f"non-positive density at cell {bad}")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "q1", q1)

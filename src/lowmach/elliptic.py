@@ -29,12 +29,14 @@ preconditioner is nearly exact, so a solve takes a few iterations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EquationOfState, _shift
+from .core import EquationOfState, _cell_index, _shift
 from .errors import (
+    InstabilityError,
     NewtonDivergenceError,
     PositivityError,
     SolverFailureError,
@@ -67,20 +69,21 @@ class EllipticCoefficients:
 
     @classmethod
     def _of_step(cls, beta: float, mobility: np.ndarray) -> "EllipticCoefficients":
-        """Coefficients of a time step, with mobility p'(rho^n) of a valid
-        density.  p' can still underflow to 0 or overflow; that is a
-        numerical failure of the step, raised as a PositivityError naming
-        the first such cell.  A bad beta raises ValueError as the
-        constructor does."""
+        """Coefficients of a time step, with beta >= 0 from valid parameters
+        and mobility p'(rho^n) of a valid density.  Either can still leave
+        float range: beta = (1 - alpha eps^2) dt^2 / eps^2 can overflow
+        (InstabilityError), and p' can underflow to 0 or overflow
+        (PositivityError naming the first such cell).  Both are numerical
+        failures of the step."""
+        if not math.isfinite(beta):
+            raise InstabilityError(f"elliptic coefficient beta = {beta} is not finite")
         try:
             return cls(beta=beta, mobility=mobility)
         except ValueError:
             bad = ~((mobility > 0.0) & (mobility < np.inf))
             if not bad.any():
                 raise
-            cell = int(np.argmax(bad))
-            if mobility.ndim > 1:
-                cell = tuple(int(i) for i in np.unravel_index(cell, mobility.shape))
+            cell = _cell_index(np.argmax(bad), mobility.shape)
             raise PositivityError(
                 cell, f"mobility p'(rho) = {mobility[cell]:.3g} is not positive and finite "
                       f"at cell {cell}") from None
@@ -280,6 +283,12 @@ def _cg(matvec, b, rtol, maxiter, precond):
                 f"CG failed to converge in {maxiter} iterations "
                 f"(residual {np.sqrt(rr) / bnorm:.3e})"
             )
+        if not rz > 0.0:
+            # r.M^-1 r is not positive (it underflowed, or M lost
+            # definiteness in floating point) while r is not yet small: the
+            # next direction would divide by it.
+            raise SolverFailureError(
+                f"CG breakdown: r.M^-1 r = {rz:.3e} at residual {np.sqrt(rr) / bnorm:.3e}")
         ap = matvec(p)
         pap = float(np.vdot(p, ap))
         if pap <= 0.0 or not np.isfinite(pap):

@@ -17,6 +17,11 @@ pressure term of the momentum flux they pass it:
 
 Interface speeds always use old-time values.  All steppers are pure
 (state in, state out) and conservative under the periodic wrap.
+
+These three and :func:`lowmach.twodim.step_ap_2d` hand a step back the same
+way: :func:`_check_new_density` on the new density, then
+:func:`_finish_step`, which checks each new momentum, freezes the arrays
+into the state without a copy, and builds the one :class:`StepReport`.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from math import ceil
 
 import numpy as np
 
-from .core import EquationOfState, FluidState1D, SchemeParams, _shift, validate_params
+from .core import EquationOfState, FluidState1D, SchemeParams, _cell_index, _shift, validate_params
 from .diagnostics import total_variation
 from .elliptic import (
     EllipticCoefficients,
@@ -61,6 +66,43 @@ class StepReport:
     linear_iters: int
     dt_used: float
     momentum2_total: float = 0.0
+
+
+def _check_new_density(rho_new):
+    """First check of every stepper's output, 1D or 2D: the new density is
+    finite and positive, else the error names the lowest cell."""
+    if not np.isfinite(rho_new).all():
+        raise InstabilityError("non-finite density after step")
+    if (rho_new <= 0.0).any():
+        bad = _cell_index(rho_new.argmin(), rho_new.shape)
+        raise PositivityError(bad, f"density lost positivity at cell {bad}")
+
+
+def _finish_step(state_cls, rho_new, momenta, cell_size, cell_max, r_density, dt,
+                 newton_iters=0, linear_iters=0):
+    """Hand-off of every stepper, 1D or 2D; returns (new_state, StepReport).
+
+    ``rho_new`` has passed :func:`_check_new_density`.  Each array of
+    ``momenta`` (q, or q1 and q2) must be finite.  The arrays are frozen
+    into a ``state_cls`` through its ``_trusted``.  The report's totals are
+    sums times ``cell_size`` (dx, or dx dy), its wave speed the max of
+    ``cell_max``, and its consistency_residual the max norm of ``r_density``
+    (0 for a step without a solve, ``r_density`` None).
+    """
+    for q in momenta:
+        if not np.isfinite(q).all():
+            raise InstabilityError("non-finite momentum after step")
+    report = StepReport(
+        max_wave_speed=float(cell_max.max()),
+        mass_total=float(rho_new.sum() * cell_size),
+        momentum_total=float(momenta[0].sum() * cell_size),
+        consistency_residual=0.0 if r_density is None else float(np.abs(r_density).max()),
+        newton_iters=newton_iters,
+        linear_iters=linear_iters,
+        dt_used=dt,
+        momentum2_total=float(momenta[1].sum() * cell_size) if len(momenta) > 1 else 0.0,
+    )
+    return state_cls._trusted(rho_new, *momenta), report
 
 
 def wave_speeds(eos: EquationOfState, rho, u, alpha: float):
@@ -157,14 +199,6 @@ def momentum_update_1d(state_n: FluidState1D, rho_np1, eos: EquationOfState,
                                  c, dt, dx)
 
 
-def _check_new_density(rho_new):
-    if not np.isfinite(rho_new).all():
-        raise InstabilityError("non-finite density after step")
-    if (rho_new <= 0.0).any():
-        bad = int(rho_new.argmin())
-        raise PositivityError(bad, f"density lost positivity at cell {bad}")
-
-
 def _as_variant(variant) -> SchemeVariant:
     if isinstance(variant, SchemeVariant):
         return variant
@@ -209,26 +243,13 @@ def step_ap_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
     p_new = eos._pressure(rho_new)
     c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
     q_new = _momentum_from_fluxes(q, df2, p_new, c, dt, dx)
-    if not np.isfinite(q_new).all():
-        raise InstabilityError("non-finite momentum after step")
 
     if variant is SchemeVariant.NL:
         r_density = _nl_operator(rho_new, p_new, beta, dx) - dphi
     else:
         r_density = apply_elliptic_operator_1d(variant.value, rho_new, rho, coeff, eos, dx) - dphi
-    residual = np.abs(r_density).max()
-
-    new_state = FluidState1D._trusted(rho_new, q_new)
-    report = StepReport(
-        max_wave_speed=float(cell_max.max()),
-        mass_total=float(rho_new.sum() * dx),
-        momentum_total=float(q_new.sum() * dx),
-        consistency_residual=float(residual),
-        newton_iters=newton_iters,
-        linear_iters=0,
-        dt_used=dt,
-    )
-    return new_state, report
+    return _finish_step(FluidState1D, rho_new, (q_new,), dx, cell_max, r_density, dt,
+                        newton_iters=newton_iters)
 
 
 def step_explicit_llf_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
@@ -248,20 +269,7 @@ def step_explicit_llf_1d(state: FluidState1D, eos: EquationOfState, params: Sche
     q_new = _conservative_update(q, f2, dt, dx)
 
     _check_new_density(rho_new)
-    if not np.isfinite(q_new).all():
-        raise InstabilityError("non-finite momentum after step")
-
-    new_state = FluidState1D._trusted(rho_new, q_new)
-    report = StepReport(
-        max_wave_speed=float(cell_max.max()),
-        mass_total=float(rho_new.sum() * dx),
-        momentum_total=float(q_new.sum() * dx),
-        consistency_residual=0.0,
-        newton_iters=0,
-        linear_iters=0,
-        dt_used=dt,
-    )
-    return new_state, report
+    return _finish_step(FluidState1D, rho_new, (q_new,), dx, cell_max, None, dt)
 
 
 def step_ice_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
@@ -270,6 +278,7 @@ def step_ice_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
     implicit pressure correction reduced to a three-point elliptic solve
     with coefficient dt^2/eps^2 and mobility p'(rho^n), followed by the
     centered explicit momentum correction."""
+    validate_params(params)
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     eps = params.epsilon
@@ -287,23 +296,8 @@ def step_ice_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
     _check_new_density(rho_new)
 
     q_new = q_star - (dt / eps**2) * _centered_difference(eos._pressure(rho_new)) / (2.0 * dx)
-    if not np.isfinite(q_new).all():
-        raise InstabilityError("non-finite momentum after step")
-
     r_density = apply_elliptic_operator_1d("ld", rho_new, rho, coeff, eos, dx) - rho_star
-    residual = float(np.abs(r_density).max())
-
-    new_state = FluidState1D._trusted(rho_new, q_new)
-    report = StepReport(
-        max_wave_speed=float(cell_max.max()),
-        mass_total=float(rho_new.sum() * dx),
-        momentum_total=float(q_new.sum() * dx),
-        consistency_residual=residual,
-        newton_iters=0,
-        linear_iters=0,
-        dt_used=dt,
-    )
-    return new_state, report
+    return _finish_step(FluidState1D, rho_new, (q_new,), dx, cell_max, r_density, dt)
 
 
 def ap_stepper(variant):

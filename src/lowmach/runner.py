@@ -21,6 +21,7 @@ from .core import (
     DtPolicy,
     EquationOfState,
     FluidState1D,
+    FluidState2D,
     Grid1D,
     Grid2D,
     SchemeParams,
@@ -126,16 +127,17 @@ def build_problem(cfg: RunConfig):
     return eos, grid, custom_state_2d(grid, cfg.rho0, cfg.q0)
 
 
-def _max_speed(cfg: RunConfig, eos, state, params) -> float:
-    """Largest wave speed relevant to the chosen stepper's CFL condition;
-    the state's density was validated by its constructor."""
-    if cfg.dimension == 2:
+def _max_speed(stepper: str, eos, state, params) -> float:
+    """Largest wave speed of the CFL condition of ``stepper`` ("ap",
+    "explicit_llf" or "ice") on a 1D or 2D state, whose density was
+    validated by its constructor."""
+    if isinstance(state, FluidState2D):
         return float(np.max(_cell_speeds(*state.velocity(), eos._pressure_derivative(state.rho),
                                          params.alpha)))
     u = state.velocity()
-    if cfg.stepper == "explicit_llf":
+    if stepper == "explicit_llf":
         s = np.sqrt(eos._pressure_derivative(state.rho)) / params.epsilon
-    elif cfg.stepper == "ice":
+    elif stepper == "ice":
         s = 0.0
     else:
         s = np.sqrt(params.alpha * eos._pressure_derivative(state.rho))
@@ -194,7 +196,7 @@ def run(cfg: RunConfig) -> RunResult:
             if cfg.dt_policy.kind == "fixed":
                 dt = cfg.dt_policy.dt
             else:
-                speed = _max_speed(cfg, eos, state, params)
+                speed = _max_speed(cfg.stepper, eos, state, params)
                 length = min(grid.dx, grid.dy) if cfg.dimension == 2 else grid.dx
                 if speed <= 0.0:
                     dt = cfg.t_final - t
@@ -302,8 +304,7 @@ def reproduce_table1(eps_list, dx_list, variant="ld", t_final=0.1, alpha=1.0,
             state = example1_state(grid, eps)
             params = SchemeParams(epsilon=eps, alpha=alpha, sigma=0.9,
                                   dt_policy=DtPolicy.adaptive())
-            u = state.velocity()
-            lam0 = float(np.max(np.abs(u) + np.sqrt(alpha * example1_eos().pressure_derivative(state.rho))))
+            lam0 = _max_speed("ap", example1_eos(), state, params)
             dt_lo = 0.05 * grid.dx / lam0
             dt_hi = 4.0 * grid.dx / lam0
             stable_dt = max_stable_dt_scan(state, example1_eos(), params, stepper,
@@ -355,8 +356,7 @@ def reference_solution(eps: float, cells=None, inv_dt=None, t_final=0.1, refine=
     state = example1_state(grid, eps)
     eos = example1_eos()
     params = SchemeParams(epsilon=eps, alpha=0.0, sigma=0.9)
-    u = state.velocity()
-    lam0 = float(np.max(np.abs(u) + np.sqrt(eos.pressure_derivative(state.rho)) / eps))
+    lam0 = _max_speed("explicit_llf", eos, state, params)
     # integer multiple of the nominal rate keeping the explicit CFL <= 0.45
     k = max(1, int(np.ceil(lam0 * fine_cells / (0.45 * inv_dt))))
     dt = 1.0 / (k * inv_dt)
@@ -386,8 +386,7 @@ def reproduce_table2(eps_list, refinement_levels=5, coarsest_m=20, t_final=0.1,
             grid = example1_grid(m)
             state = example1_state(grid, eps)
             params = SchemeParams(epsilon=eps, alpha=alpha, sigma=0.9)
-            u = state.velocity()
-            lam0 = float(np.max(np.abs(u) + np.sqrt(alpha * eos.pressure_derivative(state.rho))))
+            lam0 = _max_speed("ap", eos, state, params)
             dt = table2_dt(eps, grid.dx, lam0)
             n_steps = int(round(t_final / dt))
             state, _ = _integrate_fixed(state, eos, params, stepper, dt, n_steps, grid.dx)

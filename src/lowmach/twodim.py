@@ -12,7 +12,9 @@ As in :func:`lowmach.onedim.step_ap_1d`, :func:`_explicit_terms` evaluates
 the explicit terms of rho^n once per step: p and p' (unchecked: the state's
 density is valid), the cell and interface speeds, and the eight flux and
 dissipation differences that the elliptic right-hand side differentiates
-once more and the momentum update sums.
+once more and the momentum update sums.  The step ends through the 1D
+module's checked hand-off (:func:`lowmach.onedim._check_new_density`, then
+:func:`lowmach.onedim._finish_step`), as the three 1D steppers do.
 
 Expression groupings below deliberately pair x/y swap partners so that the
 assembled right-hand side is bitwise equivariant under transposition
@@ -32,8 +34,7 @@ from .elliptic import (
     beta_coefficient,
     solve_elliptic_2d,
 )
-from .errors import InstabilityError, PositivityError
-from .onedim import StepReport
+from .onedim import _check_new_density, _finish_step
 
 
 @dataclass(frozen=True)
@@ -143,34 +144,12 @@ def step_ap_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
     rho_new, cg_iters = solve_elliptic_2d(rho, dphi, coeff, dx, dy, stencil=stencil,
                                           linear_tol=params.linear_tol)
 
-    if not np.all(np.isfinite(rho_new)):
-        raise InstabilityError("non-finite density after step")
-    if np.any(rho_new <= 0.0):
-        bad = np.unravel_index(int(np.argmin(rho_new)), rho_new.shape)
-        raise PositivityError(bad, f"density lost positivity at cell {bad}")
-
+    _check_new_density(rho_new)
     p_new = eos._pressure(rho_new)
     c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
     rhs1 = (dflux[0][0] + dflux[0][1]) + (diss[0][0] + diss[0][1]) + c * _dc(p_new, dx, 0)
     rhs2 = (dflux[1][0] + dflux[1][1]) + (diss[1][0] + diss[1][1]) + c * _dc(p_new, dy, 1)
-    q1_new = state.q1 - dt * rhs1
-    q2_new = state.q2 - dt * rhs2
-    if not (np.all(np.isfinite(q1_new)) and np.all(np.isfinite(q2_new))):
-        raise InstabilityError("non-finite momentum after step")
-
+    momenta = (state.q1 - dt * rhs1, state.q2 - dt * rhs2)
     r_density = apply_elliptic_operator_2d(stencil, rho_new, coeff, dx, dy) - dphi
-    residual = float(np.max(np.abs(r_density)))
-
-    area = dx * dy
-    new_state = FluidState2D(rho=rho_new, q1=q1_new, q2=q2_new)
-    report = StepReport(
-        max_wave_speed=float(np.max(cell_max)),
-        mass_total=float(np.sum(rho_new) * area),
-        momentum_total=float(np.sum(q1_new) * area),
-        consistency_residual=residual,
-        newton_iters=0,
-        linear_iters=cg_iters,
-        dt_used=dt,
-        momentum2_total=float(np.sum(q2_new) * area),
-    )
-    return new_state, report
+    return _finish_step(FluidState2D, rho_new, momenta, dx * dy, cell_max, r_density, dt,
+                        linear_iters=cg_iters)

@@ -198,6 +198,21 @@ def test_cli_run_mobility_underflow_exits_3(tmp_path, capsys, flags):
     assert (out / "steps.csv").read_text().count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [[], ["--stepper", "ice"]])
+def test_cli_run_beta_overflow_exits_3(tmp_path, capsys, flags):
+    # beta = dt^2/eps^2 overflows at eps = 1e-154, dt = 10, though both pass
+    # validation: the step fails numerically and the run still writes its logs.
+    out = tmp_path / "beta"
+    code = main(["run", "--preset", "example1", "--epsilon", "1e-154", "--m", "20", "--dt", "10",
+                 "--t-final", "10", *flags, "--output-dir", str(out)])
+    assert code == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == 3
+    assert "beta = inf is not finite" in manifest["message"]
+    assert "beta = inf is not finite" in capsys.readouterr().out
+    assert (out / "steps.csv").read_text().count("\n") == 1
+
+
 def test_cli_import_does_not_load_process_pool():
     # Only a pooled sweep needs concurrent.futures.process and multiprocessing;
     # every other verb must not pay for importing them.

@@ -7,7 +7,9 @@ import pytest
 from lowmach import (
     EllipticCoefficients,
     EquationOfState,
+    FluidState2D,
     NewtonDivergenceError,
+    NumericsError,
     PositivityError,
     SchemeParams,
     SolverFailureError,
@@ -59,7 +61,11 @@ def test_step_coefficients_name_the_bad_mobility_cell(mobility, cell):
         EllipticCoefficients._of_step(1.0, mobility)
     assert err.value.index == cell and f"cell {cell}" in str(err.value)
     with pytest.raises(ValueError):
-        EllipticCoefficients._of_step(np.nan, np.ones(4))
+        EllipticCoefficients._of_step(-1.0, np.ones(4))
+    # A beta that left float range (dt^2/eps^2 overflows) fails the step.
+    for beta in (np.inf, np.nan):
+        with pytest.raises(NumericsError, match="beta"):
+            EllipticCoefficients._of_step(beta, np.ones(4))
 
 
 def test_beta_coefficient():
@@ -348,3 +354,17 @@ def test_2d_unknown_stencil_rejected():
     coeff = EllipticCoefficients(beta=0.01, mobility=np.ones((8, 8)))
     with pytest.raises(ValueError):
         solve_elliptic_2d(np.ones((8, 8)), np.ones((8, 8)), coeff, 1 / 8, 1 / 8, stencil="bogus")
+
+
+def test_2d_cg_vanishing_preconditioned_residual_reports_failure():
+    # beta ~ 7e59 (alpha = 1/eps^2 leaves 1 - alpha eps^2 at round-off):
+    # the FFT preconditioner scales the residual by ~1e-60 and r.M^-1 r
+    # underflows to 0 while r is still large.  That is a solver failure,
+    # not a division by zero.
+    rng = np.random.default_rng(1)
+    rho = 10 ** rng.uniform(-1, 1, (4, 4))
+    state = FluidState2D(rho=rho, q1=rng.uniform(-3, 3, (4, 4)), q2=rng.uniform(-3, 3, (4, 4)))
+    eps = 1.248098483599828e-38
+    params = SchemeParams(epsilon=eps, alpha=1 / eps**2)
+    with pytest.raises(SolverFailureError, match="breakdown"):
+        step_ap_2d(state, EquationOfState(1.0, 1.125), params, "reduced", 1.0, 0.25, 0.25)

@@ -546,3 +546,14 @@ def test_wave_speeds_vectorized():
     lo, hi = wave_speeds(EOS2, np.array([1.0, 4.0]), np.array([0.0, 1.0]), 1.0)
     assert np.allclose(lo, [-np.sqrt(2), 1 - np.sqrt(8)])
     assert np.allclose(hi, [np.sqrt(2), 1 + np.sqrt(8)])
+
+
+@pytest.mark.parametrize("eps, code", [(0.0, "epsilon-not-positive"),
+                                       (1e-170, "epsilon-scale-not-finite")])
+def test_ice_validates_params(eps, code):
+    # The corrector divides by eps^2: an epsilon out of range is a ParamError,
+    # as in step_ap_1d, not a ZeroDivisionError.
+    st = FluidState1D(rho=np.ones(8), q=np.zeros(8))
+    with pytest.raises(ParamError) as err:
+        step_ice_1d(st, EOS2, SchemeParams(epsilon=eps), 0.01, 1 / 8)
+    assert err.value.code == code

@@ -14,6 +14,7 @@ import lowmach
 from lowmach import (
     EquationOfState,
     FluidState2D,
+    PositivityError,
     SchemeParams,
     assemble_dphi_2d,
     directional_speeds_2d,
@@ -287,3 +288,18 @@ def test_2d_path_does_not_load_scipy_linalg():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_2d_positivity_error_carries_index():
+    # 2D twin of test_positivity_error_carries_index: example3 at eps = 0.8
+    # with a large dt loses positivity at step 3; the cell is a tuple of
+    # Python ints and reads as such in the message.
+    grid = example3_grid(8, 8)
+    st = example3_state(grid, 0.8)
+    params = SchemeParams(epsilon=0.8, alpha=1.0)
+    with pytest.raises(PositivityError) as err:
+        for _ in range(20):
+            st, _ = step_ap_2d(st, example3_eos(), params, "reduced", 0.1, grid.dx, grid.dy)
+    assert err.value.index == (7, 6)
+    assert all(type(i) is int for i in err.value.index)
+    assert "density lost positivity at cell (7, 6)" in str(err.value)
