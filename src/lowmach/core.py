@@ -249,7 +249,7 @@ class SchemeParams:
 def validate_params(p: SchemeParams) -> None:
     """Raise :class:`ParamError` (with a stable ``code``) on the first
     violated invariant; return None when all hold."""
-    if not (np.isfinite(p.epsilon) and p.epsilon > 0.0):
+    if not (math.isfinite(p.epsilon) and p.epsilon > 0.0):
         raise ParamError("epsilon-not-positive", f"epsilon must be in (0, inf), got {p.epsilon}")
     # The steps divide by eps^2: it and 1/eps^2 must be finite and nonzero.
     # eps * eps overflows to inf where eps**2 would raise.
@@ -257,7 +257,7 @@ def validate_params(p: SchemeParams) -> None:
     if not (0.0 < eps2 < math.inf and 1.0 / eps2 < math.inf):
         raise ParamError("epsilon-scale-not-finite",
                          f"epsilon={p.epsilon} puts epsilon^2 or 1/epsilon^2 out of float range")
-    if not (np.isfinite(p.alpha) and p.alpha >= 0.0):
+    if not (math.isfinite(p.alpha) and p.alpha >= 0.0):
         raise ParamError("alpha-negative", f"alpha must be >= 0, got {p.alpha}")
     if p.alpha > 1.0 / p.epsilon**2:
         raise ParamError(

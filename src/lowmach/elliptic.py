@@ -12,14 +12,18 @@ pressure itself under the second difference).
 The linear operators, 1D and 2D, are one flux form at neighbour distance
 (stride) s: along each axis the flux between cells i and i+s is
 F_i = beta/(s h)^2 p'_{i+1} (rho_{i+s} - rho_i), and row i takes
-F_i - F_{i-s}.  The solves and the residual checks apply the same face
-coefficients.  Three 1D variants:
+F_i - F_{i-s}.  :meth:`EllipticCoefficients.faces` builds the face
+coefficients once per step, and the solve and the residual check apply the
+same read-only arrays.  Three 1D variants:
 
 * LD -- stride 1, one cyclic tridiagonal solve;
 * L  -- stride 2; even and odd cells decouple into two cyclic tridiagonal
   solves (cell count must be even);
 * NL -- nonlinear stride-2 system in p(rho), solved by Newton iteration
   with the exact power-law Jacobian, itself a stride-2 tridiagonal solve.
+
+Each 1D tridiagonal system is built through the trusted
+:meth:`PeriodicTridiagonalSystem._trusted` and checked by the solve.
 
 The 2D solves (wide stride-2 or reduced five-point stencil) run one
 conjugate-gradient iteration on the full grid, preconditioned by the
@@ -30,7 +34,7 @@ preconditioner is nearly exact, so a solve takes a few iterations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,29 +58,44 @@ _VARIANT_STRIDE = {"nl": 2, "l": 2, "ld": 1}
 
 @dataclass(frozen=True)
 class EllipticCoefficients:
-    """beta >= 0 and the per-cell mobility p'(rho^n) > 0."""
+    """beta >= 0 and the per-cell mobility p'(rho^n) > 0, held read-only.
+
+    :meth:`faces` builds the flux-form face coefficients once per stride
+    and spacings and hands the same read-only arrays to every later call,
+    so a step's solve and its residual check share them.
+    """
 
     beta: float
     mobility: np.ndarray
+    _faces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mob = np.asarray(self.mobility, dtype=float)
+        mob = np.array(self.mobility, dtype=float)
         if not (np.isfinite(self.beta) and self.beta >= 0.0):
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if (mob <= 0.0).any() or not np.isfinite(mob).all():
             raise ValueError("mobility must be strictly positive and finite")
+        mob.flags.writeable = False
         object.__setattr__(self, "mobility", mob)
 
     @classmethod
     def _of_step(cls, beta: float, mobility: np.ndarray) -> "EllipticCoefficients":
         """Coefficients of a time step, with beta >= 0 from valid parameters
-        and mobility p'(rho^n) of a valid density.  Either can still leave
-        float range: beta = (1 - alpha eps^2) dt^2 / eps^2 can overflow
-        (InstabilityError), and p' can underflow to 0 or overflow
-        (PositivityError naming the first such cell).  Both are numerical
-        failures of the step."""
+        and mobility p'(rho^n), a float array of a valid density that the
+        step owns and that is frozen here without a copy.  Either
+        can still leave float range: beta = (1 - alpha eps^2) dt^2 / eps^2
+        can overflow (InstabilityError), and p' can underflow to 0 or
+        overflow (PositivityError naming the first such cell).  Both are
+        numerical failures of the step."""
         if not math.isfinite(beta):
             raise InstabilityError(f"elliptic coefficient beta = {beta} is not finite")
+        if beta >= 0.0 and mobility.min() > 0.0 and mobility.max() < math.inf:
+            mobility.flags.writeable = False
+            coeff = object.__new__(cls)
+            object.__setattr__(coeff, "beta", beta)
+            object.__setattr__(coeff, "mobility", mobility)
+            object.__setattr__(coeff, "_faces", {})
+            return coeff
         try:
             return cls(beta=beta, mobility=mobility)
         except ValueError:
@@ -87,6 +106,19 @@ class EllipticCoefficients:
             raise PositivityError(
                 cell, f"mobility p'(rho) = {mobility[cell]:.3g} is not positive and finite "
                       f"at cell {cell}") from None
+
+    def faces(self, stride: int, spacings) -> tuple:
+        """Face coefficients beta/(s h)^2 p'_{i+1} of the stride-s flux form,
+        one read-only array per axis with h the spacing along that axis;
+        built on the first call for these ``stride`` and ``spacings``."""
+        key = (stride, *spacings)
+        faces = self._faces.get(key)
+        if faces is None:
+            faces = _face_coefficients(stride, self, spacings)
+            for face in faces:
+                face.flags.writeable = False
+            self._faces[key] = faces
+        return faces
 
 
 def beta_coefficient(epsilon: float, alpha: float, dt: float) -> float:
@@ -99,8 +131,7 @@ def beta_coefficient(epsilon: float, alpha: float, dt: float) -> float:
 # Flux-form operator, shared by the 1D and 2D linear solves
 
 def _face_coefficients(stride: int, coeff: EllipticCoefficients, spacings):
-    """Face coefficients beta/(s h)^2 p'_{i+1} of the flux form, one array per
-    axis, with h the spacing along that axis."""
+    """Builder of :meth:`EllipticCoefficients.faces`."""
     return tuple((coeff.beta / (stride * h) ** 2) * _shift(coeff.mobility, -1, axis)
                  for axis, h in enumerate(spacings))
 
@@ -123,11 +154,11 @@ def _solve_strided_tridiagonal(sub, diag, sup, rhs, stride: int, linear_tol: flo
     """Solve rows sub_i x_{i-s} + diag_i x_i + sup_i x_{i+s} = rhs_i (indices
     modulo the length): each residue class mod s is an independent cyclic
     tridiagonal system."""
+    trusted = PeriodicTridiagonalSystem._trusted
     out = np.empty_like(rhs)
     for p in range(stride):
-        sys = PeriodicTridiagonalSystem(sub=sub[p::stride], diag=diag[p::stride],
-                                        sup=sup[p::stride], rhs=rhs[p::stride])
-        out[p::stride] = solve_periodic_tridiagonal(sys, linear_tol=linear_tol)
+        sys = trusted(sub[p::stride], diag[p::stride], sup[p::stride], rhs[p::stride])
+        out[p::stride] = solve_periodic_tridiagonal(sys, linear_tol)
     return out
 
 
@@ -140,7 +171,7 @@ def _solve_linear_1d(dphi, coeff: EllipticCoefficients, dx: float, stride: int,
         raise UnsupportedGridError("stride-2 elliptic variant requires an even cell count")
     if coeff.beta == 0.0:
         return dphi.copy()
-    (face,) = _face_coefficients(stride, coeff, (dx,))
+    (face,) = coeff.faces(stride, (dx,))
     face_w = _shift(face, stride)
     # Constants lie in the diffusion operator's kernel: solving for the
     # deviation from dphi[0] keeps exactly-constant inputs exact fixed
@@ -244,7 +275,7 @@ def apply_elliptic_operator_1d(variant: str, rho, rho_n, coeff: EllipticCoeffici
     if variant not in _VARIANT_STRIDE:
         raise ValueError(f"unknown variant {variant!r}")
     stride = _VARIANT_STRIDE[variant]
-    return _flux_operator(rho, stride, _face_coefficients(stride, coeff, (dx,)))
+    return _flux_operator(rho, stride, coeff.faces(stride, (dx,)))
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +368,14 @@ def solve_elliptic_2d(rho_n, dphi, coeff: EllipticCoefficients, dx: float, dy: f
     ``stencil`` is "wide" (stride-2 in each direction, requires even cell
     counts) or "reduced" (5-point).  Both run one FFT-preconditioned CG on
     the full grid with the operator of ``apply_elliptic_operator_2d``.
-    Returns (rho, cg_iterations).
+    ``maxiter`` defaults to m1 m2, the number of unknowns: in exact
+    arithmetic CG converges within that many iterations, so a solve that
+    has not is stagnating.  Returns (rho, cg_iterations).
     """
     dphi = np.asarray(dphi, dtype=float)
     m1, m2 = dphi.shape
     if maxiter is None:
-        maxiter = 10 * m1 * m2
+        maxiter = m1 * m2
     if coeff.beta == 0.0:
         return dphi.copy(), 0
     stride = _stride(stencil)
@@ -353,7 +386,7 @@ def solve_elliptic_2d(rho_n, dphi, coeff: EllipticCoefficients, dx: float, dy: f
     shift = dphi.flat[0]
     rhs = dphi - shift
 
-    faces = _face_coefficients(stride, coeff, (dx, dy))
+    faces = coeff.faces(stride, (dx, dy))
     x, iters = _cg(lambda v: _flux_operator(v, stride, faces), rhs, rtol, maxiter,
                    _fft_preconditioner((m1, m2), stride, coeff, dx, dy))
     return x + shift, iters
@@ -365,4 +398,4 @@ def apply_elliptic_operator_2d(stencil: str, rho, coeff: EllipticCoefficients,
     for residual checks; the same operator the solve iterates on."""
     stride = _stride(stencil)
     return _flux_operator(np.asarray(rho, dtype=float), stride,
-                          _face_coefficients(stride, coeff, (dx, dy)))
+                          coeff.faces(stride, (dx, dy)))

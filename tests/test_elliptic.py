@@ -50,8 +50,19 @@ def dense_matrix_1d(variant, mob, beta, dx, m):
     return a
 
 
+def _ones_but(shape, cell, value):
+    mobility = np.ones(shape)
+    mobility[cell] = value
+    return mobility
+
+
 @pytest.mark.parametrize("mobility, cell", [(np.array([1.0, 1.0, 0.0, 0.0]), 2),
-                                           (np.array([1.0, np.inf, 1.0, 1.0]), 1)])
+                                           (np.array([1.0, np.inf, 1.0, 1.0]), 1),
+                                           (_ones_but(4, 3, np.nan), 3),
+                                           (_ones_but(4, 0, -0.0), 0),
+                                           (_ones_but(4, 2, -1.0), 2),
+                                           (_ones_but((3, 4), (1, 0), np.nan), (1, 0)),
+                                           (_ones_but((3, 4), (2, 3), 0.0), (2, 3))])
 def test_step_coefficients_name_the_bad_mobility_cell(mobility, cell):
     # Direct construction keeps rejecting bad input as ValueError; inside a
     # step the same mobility is a numerical failure that names the cell.
@@ -368,3 +379,30 @@ def test_2d_cg_vanishing_preconditioned_residual_reports_failure():
     params = SchemeParams(epsilon=eps, alpha=1 / eps**2)
     with pytest.raises(SolverFailureError, match="breakdown"):
         step_ap_2d(state, EquationOfState(1.0, 1.125), params, "reduced", 1.0, 0.25, 0.25)
+
+
+def test_2d_stagnating_solve_fails_within_the_unknown_count(monkeypatch):
+    # beta = 1e40 on a 10 x 10 wide stencil with mobility spread over two
+    # decades: CG stagnates near residual 1.  The default cap is m1 m2, the
+    # exact-arithmetic bound of CG; an explicit maxiter still sets the cap.
+    from lowmach import elliptic
+
+    rng = np.random.default_rng(0)
+    mob = 10 ** rng.uniform(-1, 1, (10, 10))
+    dphi = 1 + rng.random((10, 10))
+    coeff = EllipticCoefficients(beta=1e40, mobility=mob)
+    applied = []
+    operator = elliptic._flux_operator
+
+    def counting(*args):
+        applied.append(args)
+        return operator(*args)
+
+    monkeypatch.setattr(elliptic, "_flux_operator", counting)
+    with pytest.raises(SolverFailureError, match="in 100 iterations"):
+        solve_elliptic_2d(np.ones((10, 10)), dphi, coeff, 0.1, 0.1, stencil="wide")
+    assert len(applied) == 100
+    applied.clear()
+    with pytest.raises(SolverFailureError, match="in 300 iterations"):
+        solve_elliptic_2d(np.ones((10, 10)), dphi, coeff, 0.1, 0.1, stencil="wide", maxiter=300)
+    assert len(applied) == 300

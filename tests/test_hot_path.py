@@ -1,16 +1,23 @@
 """The hot path: the periodic shift that replaces np.roll, the
 validate-once contract of the 1D and 2D steppers and of the Newton solve,
-and the direct tridiagonal solve."""
+the face coefficients built once per step, the two-reduction checks, and
+the direct tridiagonal solve."""
 
+import os
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lowmach
 from lowmach import (
     EllipticCoefficients,
     EquationOfState,
     FluidState1D,
+    InstabilityError,
     InvalidStateError,
     NumericsError,
     PeriodicTridiagonalSystem,
@@ -27,8 +34,10 @@ from lowmach import (
     step_explicit_llf_1d,
     step_ice_1d,
 )
+from lowmach import elliptic
 from lowmach.core import _shift
 from lowmach.elliptic import _solve_strided_tridiagonal
+from lowmach.onedim import _check_new_density
 from lowmach.presets import (
     example1_eos,
     example1_grid,
@@ -281,3 +290,123 @@ def test_tridiagonal_solve_leaves_system_unchanged():
     for a, b in zip((sys_.sub, sys_.diag, sys_.sup, sys_.rhs), copies):
         assert np.array_equal(a, b)
     assert np.max(np.abs(sys_.dense() @ x - rhs)) <= 1e-12
+
+
+def test_tridiagonal_corner_fold_does_not_overflow():
+    # Face coefficients ~1e156 (eps = 1e-80): sup[-1] * sub[0] overflows,
+    # sup[-1] * (sub[0] / gamma) does not.  The solve must judge the folded
+    # system (here: numerically singular) without a float warning.
+    n = 10
+    face = np.full(n, 4e156)
+    sys_ = PeriodicTridiagonalSystem(sub=-face, diag=1.0 + 2.0 * face, sup=-face,
+                                     rhs=np.linspace(0.0, 1e-3, n))
+    with np.errstate(all="raise"), pytest.raises(SingularSystemError, match="singular"):
+        solve_periodic_tridiagonal(sys_)
+
+
+def test_trusted_tridiagonal_system_still_checks_size():
+    with pytest.raises(ValueError, match="N >= 3"):
+        PeriodicTridiagonalSystem._trusted(np.zeros(2), np.ones(2), np.zeros(2), np.ones(2))
+
+
+# ---------------------------------------------------------------------------
+# face coefficients: built once per step, shared read-only
+
+def _one_step(kind):
+    if kind in ("wide", "reduced"):
+        grid = example3_grid(16, 16)
+        state = example3_state(grid, 0.05)
+        return step_ap_2d(state, example3_eos(), SchemeParams(epsilon=0.05, alpha=1.0), kind,
+                          0.25 * grid.dx, grid.dx, grid.dy)
+    grid = example1_grid(100)
+    state = example1_state(grid, 0.3)
+    params = SchemeParams(epsilon=0.3, alpha=1.0, sigma=0.9)
+    if kind == "ice":
+        return step_ice_1d(state, example1_eos(), params, 0.3 * grid.dx, grid.dx)
+    return step_ap_1d(state, example1_eos(), params, kind, 0.3 * grid.dx, grid.dx)
+
+
+@pytest.mark.parametrize("kind", ["ld", "l", "ice", "wide", "reduced"])
+def test_step_builds_its_faces_once(kind, monkeypatch):
+    expected, expected_report = _one_step(kind)
+    built = []
+    builder = elliptic._face_coefficients
+
+    def counting(*args):
+        built.append(args[0])
+        return builder(*args)
+
+    monkeypatch.setattr(elliptic, "_face_coefficients", counting)
+    out, report = _one_step(kind)
+    assert len(built) == 1
+    assert report == expected_report and report.consistency_residual > 0.0
+    for name in out.__match_args__:
+        assert np.array_equal(getattr(out, name), getattr(expected, name))
+
+
+@pytest.mark.parametrize("spacings", [(0.1,), (0.1, 0.2)])
+def test_cached_faces_are_read_only_and_shared(spacings):
+    shape = (8,) if len(spacings) == 1 else (8, 6)
+    coeff = EllipticCoefficients(beta=0.5, mobility=1.0 + np.arange(np.prod(shape)).reshape(shape))
+    for stride in (1, 2):
+        faces = coeff.faces(stride, spacings)
+        assert coeff.faces(stride, spacings) is faces
+        assert len(faces) == len(spacings)
+        for axis, (face, h) in enumerate(zip(faces, spacings)):
+            assert not face.flags.writeable
+            with pytest.raises(ValueError):
+                face[0] = 1.0
+            expected = 0.5 / (stride * h) ** 2 * np.roll(coeff.mobility, -1, axis=axis)
+            assert np.array_equal(face, expected)
+    assert coeff.faces(1, spacings) is not coeff.faces(2, spacings)
+    # The faces are built from the mobility once, so it is read-only too: in
+    # a step's coefficients, and as a copy in the public constructor's.
+    mobility = np.ones(shape)
+    for held in (EllipticCoefficients(0.5, mobility).mobility,
+                 EllipticCoefficients._of_step(0.5, mobility).mobility):
+        with pytest.raises(ValueError):
+            held[0] = 2.0
+    assert EllipticCoefficients._of_step(0.5, mobility).mobility is mobility
+
+
+# ---------------------------------------------------------------------------
+# two-reduction checks keep their diagnoses
+
+@pytest.mark.parametrize("shape", [(6,), (4, 5)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_new_density_non_finite_is_instability(shape, value):
+    rho = np.ones(shape)
+    rho.flat[3] = value
+    with pytest.raises(InstabilityError, match="non-finite density"):
+        _check_new_density(rho)
+
+
+@pytest.mark.parametrize("shape", [(6,), (4, 5)])
+@pytest.mark.parametrize("value", [0.0, -0.0, -1e-300, -2.0])
+def test_new_density_non_positive_names_the_cell(shape, value):
+    rho = np.ones(shape)
+    rho.flat[3] = value
+    cell = 3 if len(shape) == 1 else (0, 3)
+    with pytest.raises(PositivityError) as err:
+        _check_new_density(rho)
+    assert err.value.index == cell and f"density lost positivity at cell {cell}" in str(err.value)
+    _check_new_density(np.full(shape, 5e-324))
+
+
+def test_scipy_linalg_loads_on_the_first_1d_solve():
+    code = textwrap.dedent("""
+        import sys
+        import lowmach
+        from lowmach.presets import example1_eos, example1_grid, example1_state
+        assert "scipy.linalg" not in sys.modules, "import lowmach loaded scipy.linalg"
+        grid = example1_grid(20)
+        params = lowmach.SchemeParams(epsilon=0.3, alpha=1.0)
+        lowmach.step_ap_1d(example1_state(grid, 0.3), example1_eos(), params, "ld",
+                           0.01, grid.dx)
+        assert "scipy.linalg" in sys.modules, "an ld step did not load scipy.linalg"
+    """)
+    src = str(Path(lowmach.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -557,3 +557,15 @@ def test_ice_validates_params(eps, code):
     with pytest.raises(ParamError) as err:
         step_ice_1d(st, EOS2, SchemeParams(epsilon=eps), 0.01, 1 / 8)
     assert err.value.code == code
+
+
+@pytest.mark.parametrize("eps, code", [(np.inf, "epsilon-not-positive"),
+                                       (1e-170, "epsilon-scale-not-finite")])
+def test_explicit_validates_params(eps, code):
+    # Like the other steppers, the explicit step rejects an epsilon that
+    # validate_params rejects: inf used to step, and 1e-170 (eps^2 = 0) ended
+    # as "non-finite momentum after step".
+    st = FluidState1D(rho=np.ones(8), q=np.zeros(8))
+    with pytest.raises(ParamError) as err:
+        step_explicit_llf_1d(st, EOS2, SchemeParams(epsilon=eps), 0.01, 1 / 8)
+    assert err.value.code == code
