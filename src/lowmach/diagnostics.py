@@ -115,6 +115,6 @@ def discrete_divergence_2d(state: FluidState2D, dx: float, dy: float) -> np.ndar
     """Centered divergence (q1_{i+1,j} - q1_{i-1,j})/(2dx) + (q2_{i,j+1} -
     q2_{i,j-1})/(2dy) per cell."""
     q1, q2 = state.q1, state.q2
-    div_x = (np.roll(q1, -1, axis=0) - np.roll(q1, 1, axis=0)) / (2.0 * dx)
-    div_y = (np.roll(q2, -1, axis=1) - np.roll(q2, 1, axis=1)) / (2.0 * dy)
+    div_x = (_shift(q1, -1, 0) - _shift(q1, 1, 0)) / (2.0 * dx)
+    div_y = (_shift(q2, -1, 1) - _shift(q2, 1, 1)) / (2.0 * dy)
     return div_x + div_y

@@ -295,7 +295,10 @@ def _cg(matvec, b, rtol, maxiter, precond):
     map ``precond``; returns (x, iters).
 
     The stopping test is on the unpreconditioned residual,
-    ||b - A x|| <= rtol ||b||, whatever the preconditioner.
+    ||b - A x|| <= rtol ||b||, whatever the preconditioner.  It is taken as
+    soon as the residual is updated, so the converged residual is never
+    preconditioned: a solve of ``iters`` iterations calls ``precond``
+    ``iters`` times.
     """
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
@@ -327,12 +330,14 @@ def _cg(matvec, b, rtol, maxiter, precond):
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
+        rr = float(np.vdot(r, r))
+        it += 1
+        if not rr > tol2:
+            break
         z = precond(r)
         rz_new = float(np.vdot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
-        rr = float(np.vdot(r, r))
-        it += 1
     return x, it
 
 

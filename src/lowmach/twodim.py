@@ -12,8 +12,13 @@ As in :func:`lowmach.onedim.step_ap_1d`, :func:`_explicit_terms` evaluates
 the explicit terms of rho^n once per step: p and p' (unchecked: the state's
 density is valid), the cell and interface speeds, and the eight flux and
 dissipation differences that the elliptic right-hand side differentiates
-once more and the momentum update sums.  The step ends through the 1D
-module's checked hand-off (:func:`lowmach.onedim._check_new_density`, then
+once more and the momentum update sums.  :func:`step_ap_2d` sums each
+momentum's explicit part before the solve and lets the eight terms and the
+interface speeds go, so the solve runs on a smaller working set.  Shifts
+are the two-slice :func:`lowmach.core._shift`, and each dissipation term
+takes one difference, its backward difference being the shift of the
+forward one.  The step ends through the 1D module's checked hand-off
+(:func:`lowmach.onedim._check_new_density`, then
 :func:`lowmach.onedim._finish_step`), as the three 1D steppers do.
 
 Expression groupings below deliberately pair x/y swap partners so that the
@@ -71,8 +76,8 @@ def _diss(u, a, h, axis):
     """(1/2)(A_{-1/2} D- - A_{+1/2} D+) u along ``axis``, with a[i] the speed
     at interface i+1/2: minus the LLF diffusion; it enters the updates with
     the flux-divergence sign."""
-    dm = (u - _shift(u, 1, axis)) / h
     dp = (_shift(u, -1, axis) - u) / h
+    dm = _shift(dp, 1, axis)
     return 0.5 * (_shift(a, 1, axis) * dm - a * dp)
 
 
@@ -139,6 +144,11 @@ def step_ap_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
     # p'(rho^n) is both the sound speed and the mobility.
     dp, cell_max, speeds, dflux, diss = _explicit_terms(state, eos, params.alpha, dx, dy)
     dphi = _dphi_from_terms(state, speeds, dflux, diss, dt, dx, dy, dphi2_literal)
+    # Each momentum's explicit part, summed now so that the solve runs
+    # without the interface speeds and the eight terms.
+    explicit1 = (dflux[0][0] + dflux[0][1]) + (diss[0][0] + diss[0][1])
+    explicit2 = (dflux[1][0] + dflux[1][1]) + (diss[1][0] + diss[1][1])
+    del speeds, dflux, diss
     beta = beta_coefficient(params.epsilon, params.alpha, dt)
     coeff = EllipticCoefficients._of_step(beta, dp)
     rho_new, cg_iters = solve_elliptic_2d(rho, dphi, coeff, dx, dy, stencil=stencil,
@@ -147,9 +157,8 @@ def step_ap_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
     _check_new_density(rho_new)
     p_new = eos._pressure(rho_new)
     c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
-    rhs1 = (dflux[0][0] + dflux[0][1]) + (diss[0][0] + diss[0][1]) + c * _dc(p_new, dx, 0)
-    rhs2 = (dflux[1][0] + dflux[1][1]) + (diss[1][0] + diss[1][1]) + c * _dc(p_new, dy, 1)
-    momenta = (state.q1 - dt * rhs1, state.q2 - dt * rhs2)
+    momenta = (state.q1 - dt * (explicit1 + c * _dc(p_new, dx, 0)),
+               state.q2 - dt * (explicit2 + c * _dc(p_new, dy, 1)))
     r_density = apply_elliptic_operator_2d(stencil, rho_new, coeff, dx, dy) - dphi
     return _finish_step(FluidState2D, rho_new, momenta, dx * dy, cell_max, r_density, dt,
                         linear_iters=cg_iters)

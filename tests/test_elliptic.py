@@ -406,3 +406,50 @@ def test_2d_stagnating_solve_fails_within_the_unknown_count(monkeypatch):
     with pytest.raises(SolverFailureError, match="in 300 iterations"):
         solve_elliptic_2d(np.ones((10, 10)), dphi, coeff, 0.1, 0.1, stencil="wide", maxiter=300)
     assert len(applied) == 300
+
+
+@pytest.mark.parametrize("stencil", ["wide", "reduced"])
+def test_2d_solve_preconditions_each_iteration_once(stencil, monkeypatch):
+    # CG tests the residual right after updating it, so the converged
+    # residual is never preconditioned: n iterations apply the
+    # preconditioner n times (not n + 1).
+    from lowmach import elliptic
+
+    rng = np.random.default_rng(3)
+    coeff = EllipticCoefficients(beta=0.05, mobility=0.5 + rng.random((16, 16)))
+    dphi = 1 + 0.3 * rng.standard_normal((16, 16))
+    build = elliptic._fft_preconditioner
+    calls = []
+
+    def counting_build(*args):
+        precond = build(*args)
+
+        def counting(r):
+            calls.append(1)
+            return precond(r)
+
+        return counting
+
+    monkeypatch.setattr(elliptic, "_fft_preconditioner", counting_build)
+    _, iters = solve_elliptic_2d(np.ones((16, 16)), dphi, coeff, 1 / 16, 1 / 16, stencil=stencil)
+    assert iters >= 2 and len(calls) == iters
+
+
+@pytest.mark.parametrize("eps, stencil, expected", [
+    (0.8, "reduced", [9, 9, 8, 8]),
+    (0.8, "wide", [7, 7, 7, 7]),
+    (0.005, "reduced", [3, 2, 2, 2]),
+    (0.005, "wide", [3, 2, 2, 2]),
+])
+def test_2d_cg_iteration_counts_are_pinned(eps, stencil, expected):
+    # example3 at 32^2, four steps: skipping the preconditioner on the
+    # converged residual leaves every solve's iteration count as it was.
+    grid = example3_grid(32, 32)
+    state = example3_state(grid, eps)
+    params = SchemeParams(epsilon=eps, alpha=1.0)
+    iters = []
+    for _ in range(4):
+        state, report = step_ap_2d(state, example3_eos(), params, stencil, 0.25 * grid.dx,
+                                   grid.dx, grid.dy)
+        iters.append(report.linear_iters)
+    assert iters == expected

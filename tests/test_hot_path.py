@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,26 @@ def test_shift_on_2d_and_empty_input_equals_roll():
     assert _shift(np.zeros(0), 1).shape == (0,)
 
 
+@pytest.mark.parametrize("layout", ["c", "transposed", "read-only"])
+@pytest.mark.parametrize("shape", [(4, 4), (3, 5), (6, 8)])
+def test_shift_2d_equals_roll_for_every_k(shape, layout):
+    x = np.random.default_rng(sum(shape)).standard_normal(shape)
+    if layout == "transposed":
+        x = np.random.default_rng(sum(shape)).standard_normal(shape[::-1]).T
+        assert not x.flags.c_contiguous
+    elif layout == "read-only":
+        x.flags.writeable = False
+    for axis in (0, 1):
+        n = shape[axis]
+        for k in range(-n - 1, n + 2):
+            shifted = _shift(x, k, axis)
+            assert np.array_equal(shifted, np.roll(x, k, axis=axis))
+            assert not np.shares_memory(shifted, x)
+    for empty in (np.zeros((0, 4)), np.zeros((4, 0))):
+        for axis in (0, 1):
+            assert _shift(empty, 1, axis).shape == empty.shape
+
+
 def _rolled(x, k, axis=0):
     return np.roll(x, k, axis=axis)
 
@@ -91,19 +112,40 @@ _STEPPERS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_STEPPERS))
+def _five_steps_2d(stencil, literal, alpha):
+    eps = 0.05
+    grid = example3_grid(16, 16)
+    eos, state = example3_eos(), example3_state(grid, eps)
+    params = SchemeParams(epsilon=eps, alpha=alpha, sigma=0.9)
+    reports = []
+    for _ in range(5):
+        state, report = step_ap_2d(state, eos, params, stencil, 0.25 * grid.dx, grid.dx,
+                                   grid.dy, literal)
+        reports.append(report)
+    return state, reports
+
+
+_ROLL_CASES = {name: partial(_twenty_steps, stepper) for name, stepper in _STEPPERS.items()}
+_ROLL_CASES.update({
+    f"ap2d_{stencil}_{'literal' if literal else 'symmetric'}_alpha{alpha:g}":
+        partial(_five_steps_2d, stencil, literal, alpha)
+    for stencil in ("reduced", "wide") for literal in (True, False) for alpha in (0.0, 1.0)})
+
+
+@pytest.mark.parametrize("name", sorted(_ROLL_CASES))
 def test_steps_bit_identical_to_np_roll(name, monkeypatch):
-    stepper = _STEPPERS[name]
-    fast_state, fast_reports = _twenty_steps(stepper)
+    run = _ROLL_CASES[name]
+    fast_state, fast_reports = run()
     patched = [mod for mod_name, mod in sys.modules.items()
                if mod_name.startswith("lowmach.") and vars(mod).get("_shift") is _shift]
     assert {m.__name__ for m in patched} >= {"lowmach.onedim", "lowmach.elliptic",
-                                            "lowmach.tridiag", "lowmach.diagnostics"}
+                                            "lowmach.tridiag", "lowmach.diagnostics",
+                                            "lowmach.twodim"}
     for mod in patched:
         monkeypatch.setattr(mod, "_shift", _rolled)
-    roll_state, roll_reports = _twenty_steps(stepper)
-    assert np.array_equal(fast_state.rho, roll_state.rho)
-    assert np.array_equal(fast_state.q, roll_state.q)
+    roll_state, roll_reports = run()
+    for field in fast_state.__match_args__:
+        assert np.array_equal(getattr(fast_state, field), getattr(roll_state, field))
     assert fast_reports == roll_reports
 
 

@@ -93,6 +93,36 @@ def test_reproduce_table1_smoke(tmp_path):
     assert header == "epsilon,max_lambda,dx,stable_dt,courant"
 
 
+def test_table1_takes_max_lambda_from_the_accepted_scan_trial(monkeypatch):
+    # The scan has already run the accepted trial at stable_dt; the row's
+    # max_lambda is that run's largest reported wave speed, and the run is
+    # not repeated.
+    from lowmach import SchemeParams
+    from lowmach.presets import example1_eos, example1_grid, example1_state
+
+    step = onedim.step_ap_1d
+    dts = []
+
+    def counting(*args):
+        dts.append(args[4])
+        return step(*args)
+
+    monkeypatch.setattr(onedim, "step_ap_1d", counting)
+    [row] = reproduce_table1([0.3], [1 / 50], variant="ld", t_final=0.05)
+    n_steps = int(np.ceil(0.05 / row["stable_dt"]))
+    assert dts.count(row["stable_dt"]) == n_steps
+
+    grid = example1_grid(50)
+    state = example1_state(grid, 0.3)
+    params = SchemeParams(epsilon=0.3, alpha=1.0, sigma=0.9)
+    max_lambda = 0.0
+    for _ in range(n_steps):
+        state, report = step(state, example1_eos(), params, "ld", row["stable_dt"], grid.dx)
+        max_lambda = max(max_lambda, report.max_wave_speed)
+    assert row["max_lambda"] == max_lambda
+    assert row["courant"] == max_lambda * row["stable_dt"] / grid.dx
+
+
 def test_reproduce_table2_identical_levels_ratio():
     # two identical refinement levels would give ratio exactly 1; emulate by
     # validating the ratio arithmetic on the emitted rows instead

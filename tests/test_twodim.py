@@ -303,3 +303,31 @@ def test_2d_positivity_error_carries_index():
     assert err.value.index == (7, 6)
     assert all(type(i) is int for i in err.value.index)
     assert "density lost positivity at cell (7, 6)" in str(err.value)
+
+
+@pytest.mark.parametrize("stencil", ["wide", "reduced"])
+def test_step_2d_peak_working_set(stencil):
+    # The step sums each momentum's explicit part before the solve and drops
+    # the interface speeds and the eight flux and dissipation terms: its
+    # traced peak is ~20 arrays of m1 m2 floats at 64^2 (~25.8 while the
+    # terms were held through the solve).
+    import tracemalloc
+
+    m = 64
+    grid = example3_grid(m, m)
+    eps = 0.005
+    args = (example3_state(grid, eps), example3_eos(), SchemeParams(epsilon=eps, alpha=1.0),
+            stencil, 0.2 * grid.dx, grid.dx, grid.dy)
+    step_ap_2d(*args)  # warm-up: nothing cached on a first call is counted
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        step_ap_2d(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert (peak - base) / (m * m * 8) < 23.0
