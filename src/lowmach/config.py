@@ -9,6 +9,7 @@ value is a config error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -204,8 +205,8 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"variant must be one of {_VARIANTS}, got {cfg.variant!r}")
     if cfg.stencil not in _STENCILS:
         raise ConfigError(f"stencil must be one of {_STENCILS}, got {cfg.stencil!r}")
-    if not cfg.t_final > 0.0:
-        raise ConfigError(f"t_final must be > 0, got {cfg.t_final}")
+    if not (cfg.t_final > 0.0 and math.isfinite(cfg.t_final)):
+        raise ConfigError(f"t_final must be finite and > 0, got {cfg.t_final}")
     for t in cfg.snapshot_times:
         if not (0.0 <= t <= cfg.t_final):
             raise ConfigError(f"snapshot time {t} outside [0, t_final={cfg.t_final}]")

@@ -18,21 +18,32 @@ pressure term of the momentum flux they pass it:
 Interface speeds always use old-time values.  All steppers are pure
 (state in, state out) and conservative under the periodic wrap.
 
+The kernel works on the periodic extension of each field by one cell on
+either side, x_{n-1}, x_0 ... x_{n-1}, x_0, made by one concatenation
+(:func:`_periodic`): p and p' are evaluated on the extended density, and
+every neighbour of the kernel and of the differences below is a slice view
+of an extension rather than a shifted copy.  The fluxes are computed in
+place, with the operands and order of the plain formulas, so they are the
+same floats.
+
 These three and :func:`lowmach.twodim.step_ap_2d` hand a step back the same
 way: :func:`_check_new_density` on the new density, then
 :func:`_finish_step`, which checks each new momentum, freezes the arrays
 into the state without a copy, and builds the one :class:`StepReport`.
+The checks ride on the sums the report needs: a valid field passes on its
+sum (and, for the density, its minimum), and only a field that fails them
+is searched for the error and the cell to report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import ceil
+from math import ceil, isfinite
 
 import numpy as np
 
-from .core import EquationOfState, FluidState1D, SchemeParams, _cell_index, _shift, validate_params
+from .core import EquationOfState, FluidState1D, SchemeParams, _cell_index, validate_params
 from .diagnostics import total_variation
 from .elliptic import (
     EllipticCoefficients,
@@ -70,40 +81,50 @@ class StepReport:
 
 def _check_new_density(rho_new):
     """First check of every stepper's output, 1D or 2D: the new density is
-    finite and positive, else the error names the lowest cell.  Two
-    reductions pass a valid density; NaN fails them and is diagnosed below."""
-    if rho_new.min() > 0.0 and rho_new.max() < np.inf:
-        return
+    finite and positive, else the error names the lowest cell.  Returns
+    ``rho_new.sum()``, the report's mass before the cell size.  A valid
+    density passes on its minimum and that sum: NaN and -inf fail the
+    first, +inf the second, and either is diagnosed below."""
+    total = rho_new.sum() if rho_new.min() > 0.0 else None
+    if total is not None and isfinite(total):
+        return total
     if not np.isfinite(rho_new).all():
         raise InstabilityError("non-finite density after step")
     if (rho_new <= 0.0).any():
         bad = _cell_index(rho_new.argmin(), rho_new.shape)
         raise PositivityError(bad, f"density lost positivity at cell {bad}")
+    # Finite and positive: only the sum overflowed.
+    return total
 
 
-def _finish_step(state_cls, rho_new, momenta, cell_size, cell_max, r_density, dt,
+def _finish_step(state_cls, rho_new, mass, momenta, cell_size, cell_max, r_density, dt,
                  newton_iters=0, linear_iters=0):
     """Hand-off of every stepper, 1D or 2D; returns (new_state, StepReport).
 
-    ``rho_new`` has passed :func:`_check_new_density`.  Each array of
-    ``momenta`` (q, or q1 and q2) must be finite.  The arrays are frozen
-    into a ``state_cls`` through its ``_trusted``.  The report's totals are
-    sums times ``cell_size`` (dx, or dx dy), its wave speed the max of
-    ``cell_max``, and its consistency_residual the max norm of ``r_density``
-    (0 for a step without a solve, ``r_density`` None).
+    ``rho_new`` has passed :func:`_check_new_density`, which returned its
+    sum ``mass``.  Each array of ``momenta`` (q, or q1 and q2) must be
+    finite: one whose sum is finite passes, any other is searched for a
+    non-finite entry.  The arrays are frozen into a ``state_cls`` through
+    its ``_trusted``.  The report's totals are sums times ``cell_size``
+    (dx, or dx dy), its wave speed the max of ``cell_max``, and its
+    consistency_residual the max norm of ``r_density`` (0 for a step
+    without a solve, ``r_density`` None).
     """
+    totals = []
     for q in momenta:
-        if not np.isfinite(q).all():
+        total = q.sum()
+        if not isfinite(total) and not np.isfinite(q).all():
             raise InstabilityError("non-finite momentum after step")
+        totals.append(total)
     report = StepReport(
         max_wave_speed=float(cell_max.max()),
-        mass_total=float(rho_new.sum() * cell_size),
-        momentum_total=float(momenta[0].sum() * cell_size),
+        mass_total=float(mass * cell_size),
+        momentum_total=float(totals[0] * cell_size),
         consistency_residual=0.0 if r_density is None else float(np.abs(r_density).max()),
         newton_iters=newton_iters,
         linear_iters=linear_iters,
         dt_used=dt,
-        momentum2_total=float(momenta[1].sum() * cell_size) if len(momenta) > 1 else 0.0,
+        momentum2_total=float(totals[1] * cell_size) if len(totals) > 1 else 0.0,
     )
     return state_cls._trusted(rho_new, *momenta), report
 
@@ -119,48 +140,80 @@ def interface_speed(lambda_cell_j, lambda_cell_j1):
     return np.maximum(lambda_cell_j, lambda_cell_j1)
 
 
+def _periodic(x):
+    """The periodic extension x_{n-1}, x_0 ... x_{n-1}, x_0 of a 1D field:
+    cell j sits at index j + 1."""
+    return np.concatenate((x[-1:], x, x[:1]))
+
+
 def _llf_fluxes(rho, q, sound, pressure_flux):
-    """LLF interface fluxes at j+1/2 for all j (index j holds j+1/2).
+    """LLF fluxes at the n+1 interfaces of the periodic extensions ``rho``
+    and ``q`` (n+2 cells); index k holds interface k-1/2, so index 0 and
+    index n are both the wrap interface.  ``sound`` and ``pressure_flux``
+    are given on the extension too, or as scalars.
 
     f1 = (q_j + q_{j+1})/2 - A/2 (rho_{j+1} - rho_j)
     f2 = (g_j + g_{j+1})/2 - A/2 (q_{j+1} - q_j),  g = rho u^2 + pressure_flux
 
     with A the larger of the cell speeds |u| + sound on either side.
-    Returns (f1, f2, cell speeds).
+    Returns (f1, f2, cell speeds of the n cells).
     """
     u = q / rho
-    cell_max = np.abs(u) + sound
-    a = interface_speed(cell_max, _shift(cell_max, -1))
-    g = q * u + pressure_flux
-    q_east = _shift(q, -1)
-    half_a = 0.5 * a
-    f1 = 0.5 * (q + q_east) - half_a * (_shift(rho, -1) - rho)
-    f2 = 0.5 * (g + _shift(g, -1)) - half_a * (q_east - q)
-    return f1, f2, cell_max
+    cell_max = np.abs(u)
+    cell_max += sound
+    half_a = interface_speed(cell_max[:-1], cell_max[1:])
+    half_a *= 0.5
+    g = np.multiply(q, u, out=u)
+    g += pressure_flux
+    f1 = q[:-1] + q[1:]
+    f1 *= 0.5
+    jump = rho[1:] - rho[:-1]
+    jump *= half_a
+    f1 -= jump
+    f2 = g[:-1] + g[1:]
+    f2 *= 0.5
+    np.subtract(q[1:], q[:-1], out=jump)
+    jump *= half_a
+    f2 -= jump
+    return f1, f2, cell_max[1:-1]
 
 
 def _ap_fluxes(state: FluidState1D, eos, alpha):
     """Explicit fluxes of the semi-implicit scheme: sound speed sqrt(alpha p')
     and the explicit pressure part alpha p.  Returns (f1, f2, cell speeds,
-    p'), the state's density having been validated by its constructor."""
-    dp = eos._pressure_derivative(state.rho)
-    return (*_llf_fluxes(state.rho, state.q, np.sqrt(alpha * dp), alpha * eos._pressure(state.rho)),
-            dp)
+    p' of the n cells), the state's density having been validated by its
+    constructor."""
+    rho = _periodic(state.rho)
+    dp = eos._pressure_derivative(rho)
+    f1, f2, cell_max = _llf_fluxes(rho, _periodic(state.q), np.sqrt(alpha * dp),
+                                   alpha * eos._pressure(rho))
+    return f1, f2, cell_max, dp[1:-1]
+
+
+def _difference(f):
+    """f_{j+1/2} - f_{j-1/2} of interface values in the layout of
+    :func:`_llf_fluxes`."""
+    return f[1:] - f[:-1]
 
 
 def _conservative_update(v, f, dt, dx):
     """v_j - dt/dx (f_{j+1/2} - f_{j-1/2})."""
-    return v - (dt / dx) * (f - _shift(f, 1))
+    d = _difference(f)
+    d *= dt / dx
+    return np.subtract(v, d, out=d)
 
 
 def _flux_derivative(f, dx):
     """Df_j = (f_{j+1/2} - f_{j-1/2}) / dx."""
-    return (f - _shift(f, 1)) / dx
+    d = _difference(f)
+    d /= dx
+    return d
 
 
 def _centered_difference(v):
     """v_{j+1} - v_{j-1}."""
-    return _shift(v, -1) - _shift(v, 1)
+    ext = _periodic(v)
+    return ext[2:] - ext[:-2]
 
 
 def llf_flux_pair(state: FluidState1D, eos: EquationOfState, alpha: float, j: int):
@@ -171,8 +224,8 @@ def llf_flux_pair(state: FluidState1D, eos: EquationOfState, alpha: float, j: in
     elliptic system.
     """
     f1, f2, _, _ = _ap_fluxes(state, eos, alpha)
-    j = j % state.m
-    return float(f1[j]), float(f2[j])
+    k = j % state.m + 1
+    return float(f1[k]), float(f2[k])
 
 
 def _dphi_from_fluxes(rho, f1, df2, dt, dx):
@@ -241,7 +294,7 @@ def step_ap_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
             newton_max_iter=params.newton_max_iter,
             linear_tol=params.linear_tol,
         )
-    _check_new_density(rho_new)
+    mass = _check_new_density(rho_new)
 
     p_new = eos._pressure(rho_new)
     c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
@@ -251,7 +304,7 @@ def step_ap_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
         r_density = _nl_operator(rho_new, p_new, beta, dx) - dphi
     else:
         r_density = apply_elliptic_operator_1d(variant.value, rho_new, rho, coeff, eos, dx) - dphi
-    return _finish_step(FluidState1D, rho_new, (q_new,), dx, cell_max, r_density, dt,
+    return _finish_step(FluidState1D, rho_new, mass, (q_new,), dx, cell_max, r_density, dt,
                         newton_iters=newton_iters)
 
 
@@ -264,14 +317,17 @@ def step_explicit_llf_1d(state: FluidState1D, eos: EquationOfState, params: Sche
         raise ValueError("dt must be positive")
     eps = params.epsilon
 
-    rho, q = state.rho, state.q
-    f1, f2, cell_max = _llf_fluxes(rho, q, np.sqrt(eos._pressure_derivative(rho)) / eps,
-                                   eos._pressure(rho) / eps**2)
-    rho_new = _conservative_update(rho, f1, dt, dx)
-    q_new = _conservative_update(q, f2, dt, dx)
+    rho = _periodic(state.rho)
+    sound = np.sqrt(eos._pressure_derivative(rho))
+    sound /= eps
+    pressure_flux = eos._pressure(rho)
+    pressure_flux /= eps**2
+    f1, f2, cell_max = _llf_fluxes(rho, _periodic(state.q), sound, pressure_flux)
+    rho_new = _conservative_update(state.rho, f1, dt, dx)
+    q_new = _conservative_update(state.q, f2, dt, dx)
 
-    _check_new_density(rho_new)
-    return _finish_step(FluidState1D, rho_new, (q_new,), dx, cell_max, None, dt)
+    mass = _check_new_density(rho_new)
+    return _finish_step(FluidState1D, rho_new, mass, (q_new,), dx, cell_max, None, dt)
 
 
 def step_ice_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
@@ -287,7 +343,7 @@ def step_ice_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
 
     rho, q = state.rho, state.q
     # The predictor system carries no pressure; its wave speeds are u alone.
-    f1, f2, cell_max = _llf_fluxes(rho, q, 0.0, 0.0)
+    f1, f2, cell_max = _llf_fluxes(_periodic(rho), _periodic(q), 0.0, 0.0)
     rho_star = _conservative_update(rho, f1, dt, dx)
     q_star = _conservative_update(q, f2, dt, dx)
     if not (np.isfinite(rho_star).all() and np.isfinite(q_star).all()):
@@ -295,11 +351,11 @@ def step_ice_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
 
     coeff = EllipticCoefficients._of_step(dt**2 / eps**2, eos._pressure_derivative(rho))
     rho_new = solve_elliptic_ld_1d(rho, rho_star, coeff, dx, params.linear_tol)
-    _check_new_density(rho_new)
+    mass = _check_new_density(rho_new)
 
     q_new = q_star - (dt / eps**2) * _centered_difference(eos._pressure(rho_new)) / (2.0 * dx)
     r_density = apply_elliptic_operator_1d("ld", rho_new, rho, coeff, eos, dx) - rho_star
-    return _finish_step(FluidState1D, rho_new, (q_new,), dx, cell_max, r_density, dt)
+    return _finish_step(FluidState1D, rho_new, mass, (q_new,), dx, cell_max, r_density, dt)
 
 
 def ap_stepper(variant):

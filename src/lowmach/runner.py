@@ -263,15 +263,19 @@ def _cells_for(dx) -> int:
 
 def _check_table_inputs(variant, eps_list, cell_counts, alpha, t_final) -> SchemeVariant:
     """Validate the inputs of a table or comparison run before any work
-    starts: each epsilon with ``alpha`` (sigma 0.9), each cell count for the
-    variant's elliptic solve, and t_final.  Raises :class:`ConfigError`;
-    returns the variant."""
+    starts: at least one epsilon and one cell count, each epsilon with
+    ``alpha`` (sigma 0.9), each cell count for the variant's elliptic solve,
+    and t_final.  Raises :class:`ConfigError`; returns the variant."""
     try:
         variant = _as_variant(variant)
     except ValueError:
         raise ConfigError(f"variant must be one of nl, l, ld, got {variant!r}") from None
-    if not t_final > 0.0:
-        raise ConfigError(f"t_final must be > 0, got {t_final}")
+    if not (t_final > 0.0 and np.isfinite(t_final)):
+        raise ConfigError(f"t_final must be finite and > 0, got {t_final}")
+    if not eps_list:
+        raise ConfigError("nothing to compute: the epsilon list is empty")
+    if not cell_counts:
+        raise ConfigError("nothing to compute: no grid (empty dx list, or refinement_levels < 1)")
     for m in cell_counts:
         check_solve_cells(m, variant.value)
     for eps in eps_list:

@@ -154,11 +154,11 @@ def step_ap_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
     rho_new, cg_iters = solve_elliptic_2d(rho, dphi, coeff, dx, dy, stencil=stencil,
                                           linear_tol=params.linear_tol)
 
-    _check_new_density(rho_new)
+    mass = _check_new_density(rho_new)
     p_new = eos._pressure(rho_new)
     c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
     momenta = (state.q1 - dt * (explicit1 + c * _dc(p_new, dx, 0)),
                state.q2 - dt * (explicit2 + c * _dc(p_new, dy, 1)))
     r_density = apply_elliptic_operator_2d(stencil, rho_new, coeff, dx, dy) - dphi
-    return _finish_step(FluidState2D, rho_new, momenta, dx * dy, cell_max, r_density, dt,
+    return _finish_step(FluidState2D, rho_new, mass, momenta, dx * dy, cell_max, r_density, dt,
                         linear_iters=cg_iters)

@@ -243,10 +243,14 @@ def test_cli_import_does_not_load_process_pool():
     # eps^2 underflows to 0; 1/eps^2 overflows
     ["--preset", "example1", "--epsilon", "1e-170", "--m", "20", "--dt", "0.001"],
     ["--preset", "example1", "--epsilon", "1e-160", "--m", "20", "--dt", "0.001"],
+    # a run that would never end
+    ["--preset", "example1", "--epsilon", "0.3", "--m", "20", "--dt", "0.001",
+     "--t-final", "inf"],
 ])
 def test_cli_run_invalid_config_exits_2(tmp_path, flags):
     out = tmp_path / "bad"
-    assert main(["run", *flags, "--t-final", "0.002", "--output-dir", str(out)]) == 2
+    # A --t-final in flags comes later and wins.
+    assert main(["run", "--t-final", "0.002", *flags, "--output-dir", str(out)]) == 2
     assert not out.exists()
 
 
@@ -263,6 +267,13 @@ def test_odd_m_allowed_where_no_stride2_solve_runs():
     ["compare-ice", "--epsilon", "0", "--dx", "0.05"],
     ["table2", "--epsilons", "0.8", "--levels", "1", "--variant", "xx"],
     ["table1", "--epsilons", "1e-170"],
+    ["table1", "--epsilons", "0.8", "--dxs", "0.1", "--t-final", "inf"],
+    ["compare-ice", "--epsilon", "0.3", "--dx", "0.1", "--t-final", "inf"],
+    # nothing to compute
+    ["table2", "--epsilons", "0.8", "--levels", "0"],
+    ["table2", "--epsilons", "0.8", "--levels", "-1"],
+    ["table1", "--epsilons", ","],
+    ["table1", "--epsilons", "0.8", "--dxs", ","],
 ])
 def test_cli_table_verbs_invalid_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"

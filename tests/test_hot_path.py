@@ -1,7 +1,8 @@
-"""The hot path: the periodic shift that replaces np.roll, the
-validate-once contract of the 1D and 2D steppers and of the Newton solve,
-the face coefficients built once per step, the two-reduction checks, and
-the direct tridiagonal solve."""
+"""The hot path: the periodic shift that replaces np.roll, the 1D LLF
+kernel on periodic extensions, the validate-once contract of the 1D and 2D
+steppers and of the Newton solve, the face coefficients built once per
+step, the hand-off checks folded into the report sums, and the direct
+tridiagonal solve."""
 
 import os
 import subprocess
@@ -35,14 +36,17 @@ from lowmach import (
     step_explicit_llf_1d,
     step_ice_1d,
 )
-from lowmach import elliptic
-from lowmach.core import _shift
+from lowmach import elliptic, llf_flux_pair, onedim
+from lowmach.core import FluidState2D, _shift
 from lowmach.elliptic import _solve_strided_tridiagonal
-from lowmach.onedim import _check_new_density
+from lowmach.onedim import _check_new_density, _finish_step, _periodic
 from lowmach.presets import (
     example1_eos,
     example1_grid,
     example1_state,
+    example2_eos,
+    example2_grid,
+    example2_state,
     example3_eos,
     example3_grid,
     example3_state,
@@ -92,9 +96,16 @@ def _rolled(x, k, axis=0):
     return np.roll(x, k, axis=axis)
 
 
-def _twenty_steps(stepper):
-    eos, grid = example1_eos(), example1_grid(100)
-    state = example1_state(grid, 0.3)
+_EXAMPLES_1D = {
+    "example1": (example1_eos, example1_grid, example1_state),
+    "example2": (example2_eos, example2_grid, example2_state),  # gamma = 1.4
+}
+
+
+def _twenty_steps(stepper, example="example1", m=100):
+    make_eos, make_grid, make_state = _EXAMPLES_1D[example]
+    eos, grid = make_eos(), make_grid(m)
+    state = make_state(grid, 0.3)
     params = SchemeParams(epsilon=0.3, alpha=1.0, sigma=0.9)
     reports = []
     for _ in range(20):
@@ -138,15 +149,102 @@ def test_steps_bit_identical_to_np_roll(name, monkeypatch):
     fast_state, fast_reports = run()
     patched = [mod for mod_name, mod in sys.modules.items()
                if mod_name.startswith("lowmach.") and vars(mod).get("_shift") is _shift]
-    assert {m.__name__ for m in patched} >= {"lowmach.onedim", "lowmach.elliptic",
-                                            "lowmach.tridiag", "lowmach.diagnostics",
-                                            "lowmach.twodim"}
+    # The 1D LLF kernel makes no shift; test_1d_kernel_equals_roll_formulas
+    # pins it.
+    assert {m.__name__ for m in patched} >= {"lowmach.elliptic", "lowmach.tridiag",
+                                            "lowmach.diagnostics", "lowmach.twodim"}
     for mod in patched:
         monkeypatch.setattr(mod, "_shift", _rolled)
     roll_state, roll_reports = run()
     for field in fast_state.__match_args__:
         assert np.array_equal(getattr(fast_state, field), getattr(roll_state, field))
     assert fast_reports == roll_reports
+
+
+# The 1D LLF kernel as it was written with np.roll on the n cells, fluxes
+# indexed j+1/2: the reference that the kernel on periodic extensions must
+# match bit for bit.
+
+def _roll_llf_fluxes(rho, q, sound, pressure_flux):
+    u = q / rho
+    cell_max = np.abs(u) + sound
+    a = np.maximum(cell_max, np.roll(cell_max, -1))
+    g = q * u + pressure_flux
+    q_east = np.roll(q, -1)
+    half_a = 0.5 * a
+    f1 = 0.5 * (q + q_east) - half_a * (np.roll(rho, -1) - rho)
+    f2 = 0.5 * (g + np.roll(g, -1)) - half_a * (q_east - q)
+    return f1, f2, cell_max
+
+
+def _roll_conservative_update(v, f, dt, dx):
+    return v - (dt / dx) * (f - np.roll(f, 1))
+
+
+def _roll_flux_derivative(f, dx):
+    return (f - np.roll(f, 1)) / dx
+
+
+def _roll_centered_difference(v):
+    return np.roll(v, -1) - np.roll(v, 1)
+
+
+# Layout adapters only: the steppers hand the kernel periodic extensions
+# (cell j at index j + 1) and read n+1 interface values (index k holds
+# k-1/2); the reference works on the n cells and n interfaces j+1/2.
+
+def _cells(x):
+    return x[1:-1] if np.ndim(x) else x
+
+
+def _reference_llf_fluxes(rho, q, sound, pressure_flux):
+    f1, f2, cell_max = _roll_llf_fluxes(_cells(rho), _cells(q), _cells(sound),
+                                        _cells(pressure_flux))
+    return np.concatenate((f1[-1:], f1)), np.concatenate((f2[-1:], f2)), cell_max
+
+
+_REFERENCE_KERNEL = {
+    "_llf_fluxes": _reference_llf_fluxes,
+    "_conservative_update": lambda v, f, dt, dx: _roll_conservative_update(v, f[1:], dt, dx),
+    "_flux_derivative": lambda f, dx: _roll_flux_derivative(f[1:], dx),
+    "_centered_difference": _roll_centered_difference,
+}
+
+_KERNEL_CASES = [(name, "example1", 100) for name in sorted(_STEPPERS)]
+_KERNEL_CASES += [(name, "example1", 101) for name in ("explicit_llf", "ice", "ap_ld")]
+_KERNEL_CASES += [(name, "example2", 100) for name in sorted(_STEPPERS)]
+
+
+@pytest.mark.parametrize("name, example, m", _KERNEL_CASES)
+def test_1d_kernel_equals_roll_formulas(name, example, m, monkeypatch):
+    fast_state, fast_reports = _twenty_steps(_STEPPERS[name], example, m)
+    # p and p' are evaluated on the extended density; each cell must get
+    # the value it gets on its own (gamma = 1.4 takes the non-integer power).
+    make_eos, make_grid, make_state = _EXAMPLES_1D[example]
+    eos = make_eos()
+    for rho in (make_state(make_grid(m), 0.3).rho, fast_state.rho):
+        assert np.array_equal(eos._pressure(_periodic(rho))[1:-1], eos._pressure(rho))
+        assert np.array_equal(eos._pressure_derivative(_periodic(rho))[1:-1],
+                              eos._pressure_derivative(rho))
+    for attr, reference in _REFERENCE_KERNEL.items():
+        monkeypatch.setattr(onedim, attr, reference)
+    roll_state, roll_reports = _twenty_steps(_STEPPERS[name], example, m)
+    assert np.array_equal(fast_state.rho, roll_state.rho)
+    assert np.array_equal(fast_state.q, roll_state.q)
+    assert fast_reports == roll_reports
+
+
+@pytest.mark.parametrize("example", sorted(_EXAMPLES_1D))
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_llf_flux_pair_equals_roll_formulas(example, alpha):
+    make_eos, make_grid, make_state = _EXAMPLES_1D[example]
+    m = 100
+    eos, state = make_eos(), make_state(make_grid(m), 0.3)
+    dp = eos.pressure_derivative(state.rho)
+    f1, f2, _ = _roll_llf_fluxes(state.rho, state.q, np.sqrt(alpha * dp),
+                                 alpha * eos.pressure(state.rho))
+    for j in (0, m - 1, -1, m):
+        assert llf_flux_pair(state, eos, alpha, j) == (float(f1[j % m]), float(f2[j % m]))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +522,7 @@ def test_new_density_non_finite_is_instability(shape, value):
 
 
 @pytest.mark.parametrize("shape", [(6,), (4, 5)])
-@pytest.mark.parametrize("value", [0.0, -0.0, -1e-300, -2.0])
+@pytest.mark.parametrize("value", [0.0, -0.0, -1e-300, -1.0, -2.0])
 def test_new_density_non_positive_names_the_cell(shape, value):
     rho = np.ones(shape)
     rho.flat[3] = value
@@ -433,6 +531,49 @@ def test_new_density_non_positive_names_the_cell(shape, value):
         _check_new_density(rho)
     assert err.value.index == cell and f"density lost positivity at cell {cell}" in str(err.value)
     _check_new_density(np.full(shape, 5e-324))
+
+
+@pytest.mark.parametrize("shape", [(6,), (4, 5)])
+def test_new_density_check_returns_the_sum(shape):
+    rho = np.random.default_rng(1).uniform(0.5, 2.0, shape)
+    assert _check_new_density(rho) == rho.sum()
+    # Finite and positive with an overflowing sum passes, as the hand-off
+    # always let it: the report carries mass_total = inf.
+    big = np.full(shape, 1e308)
+    with np.errstate(over="ignore"):
+        assert _check_new_density(big) == np.inf
+
+
+def _hand_off(momenta):
+    shape = momenta[0].shape
+    state_cls = FluidState1D if len(shape) == 1 else FluidState2D
+    rho = np.ones(shape)
+    return _finish_step(state_cls, rho, _check_new_density(rho), momenta, 0.5, np.ones(shape),
+                        None, 0.1)
+
+
+@pytest.mark.parametrize("shape", [(6,), (4, 5)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_momentum_is_instability(shape, value):
+    for which in range(len(shape)):
+        momenta = [np.zeros(shape) for _ in shape]
+        momenta[which].flat[3] = value
+        with pytest.raises(InstabilityError, match="non-finite momentum after step"):
+            _hand_off(tuple(momenta))
+
+
+@pytest.mark.parametrize("shape", [(6,), (4, 5)])
+def test_finite_momentum_with_overflowing_sum_completes(shape):
+    q = np.full(shape, 1e308)
+    q.flat[::2] = -1e308
+    q.flat[:3] = 1e308
+    momenta = (q,) * len(shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        state, report = _hand_off(momenta)
+    assert not np.isfinite(report.momentum_total)
+    for field, expected in zip(state.__match_args__[1:], momenta):
+        assert np.array_equal(getattr(state, field), expected)
+    assert report.mass_total == 0.5 * np.prod(shape)
 
 
 def test_scipy_linalg_loads_on_the_first_1d_solve():
