@@ -9,6 +9,10 @@ Verbs:
   against the predictor/corrector baseline;
 * ``sweep``        -- cartesian parameter product of runs, concurrently.
 
+The ``run`` and ``sweep`` flags are ``--config`` (a key=value file) and
+the config keys (``--t-final`` sets ``t_final``), whose values
+:func:`lowmach.config.build_config` parses and checks as a file's.
+
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 """
 
@@ -18,41 +22,23 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import parse_config_file
+from .config import _KEY_PARSERS, parse_config_file, parse_floats
 from .errors import ConfigError, NumericsError
 from . import runner
 
 
-def _parse_float_list(text):
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
-
-
-_RUN_FLAGS = (
-    ("--preset", str), ("--dimension", int), ("--lambda-coeff", float), ("--gamma", float),
-    ("--epsilon", float), ("--alpha", float), ("--sigma", float), ("--m", int),
-    ("--m1", int), ("--m2", int), ("--dt", float), ("--dt-policy", str),
-    ("--t-final", float), ("--stepper", str), ("--variant", str), ("--stencil", str),
-    ("--snapshot-times", str), ("--output-dir", str), ("--dphi2-literal", str),
-    ("--domain-a", float), ("--domain-b", float), ("--rho0", float), ("--q0", float),
-)
-
-
 def _add_run_flags(parser):
     parser.add_argument("--config", type=str, default=None, help="key=value config file")
-    for flag, typ in _RUN_FLAGS:
-        parser.add_argument(flag, type=typ, default=None)
+    for key in _KEY_PARSERS:
+        parser.add_argument("--" + key.replace("_", "-"), default=None)
 
 
 def _collect_raw(args) -> dict:
     raw = {}
     if args.config is not None:
         raw.update(parse_config_file(args.config))
-    for flag, _ in _RUN_FLAGS:
-        key = flag.lstrip("-").replace("-", "_")
-        value = getattr(args, key, None)
+    for key in _KEY_PARSERS:
+        value = getattr(args, key)
         if value is not None:
             raw[key] = value
     return raw
@@ -102,8 +88,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    eps = _parse_float_list(args.epsilons)
-    dxs = _parse_float_list(args.dxs)
+    eps = parse_floats("epsilons", args.epsilons)
+    dxs = parse_floats("dxs", args.dxs)
     rows = runner.reproduce_table1(eps, dxs, variant=args.variant,
                                    t_final=args.t_final, output_path=args.output)
     for r in rows:
@@ -114,7 +100,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_table2(args) -> int:
-    eps = _parse_float_list(args.epsilons)
+    eps = parse_floats("epsilons", args.epsilons)
     rows = runner.reproduce_table2(eps, refinement_levels=args.levels,
                                    variant=args.variant, output_path=args.output)
     for r in rows:

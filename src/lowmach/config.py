@@ -1,33 +1,48 @@
-"""Run configuration: the flat key=value config format and its validation.
+"""Run configuration: the flat key=value config format, and the one place
+where a run's inputs are checked.
 
 A config file is UTF-8 text, one ``key = value`` per line, ``#`` starts a
-comment, blank lines ignored, unknown keys rejected.  Command-line flags
-override file values.  Presets fix the equation of state, the domain and
+comment, blank lines ignored, unknown keys rejected.  The ``run`` and
+``sweep`` flags are the config keys; a flag's value is parsed as a file's
+is, and overrides it.  Presets fix the equation of state, the domain and
 the initial data; overriding a preset-fixed quantity with a contradictory
 value is a config error.
+
+A config is checked by building what it describes, with the constructors a
+run uses: an input that one of them rejects is a :class:`ConfigError`
+naming the keys it came from.  Only what no constructor checks is checked
+here: names, the run length, snapshot times, the 2D stepper and domain,
+and the cell counts of the elliptic solve.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .core import DtPolicy, EquationOfState, SchemeParams, validate_params
-from .elliptic import _VARIANT_STRIDE
+from .core import DtPolicy, EquationOfState, Grid1D, Grid2D, SchemeParams, validate_params
+from .elliptic import _STENCIL_STRIDE, _VARIANT_STRIDE
 from .errors import ConfigError, InvalidStateError, ParamError
-from .presets import PRESET_NAMES
+from .presets import (
+    PRESET_NAMES,
+    custom_state_1d,
+    custom_state_2d,
+    example1_state,
+    example2_state,
+    example3_state,
+)
 
 _STEPPERS = ("ap", "explicit_llf", "ice")
-_VARIANTS = ("nl", "l", "ld")
-_STENCILS = ("wide", "reduced")
 
-# Preset-fixed quantities: (dimension, lambda_coeff, gamma, domain_a, domain_b)
 _PRESET_FIXED = {
-    "example1": (1, 1.0, 2.0, 0.0, 1.0),
-    "example2": (1, 1.0, 1.4, -1.0, 1.0),
-    "example3": (2, 1.0, 2.0, 0.0, 1.0),
+    "example1": dict(dimension=1, lambda_coeff=1.0, gamma=2.0, domain_a=0.0, domain_b=1.0),
+    "example2": dict(dimension=1, lambda_coeff=1.0, gamma=1.4, domain_a=-1.0, domain_b=1.0),
+    "example3": dict(dimension=2, lambda_coeff=1.0, gamma=2.0, domain_a=0.0, domain_b=1.0),
 }
+_PRESET_STATES = {"example1": example1_state, "example2": example2_state,
+                  "example3": example3_state}
 
 
 @dataclass(frozen=True)
@@ -86,6 +101,14 @@ def _parse_int(key, raw):
         raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
 
 
+def parse_floats(key, raw) -> tuple:
+    """The numbers of the comma-separated ``raw``, empty parts skipped."""
+    try:
+        return tuple(float(part) for part in raw.split(",") if part.strip())
+    except ValueError:
+        raise ConfigError(f"{key}: expected comma-separated numbers, got {raw!r}") from None
+
+
 _KEY_PARSERS = {
     "preset": str,
     "dimension": _parse_int,
@@ -103,7 +126,7 @@ _KEY_PARSERS = {
     "stepper": str,
     "variant": str,
     "stencil": str,
-    "snapshot_times": str,
+    "snapshot_times": parse_floats,
     "output_dir": str,
     "dphi2_literal": _parse_bool,
     "domain_a": _parse_float,
@@ -134,35 +157,21 @@ def parse_config_file(path) -> dict:
 
 def build_config(raw: dict) -> RunConfig:
     """Turn raw (string or typed) key/values into a validated RunConfig."""
-    for key in raw:
-        if key not in _KEY_PARSERS:
-            raise ConfigError(f"unknown key {key!r}")
-
     values = {}
     for key, value in raw.items():
+        if key not in _KEY_PARSERS:
+            raise ConfigError(f"unknown key {key!r}")
         if isinstance(value, str) and _KEY_PARSERS[key] is not str:
-            values[key] = _KEY_PARSERS[key](key, value)
-        else:
-            values[key] = value
+            value = _KEY_PARSERS[key](key, value)
+        values[key] = value
 
     preset = values.get("preset", "example1")
     if preset not in PRESET_NAMES:
         raise ConfigError(f"unknown preset {preset!r}; choose one of {PRESET_NAMES}")
-
-    if preset in _PRESET_FIXED:
-        dim, lam, gam, dom_a, dom_b = _PRESET_FIXED[preset]
-        for key, fixed in (
-            ("dimension", dim),
-            ("lambda_coeff", lam),
-            ("gamma", gam),
-            ("domain_a", dom_a),
-            ("domain_b", dom_b),
-        ):
-            if key in values and values[key] != fixed:
-                raise ConfigError(
-                    f"{key}={values[key]} contradicts preset {preset} (fixed to {fixed})"
-                )
-            values[key] = fixed
+    for key, fixed in _PRESET_FIXED.get(preset, {}).items():
+        if key in values and values[key] != fixed:
+            raise ConfigError(f"{key}={values[key]} contradicts preset {preset} (fixed to {fixed})")
+        values[key] = fixed
 
     dt_kind = values.pop("dt_policy", None)
     dt_value = values.pop("dt", None)
@@ -180,14 +189,8 @@ def build_config(raw: dict) -> RunConfig:
         raise ConfigError(f"dt_policy must be fixed or adaptive, got {dt_kind!r}")
     values["dt_policy"] = policy
 
-    snap_raw = values.get("snapshot_times")
-    if snap_raw is not None and isinstance(snap_raw, str):
-        try:
-            values["snapshot_times"] = tuple(float(part) for part in snap_raw.split(",") if part.strip())
-        except ValueError:
-            raise ConfigError(f"snapshot_times: expected comma-separated numbers, got {snap_raw!r}") from None
-    elif snap_raw is not None:
-        values["snapshot_times"] = tuple(float(t) for t in snap_raw)
+    if "snapshot_times" in values:
+        values["snapshot_times"] = tuple(float(t) for t in values["snapshot_times"])
 
     cfg = RunConfig(**values)
     _validate_config(cfg)
@@ -197,27 +200,15 @@ def build_config(raw: dict) -> RunConfig:
 def _validate_config(cfg: RunConfig) -> None:
     if cfg.dimension not in (1, 2):
         raise ConfigError(f"dimension must be 1 or 2, got {cfg.dimension}")
-    if cfg.stepper not in _STEPPERS:
-        raise ConfigError(f"stepper must be one of {_STEPPERS}, got {cfg.stepper!r}")
+    _check_name("stepper", cfg.stepper, _STEPPERS)
+    _check_name("variant", cfg.variant, _VARIANT_STRIDE)
+    _check_name("stencil", cfg.stencil, _STENCIL_STRIDE)
     if cfg.dimension == 2 and cfg.stepper != "ap":
         raise ConfigError(f"2D runs support only the ap stepper, got {cfg.stepper!r}")
-    if cfg.variant not in _VARIANTS:
-        raise ConfigError(f"variant must be one of {_VARIANTS}, got {cfg.variant!r}")
-    if cfg.stencil not in _STENCILS:
-        raise ConfigError(f"stencil must be one of {_STENCILS}, got {cfg.stencil!r}")
-    if not (cfg.t_final > 0.0 and math.isfinite(cfg.t_final)):
-        raise ConfigError(f"t_final must be finite and > 0, got {cfg.t_final}")
+    check_t_final(cfg.t_final)
     for t in cfg.snapshot_times:
         if not (0.0 <= t <= cfg.t_final):
             raise ConfigError(f"snapshot time {t} outside [0, t_final={cfg.t_final}]")
-    if cfg.dimension == 1 and cfg.m < 1:
-        raise ConfigError(f"m must be positive, got {cfg.m}")
-    if cfg.dimension == 2 and (cfg.m1 < 4 or cfg.m2 < 4):
-        raise ConfigError(f"m1, m2 must be >= 4, got {cfg.m1}, {cfg.m2}")
-    if not cfg.domain_b > cfg.domain_a:
-        raise ConfigError("domain_b must exceed domain_a")
-    if cfg.preset == "custom" and not cfg.rho0 > 0.0:
-        raise ConfigError("custom preset requires rho0 > 0")
     if cfg.dimension == 2 and (cfg.domain_a, cfg.domain_b) != (0.0, 1.0):
         raise ConfigError("2D runs are on the unit square: domain_a, domain_b must be 0, 1")
     if cfg.dimension == 1 and cfg.stepper != "explicit_llf":
@@ -225,11 +216,55 @@ def _validate_config(cfg: RunConfig) -> None:
         check_solve_cells(cfg.m, cfg.variant if cfg.stepper == "ap" else "ld")
     if cfg.dimension == 2 and cfg.stencil == "wide" and (cfg.m1 % 2 or cfg.m2 % 2):
         raise ConfigError(f"wide stencil requires even m1, m2, got {cfg.m1}, {cfg.m2}")
-    try:
-        EquationOfState(lambda_coeff=cfg.lambda_coeff, gamma=cfg.gamma)
+    # The parameters first: a preset's initial state is built from epsilon.
+    with config_errors("epsilon, alpha, sigma, dt"):
         validate_params(scheme_params(cfg))
+    build_problem(cfg)
+
+
+def _check_name(key: str, value, names) -> None:
+    if value not in names:
+        raise ConfigError(f"{key} must be one of {tuple(names)}, got {value!r}")
+
+
+def check_t_final(t_final) -> None:
+    """Raise :class:`ConfigError` unless the run length ``t_final`` is finite
+    and > 0, as every verb requires."""
+    if not (t_final > 0.0 and math.isfinite(t_final)):
+        raise ConfigError(f"t_final must be finite and > 0, got {t_final}")
+
+
+@contextmanager
+def config_errors(keys: str):
+    """Re-raise an :class:`InvalidStateError` or :class:`ParamError` of the
+    block, a constructor's rule that an input broke, as a
+    :class:`ConfigError` naming the config ``keys`` the input came from."""
+    try:
+        yield
     except (InvalidStateError, ParamError) as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{exc} (from {keys})") from None
+
+
+def build_problem(cfg: RunConfig):
+    """(eos, grid, initial state) of a config that :func:`build_config`
+    returned, whose presets have fixed their equation of state and domain.
+    An input that a constructor rejects is a :class:`ConfigError`."""
+    with config_errors("lambda_coeff, gamma"):
+        eos = EquationOfState(lambda_coeff=cfg.lambda_coeff, gamma=cfg.gamma)
+    if cfg.dimension == 1:
+        with config_errors("domain_a, domain_b, m"):
+            grid = Grid1D(a=cfg.domain_a, b=cfg.domain_b, m=cfg.m)
+    else:
+        with config_errors("m1, m2"):
+            grid = Grid2D(m1=cfg.m1, m2=cfg.m2)
+    with config_errors("rho0, q0" if cfg.preset == "custom" else "epsilon"):
+        if cfg.preset != "custom":
+            state = _PRESET_STATES[cfg.preset](grid, cfg.epsilon)
+        elif cfg.dimension == 1:
+            state = custom_state_1d(grid, cfg.rho0, cfg.q0)
+        else:
+            state = custom_state_2d(grid, cfg.rho0, cfg.q0)
+    return eos, grid, state
 
 
 def check_solve_cells(m: int, variant: str) -> None:

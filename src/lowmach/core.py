@@ -70,8 +70,9 @@ class Grid1D:
     m: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.a) and np.isfinite(self.b) and self.b > self.a):
-            raise InvalidStateError("grid requires finite endpoints with b > a")
+        # b - a is not finite where an endpoint is not, or where it overflows.
+        if not (self.b > self.a and math.isfinite(self.b - self.a)):
+            raise InvalidStateError("grid requires b > a and a finite length b - a")
         if self.m < 1:
             raise InvalidStateError("grid requires at least one cell")
 

@@ -52,8 +52,9 @@ from .tridiag import PeriodicTridiagonalSystem, solve_periodic_tridiagonal
 # conservation identities survive the linear solve at the 1e-12 level.
 _CG_RTOL_CAP = 1e-13
 
-# Neighbour distance of each 1D variant's stencil.
+# Neighbour distance of each 1D variant's and each 2D stencil's operator.
 _VARIANT_STRIDE = {"nl": 2, "l": 2, "ld": 1}
+_STENCIL_STRIDE = {"wide": 2, "reduced": 1}
 
 
 @dataclass(frozen=True)
@@ -130,9 +131,19 @@ def beta_coefficient(epsilon: float, alpha: float, dt: float) -> float:
 # ---------------------------------------------------------------------------
 # Flux-form operator, shared by the 1D and 2D linear solves
 
+def _face_scale(beta: float, h2: float) -> float:
+    """beta / h2, with h2 = (s h)^2 of a stencil; InstabilityError where it is
+    not a finite number: the h2 of a valid grid can underflow to 0, and
+    beta / h2 can overflow."""
+    if h2 > 0.0 and beta / h2 < math.inf:
+        return beta / h2
+    raise InstabilityError(f"elliptic coefficient beta/(s h)^2 = {beta:.3g}/{h2:.3g} "
+                           f"is not finite")
+
+
 def _face_coefficients(stride: int, coeff: EllipticCoefficients, spacings):
     """Builder of :meth:`EllipticCoefficients.faces`."""
-    return tuple((coeff.beta / (stride * h) ** 2) * _shift(coeff.mobility, -1, axis)
+    return tuple(_face_scale(coeff.beta, (stride * h) ** 2) * _shift(coeff.mobility, -1, axis)
                  for axis, h in enumerate(spacings))
 
 
@@ -237,6 +248,7 @@ def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: Equation
     if m % 2 != 0:
         raise UnsupportedGridError("stride-2 elliptic variant requires an even cell count")
     beta = coeff.beta
+    b4 = _face_scale(beta, 4.0 * dx**2)
     if beta == 0.0:
         return dphi.copy(), 1
 
@@ -244,7 +256,6 @@ def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: Equation
     _check_newton_iterate(rho, "iterate")
     g = _nl_operator(rho, eos._pressure(rho), beta, dx) - dphi
     scale = max(1.0, float(np.abs(dphi).max()))
-    b4 = beta / (4.0 * dx**2)
     for it in range(1, newton_max_iter + 1):
         # Exact Jacobian of the power law, (I - b4 S2 diag(p'(rho))) with S2
         # the stride-2 second difference: p' sits at the stencil points of
@@ -283,11 +294,9 @@ def apply_elliptic_operator_1d(variant: str, rho, rho_n, coeff: EllipticCoeffici
 
 def _stride(stencil: str) -> int:
     """Neighbour distance of the 2D stencil: 1 (reduced) or 2 (wide)."""
-    if stencil == "reduced":
-        return 1
-    if stencil == "wide":
-        return 2
-    raise ValueError(f"unknown 2D stencil {stencil!r}")
+    if stencil not in _STENCIL_STRIDE:
+        raise ValueError(f"unknown 2D stencil {stencil!r}")
+    return _STENCIL_STRIDE[stencil]
 
 
 def _cg(matvec, b, rtol, maxiter, precond):

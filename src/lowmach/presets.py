@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import EquationOfState, FluidState1D, FluidState2D, Grid1D, Grid2D
-from .errors import ConfigError
 
 PRESET_NAMES = ("example1", "example2", "example3", "custom")
 
@@ -82,13 +81,9 @@ def example3_state(grid: Grid2D, epsilon: float) -> FluidState2D:
 
 
 def custom_state_1d(grid: Grid1D, rho0: float, q0: float) -> FluidState1D:
-    if not rho0 > 0.0:
-        raise ConfigError("custom preset requires rho0 > 0")
     return FluidState1D(rho=np.full(grid.m, rho0), q=np.full(grid.m, q0))
 
 
 def custom_state_2d(grid: Grid2D, rho0: float, q0: float) -> FluidState2D:
-    if not rho0 > 0.0:
-        raise ConfigError("custom preset requires rho0 > 0")
     shape = (grid.m1, grid.m2)
     return FluidState2D(rho=np.full(shape, rho0), q1=np.full(shape, q0), q2=np.full(shape, q0))

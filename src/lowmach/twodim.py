@@ -34,6 +34,7 @@ import numpy as np
 
 from .core import EquationOfState, FluidState2D, SchemeParams, _shift, validate_params
 from .elliptic import (
+    _STENCIL_STRIDE,
     EllipticCoefficients,
     apply_elliptic_operator_2d,
     beta_coefficient,
@@ -137,7 +138,7 @@ def step_ap_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
     validate_params(params)
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    if stencil not in ("wide", "reduced"):
+    if stencil not in _STENCIL_STRIDE:
         raise ValueError(f"unknown 2D stencil {stencil!r}")
 
     rho = state.rho

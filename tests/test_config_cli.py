@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import lowmach
-from lowmach.cli import main
-from lowmach.config import RunConfig, build_config, config_to_dict, parse_config_file
+from lowmach.cli import build_parser, main
+from lowmach.config import _KEY_PARSERS, RunConfig, build_config, config_to_dict, parse_config_file
 from lowmach.errors import ConfigError
 from lowmach import runner as runner_module
 from lowmach.runner import compare_ice, run_raw, run_sweep
@@ -246,12 +246,91 @@ def test_cli_import_does_not_load_process_pool():
     # a run that would never end
     ["--preset", "example1", "--epsilon", "0.3", "--m", "20", "--dt", "0.001",
      "--t-final", "inf"],
+    # inputs that only the constructors of the run reject
+    ["--preset", "custom", "--q0", "nan"],
+    ["--preset", "custom", "--rho0", "inf"],
+    ["--preset", "custom", "--domain-b", "inf"],
+    ["--preset", "custom", "--domain-a=-inf", "--domain-b", "0"],
+    ["--preset", "custom", "--domain-a=-1e308", "--domain-b", "1e308"],  # b - a overflows
+    ["--preset", "custom", "--dimension", "2", "--q0", "inf"],
+    ["--preset", "custom", "--m", "0", "--stepper", "explicit_llf"],
+    ["--preset", "custom", "--rho0", "0"],
+    ["--preset", "example1", "--epsilon", "1", "--alpha", "0"],  # density 1 - eps^2 = 0
 ])
-def test_cli_run_invalid_config_exits_2(tmp_path, flags):
+def test_cli_run_invalid_config_exits_2(tmp_path, capsys, flags):
     out = tmp_path / "bad"
     # A --t-final in flags comes later and wins.
     assert main(["run", "--t-final", "0.002", *flags, "--output-dir", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+@pytest.mark.parametrize("flags", [
+    ["--m", "abc"],
+    ["--m", "2.5"],
+    ["--dphi2-literal", "maybe"],
+    ["--epsilon", "x"],
+    ["--snapshot-times", "0.1,x"],
+])
+def test_cli_ill_typed_flag_exits_2(tmp_path, capsys, verb, flags):
+    # A flag's value is parsed as a config file's, so an ill-typed one is a
+    # config error that main returns, not an argparse exit.
+    out = tmp_path / "out"
+    where = (["--output-dir", str(out)] if verb == "run"
+             else ["--vary", "alpha=0,1", "--sweep-dir", str(out)])
+    assert main([verb, *flags, *where]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_flags_are_the_config_keys():
+    parser = build_parser()
+    for verb in ("run", "sweep"):
+        for key in _KEY_PARSERS:
+            args = parser.parse_args([verb, "--" + key.replace("_", "-"), "v"])
+            assert getattr(args, key) == "v"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--rho0", "1e308"],  # p'(rho0) overflows
+    ["--lambda-coeff", "1e308", "--rho0", "10"],
+])
+def test_cli_run_non_finite_cfl_speed_exits_3(tmp_path, capsys, flags):
+    # The adaptive dt of an infinite wave speed is 0: a numerical failure,
+    # and the run still writes its logs.
+    out = tmp_path / "cfl"
+    code = main(["run", "--preset", "custom", *flags, "--t-final", "0.01",
+                 "--output-dir", str(out)])
+    assert code == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == 3
+    assert "CFL wave speed inf" in manifest["message"]
+    assert "CFL wave speed inf" in capsys.readouterr().out
+    assert (out / "steps.csv").read_text().count("\n") == 1
+
+
+@pytest.mark.parametrize("variant,m", [("ld", "4"), ("l", "8"), ("nl", "8")])
+@pytest.mark.parametrize("dt", [[], ["--dt", "1e-310"]])
+def test_cli_run_face_coefficient_underflow_exits_3(tmp_path, variant, m, dt):
+    # dx = 1e-320/m is a valid grid spacing, but dx^2 underflows to 0, so
+    # beta/(s dx)^2 is no number: a numerical failure, not a ZeroDivisionError.
+    out = tmp_path / "tiny_dx"
+    code = main(["run", "--preset", "custom", "--domain-a", "0", "--domain-b", "1e-320",
+                 "--m", m, "--variant", variant, *dt, "--t-final", "0.01",
+                 "--output-dir", str(out)])
+    assert code == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == 3
+    assert "beta/(s h)^2" in manifest["message"]
+
+
+def test_explicit_run_on_a_tiny_grid_completes(tmp_path):
+    # Such a grid is valid: the explicit step needs no face coefficients.
+    code = main(["run", "--preset", "custom", "--domain-a", "0", "--domain-b", "1e-300",
+                 "--m", "4", "--stepper", "explicit_llf", "--dt", "1e-3", "--t-final", "0.002",
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 0
 
 
 def test_odd_m_allowed_where_no_stride2_solve_runs():
@@ -334,6 +413,15 @@ def test_cli_sweep_invalid_entry_exits_2_before_running(tmp_path):
                  "--dt", "0.002", "--t-final", "0.006", "--vary", "alpha=1,1000",
                  "--sweep-dir", str(sweep_dir)])
     assert code == 2
+    assert not sweep_dir.exists()
+
+
+def test_cli_sweep_entry_with_invalid_initial_state_exits_2_before_running(tmp_path, capsys):
+    sweep_dir = tmp_path / "sweep"
+    code = main(["sweep", "--preset", "custom", "--t-final", "0.01", "--vary", "q0=nan,0",
+                 "--sweep-dir", str(sweep_dir)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
     assert not sweep_dir.exists()
 
 

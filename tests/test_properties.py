@@ -1,5 +1,7 @@
 """The stepper contract as a property: on every valid input, each stepper
 returns a finite state with positive density, or raises a NumericsError.
+And the config boundary as one: ``build_config`` on any raw key/values
+either raises ConfigError or returns a config whose run can be built.
 
 Valid means what the public constructors and ``validate_params`` accept:
 any positive density, any equation of state, any epsilon down to 1e-154
@@ -7,11 +9,14 @@ with alpha in [0, 1/eps^2], any dt > 0.  The examples are generated
 deterministically (``derandomize``) and no example database is written.
 """
 
+import math
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lowmach import (
+    ConfigError,
     EquationOfState,
     FluidState1D,
     FluidState2D,
@@ -21,7 +26,11 @@ from lowmach import (
     step_ap_2d,
     step_explicit_llf_1d,
     step_ice_1d,
+    validate_params,
 )
+from lowmach.config import _KEY_PARSERS, _parse_float, _parse_int, build_config, scheme_params
+from lowmach.presets import PRESET_NAMES
+from lowmach.runner import build_problem
 
 STEPPERS_1D = ("nl", "l", "ld", "explicit_llf", "ice")
 STENCILS_2D = ("wide", "reduced")
@@ -89,3 +98,44 @@ def test_step_returns_valid_state_or_numerics_error(stepper, m, seed, eos, param
     assert np.isfinite(rho).all() and (rho > 0.0).all()
     for q in momenta:
         assert np.isfinite(q).all()
+
+
+# Raw config values: the extreme floats that have passed validation before
+# (nan, +-inf, +-1e308, subnormals), small integers, names, and bad strings.
+_EXTREME = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, 1e-320, 1e-160,
+            1e154, 1e-154, 0.01, 0.3, 1.0, 2.0)
+_BAD = ("", " ", "abc", "maybe", ",", "0,nan", "0.01,inf", "1e999", "-0", "2.5")
+_NAMES = {"preset": PRESET_NAMES, "stepper": ("ap", "ice", "explicit_llf"),
+          "variant": ("nl", "l", "ld"), "stencil": ("wide", "reduced"),
+          "dt_policy": ("fixed", "adaptive"), "dphi2_literal": ("true", "no"),
+          "snapshot_times": ("0", "0,0.01", ",0.1"), "output_dir": ("out",)}
+
+
+def _raw_value(key):
+    parse = _KEY_PARSERS[key]
+    if parse is _parse_int:
+        fit = st.integers(-3, 24).map(str)
+    elif parse is _parse_float:
+        # Library callers may pass a float key typed.
+        fit = st.sampled_from(_EXTREME).flatmap(lambda x: st.sampled_from((x, repr(x))))
+    else:
+        fit = st.sampled_from(_NAMES[key])
+    return st.one_of(fit, fit, fit, st.sampled_from(_BAD))
+
+
+_RAW_CONFIGS = st.lists(st.sampled_from(sorted(_KEY_PARSERS)), unique=True, max_size=6).flatmap(
+    lambda keys: st.fixed_dictionaries({key: _raw_value(key) for key in keys}))
+
+
+@example(raw={"preset": "custom", "q0": "nan"})
+@example(raw={"preset": "custom", "dimension": "2", "rho0": "inf"})
+@example(raw={"preset": "example1", "epsilon": "1", "alpha": "0"})
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(raw=_RAW_CONFIGS)
+def test_build_config_returns_a_buildable_run_or_raises_config_error(raw):
+    try:
+        cfg = build_config(raw)
+    except ConfigError:
+        return
+    build_problem(cfg)
+    validate_params(scheme_params(cfg))
