@@ -11,7 +11,9 @@ Verbs:
 
 The ``run`` and ``sweep`` flags are ``--config`` (a key=value file) and
 the config keys (``--t-final`` sets ``t_final``), whose values
-:func:`lowmach.config.build_config` parses and checks as a file's.
+:func:`lowmach.config.build_config` parses and checks as a file's.  The
+table verbs' flags are parsed by the same value parsers, so every value
+that does not parse is a config error (exit 2) that :func:`main` returns.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 """
@@ -22,7 +24,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import _KEY_PARSERS, parse_config_file, parse_floats
+from .config import _KEY_PARSERS, _parse_float, _parse_int, parse_config_file, parse_floats
 from .errors import ConfigError, NumericsError
 from . import runner
 
@@ -56,20 +58,20 @@ def build_parser():
     p_t1.add_argument("--epsilons", type=str, default="0.8,0.3,0.05")
     p_t1.add_argument("--dxs", type=str, default="0.01,0.005,0.0025,0.00125")
     p_t1.add_argument("--variant", type=str, default="ld")
-    p_t1.add_argument("--t-final", type=float, default=0.1)
+    p_t1.add_argument("--t-final", default="0.1")
     p_t1.add_argument("--output", type=str, default="table1.csv")
 
     p_t2 = sub.add_parser("table2", help="convergence/error table")
     p_t2.add_argument("--epsilons", type=str, default="0.8,0.05")
-    p_t2.add_argument("--levels", type=int, default=5)
+    p_t2.add_argument("--levels", default="5")
     p_t2.add_argument("--variant", type=str, default="ld")
     p_t2.add_argument("--output", type=str, default="table2.csv")
 
     p_ice = sub.add_parser("compare-ice", help="oscillation comparison vs the ICE baseline")
-    p_ice.add_argument("--epsilon", type=float, required=True)
-    p_ice.add_argument("--dx", type=float, default=0.005)
-    p_ice.add_argument("--dt", type=float, default=5e-5)
-    p_ice.add_argument("--t-final", type=float, default=0.01)
+    p_ice.add_argument("--epsilon", required=True)
+    p_ice.add_argument("--dx", default="0.005")
+    p_ice.add_argument("--dt", default="5e-5")
+    p_ice.add_argument("--t-final", default="0.01")
     p_ice.add_argument("--output-dir", type=str, default="out")
 
     p_sweep = sub.add_parser("sweep", help="cartesian parameter product of runs")
@@ -90,8 +92,9 @@ def _cmd_run(args) -> int:
 def _cmd_table1(args) -> int:
     eps = parse_floats("epsilons", args.epsilons)
     dxs = parse_floats("dxs", args.dxs)
+    t_final = _parse_float("t_final", args.t_final)
     rows = runner.reproduce_table1(eps, dxs, variant=args.variant,
-                                   t_final=args.t_final, output_path=args.output)
+                                   t_final=t_final, output_path=args.output)
     for r in rows:
         print(f"eps={r['epsilon']:g} dx={r['dx']:g} stable_dt={r['stable_dt']:.6g} "
               f"max_lambda={r['max_lambda']:.3g} courant={r['courant']:.3g}")
@@ -101,7 +104,8 @@ def _cmd_table1(args) -> int:
 
 def _cmd_table2(args) -> int:
     eps = parse_floats("epsilons", args.epsilons)
-    rows = runner.reproduce_table2(eps, refinement_levels=args.levels,
+    levels = _parse_int("levels", args.levels)
+    rows = runner.reproduce_table2(eps, refinement_levels=levels,
                                    variant=args.variant, output_path=args.output)
     for r in rows:
         print(f"eps={r['epsilon']:g} dx={r['dx']:g} e_rho={r['e_rho']:.4g} "
@@ -111,7 +115,8 @@ def _cmd_table2(args) -> int:
 
 
 def _cmd_compare_ice(args) -> int:
-    result = runner.compare_ice(args.epsilon, args.dx, args.dt, args.t_final,
+    result = runner.compare_ice(*(_parse_float(key, getattr(args, key))
+                                  for key in ("epsilon", "dx", "dt", "t_final")),
                                 output_dir=args.output_dir)
     print(f"TV(rho): ap={result['tv_rho_ap']:.6g} ice={result['tv_rho_ice']:.6g}")
     print(f"TV(q):   ap={result['tv_q_ap']:.6g} ice={result['tv_q_ice']:.6g}")

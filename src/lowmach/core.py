@@ -75,6 +75,9 @@ class Grid1D:
             raise InvalidStateError("grid requires b > a and a finite length b - a")
         if self.m < 1:
             raise InvalidStateError("grid requires at least one cell")
+        # (b - a) / m underflows to 0 where b - a is a few subnormals.
+        if not self.dx > 0.0:
+            raise InvalidStateError("grid requires a cell size (b - a) / m > 0")
 
     @property
     def dx(self) -> float:
@@ -125,6 +128,14 @@ def _shift(x, k, axis=0):
         k %= x.shape[1]
         return np.concatenate((x[:, -k:], x[:, :-k]), axis=1)
     return np.roll(x, k, axis=axis)
+
+
+def _periodic(x, width=1):
+    """The periodic extension of a 1D field by ``width`` <= len(x) cells on
+    either side, x_{n-w} ... x_{n-1}, x_0 ... x_{n-1}, x_0 ... x_{w-1}, made
+    by one concatenation: cell j sits at index j + width, and its neighbour
+    at distance s <= width is a slice view."""
+    return np.concatenate((x[-width:], x, x[:width]))
 
 
 def _cell_index(flat: int, shape):

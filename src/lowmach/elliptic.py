@@ -21,6 +21,12 @@ same read-only arrays.  Three 1D variants:
   solves (cell count must be even);
 * NL -- nonlinear stride-2 system in p(rho), solved by Newton iteration
   with the exact power-law Jacobian, itself a stride-2 tridiagonal solve.
+  Each iterate is extended by two cells on either side with one
+  concatenation (:func:`lowmach.core._periodic`); p and p' are evaluated on
+  the extension, and the Jacobian bands and the neighbours of the residual
+  G are slice views of it.  A solve that ends on its G test leaves that
+  iterate's p and G in the step's coefficients, and the step reads them
+  back (:func:`_nl_pressure_and_residual`) instead of evaluating them again.
 
 Each 1D tridiagonal system is built through the trusted
 :meth:`PeriodicTridiagonalSystem._trusted` and checked by the solve.
@@ -38,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EquationOfState, _cell_index, _shift
+from .core import EquationOfState, _cell_index, _periodic, _shift
 from .errors import (
     InstabilityError,
     NewtonDivergenceError,
@@ -63,12 +69,13 @@ class EllipticCoefficients:
 
     :meth:`faces` builds the flux-form face coefficients once per stride
     and spacings and hands the same read-only arrays to every later call,
-    so a step's solve and its residual check share them.
+    so a step's solve and its residual check share them.  The same per-step
+    cache carries the ``nl`` Newton solve's last p and G to the step.
     """
 
     beta: float
     mobility: np.ndarray
-    _faces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mob = np.array(self.mobility, dtype=float)
@@ -95,7 +102,7 @@ class EllipticCoefficients:
             coeff = object.__new__(cls)
             object.__setattr__(coeff, "beta", beta)
             object.__setattr__(coeff, "mobility", mobility)
-            object.__setattr__(coeff, "_faces", {})
+            object.__setattr__(coeff, "_cache", {})
             return coeff
         try:
             return cls(beta=beta, mobility=mobility)
@@ -113,12 +120,12 @@ class EllipticCoefficients:
         one read-only array per axis with h the spacing along that axis;
         built on the first call for these ``stride`` and ``spacings``."""
         key = (stride, *spacings)
-        faces = self._faces.get(key)
+        faces = self._cache.get(key)
         if faces is None:
             faces = _face_coefficients(stride, self, spacings)
             for face in faces:
                 face.flags.writeable = False
-            self._faces[key] = faces
+            self._cache[key] = faces
         return faces
 
 
@@ -212,9 +219,14 @@ def solve_elliptic_l_1d(rho_n, dphi, coeff: EllipticCoefficients, dx: float,
     return _solve_linear_1d(dphi, coeff, dx, 2, linear_tol)
 
 
-def _nl_operator(rho, p, beta: float, dx: float) -> np.ndarray:
-    """rho - beta (p_{j+2} - 2 p_j + p_{j-2}) / (4 dx^2), periodic, for p = p(rho)."""
-    return rho - beta * ((_shift(p, -2) - 2.0 * p + _shift(p, 2)) / (4.0 * dx**2))
+def _nl_operator(rho, p_ext, beta: float, dx: float) -> np.ndarray:
+    """rho - beta (p_{j+2} - 2 p_j + p_{j-2}) / (4 dx^2), periodic, for
+    ``p_ext`` p(rho) on the two-cell periodic extension of rho."""
+    out = p_ext[4:] - 2.0 * p_ext[2:-2]
+    out += p_ext[:-4]
+    out /= 4.0 * dx**2
+    out *= beta
+    return np.subtract(rho, out, out=out)
 
 
 def _check_newton_iterate(rho, what: str):
@@ -239,8 +251,11 @@ def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: Equation
     by Newton iteration started from rho_n.  Returns (rho, iterations).
 
     Each iterate is checked once (positive and finite, else PositivityError)
-    and p, p' and G are then evaluated once on it, unchecked; the G of the
-    convergence test is the next Newton step's right-hand side.
+    and extended once by two cells on either side; p, p' and G are then
+    evaluated once on it, unchecked, and the G of the convergence test is
+    the next Newton step's right-hand side.  When that test accepts the
+    iterate, its p (on the extension) and G stay in ``coeff``'s cache for
+    :func:`_nl_pressure_and_residual`.
     """
     rho_n = np.asarray(rho_n, dtype=float)
     dphi = np.asarray(dphi, dtype=float)
@@ -252,24 +267,30 @@ def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: Equation
     if beta == 0.0:
         return dphi.copy(), 1
 
-    rho = rho_n.copy()
+    rho = rho_n
     _check_newton_iterate(rho, "iterate")
-    g = _nl_operator(rho, eos._pressure(rho), beta, dx) - dphi
+    ext = _periodic(rho, 2)
+    g = _nl_operator(rho, eos._pressure(ext), beta, dx)
+    g -= dphi
     scale = max(1.0, float(np.abs(dphi).max()))
     for it in range(1, newton_max_iter + 1):
         # Exact Jacobian of the power law, (I - b4 S2 diag(p'(rho))) with S2
         # the stride-2 second difference: p' sits at the stencil points of
         # the current iterate, and even/odd cells still decouple.
-        dp = eos._pressure_derivative(rho)
-        delta = _solve_strided_tridiagonal(-b4 * _shift(dp, 2), 1.0 + 2.0 * b4 * dp,
-                                           -b4 * _shift(dp, -2), -g, 2, linear_tol)
+        dp = eos._pressure_derivative(ext)
+        delta = _solve_strided_tridiagonal(-b4 * dp[:-4], 1.0 + 2.0 * b4 * dp[2:-2],
+                                           -b4 * dp[4:], -g, 2, linear_tol)
         rho = rho + delta
         if np.abs(delta).max() <= newton_tol:
             _check_newton_iterate(rho, "solution")
             return rho, it
         _check_newton_iterate(rho, "iterate")
-        g = _nl_operator(rho, eos._pressure(rho), beta, dx) - dphi
+        ext = _periodic(rho, 2)
+        p = eos._pressure(ext)
+        g = _nl_operator(rho, p, beta, dx)
+        g -= dphi
         if np.abs(g).max() <= newton_tol * scale:
+            coeff._cache["nl"] = (rho, p, g)
             return rho, it
     raise NewtonDivergenceError(
         f"Newton did not converge in {newton_max_iter} iterations "
@@ -277,12 +298,28 @@ def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: Equation
     )
 
 
+def _nl_pressure_and_residual(rho, dphi, coeff: EllipticCoefficients, eos: EquationOfState,
+                              dx: float):
+    """(p on the two-cell periodic extension of ``rho``, G(rho)) for the
+    solution ``rho`` of :func:`solve_elliptic_nl_1d` with these ``dphi``,
+    ``coeff``, ``eos`` and ``dx``, its density checked: the arrays of the
+    solve's last G test when that test accepted ``rho``, else evaluated
+    here as the solve evaluates them."""
+    last = coeff._cache.get("nl")
+    if last is not None and last[0] is rho:
+        return last[1], last[2]
+    p = eos._pressure(_periodic(rho, 2))
+    g = _nl_operator(rho, p, coeff.beta, dx)
+    g -= dphi
+    return p, g
+
+
 def apply_elliptic_operator_1d(variant: str, rho, rho_n, coeff: EllipticCoefficients,
                                eos: EquationOfState, dx: float) -> np.ndarray:
     """Left-hand side of the variant's elliptic equation, for residual checks."""
     rho = np.asarray(rho, dtype=float)
     if variant == "nl":
-        return _nl_operator(rho, eos.pressure(rho), coeff.beta, dx)
+        return _nl_operator(rho, eos.pressure(_periodic(rho, 2)), coeff.beta, dx)
     if variant not in _VARIANT_STRIDE:
         raise ValueError(f"unknown variant {variant!r}")
     stride = _VARIANT_STRIDE[variant]

@@ -20,11 +20,13 @@ Interface speeds always use old-time values.  All steppers are pure
 
 The kernel works on the periodic extension of each field by one cell on
 either side, x_{n-1}, x_0 ... x_{n-1}, x_0, made by one concatenation
-(:func:`_periodic`): p and p' are evaluated on the extended density, and
-every neighbour of the kernel and of the differences below is a slice view
-of an extension rather than a shifted copy.  The fluxes are computed in
-place, with the operands and order of the plain formulas, so they are the
-same floats.
+(:func:`lowmach.core._periodic`): p and p' are evaluated on the extended
+density, and every neighbour of the kernel and of the differences below is
+a slice view of an extension rather than a shifted copy.  The fluxes are
+computed in place, with the operands and order of the plain formulas, so
+they are the same floats.  The ``nl`` step takes p(rho^{n+1}) and the
+residual of the density row from the Newton solve where its last G test
+accepted the new density, and evaluates them otherwise.
 
 These three and :func:`lowmach.twodim.step_ap_2d` hand a step back the same
 way: :func:`_check_new_density` on the new density, then
@@ -39,15 +41,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import ceil, isfinite
+from math import ceil, inf, isfinite
 
 import numpy as np
 
-from .core import EquationOfState, FluidState1D, SchemeParams, _cell_index, validate_params
+from .core import (EquationOfState, FluidState1D, SchemeParams, _cell_index, _periodic,
+                   validate_params)
 from .diagnostics import total_variation
 from .elliptic import (
     EllipticCoefficients,
-    _nl_operator,
+    _nl_pressure_and_residual,
     apply_elliptic_operator_1d,
     beta_coefficient,
     solve_elliptic_l_1d,
@@ -140,12 +143,6 @@ def interface_speed(lambda_cell_j, lambda_cell_j1):
     return np.maximum(lambda_cell_j, lambda_cell_j1)
 
 
-def _periodic(x):
-    """The periodic extension x_{n-1}, x_0 ... x_{n-1}, x_0 of a 1D field:
-    cell j sits at index j + 1."""
-    return np.concatenate((x[-1:], x, x[:1]))
-
-
 def _llf_fluxes(rho, q, sound, pressure_flux):
     """LLF fluxes at the n+1 interfaces of the periodic extensions ``rho``
     and ``q`` (n+2 cells); index k holds interface k-1/2, so index 0 and
@@ -197,9 +194,13 @@ def _difference(f):
 
 
 def _conservative_update(v, f, dt, dx):
-    """v_j - dt/dx (f_{j+1/2} - f_{j-1/2})."""
+    """v_j - dt/dx (f_{j+1/2} - f_{j-1/2}); InstabilityError where dt/dx
+    overflows, as it can on a valid grid with a tiny dx."""
+    ratio = dt / dx
+    if not ratio < inf:
+        raise InstabilityError(f"dt/dx = {dt:.3g}/{dx:.3g} is not finite")
     d = _difference(f)
-    d *= dt / dx
+    d *= ratio
     return np.subtract(v, d, out=d)
 
 
@@ -240,8 +241,9 @@ def assemble_dphi_1d(state: FluidState1D, eos: EquationOfState, params: SchemePa
     return _dphi_from_fluxes(state.rho, f1, _flux_derivative(f2, dx), dt, dx)
 
 
-def _momentum_from_fluxes(q, df2, p_new, coeff_c, dt, dx):
-    return q - dt * df2 - coeff_c * (dt / (2.0 * dx)) * _centered_difference(p_new)
+def _momentum_from_fluxes(q, df2, p_jump, coeff_c, dt, dx):
+    """The momentum update, with ``p_jump`` p(rho^{n+1})_{j+1} - p(rho^{n+1})_{j-1}."""
+    return q - dt * df2 - coeff_c * (dt / (2.0 * dx)) * p_jump
 
 
 def momentum_update_1d(state_n: FluidState1D, rho_np1, eos: EquationOfState,
@@ -251,8 +253,8 @@ def momentum_update_1d(state_n: FluidState1D, rho_np1, eos: EquationOfState,
     rho_np1 = np.asarray(rho_np1, dtype=float)
     _, f2, _, _ = _ap_fluxes(state_n, eos, params.alpha)
     c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
-    return _momentum_from_fluxes(state_n.q, _flux_derivative(f2, dx), eos.pressure(rho_np1),
-                                 c, dt, dx)
+    return _momentum_from_fluxes(state_n.q, _flux_derivative(f2, dx),
+                                 _centered_difference(eos.pressure(rho_np1)), c, dt, dx)
 
 
 def _as_variant(variant) -> SchemeVariant:
@@ -296,14 +298,15 @@ def step_ap_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
         )
     mass = _check_new_density(rho_new)
 
-    p_new = eos._pressure(rho_new)
-    c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
-    q_new = _momentum_from_fluxes(q, df2, p_new, c, dt, dx)
-
     if variant is SchemeVariant.NL:
-        r_density = _nl_operator(rho_new, p_new, beta, dx) - dphi
+        # p on the two-cell extension of rho^{n+1}, and G(rho^{n+1}).
+        p_new, r_density = _nl_pressure_and_residual(rho_new, dphi, coeff, eos, dx)
+        p_jump = p_new[3:-1] - p_new[1:-3]
     else:
+        p_jump = _centered_difference(eos._pressure(rho_new))
         r_density = apply_elliptic_operator_1d(variant.value, rho_new, rho, coeff, eos, dx) - dphi
+    c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
+    q_new = _momentum_from_fluxes(q, df2, p_jump, c, dt, dx)
     return _finish_step(FluidState1D, rho_new, mass, (q_new,), dx, cell_max, r_density, dt,
                         newton_iters=newton_iters)
 

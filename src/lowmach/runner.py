@@ -3,6 +3,10 @@ table-reproduction commands.
 
 Exit statuses (also used by the CLI): 0 success, 2 config error, 3
 numerical failure (instability / positivity / solver), 4 I/O error.
+
+Every CSV value is written as ``%.17g``.  A run builds its snapshot format
+once, with the grid columns already formatted into it, so each snapshot
+formats only the density and the momenta.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .config import (RunConfig, build_config, build_problem, check_solve_cells, check_t_final,
                      config_errors, config_to_dict, scheme_params)
-from .core import (DtPolicy, FluidState1D, FluidState2D, Grid1D, Grid2D, SchemeParams,
+from .core import (DtPolicy, FluidState1D, FluidState2D, Grid2D, SchemeParams,
                    validate_params)
 from .diagnostics import _sample_indices, relative_l2_error, total_variation
 from .elliptic import _VARIANT_STRIDE
@@ -69,24 +73,38 @@ def _write_text(path: Path, text: str):
     path.write_text(text, encoding="utf-8")
 
 
+def _values(columns) -> tuple:
+    """The values of the equal-length ``columns``, row by row."""
+    return tuple(np.column_stack(columns).ravel().tolist())
+
+
 def _write_csv(path: Path, header: str, columns):
     """One row per index of the equal-length ``columns``, every value in
     the same ``%.17g`` form as :func:`_fmt`: the bytes of
     ``np.savetxt(fmt="%.17g")``, formatted in one pass."""
-    table = np.column_stack(columns)
-    n, k = table.shape
-    row = ",".join(["%.17g"] * k) + "\n"
-    path.write_bytes((header + "\n" + (row * n) % tuple(table.ravel().tolist())).encode())
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    path.write_bytes((header + "\n" + row * len(columns[0]) % _values(columns)).encode())
 
 
-def _snapshot_csv_1d(path: Path, grid: Grid1D, state):
-    _write_csv(path, "x,rho,q", (grid.cell_centers(), state.rho, state.q))
+def _snapshot_writer(grid):
+    """Writer ``(path, state)`` of the snapshot CSVs of a run on ``grid``:
+    x,rho,q in 1D, x,y,rho,q1,q2 in 2D, with the bytes of
+    :func:`_write_csv`.  The grid columns are formatted into the format
+    once, here; a snapshot formats only its state's fields."""
+    if isinstance(grid, Grid2D):
+        coords = [v.ravel() for v in np.meshgrid(*grid.cell_centers(), indexing="ij")]
+        header, names = "x,y", ("rho", "q1", "q2")
+    else:
+        coords, header, names = [grid.cell_centers()], "x", ("rho", "q")
+    # "%%.17g" comes out of the coordinates' pass as a field's "%.17g".
+    row = ",".join(["%.17g"] * len(coords) + ["%%.17g"] * len(names)) + "\n"
+    fmt = ",".join((header, *names)) + "\n" + row * len(coords[0]) % _values(coords)
 
+    def write(path: Path, state):
+        fields = [getattr(state, name).ravel() for name in names]
+        path.write_bytes((fmt % _values(fields)).encode())
 
-def _snapshot_csv_2d(path: Path, grid: Grid2D, state):
-    x, y = np.meshgrid(*grid.cell_centers(), indexing="ij")
-    _write_csv(path, "x,y,rho,q1,q2",
-               [v.ravel() for v in (x, y, state.rho, state.q1, state.q2)])
+    return write
 
 
 def _max_speed(stepper: str, eos, state, params) -> float:
@@ -131,7 +149,7 @@ def run(cfg: RunConfig) -> RunResult:
     eos, grid, state = build_problem(cfg)
     params = scheme_params(cfg)
     stepper = _make_stepper(cfg, grid)
-    snapshot = _snapshot_csv_2d if cfg.dimension == 2 else _snapshot_csv_1d
+    snapshot = _snapshot_writer(grid)
 
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -144,7 +162,7 @@ def run(cfg: RunConfig) -> RunResult:
     def write_snapshot(st):
         nonlocal snap_index
         name = f"snapshot_{snap_index:03d}.csv"
-        snapshot(out_dir / name, grid, st)
+        snapshot(out_dir / name, st)
         outputs.append(name)
         snap_index += 1
 
@@ -172,6 +190,11 @@ def run(cfg: RunConfig) -> RunResult:
                     if not dt > 0.0:
                         raise InstabilityError(f"CFL wave speed {speed:.3g} gives the adaptive "
                                                f"time step dt = {dt:.3g}")
+            if cfg.t_final - dt == cfg.t_final:
+                # Such a step cannot move t near t_final: the run would
+                # never end.
+                raise InstabilityError(f"time step dt = {dt:.3g} cannot advance t to "
+                                       f"t_final = {cfg.t_final:.6g}")
             next_event = snapshots[0] if snapshots else cfg.t_final
             dt = min(dt, next_event - t, cfg.t_final - t)
             state, report = stepper(state, eos, params, dt)

@@ -8,7 +8,9 @@ one call of LAPACK ``dgtsv`` with two right-hand sides.
 The 1D elliptic solves build their systems through
 :meth:`PeriodicTridiagonalSystem._trusted`, which skips the public
 constructor's conversions and keeps only its N >= 3 check; the solve itself
-checks every system the same way.
+checks every system the same way.  The residual check applies the system
+with :meth:`PeriodicTridiagonalSystem.matvec`, which takes both neighbours
+of each unknown from one periodic extension of x.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _shift
+from .core import _periodic
 from .errors import SingularSystemError
 
 # Near-zero threshold for the Sherman-Morrison denominator; a vanishing
@@ -81,7 +83,13 @@ class PeriodicTridiagonalSystem:
         return self.diag.shape[0]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.sub * _shift(x, 1) + self.diag * x + self.sup * _shift(x, -1)
+        """sub x_{i-1} + diag x_i + sup x_{i+1}, the neighbours slice views of
+        one periodic extension of x."""
+        ext = _periodic(x)
+        out = self.sub * ext[:-2]
+        out += self.diag * x
+        out += self.sup * ext[2:]
+        return out
 
     def dense(self) -> np.ndarray:
         """Dense matrix form, for oracle comparisons on small N."""
@@ -147,7 +155,9 @@ def solve_periodic_tridiagonal(sys: PeriodicTridiagonalSystem, linear_tol: float
         raise SingularSystemError("cyclic system is numerically singular")
     x = yz[:, 0] - yz[:, 1] * (vy / denom)
 
-    resid = np.abs(sys.matvec(x) - rhs).max()
+    r = sys.matvec(x)
+    r -= rhs
+    resid = np.abs(r, out=r).max()
     rhs_scale = np.abs(rhs).max()
     if rhs_scale > 0.0 and resid > linear_tol * rhs_scale:
         raise SingularSystemError(

@@ -256,6 +256,7 @@ def test_cli_import_does_not_load_process_pool():
     ["--preset", "custom", "--m", "0", "--stepper", "explicit_llf"],
     ["--preset", "custom", "--rho0", "0"],
     ["--preset", "example1", "--epsilon", "1", "--alpha", "0"],  # density 1 - eps^2 = 0
+    ["--preset", "custom", "--domain-b", "5e-324", "--m", "4", "--dt", "1e-3"],  # dx = 0
 ])
 def test_cli_run_invalid_config_exits_2(tmp_path, capsys, flags):
     out = tmp_path / "bad"
@@ -311,18 +312,76 @@ def test_cli_run_non_finite_cfl_speed_exits_3(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize("variant,m", [("ld", "4"), ("l", "8"), ("nl", "8")])
-@pytest.mark.parametrize("dt", [[], ["--dt", "1e-310"]])
+@pytest.mark.parametrize("dt", [["--dt", "1e-13"], ["--dt", "2e-13"]])
 def test_cli_run_face_coefficient_underflow_exits_3(tmp_path, variant, m, dt):
     # dx = 1e-320/m is a valid grid spacing, but dx^2 underflows to 0, so
     # beta/(s dx)^2 is no number: a numerical failure, not a ZeroDivisionError.
+    # Both dt advance t_final and keep dt/dx finite, so the step reaches the
+    # face coefficients; the adaptive dt of this grid cannot advance t_final
+    # (test_cli_run_dt_that_cannot_advance_t_final_exits_3).
     out = tmp_path / "tiny_dx"
     code = main(["run", "--preset", "custom", "--domain-a", "0", "--domain-b", "1e-320",
-                 "--m", m, "--variant", variant, *dt, "--t-final", "0.01",
+                 "--m", m, "--variant", variant, *dt, "--t-final", "2e-12",
                  "--output-dir", str(out)])
     assert code == 3
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == 3
     assert "beta/(s h)^2" in manifest["message"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--variant", "ld"],
+    ["--variant", "nl", "--m", "8"],
+    ["--dt", "1e-310"],
+])
+def test_cli_run_dt_that_cannot_advance_t_final_exits_3(tmp_path, capsys, flags):
+    # t_final - dt == t_final: the step cannot move t near t_final, so the
+    # run would never end; it fails before its first step, with steps.csv
+    # and the manifest written.
+    out = tmp_path / "stuck"
+    code = main(["run", "--preset", "custom", "--domain-a", "0", "--domain-b", "1e-320",
+                 "--m", "4", "--t-final", "0.01", *flags, "--output-dir", str(out)])
+    assert code == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == 3
+    assert "cannot advance t to t_final" in manifest["message"]
+    assert "cannot advance" in capsys.readouterr().out
+    assert (out / "steps.csv").read_text().count("\n") == 1
+
+
+def test_cli_run_explicit_cfl_step_below_t_final_resolution_exits_3(tmp_path):
+    # A valid run whose CFL dt (~1e-301) is far below the resolution of
+    # t_final: it used to run for ever.
+    out = tmp_path / "stuck"
+    proc = subprocess.run(
+        [sys.executable, "-m", "lowmach.cli", "run", "--preset", "custom",
+         "--domain-b", "1e-300", "--m", "4", "--stepper", "explicit_llf",
+         "--t-final", "0.01", "--output-dir", str(out)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(Path(lowmach.__file__).parents[1]),
+                 PYTHONWARNINGS="error::RuntimeWarning"))
+    assert proc.returncode == 3, proc.stderr
+    assert "cannot advance t to t_final" in proc.stdout
+    assert json.loads((out / "manifest.json").read_text())["status"] == 3
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flags", [
+    ["--dt", "1e-3"],
+    ["--stepper", "ice"],
+    ["--stepper", "explicit_llf", "--dt", "1e-3"],
+])
+def test_cli_run_dt_over_dx_overflow_exits_3(tmp_path, capsys, flags):
+    # dx = 2.5e-321: dt/dx overflows, and a zero flux difference times it
+    # would be an invalid float operation.  The ice run's wave speed is 0,
+    # so its dt is t_final.
+    out = tmp_path / "tiny_dx"
+    code = main(["run", "--preset", "custom", "--domain-a", "0", "--domain-b", "1e-320",
+                 "--m", "4", *flags, "--output-dir", str(out)])
+    assert code == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == 3
+    assert "dt/dx" in manifest["message"] and "is not finite" in manifest["message"]
 
 
 def test_explicit_run_on_a_tiny_grid_completes(tmp_path):
@@ -353,6 +412,14 @@ def test_odd_m_allowed_where_no_stride2_solve_runs():
     ["table2", "--epsilons", "0.8", "--levels", "-1"],
     ["table1", "--epsilons", ","],
     ["table1", "--epsilons", "0.8", "--dxs", ","],
+    # ill-typed: parsed by config's value parsers, not by argparse
+    ["compare-ice", "--epsilon", "x"],
+    ["compare-ice", "--epsilon", "0.3", "--dx", "x"],
+    ["compare-ice", "--epsilon", "0.3", "--dt", "1e-3x"],
+    ["compare-ice", "--epsilon", "0.3", "--t-final", "abc"],
+    ["table1", "--t-final", "abc"],
+    ["table2", "--levels", "x"],
+    ["table2", "--levels", "2.5"],
 ])
 def test_cli_table_verbs_invalid_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"

@@ -1,8 +1,8 @@
 """The hot path: the periodic shift that replaces np.roll, the 1D LLF
-kernel on periodic extensions, the validate-once contract of the 1D and 2D
-steppers and of the Newton solve, the face coefficients built once per
-step, the hand-off checks folded into the report sums, and the direct
-tridiagonal solve."""
+kernel and the nl Newton loop on periodic extensions, the validate-once
+contract of the 1D and 2D steppers and of the Newton solve, the face
+coefficients built once per step, the hand-off checks folded into the
+report sums, and the direct tridiagonal solve."""
 
 import os
 import subprocess
@@ -149,10 +149,11 @@ def test_steps_bit_identical_to_np_roll(name, monkeypatch):
     fast_state, fast_reports = run()
     patched = [mod for mod_name, mod in sys.modules.items()
                if mod_name.startswith("lowmach.") and vars(mod).get("_shift") is _shift]
-    # The 1D LLF kernel makes no shift; test_1d_kernel_equals_roll_formulas
-    # pins it.
-    assert {m.__name__ for m in patched} >= {"lowmach.elliptic", "lowmach.tridiag",
-                                            "lowmach.diagnostics", "lowmach.twodim"}
+    # The 1D LLF kernel, the Newton loop and the tridiagonal residual make
+    # no shift; test_1d_kernel_equals_roll_formulas and the np.roll Newton
+    # oracle below pin them.
+    assert {m.__name__ for m in patched} >= {"lowmach.elliptic", "lowmach.diagnostics",
+                                            "lowmach.twodim"}
     for mod in patched:
         monkeypatch.setattr(mod, "_shift", _rolled)
     roll_state, roll_reports = run()
@@ -403,6 +404,128 @@ def test_newton_non_finite_input_is_a_numerics_error(where):
     assert not isinstance(err.value, InvalidStateError)
     if isinstance(err.value, PositivityError):
         assert err.value.index == 5 and "cell 5" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# Newton on a two-cell periodic extension: bit for bit the np.roll loop
+
+def _roll_newton(rho_n, dphi, coeff, eos, dx, newton_tol=1e-12, newton_max_iter=50,
+                 linear_tol=1e-11):
+    """The Newton loop as written with np.roll neighbours in G and in the
+    Jacobian bands; returns (rho, iterations, iterates, exit), with exit
+    "delta" or "G" for the test that accepted rho."""
+    def residual(r):
+        p = eos._pressure(r)
+        return r - coeff.beta * ((np.roll(p, -2) - 2.0 * p + np.roll(p, 2)) / (4.0 * dx**2)) - dphi
+
+    b4 = coeff.beta / (4.0 * dx**2)
+    rho = rho_n.copy()
+    iterates = [rho]
+    g = residual(rho)
+    scale = max(1.0, float(np.abs(dphi).max()))
+    for it in range(1, newton_max_iter + 1):
+        dp = eos._pressure_derivative(rho)
+        delta = _solve_strided_tridiagonal(-b4 * np.roll(dp, 2), 1.0 + 2.0 * b4 * dp,
+                                           -b4 * np.roll(dp, -2), -g, 2, linear_tol)
+        rho = rho + delta
+        iterates.append(rho)
+        if np.abs(delta).max() <= newton_tol:
+            return rho, it, iterates, "delta"
+        g = residual(rho)
+        if np.abs(g).max() <= newton_tol * scale:
+            return rho, it, iterates, "G"
+    raise AssertionError("reference Newton loop did not converge")
+
+
+def _nl_case(gamma, seed, eps):
+    """(eos, state, params, dt, dx, dphi, coeff) of an nl step on a random
+    32-cell state; eps = 1e-3 makes G's round-off exceed the G test, so
+    Newton stops on its increment instead."""
+    rng = np.random.default_rng(seed)
+    m = 32
+    eos = EquationOfState(lambda_coeff=rng.uniform(0.5, 2.0), gamma=gamma)
+    state = FluidState1D(rho=rng.uniform(0.5, 1.5, m), q=0.3 * rng.standard_normal(m))
+    params = SchemeParams(epsilon=eps, alpha=1.0)
+    dx = 1 / m
+    dt = 0.3 * dx
+    dphi = assemble_dphi_1d(state, eos, params, dt, dx)
+    coeff = EllipticCoefficients(beta=beta_coefficient(eps, 1.0, dt),
+                                 mobility=eos.pressure_derivative(state.rho))
+    return eos, state, params, dt, dx, dphi, coeff
+
+
+_NL_CASES = [(gamma, seed, eps) for gamma in (1.0, 1.4, 2.0, 3.0) for seed in range(3)
+             for eps in (0.3, 0.05, 1e-3)]
+
+
+def test_nl_cases_cover_both_newton_exits():
+    exits = set()
+    for case in _NL_CASES:
+        eos, state, _, _, dx, dphi, coeff = _nl_case(*case)
+        exits.add(_roll_newton(state.rho, dphi, coeff, eos, dx)[3])
+    assert exits == {"delta", "G"}
+
+
+@pytest.mark.parametrize("gamma, seed, eps", _NL_CASES)
+def test_newton_equals_roll_loop(gamma, seed, eps, monkeypatch):
+    eos, state, _, _, dx, dphi, coeff = _nl_case(gamma, seed, eps)
+    expected, expected_iters, expected_iterates, _ = _roll_newton(state.rho, dphi, coeff, eos,
+                                                                  dx)
+    # Every iterate is checked once, the start iterate first.
+    iterates = []
+    check = elliptic._check_newton_iterate
+
+    def recording(rho, what):
+        iterates.append(rho.copy())
+        check(rho, what)
+
+    monkeypatch.setattr(elliptic, "_check_newton_iterate", recording)
+    rho, iters = solve_elliptic_nl_1d(state.rho, dphi, coeff, eos, dx)
+    assert iters == expected_iters and np.array_equal(rho, expected)
+    assert len(iterates) == len(expected_iterates)
+    for got, want in zip(iterates, expected_iterates):
+        assert np.array_equal(got, want)
+
+
+def _roll_nl_step(state, eos, params, dt, dx):
+    """An nl step from the np.roll Newton loop and np.roll residual; returns
+    (rho, q, StepReport)."""
+    dphi = assemble_dphi_1d(state, eos, params, dt, dx)
+    dp = eos.pressure_derivative(state.rho)
+    coeff = EllipticCoefficients(beta=beta_coefficient(params.epsilon, params.alpha, dt),
+                                 mobility=dp)
+    rho, iters, _, _ = _roll_newton(state.rho, dphi, coeff, eos, dx)
+    q = momentum_update_1d(state, rho, eos, params, dt, dx)
+    p = eos.pressure(rho)
+    residual = rho - coeff.beta * ((np.roll(p, -2) - 2.0 * p + np.roll(p, 2)) / (4.0 * dx**2)) - dphi
+    speed = np.abs(state.q / state.rho) + np.sqrt(params.alpha * dp)
+    report = onedim.StepReport(
+        max_wave_speed=float(speed.max()), mass_total=float(rho.sum() * dx),
+        momentum_total=float(q.sum() * dx), consistency_residual=float(np.abs(residual).max()),
+        newton_iters=iters, linear_iters=0, dt_used=dt)
+    return rho, q, report
+
+
+@pytest.mark.parametrize("gamma, seed, eps", _NL_CASES)
+def test_nl_step_equals_roll_step(gamma, seed, eps, monkeypatch):
+    # The consistency residual is G(rho^{n+1}): the last G of a solve that
+    # stopped on its G test, else evaluated by the step.  Either way p is
+    # evaluated once for the fluxes and once per Newton iterate, the start
+    # and the accepted one included.
+    eos, state, params, dt, dx, _, _ = _nl_case(gamma, seed, eps)
+    rho, q, expected = _roll_nl_step(state, eos, params, dt, dx)
+    calls = []
+    pressure = EquationOfState._pressure
+
+    def counting(self, r):
+        calls.append(1)
+        return pressure(self, r)
+
+    monkeypatch.setattr(EquationOfState, "_pressure", counting)
+    out, report = step_ap_1d(state, eos, params, "nl", dt, dx)
+    assert np.array_equal(out.rho, rho) and np.array_equal(out.q, q)
+    assert report == expected
+    assert len(calls) == report.newton_iters + 2
 
 
 def test_singular_tridiagonal_core_raises():

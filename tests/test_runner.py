@@ -8,8 +8,7 @@ import pytest
 from lowmach import FluidState1D, FluidState2D, Grid1D, Grid2D, onedim
 from lowmach.cli import main
 from lowmach.runner import (
-    _snapshot_csv_1d,
-    _snapshot_csv_2d,
+    _snapshot_writer,
     _write_csv,
     compare_ice,
     reference_solution,
@@ -168,23 +167,33 @@ def test_csv_bytes_match_repr_format(tmp_path):
     _write_csv(path, "a,b", (values, values[::-1]))
     assert path.read_bytes() == _fmt_rows("a,b", zip(values, values[::-1])).encode()
 
-    grid = Grid1D(a=-1.0, b=1.0, m=3)
-    state = FluidState1D(rho=[1 / 3, 2.0, 1e-310], q=[-0.0, 0.1, -7.25])
-    path = tmp_path / "snap1d.csv"
-    _snapshot_csv_1d(path, grid, state)
-    expected = _fmt_rows("x,rho,q", zip(grid.cell_centers(), state.rho, state.q))
-    assert path.read_bytes() == expected.encode()
-
-    grid = Grid2D(m1=4, m2=5)
+    # A run formats its grid into the snapshot format once; two grids in one
+    # process each keep their own columns, and every snapshot of a grid its
+    # own fields.
     rng = np.random.default_rng(3)
-    state = FluidState2D(rho=1 + rng.random((4, 5)), q1=rng.standard_normal((4, 5)),
-                         q2=rng.standard_normal((4, 5)))
-    path = tmp_path / "snap2d.csv"
-    _snapshot_csv_2d(path, grid, state)
-    x, y = grid.cell_centers()
-    rows = [(x[i], y[j], state.rho[i, j], state.q1[i, j], state.q2[i, j])
-            for i in range(4) for j in range(5)]
-    assert path.read_bytes() == _fmt_rows("x,y,rho,q1,q2", rows).encode()
+    for k, grid in enumerate((Grid1D(a=-1.0, b=1.0, m=3), Grid1D(a=0.1, b=1e-3 + 0.1, m=7))):
+        write = _snapshot_writer(grid)
+        states = [FluidState1D(rho=[1 / 3, 2.0, 1e-310], q=[-0.0, 0.1, -7.25])] if k == 0 else []
+        states += [FluidState1D(rho=1 + rng.random(grid.m), q=rng.standard_normal(grid.m))
+                   for _ in range(2)]
+        for n, state in enumerate(states):
+            path = tmp_path / f"snap1d_{k}_{n}.csv"
+            write(path, state)
+            expected = _fmt_rows("x,rho,q", zip(grid.cell_centers(), state.rho, state.q))
+            assert path.read_bytes() == expected.encode()
+
+    for m1, m2 in ((4, 5), (6, 4)):
+        grid = Grid2D(m1=m1, m2=m2)
+        write = _snapshot_writer(grid)
+        for n in range(2):
+            state = FluidState2D(rho=1 + rng.random((m1, m2)), q1=rng.standard_normal((m1, m2)),
+                                 q2=rng.standard_normal((m1, m2)))
+            path = tmp_path / f"snap2d_{m1}_{n}.csv"
+            write(path, state)
+            x, y = grid.cell_centers()
+            rows = [(x[i], y[j], state.rho[i, j], state.q1[i, j], state.q2[i, j])
+                    for i in range(m1) for j in range(m2)]
+            assert path.read_bytes() == _fmt_rows("x,y,rho,q1,q2", rows).encode()
 
 
 def _per_step_lines(reports):
