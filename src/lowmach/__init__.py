@@ -46,7 +46,6 @@ from .errors import (
     UnsupportedGridError,
 )
 from .onedim import (
-    SchemeVariant,
     StepReport,
     ap_stepper,
     assemble_dphi_1d,

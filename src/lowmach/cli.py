@@ -13,7 +13,9 @@ The ``run`` and ``sweep`` flags are ``--config`` (a key=value file) and
 the config keys (``--t-final`` sets ``t_final``), whose values
 :func:`lowmach.config.build_config` parses and checks as a file's.  The
 table verbs' flags are parsed by the same value parsers, so every value
-that does not parse is a config error (exit 2) that :func:`main` returns.
+that does not parse is a config error (exit 2) that :func:`main` returns,
+and each case of a table is built as a config, so it is checked by the
+rules of ``run``.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 """

@@ -12,7 +12,8 @@ A config is checked by building what it describes, with the constructors a
 run uses: an input that one of them rejects is a :class:`ConfigError`
 naming the keys it came from.  Only what no constructor checks is checked
 here: names, the run length, snapshot times, the 2D stepper and domain,
-and the cell counts of the elliptic solve.
+and the cell counts of the elliptic solve.  The table verbs build each of
+their cases as a config too, so these are the rules of every verb.
 """
 
 from __future__ import annotations
@@ -205,15 +206,22 @@ def _validate_config(cfg: RunConfig) -> None:
     _check_name("stencil", cfg.stencil, _STENCIL_STRIDE)
     if cfg.dimension == 2 and cfg.stepper != "ap":
         raise ConfigError(f"2D runs support only the ap stepper, got {cfg.stepper!r}")
-    check_t_final(cfg.t_final)
+    if not (cfg.t_final > 0.0 and math.isfinite(cfg.t_final)):
+        raise ConfigError(f"t_final must be finite and > 0, got {cfg.t_final}")
     for t in cfg.snapshot_times:
         if not (0.0 <= t <= cfg.t_final):
             raise ConfigError(f"snapshot time {t} outside [0, t_final={cfg.t_final}]")
     if cfg.dimension == 2 and (cfg.domain_a, cfg.domain_b) != (0.0, 1.0):
         raise ConfigError("2D runs are on the unit square: domain_a, domain_b must be 0, 1")
     if cfg.dimension == 1 and cfg.stepper != "explicit_llf":
-        # The ICE correction always solves on the three-point stencil.
-        check_solve_cells(cfg.m, cfg.variant if cfg.stepper == "ap" else "ld")
+        # Each residue class mod the stride needs three cells; the ICE
+        # correction always solves on the three-point stencil.
+        variant = cfg.variant if cfg.stepper == "ap" else "ld"
+        stride = _VARIANT_STRIDE[variant]
+        if cfg.m % stride != 0:
+            raise ConfigError(f"variant {variant} requires an even m, got {cfg.m}")
+        if cfg.m < 3 * stride:
+            raise ConfigError(f"m must be >= {3 * stride} for the elliptic solve, got {cfg.m}")
     if cfg.dimension == 2 and cfg.stencil == "wide" and (cfg.m1 % 2 or cfg.m2 % 2):
         raise ConfigError(f"wide stencil requires even m1, m2, got {cfg.m1}, {cfg.m2}")
     # The parameters first: a preset's initial state is built from epsilon.
@@ -225,13 +233,6 @@ def _validate_config(cfg: RunConfig) -> None:
 def _check_name(key: str, value, names) -> None:
     if value not in names:
         raise ConfigError(f"{key} must be one of {tuple(names)}, got {value!r}")
-
-
-def check_t_final(t_final) -> None:
-    """Raise :class:`ConfigError` unless the run length ``t_final`` is finite
-    and > 0, as every verb requires."""
-    if not (t_final > 0.0 and math.isfinite(t_final)):
-        raise ConfigError(f"t_final must be finite and > 0, got {t_final}")
 
 
 @contextmanager
@@ -265,17 +266,6 @@ def build_problem(cfg: RunConfig):
         else:
             state = custom_state_2d(grid, cfg.rho0, cfg.q0)
     return eos, grid, state
-
-
-def check_solve_cells(m: int, variant: str) -> None:
-    """Raise :class:`ConfigError` unless the 1D elliptic solve of ``variant``
-    runs on ``m`` cells: the cyclic tridiagonal solve of each residue class
-    modulo the stride needs three cells."""
-    stride = _VARIANT_STRIDE[variant]
-    if m % stride != 0:
-        raise ConfigError(f"variant {variant} requires an even m, got {m}")
-    if m < 3 * stride:
-        raise ConfigError(f"m must be >= {3 * stride} for the elliptic solve, got {m}")
 
 
 def scheme_params(cfg: RunConfig) -> SchemeParams:

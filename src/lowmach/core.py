@@ -15,6 +15,9 @@ import numpy as np
 
 from .errors import InvalidStateError, ParamError
 
+# The most cells a float array can hold: its bytes must fit in an intp.
+_MAX_CELLS = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
 
 @dataclass(frozen=True)
 class EquationOfState:
@@ -75,6 +78,9 @@ class Grid1D:
             raise InvalidStateError("grid requires b > a and a finite length b - a")
         if self.m < 1:
             raise InvalidStateError("grid requires at least one cell")
+        if self.m > _MAX_CELLS:
+            raise InvalidStateError(f"grid requires at most {_MAX_CELLS} cells, "
+                                    f"the most a float array can hold")
         # (b - a) / m underflows to 0 where b - a is a few subnormals.
         if not self.dx > 0.0:
             raise InvalidStateError("grid requires a cell size (b - a) / m > 0")
@@ -100,6 +106,9 @@ class Grid2D:
     def __post_init__(self):
         if self.m1 < 4 or self.m2 < 4:
             raise InvalidStateError("2D grid requires m1, m2 >= 4")
+        if self.m1 * self.m2 > _MAX_CELLS:
+            raise InvalidStateError(f"2D grid requires m1 * m2 <= {_MAX_CELLS}, "
+                                    f"the most a float array can hold")
 
     @property
     def dx(self) -> float:
@@ -128,6 +137,15 @@ def _shift(x, k, axis=0):
         k %= x.shape[1]
         return np.concatenate((x[:, -k:], x[:, :-k]), axis=1)
     return np.roll(x, k, axis=axis)
+
+
+def _square(x):
+    """x**2, or inf where that overflows: the square of a Python float
+    raises OverflowError there, where a numpy float's reads inf."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
 
 
 def _periodic(x, width=1):

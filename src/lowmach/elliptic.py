@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EquationOfState, _cell_index, _periodic, _shift
+from .core import EquationOfState, _cell_index, _periodic, _shift, _square
 from .errors import (
     InstabilityError,
     NewtonDivergenceError,
@@ -132,7 +132,7 @@ class EllipticCoefficients:
 def beta_coefficient(epsilon: float, alpha: float, dt: float) -> float:
     """(1 - alpha eps^2) dt^2 / eps^2; zero at the fully explicit limit
     alpha = 1/eps^2."""
-    return max((1.0 - alpha * epsilon**2), 0.0) * dt**2 / epsilon**2
+    return max((1.0 - alpha * epsilon**2), 0.0) * _square(dt) / epsilon**2
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +150,7 @@ def _face_scale(beta: float, h2: float) -> float:
 
 def _face_coefficients(stride: int, coeff: EllipticCoefficients, spacings):
     """Builder of :meth:`EllipticCoefficients.faces`."""
-    return tuple(_face_scale(coeff.beta, (stride * h) ** 2) * _shift(coeff.mobility, -1, axis)
+    return tuple(_face_scale(coeff.beta, _square(stride * h)) * _shift(coeff.mobility, -1, axis)
                  for axis, h in enumerate(spacings))
 
 
@@ -224,7 +224,7 @@ def _nl_operator(rho, p_ext, beta: float, dx: float) -> np.ndarray:
     ``p_ext`` p(rho) on the two-cell periodic extension of rho."""
     out = p_ext[4:] - 2.0 * p_ext[2:-2]
     out += p_ext[:-4]
-    out /= 4.0 * dx**2
+    out /= 4.0 * _square(dx)
     out *= beta
     return np.subtract(rho, out, out=out)
 
@@ -263,7 +263,7 @@ def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: Equation
     if m % 2 != 0:
         raise UnsupportedGridError("stride-2 elliptic variant requires an even cell count")
     beta = coeff.beta
-    b4 = _face_scale(beta, 4.0 * dx**2)
+    b4 = _face_scale(beta, 4.0 * _square(dx))
     if beta == 0.0:
         return dphi.copy(), 1
 
@@ -397,8 +397,8 @@ def _fft_preconditioner(shape, stride, coeff: EllipticCoefficients, dx: float, d
     (Strang 1986; T. Chan 1988).
     """
     m1, m2 = shape
-    b_x = coeff.beta / (stride * dx) ** 2
-    b_y = coeff.beta / (stride * dy) ** 2
+    b_x = coeff.beta / _square(stride * dx)
+    b_y = coeff.beta / _square(stride * dy)
     k1 = np.arange(m1)[:, None]
     k2 = np.arange(m2 // 2 + 1)[None, :]
     mean_mob = float(np.mean(coeff.mobility))

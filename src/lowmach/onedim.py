@@ -7,7 +7,7 @@ pressure term of the momentum flux they pass it:
 * :func:`step_ap_1d` -- semi-implicit scheme, sqrt(alpha p') and alpha p:
   the density flux carries the new-time momentum average and the stiff
   pressure gradient is implicit, which after elimination yields one
-  elliptic solve for the new density (variant NL, L or LD) followed by an
+  elliptic solve for the new density (variant nl, l or ld) followed by an
   explicit momentum update;
 * :func:`step_explicit_llf_1d` -- fully explicit LLF for the unsplit
   system, sqrt(p')/eps and p/eps^2;
@@ -40,15 +40,15 @@ is searched for the error and the cell to report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from math import ceil, inf, isfinite
 
 import numpy as np
 
 from .core import (EquationOfState, FluidState1D, SchemeParams, _cell_index, _periodic,
-                   validate_params)
+                   _square, validate_params)
 from .diagnostics import total_variation
 from .elliptic import (
+    _VARIANT_STRIDE,
     EllipticCoefficients,
     _nl_pressure_and_residual,
     apply_elliptic_operator_1d,
@@ -58,14 +58,6 @@ from .elliptic import (
     solve_elliptic_nl_1d,
 )
 from .errors import InstabilityError, NoStableDtError, NumericsError, PositivityError
-
-
-class SchemeVariant(Enum):
-    """Which elliptic reduction the semi-implicit step solves."""
-
-    NL = "nl"
-    L = "l"
-    LD = "ld"
 
 
 @dataclass(frozen=True)
@@ -230,8 +222,12 @@ def llf_flux_pair(state: FluidState1D, eos: EquationOfState, alpha: float, j: in
 
 
 def _dphi_from_fluxes(rho, f1, df2, dt, dx):
-    return (_conservative_update(rho, f1, dt, dx)
-            + (dt**2 / (2.0 * dx)) * _centered_difference(df2))
+    """The right-hand side; InstabilityError where dt^2/(2 dx) overflows."""
+    explicit = _conservative_update(rho, f1, dt, dx)
+    scale = _square(dt) / (2.0 * dx)
+    if not scale < inf:
+        raise InstabilityError(f"dt^2/(2 dx) = {dt:.3g}^2/(2 * {dx:.3g}) is not finite")
+    return explicit + scale * _centered_difference(df2)
 
 
 def assemble_dphi_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
@@ -257,12 +253,6 @@ def momentum_update_1d(state_n: FluidState1D, rho_np1, eos: EquationOfState,
                                  _centered_difference(eos.pressure(rho_np1)), c, dt, dx)
 
 
-def _as_variant(variant) -> SchemeVariant:
-    if isinstance(variant, SchemeVariant):
-        return variant
-    return SchemeVariant(str(variant).lower())
-
-
 def step_ap_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
                variant, dt: float, dx: float):
     """One semi-implicit step; returns (new_state, StepReport).
@@ -270,8 +260,10 @@ def step_ap_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
     The report's consistency_residual is the max-norm residual of the
     density row: the new density put through the variant's elliptic
     operator, minus the right-hand side (in density units).
+    ``variant`` is "nl", "l" or "ld".
     """
-    variant = _as_variant(variant)
+    if variant not in _VARIANT_STRIDE:
+        raise ValueError(f"unknown variant {variant!r}")
     validate_params(params)
     if not dt > 0.0:
         raise ValueError("dt must be positive")
@@ -279,15 +271,15 @@ def step_ap_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
     rho, q = state.rho, state.q
     # p'(rho^n) is both the sound speed and the mobility.
     f1, f2, cell_max, dp = _ap_fluxes(state, eos, params.alpha)
+    # beta first: an overflowing dt^2 fails here, as in the ICE step.
+    coeff = EllipticCoefficients._of_step(beta_coefficient(params.epsilon, params.alpha, dt), dp)
     df2 = _flux_derivative(f2, dx)
     dphi = _dphi_from_fluxes(rho, f1, df2, dt, dx)
-    beta = beta_coefficient(params.epsilon, params.alpha, dt)
-    coeff = EllipticCoefficients._of_step(beta, dp)
 
     newton_iters = 0
-    if variant is SchemeVariant.LD:
+    if variant == "ld":
         rho_new = solve_elliptic_ld_1d(rho, dphi, coeff, dx, params.linear_tol)
-    elif variant is SchemeVariant.L:
+    elif variant == "l":
         rho_new = solve_elliptic_l_1d(rho, dphi, coeff, dx, params.linear_tol)
     else:
         rho_new, newton_iters = solve_elliptic_nl_1d(
@@ -298,13 +290,13 @@ def step_ap_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
         )
     mass = _check_new_density(rho_new)
 
-    if variant is SchemeVariant.NL:
+    if variant == "nl":
         # p on the two-cell extension of rho^{n+1}, and G(rho^{n+1}).
         p_new, r_density = _nl_pressure_and_residual(rho_new, dphi, coeff, eos, dx)
         p_jump = p_new[3:-1] - p_new[1:-3]
     else:
         p_jump = _centered_difference(eos._pressure(rho_new))
-        r_density = apply_elliptic_operator_1d(variant.value, rho_new, rho, coeff, eos, dx) - dphi
+        r_density = apply_elliptic_operator_1d(variant, rho_new, rho, coeff, eos, dx) - dphi
     c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
     q_new = _momentum_from_fluxes(q, df2, p_jump, c, dt, dx)
     return _finish_step(FluidState1D, rho_new, mass, (q_new,), dx, cell_max, r_density, dt,
@@ -352,7 +344,7 @@ def step_ice_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
     if not (np.isfinite(rho_star).all() and np.isfinite(q_star).all()):
         raise InstabilityError("non-finite predictor state")
 
-    coeff = EllipticCoefficients._of_step(dt**2 / eps**2, eos._pressure_derivative(rho))
+    coeff = EllipticCoefficients._of_step(_square(dt) / eps**2, eos._pressure_derivative(rho))
     rho_new = solve_elliptic_ld_1d(rho, rho_star, coeff, dx, params.linear_tol)
     mass = _check_new_density(rho_new)
 
@@ -363,7 +355,6 @@ def step_ice_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
 
 def ap_stepper(variant):
     """Stepper callable for scans/runs: (state, eos, params, dt, dx) -> (state, report)."""
-    variant = _as_variant(variant)
 
     def stepper(state, eos, params, dt, dx):
         return step_ap_1d(state, eos, params, variant, dt, dx)

@@ -4,6 +4,10 @@ table-reproduction commands.
 Exit statuses (also used by the CLI): 0 success, 2 config error, 3
 numerical failure (instability / positivity / solver), 4 I/O error.
 
+The tables build every case as a run config (:func:`_table_case`) before
+any work, so ``run``'s rules check it; only a table's own shape is checked
+here.
+
 Every CSV value is written as ``%.17g``.  A run builds its snapshot format
 once, with the grid columns already formatted into it, so each snapshot
 formats only the density and the momenta.
@@ -20,22 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (RunConfig, build_config, build_problem, check_solve_cells, check_t_final,
-                     config_errors, config_to_dict, scheme_params)
-from .core import (DtPolicy, FluidState1D, FluidState2D, Grid2D, SchemeParams,
-                   validate_params)
+from .config import RunConfig, build_config, build_problem, config_to_dict, scheme_params
+from .core import FluidState1D, FluidState2D, Grid2D
 from .diagnostics import _sample_indices, relative_l2_error, total_variation
-from .elliptic import _VARIANT_STRIDE
 from .errors import ConfigError, InstabilityError, NumericsError
-from .onedim import (
-    SchemeVariant,
-    _as_variant,
-    ap_stepper,
-    max_stable_dt_scan,
-    step_explicit_llf_1d,
-    step_ice_1d,
-)
-from .presets import example1_eos, example1_grid, example1_state
+from .onedim import ap_stepper, max_stable_dt_scan, step_explicit_llf_1d, step_ice_1d
 from .twodim import _cell_speeds, step_ap_2d
 
 STATUS_OK = 0
@@ -249,38 +242,24 @@ def _write_table(path: Path, rows, keys):
 
 def _cells_for(dx) -> int:
     """Cell count of the unit-interval grid with spacing about dx."""
-    if not (np.isfinite(dx) and dx > 0.0):
-        raise ConfigError(f"dx must be > 0, got {dx}")
+    if not (np.isfinite(dx) and dx > 0.0 and 1.0 / dx < np.inf):
+        raise ConfigError(f"dx must be > 0 with a finite 1/dx, got {dx}")
     return round(1.0 / dx)
 
 
-def _check_table_inputs(variant, eps_list, cell_counts, alpha, t_final) -> SchemeVariant:
-    """Validate the inputs of a table or comparison run before any work
-    starts: at least one epsilon and one cell count, each epsilon with
-    ``alpha`` (sigma 0.9), each cell count for the variant's elliptic solve,
-    and t_final.  Raises :class:`ConfigError`; returns the variant."""
-    try:
-        variant = _as_variant(variant)
-    except ValueError:
-        raise ConfigError(f"variant must be one of {tuple(_VARIANT_STRIDE)}, "
-                          f"got {variant!r}") from None
-    check_t_final(t_final)
+def _check_table_shape(eps_list, has_grid) -> None:
+    """A table computes something: at least one epsilon and one grid."""
     if not eps_list:
         raise ConfigError("nothing to compute: the epsilon list is empty")
-    if not cell_counts:
+    if not has_grid:
         raise ConfigError("nothing to compute: no grid (empty dx list, or refinement_levels < 1)")
-    for m in cell_counts:
-        check_solve_cells(m, variant.value)
-    for eps in eps_list:
-        with config_errors("epsilons"):
-            validate_params(SchemeParams(epsilon=eps, alpha=alpha, sigma=0.9))
-    return variant
 
 
-def _integrate_fixed(state, eos, params, stepper, dt, n_steps, dx):
-    for _ in range(n_steps):
-        state, _ = stepper(state, eos, params, dt, dx)
-    return state
+def _table_case(epsilon, m, t_final, **keys) -> RunConfig:
+    """Config of a table case: example1 at ``epsilon`` on ``m`` cells,
+    sigma 0.9, and the case's own ``keys``."""
+    return build_config(dict(preset="example1", epsilon=epsilon, m=m, sigma=0.9,
+                             t_final=t_final, **keys))
 
 
 def _speed_tracking(stepper, initial):
@@ -305,30 +284,30 @@ def reproduce_table1(eps_list, dx_list, variant="ld", t_final=0.1, alpha=1.0,
     semi-implicit scheme on the stacked-Riemann preset, with the observed
     maximal wave speed and the implied Courant number."""
     cell_counts = [_cells_for(dx) for dx in dx_list]
-    stepper = ap_stepper(_check_table_inputs(variant, eps_list, cell_counts, alpha, t_final))
+    _check_table_shape(eps_list, cell_counts)
+    cases = [_table_case(eps, m, t_final, alpha=alpha, variant=variant)
+             for eps in eps_list for m in cell_counts]
+    stepper = ap_stepper(variant)
     rows = []
-    for eps in eps_list:
-        for m in cell_counts:
-            grid = example1_grid(m)
-            state = example1_state(grid, eps)
-            params = SchemeParams(epsilon=eps, alpha=alpha, sigma=0.9,
-                                  dt_policy=DtPolicy.adaptive())
-            lam0 = _max_speed("ap", example1_eos(), state, params)
-            dt_lo = 0.05 * grid.dx / lam0
-            dt_hi = 4.0 * grid.dx / lam0
-            # max_lambda is that of the scan's accepted trial, the run at
-            # stable_dt, so the run is not repeated.
-            tracked, max_speed = _speed_tracking(stepper, state)
-            stable_dt = max_stable_dt_scan(state, example1_eos(), params, tracked,
-                                           t_final, dt_lo, dt_hi, grid.dx)
-            max_lambda = max_speed[stable_dt]
-            rows.append({
-                "epsilon": eps,
-                "max_lambda": max_lambda,
-                "dx": grid.dx,
-                "stable_dt": stable_dt,
-                "courant": max_lambda * stable_dt / grid.dx,
-            })
+    for cfg in cases:
+        eos, grid, state = build_problem(cfg)
+        params = scheme_params(cfg)
+        lam0 = _max_speed("ap", eos, state, params)
+        dt_lo = 0.05 * grid.dx / lam0
+        dt_hi = 4.0 * grid.dx / lam0
+        # max_lambda is that of the scan's accepted trial, the run at
+        # stable_dt, so the run is not repeated.
+        tracked, max_speed = _speed_tracking(stepper, state)
+        stable_dt = max_stable_dt_scan(state, eos, params, tracked, t_final, dt_lo, dt_hi,
+                                       grid.dx)
+        max_lambda = max_speed[stable_dt]
+        rows.append({
+            "epsilon": cfg.epsilon,
+            "max_lambda": max_lambda,
+            "dx": grid.dx,
+            "stable_dt": stable_dt,
+            "courant": max_lambda * stable_dt / grid.dx,
+        })
     if output_path is not None:
         _write_table(Path(output_path), rows, ("epsilon", "max_lambda", "dx", "stable_dt", "courant"))
     return rows
@@ -362,10 +341,9 @@ def reference_solution(eps: float, cells=None, inv_dt=None, t_final=0.1, refine=
     cells = TABLE_REFERENCE[0] if cells is None else cells
     inv_dt = TABLE_REFERENCE[1] if inv_dt is None else inv_dt
     fine_cells = cells * refine
-    grid = example1_grid(fine_cells)
-    state = example1_state(grid, eps)
-    eos = example1_eos()
-    params = SchemeParams(epsilon=eps, alpha=0.0, sigma=0.9)
+    cfg = _table_case(eps, fine_cells, t_final, alpha=0.0, stepper="explicit_llf")
+    eos, grid, state = build_problem(cfg)
+    params = scheme_params(cfg)
     lam0 = _max_speed("explicit_llf", eos, state, params)
     # integer multiple of the nominal rate keeping the explicit CFL <= 0.45
     k = max(1, int(np.ceil(lam0 * fine_cells / (0.45 * inv_dt))))
@@ -381,25 +359,34 @@ def reference_solution(eps: float, cells=None, inv_dt=None, t_final=0.1, refine=
 def reproduce_table2(eps_list, refinement_levels=5, coarsest_m=20, t_final=0.1,
                      variant="ld", alpha=1.0, output_path=None, reference_states=None):
     """Relative-error table: semi-implicit runs on halving grids against the
-    fine explicit reference, with successive error ratios."""
-    cell_counts = [coarsest_m * 2**level for level in range(refinement_levels)]
-    stepper = ap_stepper(_check_table_inputs(variant, eps_list, cell_counts, alpha, t_final))
-    eos = example1_eos()
+    fine explicit reference, with successive error ratios; each level's
+    cell count must divide the reference's."""
+    _check_table_shape(eps_list, refinement_levels >= 1)
+    refs = reference_states or {}
+    ref_cells = [refs[eps].m if eps in refs else TABLE_REFERENCE[0] for eps in eps_list]
+    # Level by level: a table of many levels stops at the first bad one.
+    levels = []
+    for level in range(refinement_levels):
+        m = coarsest_m * 2**level
+        levels.append([_table_case(eps, m, t_final, alpha=alpha, variant=variant)
+                       for eps in eps_list])
+        for ref_m in ref_cells:
+            if ref_m % m:
+                raise ConfigError(f"level {level} has {m} cells, which do not divide the "
+                                  f"{ref_m} cells of the reference")
+    stepper = ap_stepper(variant)
     rows = []
-    for eps in eps_list:
-        if reference_states is not None and eps in reference_states:
-            ref = reference_states[eps]
-        else:
-            ref = reference_solution(eps, t_final=t_final)
+    # levels[level][i] is the case of eps_list[i].
+    for eps, cases in zip(eps_list, zip(*levels)):
+        ref = refs[eps] if eps in refs else reference_solution(eps, t_final=t_final)
         prev = None
-        for m in cell_counts:
-            grid = example1_grid(m)
-            state = example1_state(grid, eps)
-            params = SchemeParams(epsilon=eps, alpha=alpha, sigma=0.9)
+        for cfg in cases:
+            eos, grid, state = build_problem(cfg)
+            params = scheme_params(cfg)
             lam0 = _max_speed("ap", eos, state, params)
             dt = table2_dt(eps, grid.dx, lam0)
-            n_steps = int(round(t_final / dt))
-            state = _integrate_fixed(state, eos, params, stepper, dt, n_steps, grid.dx)
+            for _ in range(int(round(t_final / dt))):
+                state, _ = stepper(state, eos, params, dt, grid.dx)
             err = relative_l2_error(state, ref)
             row = {
                 "epsilon": eps,
@@ -422,18 +409,22 @@ def compare_ice(epsilon, dx, dt, t_final, variant="ld", output_dir=None):
     baseline side by side on the stacked-Riemann preset; report solutions
     and total variation of each."""
     m = _cells_for(dx)
+    ap_case = _table_case(epsilon, m, t_final, alpha=1.0, variant=variant)
     # The predictor/corrector baseline solves on the three-point stencil.
-    check_solve_cells(m, "ld")
-    stepper = ap_stepper(_check_table_inputs(variant, [epsilon], [m], 1.0, t_final))
+    _table_case(epsilon, m, t_final, alpha=1.0, stepper="ice")
+    # dt is not cut to t_final: the runs take ceil(t_final/dt) steps of dt.
     if not (np.isfinite(dt) and dt > 0.0):
         raise ConfigError(f"dt must be > 0, got {dt}")
-    grid = example1_grid(m)
-    eos = example1_eos()
-    params = SchemeParams(epsilon=epsilon, alpha=1.0, sigma=0.9)
+    if t_final - dt == t_final:
+        # As in run: the runs would never end.
+        raise InstabilityError(f"time step dt = {dt:.3g} cannot advance t to "
+                               f"t_final = {t_final:.6g}")
+    eos, grid, ap_state = build_problem(ap_case)
+    params = scheme_params(ap_case)
+    stepper = ap_stepper(variant)
     n_steps = int(np.ceil(t_final / dt))
 
-    ap_state = example1_state(grid, epsilon)
-    ice_state = example1_state(grid, epsilon)
+    ice_state = ap_state  # states are immutable
     for _ in range(n_steps):
         ap_state, _ = stepper(ap_state, eos, params, dt, grid.dx)
         ice_state, _ = step_ice_1d(ice_state, eos, params, dt, grid.dx)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EquationOfState, FluidState2D, SchemeParams, _shift, validate_params
+from .core import EquationOfState, FluidState2D, SchemeParams, _shift, _square, validate_params
 from .elliptic import (
     _STENCIL_STRIDE,
     EllipticCoefficients,
@@ -109,7 +109,7 @@ def _dphi_from_terms(state: FluidState2D, speeds: DirectionalSpeeds, dflux, diss
     t_diss = _dc(diss[0][0], dx, 0) + _dc(diss[1][1], dy, 1)
     if literal:
         t_diss = t_diss + (_dc(diss[0][1], dx, 0) + _dc(diss[1][0], dy, 1))
-    return rho - dt * first_order + dt**2 * (t_axis + t_mixed + t_diss)
+    return rho - dt * first_order + _square(dt) * (t_axis + t_mixed + t_diss)
 
 
 def assemble_dphi_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
@@ -144,14 +144,14 @@ def step_ap_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
     rho = state.rho
     # p'(rho^n) is both the sound speed and the mobility.
     dp, cell_max, speeds, dflux, diss = _explicit_terms(state, eos, params.alpha, dx, dy)
+    # beta first: an overflowing dt^2 fails here, not in the right-hand side.
+    coeff = EllipticCoefficients._of_step(beta_coefficient(params.epsilon, params.alpha, dt), dp)
     dphi = _dphi_from_terms(state, speeds, dflux, diss, dt, dx, dy, dphi2_literal)
     # Each momentum's explicit part, summed now so that the solve runs
     # without the interface speeds and the eight terms.
     explicit1 = (dflux[0][0] + dflux[0][1]) + (diss[0][0] + diss[0][1])
     explicit2 = (dflux[1][0] + dflux[1][1]) + (diss[1][0] + diss[1][1])
     del speeds, dflux, diss
-    beta = beta_coefficient(params.epsilon, params.alpha, dt)
-    coeff = EllipticCoefficients._of_step(beta, dp)
     rho_new, cg_iters = solve_elliptic_2d(rho, dphi, coeff, dx, dy, stencil=stencil,
                                           linear_tol=params.linear_tol)
 

@@ -198,10 +198,20 @@ def test_cli_run_mobility_underflow_exits_3(tmp_path, capsys, flags):
     assert (out / "steps.csv").read_text().count("\n") == 1
 
 
-@pytest.mark.parametrize("flags", [[], ["--stepper", "ice"]])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flags", [
+    [],
+    ["--stepper", "ice"],
+    # dt^2 overflows: the square of a Python float raises OverflowError.
+    ["--epsilon", "0.8", "--dt", "1e200", "--t-final", "1e201"],
+    ["--epsilon", "0.8", "--dt", "1e200", "--t-final", "1e201", "--stepper", "ice"],
+    ["--preset", "example3", "--m1", "8", "--m2", "8", "--epsilon", "0.8", "--dt", "1e200",
+     "--t-final", "1e201"],
+])
 def test_cli_run_beta_overflow_exits_3(tmp_path, capsys, flags):
-    # beta = dt^2/eps^2 overflows at eps = 1e-154, dt = 10, though both pass
-    # validation: the step fails numerically and the run still writes its logs.
+    # beta = dt^2/eps^2 overflows at eps = 1e-154, dt = 10, or at dt = 1e200,
+    # though both pass validation: the step fails numerically, without a
+    # float warning, and the run still writes its logs.
     out = tmp_path / "beta"
     code = main(["run", "--preset", "example1", "--epsilon", "1e-154", "--m", "20", "--dt", "10",
                  "--t-final", "10", *flags, "--output-dir", str(out)])
@@ -257,6 +267,10 @@ def test_cli_import_does_not_load_process_pool():
     ["--preset", "custom", "--rho0", "0"],
     ["--preset", "example1", "--epsilon", "1", "--alpha", "0"],  # density 1 - eps^2 = 0
     ["--preset", "custom", "--domain-b", "5e-324", "--m", "4", "--dt", "1e-3"],  # dx = 0
+    # cell counts whose arrays numpy cannot index
+    ["--preset", "example1", "--m", "100000000000000000000"],
+    ["--preset", "example3", "--m1", "100000000000000000000"],
+    ["--preset", "example3", "--m2", str(2**61)],
 ])
 def test_cli_run_invalid_config_exits_2(tmp_path, capsys, flags):
     out = tmp_path / "bad"
@@ -384,10 +398,37 @@ def test_cli_run_dt_over_dx_overflow_exits_3(tmp_path, capsys, flags):
     assert "dt/dx" in manifest["message"] and "is not finite" in manifest["message"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_run_dphi_dt_squared_over_dx_overflow_exits_3(tmp_path):
+    # dx = 1e-200: dt/dx = 1e300 and beta ~ 1.6e200 are finite, but
+    # dt^2/(2 dx) overflows, and a zero flux difference times it would be an
+    # invalid float operation.
+    out = tmp_path / "dphi"
+    code = main(["run", "--preset", "custom", "--domain-b", "4e-200", "--m", "4", "--dt", "1e100",
+                 "--t-final", "1e101", "--output-dir", str(out)])
+    assert code == 3
+    assert "dt^2/(2 dx)" in json.loads((out / "manifest.json").read_text())["message"]
+
+
 def test_explicit_run_on_a_tiny_grid_completes(tmp_path):
     # Such a grid is valid: the explicit step needs no face coefficients.
     code = main(["run", "--preset", "custom", "--domain-a", "0", "--domain-b", "1e-300",
                  "--m", "4", "--stepper", "explicit_llf", "--dt", "1e-3", "--t-final", "0.002",
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flags", [
+    ["--m", "4"],
+    ["--m", "4", "--stepper", "ice"],
+    ["--m", "6", "--variant", "nl"],
+])
+def test_run_on_a_huge_grid_completes(tmp_path, flags):
+    # dx ~ 5e299: (s dx)^2 overflows, so beta/(s dx)^2 is 0 and the elliptic
+    # solve is the identity, without an OverflowError or a float warning.
+    code = main(["run", "--preset", "custom", "--domain-a=-1e300", "--domain-b", "1e300",
+                 "--dt", "1e-3", "--t-final", "0.01", *flags,
                  "--output-dir", str(tmp_path / "out")])
     assert code == 0
 
@@ -420,8 +461,20 @@ def test_odd_m_allowed_where_no_stride2_solve_runs():
     ["table1", "--t-final", "abc"],
     ["table2", "--levels", "x"],
     ["table2", "--levels", "2.5"],
+    # a case is a config, checked by run's rules: variant names are exact
+    ["table1", "--variant", "LD", "--epsilons", "0.8", "--dxs", "0.1"],
+    # level 7 has 2560 cells, which do not divide the reference's 1280
+    ["table2", "--epsilons", "0.8", "--levels", "8"],
+    # cell counts whose arrays numpy cannot index
+    ["table1", "--epsilons", "0.8", "--dxs", "1e-300"],
+    ["compare-ice", "--epsilon", "0.3", "--dx", "1e-300"],
 ])
-def test_cli_table_verbs_invalid_input_exits_2(tmp_path, capsys, argv):
+def test_cli_table_verbs_invalid_input_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # Every input is checked before any work: no reference is computed.
+    def no_reference(*args, **kwargs):
+        raise AssertionError("reference computed before the inputs were checked")
+
+    monkeypatch.setattr(runner_module, "reference_solution", no_reference)
     out = tmp_path / "out"
     flag = "--output-dir" if argv[0] == "compare-ice" else "--output"
     assert main([*argv, flag, str(out)]) == 2
@@ -449,6 +502,21 @@ def test_cli_compare_ice(tmp_path):
     sol_lines = (out / "compare_ice_solutions.csv").read_text().splitlines()
     assert sol_lines[0] == "x,rho_ap,q_ap,rho_ice,q_ice"
     assert len(sol_lines) == 51
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dt, t_final, message", [
+    # dt^2 overflows in the first step of either scheme
+    ("1e200", "1e201", "beta = inf is not finite"),
+    # t_final/dt overflows: the runs would never end
+    ("5e-324", "0.01", "cannot advance t to t_final"),
+])
+def test_cli_compare_ice_numerical_failure_exits_3(tmp_path, capsys, dt, t_final, message):
+    out = tmp_path / "ice"
+    code = main(["compare-ice", "--epsilon", "0.3", "--dx", "0.05", "--dt", dt,
+                 "--t-final", t_final, "--output-dir", str(out)])
+    assert code == 3
+    assert message in capsys.readouterr().err
 
 
 def test_compare_ice_trivial_constant():

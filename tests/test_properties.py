@@ -1,7 +1,9 @@
 """The stepper contract as a property: on every valid input, each stepper
 returns a finite state with positive density, or raises a NumericsError.
 And the config boundary as one: ``build_config`` on any raw key/values
-either raises ConfigError or returns a config whose run can be built.
+either raises ConfigError or returns a config whose run can be built.  And
+the CLI's exit codes as one: ``run``, ``table1`` and ``compare-ice`` on
+extreme flag values return 0, 2, 3 or 4, without a float warning.
 
 Valid means what the public constructors and ``validate_params`` accept:
 any positive density, any equation of state, any epsilon down to 1e-154
@@ -10,8 +12,11 @@ deterministically (``derandomize``) and no example database is written.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +33,7 @@ from lowmach import (
     step_ice_1d,
     validate_params,
 )
+from lowmach.cli import main
 from lowmach.config import _KEY_PARSERS, _parse_float, _parse_int, build_config, scheme_params
 from lowmach.presets import PRESET_NAMES
 from lowmach.runner import build_problem
@@ -139,3 +145,69 @@ def test_build_config_returns_a_buildable_run_or_raises_config_error(raw):
         return
     build_problem(cfg)
     validate_params(scheme_params(cfg))
+
+
+# CLI argv: ordinary flag values, up to two of the verb's float flags at the
+# ends of the float range or beyond it.  Every run takes a few steps at most:
+# an ordinary dt is t_final/k, k <= 5, and an extreme one (only for ``run``)
+# is cut to t_final or cannot advance t; a table1 scan's t_final is small or
+# invalid.  A cell count is at most 64 (16 in 2D) or at least 2^61, which
+# numpy cannot index; none lies between, where numpy would try to allocate
+# the arrays.
+_FLAG_EXTREMES = (1e300, -1e300, 1e-300, -1e-300, 5e-324, math.inf, -math.inf, math.nan)
+_ORDINARY = {"epsilon": (0.05, 0.3, 0.8), "t_final": (0.01, 0.05), "domain_a": (-1.0, 0.0),
+             "domain_b": (0.5, 1.0)}
+
+
+def _small_cells(least, most):
+    return st.one_of(st.integers(2, most // 2).map(lambda k: 2 * k), st.integers(least, most))
+
+
+def _cells(most):
+    return st.one_of(_small_cells(-1, most), st.integers(2**61, 2**200)).map(str)
+
+
+@st.composite
+def _argv(draw):
+    verb = draw(st.sampled_from(("run", "run", "table1", "compare-ice")))
+    preset = draw(st.sampled_from(PRESET_NAMES)) if verb == "run" else "example1"
+    v = {name: draw(st.sampled_from(values)) for name, values in _ORDINARY.items()}
+    v["dx"] = 1.0 / draw(_small_cells(1, 64))
+    names = {"table1": ["epsilon", "t_final", "dx"],
+             "compare-ice": ["epsilon", "t_final", "dx"],
+             "run": ["epsilon", "t_final", "dt"]}[verb]
+    names += ["domain_a", "domain_b"] if preset == "custom" else []
+    extreme = draw(st.lists(st.sampled_from(names), max_size=2, unique=True))
+    for name in extreme:
+        # A scan's steps grow with t_final: no large ones.
+        large = not (verb == "table1" and name == "t_final")
+        v[name] = draw(st.sampled_from(_FLAG_EXTREMES if large else _FLAG_EXTREMES[2:]))
+    if "dt" not in extreme:
+        v["dt"] = v["t_final"] / draw(st.integers(1, 5))
+    floats = {name: f"={v[name]!r}" for name in v}
+    if verb == "table1":
+        return ["table1", "--epsilons" + floats["epsilon"], "--dxs" + floats["dx"],
+                "--t-final" + floats["t_final"],
+                "--variant", draw(st.sampled_from(("nl", "l", "ld", "LD")))]
+    if verb == "compare-ice":
+        return ["compare-ice", "--epsilon" + floats["epsilon"], "--dx" + floats["dx"],
+                "--dt" + floats["dt"], "--t-final" + floats["t_final"]]
+    argv = ["run", "--preset", preset, "--epsilon" + floats["epsilon"], "--dt" + floats["dt"],
+            "--t-final" + floats["t_final"], "--variant", draw(st.sampled_from(("nl", "l", "ld")))]
+    if preset == "example3":
+        return argv + ["--m1", draw(_cells(16)), "--m2", draw(_cells(16)),
+                       "--stencil", draw(st.sampled_from(("wide", "reduced")))]
+    argv += ["--stepper", draw(st.sampled_from(("ap", "ice", "explicit_llf"))),
+             "--m", draw(_cells(64))]
+    if preset == "custom":
+        argv += ["--domain-a" + floats["domain_a"], "--domain-b" + floats["domain_b"]]
+    return argv
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(argv=_argv())
+def test_cli_exits_0_2_3_or_4_without_float_warnings(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        flag = "--output" if argv[0] == "table1" else "--output-dir"
+        assert main([*argv, flag, str(Path(tmp) / "out")]) in (0, 2, 3, 4)

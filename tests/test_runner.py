@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from lowmach import FluidState1D, FluidState2D, Grid1D, Grid2D, onedim
+from lowmach import ConfigError, FluidState1D, FluidState2D, Grid1D, Grid2D, onedim
 from lowmach.cli import main
 from lowmach.runner import (
     _snapshot_writer,
@@ -130,6 +130,18 @@ def test_reproduce_table2_identical_levels_ratio():
                             reference_states=refs)
     assert len(rows) == 2
     assert rows[1]["ratio_rho"] == pytest.approx(rows[0]["e_rho"] / rows[1]["e_rho"])
+
+
+def test_reproduce_table2_levels_must_divide_the_reference(monkeypatch):
+    # A given 320-cell reference takes levels of 20 ... 320 cells; a sixth
+    # level (640 cells) is a config error before any level runs.
+    def no_step(*args):
+        raise AssertionError("a level ran before the levels were checked")
+
+    monkeypatch.setattr(onedim, "step_ap_1d", no_step)
+    refs = {0.3: FluidState1D(rho=np.ones(320), q=np.zeros(320))}
+    with pytest.raises(ConfigError, match="640 cells"):
+        reproduce_table2([0.3], refinement_levels=6, coarsest_m=20, reference_states=refs)
 
 
 def test_compare_ice_outputs(tmp_path):
