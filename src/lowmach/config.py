@@ -255,16 +255,23 @@ def build_problem(cfg: RunConfig):
     if cfg.dimension == 1:
         with config_errors("domain_a, domain_b, m"):
             grid = Grid1D(a=cfg.domain_a, b=cfg.domain_b, m=cfg.m)
+        cells, cell_keys = cfg.m, "m"
     else:
         with config_errors("m1, m2"):
             grid = Grid2D(m1=cfg.m1, m2=cfg.m2)
-    with config_errors("rho0, q0" if cfg.preset == "custom" else "epsilon"):
-        if cfg.preset != "custom":
-            state = _PRESET_STATES[cfg.preset](grid, cfg.epsilon)
-        elif cfg.dimension == 1:
-            state = custom_state_1d(grid, cfg.rho0, cfg.q0)
-        else:
-            state = custom_state_2d(grid, cfg.rho0, cfg.q0)
+        cells, cell_keys = cfg.m1 * cfg.m2, "m1, m2"
+    try:
+        with config_errors("rho0, q0" if cfg.preset == "custom" else "epsilon"):
+            if cfg.preset != "custom":
+                state = _PRESET_STATES[cfg.preset](grid, cfg.epsilon)
+            elif cfg.dimension == 1:
+                state = custom_state_1d(grid, cfg.rho0, cfg.q0)
+            else:
+                state = custom_state_2d(grid, cfg.rho0, cfg.q0)
+    except MemoryError:
+        # A count that a float array can index but the machine cannot hold.
+        raise ConfigError(f"the initial state of {cells} cells does not fit in memory "
+                          f"(from {cell_keys})") from None
     return eos, grid, state
 
 

@@ -51,13 +51,28 @@ class EquationOfState:
 
     # Unchecked evaluators, for float arrays already known to be positive and
     # finite (the density of a FluidState1D, or one that passed a stepper's
-    # positivity check).
+    # positivity check).  Each returns a new array, which the caller may
+    # write.
 
     def _pressure(self, rho):
-        return self.lambda_coeff * rho**self.gamma
+        return _power_law(rho, self.lambda_coeff, self.gamma)
 
     def _pressure_derivative(self, rho):
-        return self.lambda_coeff * self.gamma * rho ** (self.gamma - 1.0)
+        return _power_law(rho, self.lambda_coeff * self.gamma, self.gamma - 1.0)
+
+
+def _power_law(x, coeff: float, exponent: float):
+    """``coeff * x**exponent`` as a new array, in the cheapest form that gives
+    the same floats: x**2.0 equals a square and x**1.0 a copy of x, bit for
+    bit, and a coefficient of 1 is no multiply.  Any other exponent is a
+    power.  On 2,562 values numpy's scalar-power dispatch costs 2.1-3.4 us,
+    a square 1.4-1.8 us and a copy 0.6 us (2-core x86 VM)."""
+    if exponent == 1.0:
+        return x.copy() if coeff == 1.0 else coeff * x
+    out = np.square(x) if exponent == 2.0 else x**exponent
+    if coeff != 1.0:
+        out *= coeff
+    return out
 
 
 @dataclass(frozen=True)

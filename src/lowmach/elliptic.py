@@ -171,8 +171,11 @@ def _flux_operator(rho, stride: int, faces) -> np.ndarray:
 def _solve_strided_tridiagonal(sub, diag, sup, rhs, stride: int, linear_tol: float):
     """Solve rows sub_i x_{i-s} + diag_i x_i + sup_i x_{i+s} = rhs_i (indices
     modulo the length): each residue class mod s is an independent cyclic
-    tridiagonal system."""
+    tridiagonal system.  Stride 1 is one system, whose solution is returned
+    without a copy."""
     trusted = PeriodicTridiagonalSystem._trusted
+    if stride == 1:
+        return solve_periodic_tridiagonal(trusted(sub, diag, sup, rhs), linear_tol)
     out = np.empty_like(rhs)
     for p in range(stride):
         sys = trusted(sub[p::stride], diag[p::stride], sup[p::stride], rhs[p::stride])
@@ -190,13 +193,20 @@ def _solve_linear_1d(dphi, coeff: EllipticCoefficients, dx: float, stride: int,
     if coeff.beta == 0.0:
         return dphi.copy()
     (face,) = coeff.faces(stride, (dx,))
-    face_w = _shift(face, stride)
     # Constants lie in the diffusion operator's kernel: solving for the
     # deviation from dphi[0] keeps exactly-constant inputs exact fixed
     # points (free-stream preservation to the bit).
     shift = dphi[0]
-    return _solve_strided_tridiagonal(-face_w, 1.0 + face + face_w, -face, dphi - shift,
-                                      stride, linear_tol) + shift
+    if stride == 1:
+        # face_{i-1} = beta/dx^2 p'_i: the east faces' products, taken on the
+        # unshifted mobility.
+        face_w = _face_scale(coeff.beta, _square(dx)) * coeff.mobility
+    else:
+        face_w = _shift(face, stride)
+    out = _solve_strided_tridiagonal(-face_w, 1.0 + face + face_w, -face, dphi - shift,
+                                     stride, linear_tol)
+    out += shift
+    return out
 
 
 def solve_elliptic_ld_1d(rho_n, dphi, coeff: EllipticCoefficients, dx: float,

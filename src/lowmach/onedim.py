@@ -171,11 +171,14 @@ def _ap_fluxes(state: FluidState1D, eos, alpha):
     """Explicit fluxes of the semi-implicit scheme: sound speed sqrt(alpha p')
     and the explicit pressure part alpha p.  Returns (f1, f2, cell speeds,
     p' of the n cells), the state's density having been validated by its
-    constructor."""
+    constructor.  alpha = 1, the usual splitting, multiplies nothing."""
     rho = _periodic(state.rho)
     dp = eos._pressure_derivative(rho)
-    f1, f2, cell_max = _llf_fluxes(rho, _periodic(state.q), np.sqrt(alpha * dp),
-                                   alpha * eos._pressure(rho))
+    alpha_dp, alpha_p = dp, eos._pressure(rho)
+    if alpha != 1.0:
+        alpha_dp = alpha * dp
+        alpha_p *= alpha
+    f1, f2, cell_max = _llf_fluxes(rho, _periodic(state.q), np.sqrt(alpha_dp), alpha_p)
     return f1, f2, cell_max, dp[1:-1]
 
 
@@ -376,9 +379,14 @@ def max_stable_dt_scan(initial: FluidState1D, eos: EquationOfState, params: Sche
     3x that of the dt_lo reference run is rejected: near the margin the
     scheme develops grid-scale oscillations long before they amplify to
     blow-up within T, and the usable time step is the non-oscillatory one.
+    A dt_lo too small to advance t from T (T - dt_lo == T) is an
+    InstabilityError, as in a run.
     """
     if not dt_lo < dt_hi:
         raise ValueError("dt_lo must be < dt_hi")
+    if T - dt_lo == T:
+        # Each trial would take more steps than t can count: it never ends.
+        raise InstabilityError(f"time step dt_lo = {dt_lo:.3g} cannot advance t to T = {T:.6g}")
     rho_cap = 10.0 * float(initial.rho.max())
     q_cap = 10.0 * max(float(np.abs(initial.q).max()), float(initial.rho.max()))
 

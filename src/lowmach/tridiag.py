@@ -155,14 +155,15 @@ def solve_periodic_tridiagonal(sys: PeriodicTridiagonalSystem, linear_tol: float
         raise SingularSystemError("cyclic system is numerically singular")
     x = yz[:, 0] - yz[:, 1] * (vy / denom)
 
+    # Every row of the residual holds its unknown times a coefficient, so a
+    # non-finite entry of x makes the residual inf or NaN, and the NaN-safe
+    # test below fails it; a zero rhs passes only a zero residual.
     r = sys.matvec(x)
     r -= rhs
     resid = np.abs(r, out=r).max()
     rhs_scale = np.abs(rhs).max()
-    if rhs_scale > 0.0 and resid > linear_tol * rhs_scale:
+    if not resid <= linear_tol * rhs_scale or resid == math.inf:
         raise SingularSystemError(
             f"residual {resid:.3e} exceeds {linear_tol:.1e} * ||rhs|| = {linear_tol * rhs_scale:.3e}"
         )
-    if not np.isfinite(x).all():
-        raise SingularSystemError("solution contains non-finite entries")
     return x

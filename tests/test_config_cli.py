@@ -87,6 +87,14 @@ def test_config_validation_errors():
         build_config({"dt_policy": "adaptive", "dt": 0.001})
 
 
+def test_state_that_does_not_fit_in_memory_is_a_config_error():
+    # 2^59 cells pass the cell-count rule (at most 2^60 - 1), and numpy fails
+    # their 4 EiB allocation at once.  A count near the machine's memory
+    # is not tested: numpy may map it lazily and then exhaust memory.
+    with pytest.raises(ConfigError, match=r"576460752303423488 cells .*\(from m\)"):
+        build_config({"preset": "example1", "m": 2**59})
+
+
 def test_run_writes_snapshots_and_manifest(tmp_path):
     out = tmp_path / "out"
     result = run_raw({
@@ -271,6 +279,8 @@ def test_cli_import_does_not_load_process_pool():
     ["--preset", "example1", "--m", "100000000000000000000"],
     ["--preset", "example3", "--m1", "100000000000000000000"],
     ["--preset", "example3", "--m2", str(2**61)],
+    # a count numpy can index, whose 4 EiB allocation fails at once
+    ["--preset", "example1", "--m", str(2**59)],
 ])
 def test_cli_run_invalid_config_exits_2(tmp_path, capsys, flags):
     out = tmp_path / "bad"
@@ -361,6 +371,14 @@ def test_cli_run_dt_that_cannot_advance_t_final_exits_3(tmp_path, capsys, flags)
     assert "cannot advance t to t_final" in manifest["message"]
     assert "cannot advance" in capsys.readouterr().out
     assert (out / "steps.csv").read_text().count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_table1_t_final_beyond_dt_resolution_exits_3(tmp_path, capsys):
+    # t_final - dt_lo == t_final: each scan trial would never end.
+    assert main(["table1", "--epsilons", "0.8", "--dxs", "0.1", "--t-final", "1e300",
+                 "--output", str(tmp_path / "t1.csv")]) == 3
+    assert "cannot advance t" in capsys.readouterr().err
 
 
 def test_cli_run_explicit_cfl_step_below_t_final_resolution_exits_3(tmp_path):
@@ -468,6 +486,8 @@ def test_odd_m_allowed_where_no_stride2_solve_runs():
     # cell counts whose arrays numpy cannot index
     ["table1", "--epsilons", "0.8", "--dxs", "1e-300"],
     ["compare-ice", "--epsilon", "0.3", "--dx", "1e-300"],
+    # 2^59 cells: numpy can index them, and their allocation fails at once
+    ["table1", "--epsilons", "0.8", "--dxs", str(2.0**-59)],
 ])
 def test_cli_table_verbs_invalid_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     # Every input is checked before any work: no reference is computed.

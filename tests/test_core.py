@@ -42,6 +42,26 @@ def test_pressure_rejects_nonpositive_density():
         eos.pressure_derivative(-1.0)
 
 
+@pytest.mark.parametrize("lam", [1.0, 0.7])
+@pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0, 3.0])
+def test_pressure_forms_equal_the_power_law_bit_for_bit(gamma, lam):
+    # The evaluators pick a square, a multiply or no multiply where the
+    # exponent or the coefficient allows; the floats must be the power's.
+    eos = EquationOfState(lam, gamma)
+    rng = np.random.default_rng(7)
+    arrays = [np.exp(rng.uniform(-200.0, 200.0, 257)), np.linspace(0.5, 2.0, 102),
+              np.array(1.7), np.array(3.0e-50)]
+    for rho in arrays:
+        rho.flags.writeable = False
+        for got, want in ((eos._pressure(rho), lam * rho**gamma),
+                          (eos._pressure_derivative(rho), lam * gamma * rho ** (gamma - 1.0)),
+                          (eos.pressure(rho), lam * rho**gamma),
+                          (eos.pressure_derivative(rho), lam * gamma * rho ** (gamma - 1.0))):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            # The steppers write into the result.
+            assert not np.shares_memory(got, rho)
+
+
 @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0])
 @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0, 5.0])
 def test_pressure_derivative_matches_finite_differences(gamma, rho):

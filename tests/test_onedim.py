@@ -7,6 +7,7 @@ import pytest
 from lowmach import (
     EquationOfState,
     FluidState1D,
+    InstabilityError,
     NoStableDtError,
     NumericsError,
     ParamError,
@@ -494,6 +495,22 @@ def test_scan_returns_hi_when_everything_stable():
     params = SchemeParams(epsilon=0.5, alpha=1.0)
     dt = max_stable_dt_scan(st, EOS2, params, ap_stepper("ld"), 0.01, 1e-4, 1e-3, 1 / 16)
     assert dt == 1e-3
+
+
+def test_scan_with_a_dt_lo_that_cannot_advance_T_raises():
+    # ceil(T / dt_lo) = 1e303 steps per trial: the scan fails before its
+    # first step instead of running for ever.
+    st = FluidState1D(rho=np.ones(16), q=np.zeros(16))
+    params = SchemeParams(epsilon=0.5, alpha=1.0)
+
+    def stepper(*args):
+        raise AssertionError("the scan took a step")
+
+    with pytest.raises(InstabilityError, match="cannot advance"):
+        max_stable_dt_scan(st, EOS2, params, stepper, 1e300, 1e-3, 1e-2, 1 / 16)
+    # A T that dt_lo still advances starts the trials.
+    with pytest.raises(AssertionError, match="took a step"):
+        max_stable_dt_scan(st, EOS2, params, stepper, 1e12, 1e-3, 1e-2, 1 / 16)
 
 
 def test_scan_smoke_tiny_grid():

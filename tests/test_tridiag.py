@@ -70,3 +70,23 @@ def test_residual_contract():
         x = solve_periodic_tridiagonal(sys, linear_tol=1e-11)
         resid = np.max(np.abs(sys.matvec(x) - sys.rhs))
         assert resid <= 1e-11 * np.max(np.abs(sys.rhs))
+
+
+@pytest.mark.parametrize("n", [3, 8, 64])
+def test_zero_rhs_gives_exact_zeros(n):
+    # A zero rhs passes the residual test only with a zero residual.
+    sys = random_dominant_system(np.random.default_rng(n), n)
+    sys = PeriodicTridiagonalSystem(sub=sys.sub, diag=sys.diag, sup=sys.sup, rhs=np.zeros(n))
+    x = solve_periodic_tridiagonal(sys)
+    assert np.all(x == 0.0)
+
+
+@pytest.mark.parametrize("where", [0, 5, 15])
+def test_nan_rhs_is_a_singular_system_error(where):
+    # A float error under errstate "raise" would escape the solve's contract.
+    sys = random_dominant_system(np.random.default_rng(where), 16)
+    rhs = sys.rhs.copy()
+    rhs[where] = np.nan
+    sys = PeriodicTridiagonalSystem(sub=sys.sub, diag=sys.diag, sup=sys.sup, rhs=rhs)
+    with np.errstate(all="raise"), pytest.raises(SingularSystemError):
+        solve_periodic_tridiagonal(sys)
