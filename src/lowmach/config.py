@@ -1,12 +1,13 @@
 """Run configuration: the flat key=value config format, and the one place
 where a run's inputs are checked.
 
-A config file is UTF-8 text, one ``key = value`` per line, ``#`` starts a
-comment, blank lines ignored, unknown keys rejected.  The ``run`` and
-``sweep`` flags are the config keys; a flag's value is parsed as a file's
-is, and overrides it.  Presets fix the equation of state, the domain and
-the initial data; overriding a preset-fixed quantity with a contradictory
-value is a config error.
+The config keys are the fields of :class:`RunConfig`, and a key's string
+value is parsed by its field's type.  A config file is UTF-8 text, one
+``key = value`` per line, ``#`` starts a comment, blank lines ignored,
+unknown keys rejected.  The ``run`` and ``sweep`` flags are the config
+keys; a flag's value is parsed as a file's is, and overrides it.  Presets
+fix the equation of state, the domain and the initial data; overriding a
+preset-fixed quantity with a contradictory value is a config error.
 
 A config is checked by building what it describes, with the constructors a
 run uses: an input that one of them rejects is a :class:`ConfigError`
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .core import DtPolicy, EquationOfState, Grid1D, Grid2D, SchemeParams, validate_params
@@ -48,7 +49,9 @@ _PRESET_STATES = {"example1": example1_state, "example2": example2_state,
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A complete experiment description."""
+    """A complete experiment description; its fields are the config keys.
+    ``dt`` is the fixed time step, or None for the CFL rule of the explicit
+    part, dt = sigma * dx / max(|u| + sqrt(alpha p'))."""
 
     preset: str = "example1"
     dimension: int = 1
@@ -60,7 +63,7 @@ class RunConfig:
     m: int = 100
     m1: int = 20
     m2: int = 20
-    dt_policy: DtPolicy = field(default_factory=DtPolicy.adaptive)
+    dt: float | None = None
     t_final: float = 0.1
     stepper: str = "ap"
     variant: str = "ld"
@@ -72,10 +75,6 @@ class RunConfig:
     domain_b: float = 1.0
     rho0: float = 1.0
     q0: float = 0.0
-
-    def effective_snapshots(self):
-        times = self.snapshot_times if self.snapshot_times else (self.t_final,)
-        return tuple(sorted(times))
 
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -110,31 +109,10 @@ def parse_floats(key, raw) -> tuple:
         raise ConfigError(f"{key}: expected comma-separated numbers, got {raw!r}") from None
 
 
-_KEY_PARSERS = {
-    "preset": str,
-    "dimension": _parse_int,
-    "lambda_coeff": _parse_float,
-    "gamma": _parse_float,
-    "epsilon": _parse_float,
-    "alpha": _parse_float,
-    "sigma": _parse_float,
-    "m": _parse_int,
-    "m1": _parse_int,
-    "m2": _parse_int,
-    "dt": _parse_float,
-    "dt_policy": str,
-    "t_final": _parse_float,
-    "stepper": str,
-    "variant": str,
-    "stencil": str,
-    "snapshot_times": parse_floats,
-    "output_dir": str,
-    "dphi2_literal": _parse_bool,
-    "domain_a": _parse_float,
-    "domain_b": _parse_float,
-    "rho0": _parse_float,
-    "q0": _parse_float,
-}
+# The parser of each field's type: the fields' annotations are strings.
+_TYPE_PARSERS = {"int": _parse_int, "float": _parse_float, "float | None": _parse_float,
+                 "str": str, "bool": _parse_bool, "tuple": parse_floats}
+_KEY_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(RunConfig)}
 
 
 def parse_config_file(path) -> dict:
@@ -174,21 +152,8 @@ def build_config(raw: dict) -> RunConfig:
             raise ConfigError(f"{key}={values[key]} contradicts preset {preset} (fixed to {fixed})")
         values[key] = fixed
 
-    dt_kind = values.pop("dt_policy", None)
-    dt_value = values.pop("dt", None)
-    if dt_kind is None:
-        dt_kind = "fixed" if dt_value is not None else "adaptive"
-    if dt_kind == "fixed":
-        if dt_value is None:
-            raise ConfigError("dt_policy=fixed requires dt")
-        policy = DtPolicy.fixed(dt_value)
-    elif dt_kind == "adaptive":
-        if dt_value is not None:
-            raise ConfigError("dt is only meaningful with dt_policy=fixed")
-        policy = DtPolicy.adaptive()
-    else:
-        raise ConfigError(f"dt_policy must be fixed or adaptive, got {dt_kind!r}")
-    values["dt_policy"] = policy
+    if values.get("dt") is not None:
+        values["dt"] = float(values["dt"])
 
     if "snapshot_times" in values:
         values["snapshot_times"] = tuple(float(t) for t in values["snapshot_times"])
@@ -276,21 +241,14 @@ def build_problem(cfg: RunConfig):
 
 
 def scheme_params(cfg: RunConfig) -> SchemeParams:
+    policy = DtPolicy.adaptive() if cfg.dt is None else DtPolicy.fixed(cfg.dt)
     return SchemeParams(epsilon=cfg.epsilon, alpha=cfg.alpha, sigma=cfg.sigma,
-                        dt_policy=cfg.dt_policy)
+                        dt_policy=policy)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    """Flat, JSON-friendly echo of a config (for manifests)."""
-    out = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, DtPolicy):
-            out["dt_policy"] = value.kind
-            if value.dt is not None:
-                out["dt"] = value.dt
-        elif isinstance(value, tuple):
-            out[f.name] = list(value)
-        else:
-            out[f.name] = value
+    """Flat, JSON-friendly echo of a config (for manifests): its fields,
+    tuples as lists; :func:`build_config` rebuilds the config from it."""
+    out = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    out["snapshot_times"] = list(cfg.snapshot_times)
     return out

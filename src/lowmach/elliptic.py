@@ -231,10 +231,13 @@ def solve_elliptic_l_1d(rho_n, dphi, coeff: EllipticCoefficients, dx: float,
 
 def _nl_operator(rho, p_ext, beta: float, dx: float) -> np.ndarray:
     """rho - beta (p_{j+2} - 2 p_j + p_{j-2}) / (4 dx^2), periodic, for
-    ``p_ext`` p(rho) on the two-cell periodic extension of rho."""
-    out = p_ext[4:] - 2.0 * p_ext[2:-2]
-    out += p_ext[:-4]
-    out /= 4.0 * _square(dx)
+    ``p_ext`` p(rho) on the two-cell periodic extension of rho.  The second
+    difference is taken halved, p_{j+2}/2 - p_j + p_{j-2}/2, which no finite
+    p >= 0 overflows: the same floats wherever p/2 is a normal float."""
+    half = p_ext * 0.5
+    out = half[4:] - p_ext[2:-2]
+    out += half[:-4]
+    out /= 2.0 * _square(dx)
     out *= beta
     return np.subtract(rho, out, out=out)
 

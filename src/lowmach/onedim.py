@@ -159,8 +159,10 @@ def _llf_fluxes(rho, q, sound, pressure_flux):
     jump = rho[1:] - rho[:-1]
     jump *= half_a
     f1 -= jump
+    # Halved before the sum, which then holds any two finite g: the same
+    # floats as (g_j + g_{j+1})/2 wherever g is a normal float.
+    g *= 0.5
     f2 = g[:-1] + g[1:]
-    f2 *= 0.5
     np.subtract(q[1:], q[:-1], out=jump)
     jump *= half_a
     f2 -= jump
@@ -365,6 +367,15 @@ def ap_stepper(variant):
     return stepper
 
 
+def check_dt_advances(dt: float, t_end: float, dt_name: str = "dt",
+                      t_name: str = "t_final") -> None:
+    """InstabilityError where a step of ``dt`` cannot move t off ``t_end``
+    (t_end - dt == t_end): steps of that dt would never reach it."""
+    if t_end - dt == t_end:
+        raise InstabilityError(f"time step {dt_name} = {dt:.3g} cannot advance t to "
+                               f"{t_name} = {t_end:.6g}")
+
+
 def max_stable_dt_scan(initial: FluidState1D, eos: EquationOfState, params: SchemeParams,
                        stepper, T: float, dt_lo: float, dt_hi: float, dx: float,
                        bisection_iters: int = 12) -> float:
@@ -384,9 +395,7 @@ def max_stable_dt_scan(initial: FluidState1D, eos: EquationOfState, params: Sche
     """
     if not dt_lo < dt_hi:
         raise ValueError("dt_lo must be < dt_hi")
-    if T - dt_lo == T:
-        # Each trial would take more steps than t can count: it never ends.
-        raise InstabilityError(f"time step dt_lo = {dt_lo:.3g} cannot advance t to T = {T:.6g}")
+    check_dt_advances(dt_lo, T, "dt_lo", "T")
     rho_cap = 10.0 * float(initial.rho.max())
     q_cap = 10.0 * max(float(np.abs(initial.q).max()), float(initial.rho.max()))
 

@@ -28,7 +28,8 @@ from .config import RunConfig, build_config, build_problem, config_to_dict, sche
 from .core import FluidState1D, FluidState2D, Grid2D
 from .diagnostics import _sample_indices, relative_l2_error, total_variation
 from .errors import ConfigError, InstabilityError, NumericsError
-from .onedim import ap_stepper, max_stable_dt_scan, step_explicit_llf_1d, step_ice_1d
+from .onedim import (ap_stepper, check_dt_advances, max_stable_dt_scan, step_explicit_llf_1d,
+                     step_ice_1d)
 from .twodim import _cell_speeds, step_ap_2d
 
 STATUS_OK = 0
@@ -148,7 +149,7 @@ def run(cfg: RunConfig) -> RunResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
 
-    snapshots = list(cfg.effective_snapshots())
+    snapshots = sorted(cfg.snapshot_times or (cfg.t_final,))
     snap_index = 0
     step_rows = []
 
@@ -169,8 +170,8 @@ def run(cfg: RunConfig) -> RunResult:
     message = "completed"
     try:
         while t < cfg.t_final - _EVENT_TOL:
-            if cfg.dt_policy.kind == "fixed":
-                dt = cfg.dt_policy.dt
+            if cfg.dt is not None:
+                dt = cfg.dt
             else:
                 speed = _max_speed(cfg.stepper, eos, state, params)
                 length = min(grid.dx, grid.dy) if cfg.dimension == 2 else grid.dx
@@ -183,11 +184,7 @@ def run(cfg: RunConfig) -> RunResult:
                     if not dt > 0.0:
                         raise InstabilityError(f"CFL wave speed {speed:.3g} gives the adaptive "
                                                f"time step dt = {dt:.3g}")
-            if cfg.t_final - dt == cfg.t_final:
-                # Such a step cannot move t near t_final: the run would
-                # never end.
-                raise InstabilityError(f"time step dt = {dt:.3g} cannot advance t to "
-                                       f"t_final = {cfg.t_final:.6g}")
+            check_dt_advances(dt, cfg.t_final)
             next_event = snapshots[0] if snapshots else cfg.t_final
             dt = min(dt, next_event - t, cfg.t_final - t)
             state, report = stepper(state, eos, params, dt)
@@ -415,10 +412,7 @@ def compare_ice(epsilon, dx, dt, t_final, variant="ld", output_dir=None):
     # dt is not cut to t_final: the runs take ceil(t_final/dt) steps of dt.
     if not (np.isfinite(dt) and dt > 0.0):
         raise ConfigError(f"dt must be > 0, got {dt}")
-    if t_final - dt == t_final:
-        # As in run: the runs would never end.
-        raise InstabilityError(f"time step dt = {dt:.3g} cannot advance t to "
-                               f"t_final = {t_final:.6g}")
+    check_dt_advances(dt, t_final)
     eos, grid, ap_state = build_problem(ap_case)
     params = scheme_params(ap_case)
     stepper = ap_stepper(variant)

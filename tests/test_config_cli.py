@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,9 @@ import pytest
 
 import lowmach
 from lowmach.cli import build_parser, main
-from lowmach.config import _KEY_PARSERS, RunConfig, build_config, config_to_dict, parse_config_file
+from lowmach.config import (_KEY_PARSERS, RunConfig, build_config, config_to_dict,
+                            parse_config_file, scheme_params)
+from lowmach.core import DtPolicy
 from lowmach.errors import ConfigError
 from lowmach import runner as runner_module
 from lowmach.runner import compare_ice, run_raw, run_sweep
@@ -48,7 +51,7 @@ def test_parse_config_file(tmp_path):
     cfg = build_config(dict(raw, output_dir=str(tmp_path / "out")))
     assert isinstance(cfg, RunConfig)
     assert cfg.epsilon == 0.3 and cfg.m == 50
-    assert cfg.dt_policy.kind == "fixed" and cfg.dt_policy.dt == 0.004
+    assert cfg.dt == 0.004
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -81,10 +84,19 @@ def test_config_validation_errors():
         build_config({"stepper": "ice", "dimension": 2, "preset": "example3"})
     with pytest.raises(ConfigError):
         build_config({"snapshot_times": "0.5", "t_final": 0.1})
-    with pytest.raises(ConfigError):
-        build_config({"dt_policy": "fixed"})  # missing dt
-    with pytest.raises(ConfigError):
-        build_config({"dt_policy": "adaptive", "dt": 0.001})
+    with pytest.raises(ConfigError, match="dt > 0"):
+        build_config({"dt": "0"})
+    # Whether dt is given picks the time step policy: there is no key for it.
+    with pytest.raises(ConfigError, match="unknown key 'dt_policy'"):
+        build_config({"dt_policy": "fixed", "dt": 0.001})
+
+
+def test_dt_is_fixed_where_given_and_the_cfl_rule_otherwise():
+    assert build_config({}).dt is None
+    assert scheme_params(build_config({})).dt_policy == DtPolicy.adaptive()
+    typed = build_config({"dt": 1})
+    assert type(typed.dt) is float and typed.dt == 1.0
+    assert scheme_params(typed).dt_policy == DtPolicy.fixed(1.0)
 
 
 def test_state_that_does_not_fit_in_memory_is_a_config_error():
@@ -310,11 +322,23 @@ def test_cli_ill_typed_flag_exits_2(tmp_path, capsys, verb, flags):
 
 
 def test_cli_run_flags_are_the_config_keys():
+    assert list(_KEY_PARSERS) == [f.name for f in fields(RunConfig)]
     parser = build_parser()
     for verb in ("run", "sweep"):
         for key in _KEY_PARSERS:
             args = parser.parse_args([verb, "--" + key.replace("_", "-"), "v"])
             assert getattr(args, key) == "v"
+
+
+def test_dt_policy_is_an_unknown_key_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--dt-policy", "fixed", "--dt", "1e-3", "--output-dir", str(out)])
+    assert exc.value.code == 2
+    path = write_config(tmp_path, "dt_policy = adaptive\n")
+    assert main(["run", "--config", str(path), "--output-dir", str(out)]) == 2
+    assert "unknown key 'dt_policy'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [
@@ -426,6 +450,28 @@ def test_cli_run_dphi_dt_squared_over_dx_overflow_exits_3(tmp_path):
                  "--t-final", "1e101", "--output-dir", str(out)])
     assert code == 3
     assert "dt^2/(2 dx)" in json.loads((out / "manifest.json").read_text())["message"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("code, flags", [
+    # The LLF momentum flux g = rho u^2 + p lies within a factor 2 of the
+    # float maximum: its interface average is taken of g/2.
+    (0, ["--preset", "example1", "--m", "20", "--epsilon", "1e-154", "--stepper", "explicit_llf"]),
+    (0, ["--preset", "custom", "--m", "8", "--rho0", "1e154", "--stepper", "explicit_llf"]),
+    (0, ["--preset", "custom", "--m", "8", "--rho0", "1e100", "--gamma", "3", "--epsilon", "1e-4",
+         "--stepper", "explicit_llf"]),
+    (0, ["--preset", "custom", "--m", "8", "--q0", "1e154"]),
+    # p = 1e308 too: the cyclic systems of the solve, and the nl operator's
+    # second difference of p, taken of p/2.
+    (3, ["--preset", "custom", "--m", "8", "--rho0", "1e154", "--variant", "ld"]),
+    (3, ["--preset", "custom", "--m", "8", "--rho0", "1e154", "--variant", "l"]),
+    (3, ["--preset", "custom", "--m", "8", "--rho0", "1e154", "--variant", "nl"]),
+])
+def test_cli_run_flux_near_the_float_maximum_exits_without_a_traceback(tmp_path, code, flags):
+    out = tmp_path / "big"
+    assert main(["run", *flags, "--dt", "1e-3", "--t-final", "0.002",
+                 "--output-dir", str(out)]) == code
+    assert json.loads((out / "manifest.json").read_text())["status"] == code
 
 
 def test_explicit_run_on_a_tiny_grid_completes(tmp_path):
@@ -666,6 +712,11 @@ def test_config_to_dict_roundtrip():
                         "dt": 0.001, "t_final": 0.01})
     echo = config_to_dict(cfg)
     assert echo["preset"] == "example2"
-    assert echo["dt"] == 0.001 and echo["dt_policy"] == "fixed"
+    assert echo["dt"] == 0.001 and "dt_policy" not in echo
     rebuilt = build_config(echo)
     assert rebuilt == cfg
+    adaptive = build_config({"preset": "example2", "snapshot_times": "0.05,0.01"})
+    echo = config_to_dict(adaptive)
+    assert echo["dt"] is None and echo["snapshot_times"] == [0.05, 0.01]
+    assert json.loads(json.dumps(echo)) == echo
+    assert build_config(echo) == adaptive

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lowmach.config import build_config, build_problem
 from lowmach.presets import (
     example1_eos,
     example1_grid,
@@ -92,3 +93,15 @@ def test_example3_well_prepared():
     for eps in (0.8, 0.05):
         st = example3_state(example3_grid(16, 16), eps)
         assert np.max(np.abs(st.rho - 1.0)) <= eps**2 + 1e-15
+
+
+@pytest.mark.parametrize("preset, eos, grid", [
+    ("example1", example1_eos(), example1_grid(20)),
+    ("example2", example2_eos(), example2_grid(20)),
+    ("example3", example3_eos(), example3_grid(8, 8)),
+])
+def test_config_presets_build_the_preset_eos_and_grid(preset, eos, grid):
+    # config fixes each preset's EOS and domain itself; they must be these.
+    built_eos, built_grid, _ = build_problem(build_config({"preset": preset, "m": 20,
+                                                           "m1": 8, "m2": 8}))
+    assert built_eos == eos and built_grid == grid

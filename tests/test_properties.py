@@ -34,7 +34,8 @@ from lowmach import (
     validate_params,
 )
 from lowmach.cli import main
-from lowmach.config import _KEY_PARSERS, _parse_float, _parse_int, build_config, scheme_params
+from lowmach.config import (_KEY_PARSERS, _parse_float, _parse_int, build_config, config_to_dict,
+                            scheme_params)
 from lowmach.presets import PRESET_NAMES
 from lowmach.runner import build_problem
 
@@ -113,8 +114,8 @@ _EXTREME = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, 1e-
 _BAD = ("", " ", "abc", "maybe", ",", "0,nan", "0.01,inf", "1e999", "-0", "2.5")
 _NAMES = {"preset": PRESET_NAMES, "stepper": ("ap", "ice", "explicit_llf"),
           "variant": ("nl", "l", "ld"), "stencil": ("wide", "reduced"),
-          "dt_policy": ("fixed", "adaptive"), "dphi2_literal": ("true", "no"),
-          "snapshot_times": ("0", "0,0.01", ",0.1"), "output_dir": ("out",)}
+          "dphi2_literal": ("true", "no"), "snapshot_times": ("0", "0,0.01", ",0.1"),
+          "output_dir": ("out",)}
 
 
 def _raw_value(key):
@@ -145,6 +146,7 @@ def test_build_config_returns_a_buildable_run_or_raises_config_error(raw):
         return
     build_problem(cfg)
     validate_params(scheme_params(cfg))
+    assert build_config(config_to_dict(cfg)) == cfg
 
 
 # CLI argv: ordinary flag values, up to two of the verb's float flags at the

@@ -7,7 +7,10 @@ import pytest
 
 from lowmach import ConfigError, FluidState1D, FluidState2D, Grid1D, Grid2D, onedim
 from lowmach.cli import main
+from lowmach.config import build_config, build_problem, scheme_params
 from lowmach.runner import (
+    _make_stepper,
+    _max_speed,
     _snapshot_writer,
     _write_csv,
     compare_ice,
@@ -75,6 +78,23 @@ def test_run_example3_2d_preset(tmp_path):
     })
     assert result.status == 0
     assert result.steps_taken == 80
+
+
+@pytest.mark.parametrize("raw", [
+    *({"variant": variant, "alpha": alpha} for variant in ("ld", "l", "nl") for alpha in (1.0, 0.5)),
+    {"stepper": "explicit_llf"},
+    {"stepper": "ice"},
+    *({"preset": "example3", "stencil": stencil, "alpha": alpha}
+      for stencil in ("wide", "reduced") for alpha in (0.0, 1.0)),
+], ids=lambda raw: "-".join(map(str, raw.values())))
+def test_cfl_speed_is_the_speed_a_step_reports(raw):
+    # The run's CFL rule restates each stepper's sound speed (sqrt(alpha p'),
+    # sqrt(p')/eps, 0): it must read the float the step itself reports.
+    cfg = build_config({"epsilon": 0.3, "m": 20, "m1": 8, "m2": 8, "dt": 1e-3, **raw})
+    eos, grid, state = build_problem(cfg)
+    params = scheme_params(cfg)
+    _, report = _make_stepper(cfg, grid)(state, eos, params, cfg.dt)
+    assert _max_speed(cfg.stepper, eos, state, params) == report.max_wave_speed
 
 
 def test_reference_solution_refine1_matches_plain_run():
