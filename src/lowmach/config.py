@@ -12,9 +12,11 @@ preset-fixed quantity with a contradictory value is a config error.
 A config is checked by building what it describes, with the constructors a
 run uses: an input that one of them rejects is a :class:`ConfigError`
 naming the keys it came from.  Only what no constructor checks is checked
-here: names, the run length, snapshot times, the 2D stepper and domain,
-and the cell counts of the elliptic solve.  The table verbs build each of
-their cases as a config too, so these are the rules of every verb.
+here: names, the run length, the step count t_final / dt of a fixed dt
+(at most :data:`lowmach.onedim.MAX_STEPS`), snapshot times, the 2D stepper
+and domain, and the cell counts of the elliptic solve.  The table verbs
+build each of their cases as a config too, so these are the rules of every
+verb.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from pathlib import Path
 from .core import DtPolicy, EquationOfState, Grid1D, Grid2D, SchemeParams, validate_params
 from .elliptic import _STENCIL_STRIDE, _VARIANT_STRIDE
 from .errors import ConfigError, InvalidStateError, ParamError
+from .onedim import check_step_count
 from .presets import (
     PRESET_NAMES,
     custom_state_1d,
@@ -192,6 +195,8 @@ def _validate_config(cfg: RunConfig) -> None:
     # The parameters first: a preset's initial state is built from epsilon.
     with config_errors("epsilon, alpha, sigma, dt"):
         validate_params(scheme_params(cfg))
+    if cfg.dt is not None:
+        check_step_count(cfg.dt, cfg.t_final, ConfigError)
     build_problem(cfg)
 
 

@@ -12,9 +12,15 @@ pressure itself under the second difference).
 The linear operators, 1D and 2D, are one flux form at neighbour distance
 (stride) s: along each axis the flux between cells i and i+s is
 F_i = beta/(s h)^2 p'_{i+1} (rho_{i+s} - rho_i), and row i takes
-F_i - F_{i-s}.  :meth:`EllipticCoefficients.faces` builds the face
-coefficients once per step, and the solve and the residual check apply the
-same read-only arrays.  Three 1D variants:
+F_i - F_{i-s}.  The 1D linear solves build their tridiagonal bands from one
+periodic extension of the mobility scaled by -beta/(s dx)^2 (the
+off-diagonals are slices of it) and return, with the solution, the max-norm
+residual that the tridiagonal solve has already tested, which the steps
+report; they apply no operator after the solve.  In 2D,
+:meth:`EllipticCoefficients.faces` builds the face coefficients once per
+step, and the CG solve and the step's residual check (a real check there:
+CG's recursive residual can drift from the true one) apply the same
+read-only arrays.  Three 1D variants:
 
 * LD -- stride 1, one cyclic tridiagonal solve;
 * L  -- stride 2; even and odd cells decouple into two cyclic tridiagonal
@@ -69,8 +75,9 @@ class EllipticCoefficients:
 
     :meth:`faces` builds the flux-form face coefficients once per stride
     and spacings and hands the same read-only arrays to every later call,
-    so a step's solve and its residual check share them.  The same per-step
-    cache carries the ``nl`` Newton solve's last p and G to the step.
+    so a 2D step's solve and its residual check share them (the 1D linear
+    solves build their bands without them).  The same per-step cache
+    carries the ``nl`` Newton solve's last p and G to the step.
     """
 
     beta: float
@@ -149,7 +156,8 @@ def _face_scale(beta: float, h2: float) -> float:
 
 
 def _face_coefficients(stride: int, coeff: EllipticCoefficients, spacings):
-    """Builder of :meth:`EllipticCoefficients.faces`."""
+    """Builder of :meth:`EllipticCoefficients.faces`; :func:`_linear_bands`
+    restates it for the 1D linear solves."""
     return tuple(_face_scale(coeff.beta, _square(stride * h)) * _shift(coeff.mobility, -1, axis)
                  for axis, h in enumerate(spacings))
 
@@ -171,60 +179,78 @@ def _flux_operator(rho, stride: int, faces) -> np.ndarray:
 def _solve_strided_tridiagonal(sub, diag, sup, rhs, stride: int, linear_tol: float):
     """Solve rows sub_i x_{i-s} + diag_i x_i + sup_i x_{i+s} = rhs_i (indices
     modulo the length): each residue class mod s is an independent cyclic
-    tridiagonal system.  Stride 1 is one system, whose solution is returned
-    without a copy."""
+    tridiagonal system.  Returns (x, the largest of the classes' max-norm
+    residuals).  Stride 1 is one system, whose solution is returned without
+    a copy."""
     trusted = PeriodicTridiagonalSystem._trusted
     if stride == 1:
         return solve_periodic_tridiagonal(trusted(sub, diag, sup, rhs), linear_tol)
     out = np.empty_like(rhs)
+    resid = 0.0
     for p in range(stride):
         sys = trusted(sub[p::stride], diag[p::stride], sup[p::stride], rhs[p::stride])
-        out[p::stride] = solve_periodic_tridiagonal(sys, linear_tol)
-    return out
+        out[p::stride], r = solve_periodic_tridiagonal(sys, linear_tol)
+        resid = max(resid, r)
+    return out, resid
+
+
+def _linear_bands(coeff: EllipticCoefficients, dx: float, stride: int):
+    """(sub, diag, sup) of the stride-s flux-form rows
+    (1 + face_i + face_{i-s}) rho_i - face_i rho_{i+s} - face_{i-s} rho_{i-s},
+    face_i = beta/(s dx)^2 p'_{i+1}.  One periodic extension of the mobility,
+    scaled once by -beta/(s dx)^2, holds both off-diagonals as slices, and
+    diag = 1 - sup - sub: the same floats as -face_{i-s}, 1 + face_i +
+    face_{i-s} and -face_i from :meth:`EllipticCoefficients.faces`."""
+    neg = _periodic(coeff.mobility)
+    neg *= -_face_scale(coeff.beta, _square(stride * dx))
+    sup = neg[2:]
+    sub = neg[2 - stride:-stride]
+    diag = np.subtract(1.0, sup)
+    diag -= sub
+    return sub, diag, sup
 
 
 def _solve_linear_1d(dphi, coeff: EllipticCoefficients, dx: float, stride: int,
-                     linear_tol: float) -> np.ndarray:
-    """Solve the stride-s flux-form equation; row i is
-    (1 + face_i + face_{i-s}) rho_i - face_i rho_{i+s} - face_{i-s} rho_{i-s}."""
+                     linear_tol: float):
+    """Solve the stride-s flux-form equation; returns (rho, the max-norm
+    residual of the solve's systems)."""
     dphi = np.asarray(dphi, dtype=float)
     if dphi.shape[0] % stride != 0:
         raise UnsupportedGridError("stride-2 elliptic variant requires an even cell count")
     if coeff.beta == 0.0:
-        return dphi.copy()
-    (face,) = coeff.faces(stride, (dx,))
+        return dphi.copy(), 0.0
+    bands = _linear_bands(coeff, dx, stride)
     # Constants lie in the diffusion operator's kernel: solving for the
     # deviation from dphi[0] keeps exactly-constant inputs exact fixed
     # points (free-stream preservation to the bit).
     shift = dphi[0]
-    if stride == 1:
-        # face_{i-1} = beta/dx^2 p'_i: the east faces' products, taken on the
-        # unshifted mobility.
-        face_w = _face_scale(coeff.beta, _square(dx)) * coeff.mobility
-    else:
-        face_w = _shift(face, stride)
-    out = _solve_strided_tridiagonal(-face_w, 1.0 + face + face_w, -face, dphi - shift,
-                                     stride, linear_tol)
+    out, resid = _solve_strided_tridiagonal(*bands, dphi - shift, stride, linear_tol)
     out += shift
-    return out
+    return out, resid
 
 
 def solve_elliptic_ld_1d(rho_n, dphi, coeff: EllipticCoefficients, dx: float,
-                         linear_tol: float = 1e-11) -> np.ndarray:
+                         linear_tol: float = 1e-11):
     """Three-point variant:
 
     rho_j - (beta/dx^2) [ p'_{j+1} (rho_{j+1}-rho_j) - p'_j (rho_j-rho_{j-1}) ] = dphi_j
+
+    Returns (rho, residual): the max norm of the cyclic system's residual,
+    which the solve has tested against ``linear_tol`` (for the deviation
+    from dphi[0]; 0 where beta = 0).
     """
     return _solve_linear_1d(dphi, coeff, dx, 1, linear_tol)
 
 
 def solve_elliptic_l_1d(rho_n, dphi, coeff: EllipticCoefficients, dx: float,
-                        linear_tol: float = 1e-11) -> np.ndarray:
+                        linear_tol: float = 1e-11):
     """Five-point stride-2 variant:
 
     rho_j - (beta/(4 dx^2)) [ p'_{j+1} (rho_{j+2}-rho_j) - p'_{j-1} (rho_j-rho_{j-2}) ] = dphi_j
 
-    Couples only same-parity cells; requires an even cell count.
+    Couples only same-parity cells; requires an even cell count.  Returns
+    (rho, residual), the residual the larger of the two residue classes'
+    max norms, as in :func:`solve_elliptic_ld_1d`.
     """
     return _solve_linear_1d(dphi, coeff, dx, 2, linear_tol)
 
@@ -291,8 +317,8 @@ def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: Equation
         # the stride-2 second difference: p' sits at the stencil points of
         # the current iterate, and even/odd cells still decouple.
         dp = eos._pressure_derivative(ext)
-        delta = _solve_strided_tridiagonal(-b4 * dp[:-4], 1.0 + 2.0 * b4 * dp[2:-2],
-                                           -b4 * dp[4:], -g, 2, linear_tol)
+        delta, _ = _solve_strided_tridiagonal(-b4 * dp[:-4], 1.0 + 2.0 * b4 * dp[2:-2],
+                                              -b4 * dp[4:], -g, 2, linear_tol)
         rho = rho + delta
         if np.abs(delta).max() <= newton_tol:
             _check_newton_iterate(rho, "solution")
@@ -329,7 +355,9 @@ def _nl_pressure_and_residual(rho, dphi, coeff: EllipticCoefficients, eos: Equat
 
 def apply_elliptic_operator_1d(variant: str, rho, rho_n, coeff: EllipticCoefficients,
                                eos: EquationOfState, dx: float) -> np.ndarray:
-    """Left-hand side of the variant's elliptic equation, for residual checks."""
+    """Left-hand side of the variant's elliptic equation, for residual checks
+    (the steps do not call it: ``nl`` keeps its Newton solve's G, and the
+    linear solves return their residual)."""
     rho = np.asarray(rho, dtype=float)
     if variant == "nl":
         return _nl_operator(rho, eos.pressure(_periodic(rho, 2)), coeff.beta, dx)

@@ -26,7 +26,12 @@ a slice view of an extension rather than a shifted copy.  The fluxes are
 computed in place, with the operands and order of the plain formulas, so
 they are the same floats.  The ``nl`` step takes p(rho^{n+1}) and the
 residual of the density row from the Newton solve where its last G test
-accepted the new density, and evaluates them otherwise.
+accepted the new density, and evaluates them otherwise.  The ``ld`` and
+``l`` steps and the ICE corrector report the max-norm residual that their
+linear solve returns, the one its cyclic tridiagonal solves have tested
+(for ``l`` the larger of the two residue classes'), and apply no operator
+after the solve; their tridiagonal bands come from one periodic extension
+of the mobility (:mod:`lowmach.elliptic`).
 
 These three and :func:`lowmach.twodim.step_ap_2d` hand a step back the same
 way: :func:`_check_new_density` on the new density, then
@@ -51,7 +56,6 @@ from .elliptic import (
     _VARIANT_STRIDE,
     EllipticCoefficients,
     _nl_pressure_and_residual,
-    apply_elliptic_operator_1d,
     beta_coefficient,
     solve_elliptic_l_1d,
     solve_elliptic_ld_1d,
@@ -92,7 +96,7 @@ def _check_new_density(rho_new):
     return total
 
 
-def _finish_step(state_cls, rho_new, mass, momenta, cell_size, cell_max, r_density, dt,
+def _finish_step(state_cls, rho_new, mass, momenta, cell_size, cell_max, residual, dt,
                  newton_iters=0, linear_iters=0):
     """Hand-off of every stepper, 1D or 2D; returns (new_state, StepReport).
 
@@ -102,8 +106,8 @@ def _finish_step(state_cls, rho_new, mass, momenta, cell_size, cell_max, r_densi
     non-finite entry.  The arrays are frozen into a ``state_cls`` through
     its ``_trusted``.  The report's totals are sums times ``cell_size``
     (dx, or dx dy), its wave speed the max of ``cell_max``, and its
-    consistency_residual the max norm of ``r_density`` (0 for a step
-    without a solve, ``r_density`` None).
+    consistency_residual ``residual``, the max-norm residual of the density
+    row (0.0 for a step without a solve).
     """
     totals = []
     for q in momenta:
@@ -115,7 +119,7 @@ def _finish_step(state_cls, rho_new, mass, momenta, cell_size, cell_max, r_densi
         max_wave_speed=float(cell_max.max()),
         mass_total=float(mass * cell_size),
         momentum_total=float(totals[0] * cell_size),
-        consistency_residual=0.0 if r_density is None else float(np.abs(r_density).max()),
+        consistency_residual=residual,
         newton_iters=newton_iters,
         linear_iters=linear_iters,
         dt_used=dt,
@@ -263,8 +267,9 @@ def step_ap_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
     """One semi-implicit step; returns (new_state, StepReport).
 
     The report's consistency_residual is the max-norm residual of the
-    density row: the new density put through the variant's elliptic
-    operator, minus the right-hand side (in density units).
+    density row (in density units): the Newton solve's G at the new density
+    for ``nl``, and for ``l`` and ``ld`` the residual the linear solve
+    returns, which its tridiagonal solves have tested.
     ``variant`` is "nl", "l" or "ld".
     """
     if variant not in _VARIANT_STRIDE:
@@ -283,9 +288,9 @@ def step_ap_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
 
     newton_iters = 0
     if variant == "ld":
-        rho_new = solve_elliptic_ld_1d(rho, dphi, coeff, dx, params.linear_tol)
+        rho_new, residual = solve_elliptic_ld_1d(rho, dphi, coeff, dx, params.linear_tol)
     elif variant == "l":
-        rho_new = solve_elliptic_l_1d(rho, dphi, coeff, dx, params.linear_tol)
+        rho_new, residual = solve_elliptic_l_1d(rho, dphi, coeff, dx, params.linear_tol)
     else:
         rho_new, newton_iters = solve_elliptic_nl_1d(
             rho, dphi, coeff, eos, dx,
@@ -297,14 +302,14 @@ def step_ap_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
 
     if variant == "nl":
         # p on the two-cell extension of rho^{n+1}, and G(rho^{n+1}).
-        p_new, r_density = _nl_pressure_and_residual(rho_new, dphi, coeff, eos, dx)
+        p_new, g = _nl_pressure_and_residual(rho_new, dphi, coeff, eos, dx)
         p_jump = p_new[3:-1] - p_new[1:-3]
+        residual = float(np.abs(g).max())
     else:
         p_jump = _centered_difference(eos._pressure(rho_new))
-        r_density = apply_elliptic_operator_1d(variant, rho_new, rho, coeff, eos, dx) - dphi
     c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
     q_new = _momentum_from_fluxes(q, df2, p_jump, c, dt, dx)
-    return _finish_step(FluidState1D, rho_new, mass, (q_new,), dx, cell_max, r_density, dt,
+    return _finish_step(FluidState1D, rho_new, mass, (q_new,), dx, cell_max, residual, dt,
                         newton_iters=newton_iters)
 
 
@@ -327,7 +332,7 @@ def step_explicit_llf_1d(state: FluidState1D, eos: EquationOfState, params: Sche
     q_new = _conservative_update(state.q, f2, dt, dx)
 
     mass = _check_new_density(rho_new)
-    return _finish_step(FluidState1D, rho_new, mass, (q_new,), dx, cell_max, None, dt)
+    return _finish_step(FluidState1D, rho_new, mass, (q_new,), dx, cell_max, 0.0, dt)
 
 
 def step_ice_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
@@ -350,12 +355,11 @@ def step_ice_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
         raise InstabilityError("non-finite predictor state")
 
     coeff = EllipticCoefficients._of_step(_square(dt) / eps**2, eos._pressure_derivative(rho))
-    rho_new = solve_elliptic_ld_1d(rho, rho_star, coeff, dx, params.linear_tol)
+    rho_new, residual = solve_elliptic_ld_1d(rho, rho_star, coeff, dx, params.linear_tol)
     mass = _check_new_density(rho_new)
 
     q_new = q_star - (dt / eps**2) * _centered_difference(eos._pressure(rho_new)) / (2.0 * dx)
-    r_density = apply_elliptic_operator_1d("ld", rho_new, rho, coeff, eos, dx) - rho_star
-    return _finish_step(FluidState1D, rho_new, mass, (q_new,), dx, cell_max, r_density, dt)
+    return _finish_step(FluidState1D, rho_new, mass, (q_new,), dx, cell_max, residual, dt)
 
 
 def ap_stepper(variant):
@@ -376,6 +380,24 @@ def check_dt_advances(dt: float, t_end: float, dt_name: str = "dt",
                                f"{t_name} = {t_end:.6g}")
 
 
+# The most steps a run, or one trial of a stability scan, may take: 26 times
+# the 38,400 steps of the largest run a committed verb makes (the refine-4
+# Table 2 reference at eps = 0.05).  A fixed step whose count t_end / dt
+# exceeds it fails before the first step (check_step_count); a run on the
+# CFL rule counts its steps.
+MAX_STEPS = 1_000_000
+
+
+def check_step_count(dt: float, t_end: float, error=InstabilityError, dt_name: str = "dt",
+                     t_name: str = "t_final") -> None:
+    """``error`` where steps of ``dt`` would take more than MAX_STEPS to reach
+    ``t_end``.  A dt that cannot move t off ``t_end`` at all passes here:
+    :func:`check_dt_advances` states that rule."""
+    if t_end / dt > MAX_STEPS and t_end - dt != t_end:
+        raise error(f"{t_name} / {dt_name} = {t_end:.6g} / {dt:.3g} needs more than the "
+                    f"{MAX_STEPS} steps a run may take")
+
+
 def max_stable_dt_scan(initial: FluidState1D, eos: EquationOfState, params: SchemeParams,
                        stepper, T: float, dt_lo: float, dt_hi: float, dx: float,
                        bisection_iters: int = 12) -> float:
@@ -390,12 +412,14 @@ def max_stable_dt_scan(initial: FluidState1D, eos: EquationOfState, params: Sche
     3x that of the dt_lo reference run is rejected: near the margin the
     scheme develops grid-scale oscillations long before they amplify to
     blow-up within T, and the usable time step is the non-oscillatory one.
-    A dt_lo too small to advance t from T (T - dt_lo == T) is an
-    InstabilityError, as in a run.
+    A dt_lo too small to advance t from T (T - dt_lo == T), or whose trial
+    would take more than MAX_STEPS steps, is an InstabilityError, as in a
+    run on the CFL rule.
     """
     if not dt_lo < dt_hi:
         raise ValueError("dt_lo must be < dt_hi")
     check_dt_advances(dt_lo, T, "dt_lo", "T")
+    check_step_count(dt_lo, T, dt_name="dt_lo", t_name="T")
     rho_cap = 10.0 * float(initial.rho.max())
     q_cap = 10.0 * max(float(np.abs(initial.q).max()), float(initial.rho.max()))
 

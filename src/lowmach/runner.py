@@ -28,8 +28,8 @@ from .config import RunConfig, build_config, build_problem, config_to_dict, sche
 from .core import FluidState1D, FluidState2D, Grid2D
 from .diagnostics import _sample_indices, relative_l2_error, total_variation
 from .errors import ConfigError, InstabilityError, NumericsError
-from .onedim import (ap_stepper, check_dt_advances, max_stable_dt_scan, step_explicit_llf_1d,
-                     step_ice_1d)
+from .onedim import (MAX_STEPS, ap_stepper, check_dt_advances, check_step_count,
+                     max_stable_dt_scan, step_explicit_llf_1d, step_ice_1d)
 from .twodim import _cell_speeds, step_ap_2d
 
 STATUS_OK = 0
@@ -139,7 +139,9 @@ def _make_stepper(cfg: RunConfig, grid):
 def run(cfg: RunConfig) -> RunResult:
     """Integrate to t_final, writing snapshot CSVs, a per-step report log
     and a manifest.  Returns a RunResult whose status mirrors the CLI exit
-    code (0 success, 3 numerical failure)."""
+    code (0 success, 3 numerical failure).  A fixed dt's step count was
+    checked with the config; a run on the CFL rule that has taken
+    MAX_STEPS steps without reaching t_final is a numerical failure."""
     eos, grid, state = build_problem(cfg)
     params = scheme_params(cfg)
     stepper = _make_stepper(cfg, grid)
@@ -173,6 +175,9 @@ def run(cfg: RunConfig) -> RunResult:
             if cfg.dt is not None:
                 dt = cfg.dt
             else:
+                if nstep >= MAX_STEPS:
+                    raise InstabilityError(f"the CFL rule took {MAX_STEPS} steps, the most a "
+                                           f"run may take, without reaching t_final")
                 speed = _max_speed(cfg.stepper, eos, state, params)
                 length = min(grid.dx, grid.dy) if cfg.dimension == 2 else grid.dx
                 if speed == 0.0:
@@ -413,6 +418,7 @@ def compare_ice(epsilon, dx, dt, t_final, variant="ld", output_dir=None):
     if not (np.isfinite(dt) and dt > 0.0):
         raise ConfigError(f"dt must be > 0, got {dt}")
     check_dt_advances(dt, t_final)
+    check_step_count(dt, t_final, ConfigError)
     eos, grid, ap_state = build_problem(ap_case)
     params = scheme_params(ap_case)
     stepper = ap_stepper(variant)

@@ -10,7 +10,9 @@ The 1D elliptic solves build their systems through
 constructor's conversions and keeps only its N >= 3 check; the solve itself
 checks every system the same way.  The residual check applies the system
 with :meth:`PeriodicTridiagonalSystem.matvec`, which takes both neighbours
-of each unknown from one periodic extension of x.
+of each unknown from one periodic extension of x, and the solve returns the
+max norm of that residual with the solution: the 1D linear steps report it
+instead of applying their operator again.
 """
 
 from __future__ import annotations
@@ -107,9 +109,11 @@ def _check_size(diag):
         raise ValueError("periodic tridiagonal system requires N >= 3")
 
 
-def solve_periodic_tridiagonal(sys: PeriodicTridiagonalSystem, linear_tol: float = 1e-11) -> np.ndarray:
-    """Solve the cyclic system; raises SingularSystemError when the matrix
-    is numerically singular or the residual check fails.
+def solve_periodic_tridiagonal(sys: PeriodicTridiagonalSystem, linear_tol: float = 1e-11):
+    """Solve the cyclic system; returns (x, max|A x - rhs|), the residual a
+    float that passed the test max|A x - rhs| <= linear_tol max|rhs|.
+    Raises SingularSystemError when the matrix is numerically singular or
+    the residual test fails.
 
     Writes the cyclic matrix as T + u v^T with T tridiagonal and solves
     T for the rhs and for u in one ``dgtsv`` call.  The scalars of the
@@ -166,4 +170,4 @@ def solve_periodic_tridiagonal(sys: PeriodicTridiagonalSystem, linear_tol: float
         raise SingularSystemError(
             f"residual {resid:.3e} exceeds {linear_tol:.1e} * ||rhs|| = {linear_tol * rhs_scale:.3e}"
         )
-    return x
+    return x, float(resid)

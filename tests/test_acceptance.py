@@ -328,10 +328,10 @@ def test_criterion_8_solver_oracles():
         dphi = 1 + 0.4 * rng.standard_normal(m)
         coeff = EllipticCoefficients(beta=beta, mobility=mob)
         if k % 2 == 0:
-            mine = solve_elliptic_ld_1d(np.ones(m), dphi, coeff, 1 / m)
+            mine, _ = solve_elliptic_ld_1d(np.ones(m), dphi, coeff, 1 / m)
             oracle = np.linalg.solve(dense_matrix_1d("ld", mob, beta, 1 / m, m), dphi)
         else:
-            mine = solve_elliptic_l_1d(np.ones(m), dphi, coeff, 1 / m)
+            mine, _ = solve_elliptic_l_1d(np.ones(m), dphi, coeff, 1 / m)
             oracle = np.linalg.solve(dense_matrix_1d("l", mob, beta, 1 / m, m), dphi)
         worst = max(worst, float(np.max(np.abs(mine - oracle))) / max(1.0, float(np.max(np.abs(oracle)))))
         checks += 1
@@ -363,7 +363,7 @@ def test_criterion_8_solver_oracles():
     rho_star = 1 + 0.1 * np.sin(2 * np.pi * x)
     coeff = EllipticCoefficients(beta=0.01, mobility=EOS2.pressure_derivative(np.ones(m)))
     dphi_ld = apply_elliptic_operator_1d("ld", rho_star, None, coeff, EOS2, 1 / m)
-    manu_ld = float(np.max(np.abs(solve_elliptic_ld_1d(np.ones(m), dphi_ld, coeff, 1 / m) - rho_star)))
+    manu_ld = float(np.max(np.abs(solve_elliptic_ld_1d(np.ones(m), dphi_ld, coeff, 1 / m)[0] - rho_star)))
     dphi_nl = apply_elliptic_operator_1d("nl", rho_star, None, coeff, EOS2, 1 / m)
     sol_nl, iters = solve_elliptic_nl_1d(np.ones(m), dphi_nl, coeff, EOS2, 1 / m)
     manu_nl = float(np.max(np.abs(sol_nl - rho_star)))

@@ -405,6 +405,59 @@ def test_cli_table1_t_final_beyond_dt_resolution_exits_3(tmp_path, capsys):
     assert "cannot advance t" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_table1_trial_beyond_the_step_cap_exits_3(tmp_path, capsys):
+    # dt_lo, from the initial wave speed, advances t_final = 1e12, but a
+    # trial would take ~7e14 steps: a numerical failure before the first.
+    assert main(["table1", "--epsilons", "0.8", "--dxs", "0.1", "--t-final", "1e12",
+                 "--output", str(tmp_path / "t1.csv")]) == 3
+    assert "steps a run may take" in capsys.readouterr().err
+    assert not (tmp_path / "t1.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_run_fixed_dt_beyond_the_step_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # The config alone fixes t_final / dt = 1e15 steps: a config error before
+    # any output, also for a sweep entry, which stops the sweep before it runs,
+    # and for compare-ice.  No step may run (it would not end).
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(runner_module, "_make_stepper", lambda cfg, grid: no_step)
+    monkeypatch.setattr(runner_module, "ap_stepper", lambda variant: no_step)
+    with pytest.raises(ConfigError, match="t_final / dt = 1e[+]12 / 0.001 needs more than"):
+        compare_ice(0.3, 0.05, 1e-3, 1e12)
+    out = tmp_path / "long"
+    assert main(["run", "--preset", "example1", "--m", "20", "--dt", "1e-3",
+                 "--t-final", "1e12", "--output-dir", str(out)]) == 2
+    assert "steps a run may take" in capsys.readouterr().err
+    assert not out.exists()
+    sweep_dir = tmp_path / "sweep"
+    assert main(["sweep", "--preset", "example1", "--m", "20", "--dt", "1e-3",
+                 "--vary", "t_final=0.002,1e12", "--sweep-dir", str(sweep_dir)]) == 2
+    assert not sweep_dir.exists()
+    # At the cap a fixed dt is a valid config.
+    build_config({"preset": "example1", "m": 20, "dt": 1.0, "t_final": 1e6})
+
+
+def test_cli_run_cfl_rule_beyond_the_step_cap_exits_3(tmp_path, monkeypatch):
+    # The CFL rule counts its steps: a run that has taken the cap without
+    # reaching t_final fails with its steps and manifest written.
+    monkeypatch.setattr(runner_module, "MAX_STEPS", 3)
+    out = tmp_path / "cfl"
+    assert main(["run", "--preset", "example1", "--m", "20", "--t-final", "0.1",
+                 "--output-dir", str(out)]) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == 3
+    assert "numerical failure at step 4" in manifest["message"]
+    assert "took 3 steps" in manifest["message"]
+    assert (out / "steps.csv").read_text().count("\n") == 4
+    # The cap bounds the CFL rule only: the same run with a fixed dt runs on.
+    monkeypatch.setattr(runner_module, "MAX_STEPS", 1)
+    assert main(["run", "--preset", "example1", "--m", "20", "--dt", "0.01",
+                 "--t-final", "0.03", "--output-dir", str(tmp_path / "fixed")]) == 0
+
+
 def test_cli_run_explicit_cfl_step_below_t_final_resolution_exits_3(tmp_path):
     # A valid run whose CFL dt (~1e-301) is far below the resolution of
     # t_final: it used to run for ever.
@@ -534,6 +587,8 @@ def test_odd_m_allowed_where_no_stride2_solve_runs():
     ["compare-ice", "--epsilon", "0.3", "--dx", "1e-300"],
     # 2^59 cells: numpy can index them, and their allocation fails at once
     ["table1", "--epsilons", "0.8", "--dxs", str(2.0**-59)],
+    # t_final / dt = 1e15 steps, more than a run may take
+    ["compare-ice", "--epsilon", "0.3", "--dx", "0.05", "--dt", "1e-3", "--t-final", "1e12"],
 ])
 def test_cli_table_verbs_invalid_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     # Every input is checked before any work: no reference is computed.

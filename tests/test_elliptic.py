@@ -89,7 +89,8 @@ def test_beta_zero_is_identity():
     dphi = 1 + 0.2 * rng.random(16)
     coeff = EllipticCoefficients(beta=0.0, mobility=np.ones(16))
     for solver in (solve_elliptic_ld_1d, solve_elliptic_l_1d):
-        assert np.array_equal(solver(np.ones(16), dphi, coeff, 1 / 16), dphi)
+        assert solver(np.ones(16), dphi, coeff, 1 / 16)[1] == 0.0
+        assert np.array_equal(solver(np.ones(16), dphi, coeff, 1 / 16)[0], dphi)
     rho, iters = solve_elliptic_nl_1d(np.ones(16), dphi, coeff, EOS2, 1 / 16)
     assert np.array_equal(rho, dphi) and iters == 1
 
@@ -100,7 +101,7 @@ def test_constant_dphi_gives_constant_solution():
     coeff = EllipticCoefficients(beta=0.03, mobility=mob)
     dphi = np.full(m, 1.7)
     for solver in (solve_elliptic_ld_1d, solve_elliptic_l_1d):
-        out = solver(np.ones(m), dphi, coeff, 1 / m)
+        out, _ = solver(np.ones(m), dphi, coeff, 1 / m)
         assert np.array_equal(out, dphi)
     rho, _ = solve_elliptic_nl_1d(np.full(m, 1.7), dphi, coeff, EOS2, 1 / m)
     assert np.allclose(rho, 1.7, rtol=0, atol=1e-13)
@@ -112,7 +113,7 @@ def test_ld_manufactured_solution():
     rho_star = 1 + 0.1 * np.sin(2 * np.pi * x)
     coeff = EllipticCoefficients(beta=0.01, mobility=np.ones(m))
     dphi = apply_elliptic_operator_1d("ld", rho_star, None, coeff, EOS2, 1 / m)
-    out = solve_elliptic_ld_1d(np.ones(m), dphi, coeff, 1 / m)
+    out, _ = solve_elliptic_ld_1d(np.ones(m), dphi, coeff, 1 / m)
     assert np.max(np.abs(out - rho_star)) <= 1e-10
 
 
@@ -122,7 +123,7 @@ def test_l_matches_dense_oracle():
     mob = 0.5 + rng.random(m)
     dphi = 1 + 0.3 * rng.standard_normal(m)
     coeff = EllipticCoefficients(beta=0.02, mobility=mob)
-    out = solve_elliptic_l_1d(np.ones(m), dphi, coeff, 1 / m)
+    out, _ = solve_elliptic_l_1d(np.ones(m), dphi, coeff, 1 / m)
     oracle = np.linalg.solve(dense_matrix_1d("l", mob, 0.02, 1 / m, m), dphi)
     assert np.max(np.abs(out - oracle)) <= 1e-12
 
@@ -136,7 +137,7 @@ def test_linear_solvers_match_dense_oracle_randomized(variant, solver):
         beta = float(10.0 ** rng.uniform(-4, -0.5))
         dphi = 1 + 0.5 * rng.standard_normal(m)
         coeff = EllipticCoefficients(beta=beta, mobility=mob)
-        out = solver(np.ones(m), dphi, coeff, 1 / m)
+        out, _ = solver(np.ones(m), dphi, coeff, 1 / m)
         dense = dense_matrix_1d(variant, mob, beta, 1 / m, m)
         oracle = np.linalg.solve(dense, dphi)
         assert np.max(np.abs(out - oracle)) <= 1e-10 * max(1.0, np.max(np.abs(oracle)))
@@ -162,7 +163,7 @@ def test_nl_gamma1_converges_in_one_iteration_and_equals_l():
     dphi = 1 + 0.05 * rng.standard_normal(m)
     coeff = EllipticCoefficients(beta=0.02, mobility=eos1.pressure_derivative(rho_n))
     out_nl, iters = solve_elliptic_nl_1d(rho_n, dphi, coeff, eos1, 1 / m)
-    out_l = solve_elliptic_l_1d(rho_n, dphi, coeff, 1 / m)
+    out_l, _ = solve_elliptic_l_1d(rho_n, dphi, coeff, 1 / m)
     assert iters == 1
     assert np.max(np.abs(out_nl - out_l)) <= 1e-12
 
@@ -209,7 +210,7 @@ def test_ld_reflection_symmetry_constant_mobility():
     dphi = np.minimum(dphi, dphi[::-1])  # exactly reflection symmetric
     assert np.array_equal(dphi, dphi[::-1])
     coeff = EllipticCoefficients(beta=0.02, mobility=np.full(m, 1.7))
-    out = solve_elliptic_ld_1d(np.ones(m), dphi, coeff, 1 / m)
+    out, _ = solve_elliptic_ld_1d(np.ones(m), dphi, coeff, 1 / m)
     assert np.max(np.abs(out - out[::-1])) <= 1e-12
 
 
@@ -223,9 +224,9 @@ def test_ld_one_sided_mobility_maps_to_mirror_operator():
     dphi = 1 + 0.1 * rng.standard_normal(m)
     mob = EOS2.pressure_derivative(rho_n)
     coeff = EllipticCoefficients(beta=0.02, mobility=mob)
-    out = solve_elliptic_ld_1d(rho_n, dphi, coeff, 1 / m)
+    out, _ = solve_elliptic_ld_1d(rho_n, dphi, coeff, 1 / m)
     mirrored = EllipticCoefficients(beta=0.02, mobility=np.roll(mob[::-1], 1))
-    out_mirror = solve_elliptic_ld_1d(rho_n[::-1], dphi[::-1], mirrored, 1 / m)
+    out_mirror, _ = solve_elliptic_ld_1d(rho_n[::-1], dphi[::-1], mirrored, 1 / m)
     assert np.max(np.abs(out[::-1] - out_mirror)) <= 1e-11
 
 

@@ -38,7 +38,7 @@ from lowmach import (
 )
 from lowmach import elliptic, llf_flux_pair, onedim
 from lowmach.core import FluidState2D, _shift
-from lowmach.elliptic import _solve_strided_tridiagonal
+from lowmach.elliptic import _solve_strided_tridiagonal, apply_elliptic_operator_1d
 from lowmach.onedim import _check_new_density, _finish_step, _periodic
 from lowmach.presets import (
     example1_eos,
@@ -314,8 +314,8 @@ def _validated_newton(rho_n, dphi, coeff, eos, dx, newton_tol=1e-12, newton_max_
         g = residual(rho)
         dp = eos.pressure_derivative(rho)
         b4 = coeff.beta / (4.0 * dx**2)
-        delta = _solve_strided_tridiagonal(-b4 * _shift(dp, 2), 1.0 + 2.0 * b4 * dp,
-                                           -b4 * _shift(dp, -2), -g, 2, linear_tol)
+        delta, _ = _solve_strided_tridiagonal(-b4 * _shift(dp, 2), 1.0 + 2.0 * b4 * dp,
+                                              -b4 * _shift(dp, -2), -g, 2, linear_tol)
         rho = rho + delta
         converged = np.abs(delta).max() <= newton_tol
         if not converged:
@@ -425,8 +425,8 @@ def _roll_newton(rho_n, dphi, coeff, eos, dx, newton_tol=1e-12, newton_max_iter=
     scale = max(1.0, float(np.abs(dphi).max()))
     for it in range(1, newton_max_iter + 1):
         dp = eos._pressure_derivative(rho)
-        delta = _solve_strided_tridiagonal(-b4 * np.roll(dp, 2), 1.0 + 2.0 * b4 * dp,
-                                           -b4 * np.roll(dp, -2), -g, 2, linear_tol)
+        delta, _ = _solve_strided_tridiagonal(-b4 * np.roll(dp, 2), 1.0 + 2.0 * b4 * dp,
+                                              -b4 * np.roll(dp, -2), -g, 2, linear_tol)
         rho = rho + delta
         iterates.append(rho)
         if np.abs(delta).max() <= newton_tol:
@@ -549,7 +549,7 @@ def test_tridiagonal_solve_leaves_system_unchanged():
     rhs = rng.standard_normal(n)
     sys_ = PeriodicTridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
     copies = [a.copy() for a in (sys_.sub, sys_.diag, sys_.sup, sys_.rhs)]
-    x = solve_periodic_tridiagonal(sys_)
+    x, _ = solve_periodic_tridiagonal(sys_)
     for a, b in zip((sys_.sub, sys_.diag, sys_.sup, sys_.rhs), copies):
         assert np.array_equal(a, b)
     assert np.max(np.abs(sys_.dense() @ x - rhs)) <= 1e-12
@@ -591,20 +591,154 @@ def _one_step(kind):
 
 @pytest.mark.parametrize("kind", ["ld", "l", "ice", "wide", "reduced"])
 def test_step_builds_its_faces_once(kind, monkeypatch):
+    # A 2D step builds its cached faces once, for the solve and the residual
+    # check; a 1D linear step builds none and extends its mobility once.
     expected, expected_report = _one_step(kind)
-    built = []
-    builder = elliptic._face_coefficients
+    built, extended = [], []
+    builder, periodic = elliptic._face_coefficients, elliptic._periodic
 
     def counting(*args):
         built.append(args[0])
         return builder(*args)
 
+    def extending(x, *args):
+        extended.append(x)
+        return periodic(x, *args)
+
     monkeypatch.setattr(elliptic, "_face_coefficients", counting)
+    monkeypatch.setattr(elliptic, "_periodic", extending)
     out, report = _one_step(kind)
-    assert len(built) == 1
+    if kind in ("wide", "reduced"):
+        assert len(built) == 1 and not extended
+    else:
+        assert not built and len(extended) == 1
+        grid = example1_grid(100)
+        mobility = example1_eos().pressure_derivative(example1_state(grid, 0.3).rho)
+        assert np.array_equal(extended[0], mobility) and not extended[0].flags.writeable
     assert report == expected_report and report.consistency_residual > 0.0
     for name in out.__match_args__:
         assert np.array_equal(getattr(out, name), getattr(expected, name))
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_linear_bands_are_the_faces(stride):
+    # The bands from one scaled extension of the mobility are the floats of
+    # the faces' formulas, also where beta/(s dx)^2 p' overflows.
+    rng = np.random.default_rng(stride)
+    cases = [(float(10.0 ** rng.uniform(-6, 3)), float(rng.uniform(0.01, 1.0))) for _ in range(20)]
+    cases += [(1.7e308, 1.0), (np.nextafter(np.finfo(float).max, 0.0), 1.0 / stride)]
+    for beta, dx in cases:
+        m = int(rng.choice([6, 8, 16, 100]))
+        coeff = EllipticCoefficients(beta=beta, mobility=rng.uniform(0.1, 4.0, m))
+        with np.errstate(over="ignore"):
+            (face,) = coeff.faces(stride, (dx,))
+            face_w = _shift(face, stride)
+            sub, diag, sup = elliptic._linear_bands(coeff, dx, stride)
+            expected = (-face_w, 1.0 + face + face_w, -face)
+        for band, want in zip((sub, diag, sup), expected):
+            assert band.shape == (m,) and np.array_equal(band, want)
+    assert np.isinf(diag).any()
+
+
+def test_nl_jacobian_bands_are_unchanged(monkeypatch):
+    # The Newton step's stride-2 Jacobian is still -b4 p'_{i-2}, 1 + 2 b4 p'_i,
+    # -b4 p'_{i+2} at the iterate; it does not go through the linear bands.
+    rng = np.random.default_rng(5)
+    m, dx = 16, 1 / 16
+    rho_n = 0.8 + 0.4 * rng.random(m)
+    dphi = rho_n + 0.01 * rng.standard_normal(m)
+    coeff = EllipticCoefficients(beta=0.05, mobility=EOS2.pressure_derivative(rho_n))
+    seen = []
+    solve = elliptic._solve_strided_tridiagonal
+
+    def recording(sub, diag, sup, rhs, stride, tol):
+        seen.append((sub, diag, sup, stride))
+        return solve(sub, diag, sup, rhs, stride, tol)
+
+    monkeypatch.setattr(elliptic, "_solve_strided_tridiagonal", recording)
+    solve_elliptic_nl_1d(rho_n, dphi, coeff, EOS2, dx)
+    sub, diag, sup, stride = seen[0]
+    dp = EOS2.pressure_derivative(rho_n)
+    b4 = 0.05 / (4.0 * dx**2)
+    assert stride == 2
+    assert np.array_equal(sub, -b4 * np.roll(dp, 2))
+    assert np.array_equal(diag, 1.0 + 2.0 * b4 * dp)
+    assert np.array_equal(sup, -b4 * np.roll(dp, -2))
+
+
+# ---------------------------------------------------------------------------
+# one residual per 1D linear step: the solve's own
+
+
+@pytest.mark.parametrize("variant, classes", [("ld", 1), ("l", 2)])
+def test_linear_solve_returns_the_largest_class_residual(variant, classes, monkeypatch):
+    rng = np.random.default_rng(9)
+    m = 16
+    coeff = EllipticCoefficients(beta=0.05, mobility=0.5 + rng.random(m))
+    dphi = 1.0 + 0.1 * rng.standard_normal(m)
+    residuals = []
+    solve = elliptic.solve_periodic_tridiagonal
+
+    def recording(sys_, tol):
+        x, resid = solve(sys_, tol)
+        assert resid == np.abs(sys_.matvec(x) - sys_.rhs).max()
+        residuals.append(resid)
+        return x, resid
+
+    monkeypatch.setattr(elliptic, "solve_periodic_tridiagonal", recording)
+    solver = {"ld": elliptic.solve_elliptic_ld_1d, "l": elliptic.solve_elliptic_l_1d}[variant]
+    _, resid = solver(np.ones(m), dphi, coeff, 1 / m)
+    assert len(residuals) == classes and len(set(residuals)) == classes
+    assert resid == max(residuals) > 0.0
+
+
+def _recording_solves(monkeypatch):
+    """Wrap the 1D linear solves as the steps call them; returns the list of
+    (dphi, coeff, dx, (rho, residual)) of each call."""
+    calls = []
+    for name in ("solve_elliptic_ld_1d", "solve_elliptic_l_1d"):
+        solve = getattr(onedim, name)
+
+        def recording(rho_n, dphi, coeff, dx, linear_tol, solve=solve):
+            result = solve(rho_n, dphi, coeff, dx, linear_tol)
+            calls.append((dphi, coeff, dx, result))
+            return result
+
+        monkeypatch.setattr(onedim, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("example", sorted(_EXAMPLES_1D))
+@pytest.mark.parametrize("eps", [0.3, 0.05])
+@pytest.mark.parametrize("kind", ["ld", "l", "ice"])
+def test_linear_step_reports_its_solve_residual(kind, eps, example, monkeypatch):
+    make_eos, make_grid, make_state = _EXAMPLES_1D[example]
+    eos, grid = make_eos(), make_grid(100)
+    state = make_state(grid, eps)
+    params = SchemeParams(epsilon=eps, alpha=1.0, sigma=0.9)
+    dt, dx = 0.3 * grid.dx, grid.dx
+    calls = _recording_solves(monkeypatch)
+
+    def no_operator(*args):
+        raise AssertionError("the step applied the flux-form operator")
+
+    monkeypatch.setattr(elliptic, "_flux_operator", no_operator)
+    reports = []
+    for step in range(5):
+        if kind == "ice":
+            state, report = step_ice_1d(state, eos, params, dt, dx)
+        else:
+            state, report = step_ap_1d(state, eos, params, kind, dt, dx)
+        assert len(calls) == step + 1 and calls[-1][3][0] is state.rho
+        reports.append(report)
+    monkeypatch.undo()
+    variant = "ld" if kind == "ice" else kind
+    for report, (dphi, coeff, _, (rho_new, residual)) in zip(reports, calls):
+        assert report.consistency_residual == residual and residual > 0.0
+        # Within the contract's bound of the operator applied again.
+        applied = apply_elliptic_operator_1d(variant, rho_new, None, coeff, eos, dx) - dphi
+        bound = 10 * params.linear_tol * max(1.0, float(np.abs(rho_new).max()))
+        assert abs(residual - float(np.abs(applied).max())) <= bound
 
 
 @pytest.mark.parametrize("spacings", [(0.1,), (0.1, 0.2)])
@@ -672,7 +806,7 @@ def _hand_off(momenta):
     state_cls = FluidState1D if len(shape) == 1 else FluidState2D
     rho = np.ones(shape)
     return _finish_step(state_cls, rho, _check_new_density(rho), momenta, 0.5, np.ones(shape),
-                        None, 0.1)
+                        0.0, 0.1)
 
 
 @pytest.mark.parametrize("shape", [(6,), (4, 5)])

@@ -25,6 +25,8 @@ from lowmach import (
     wave_speeds,
 )
 from lowmach.diagnostics import ap_fluctuation
+from lowmach.errors import ConfigError
+from lowmach.onedim import MAX_STEPS, check_dt_advances, check_step_count
 from lowmach.presets import example1_eos, example1_grid, example1_state
 
 EOS2 = EquationOfState(1.0, 2.0)
@@ -508,9 +510,25 @@ def test_scan_with_a_dt_lo_that_cannot_advance_T_raises():
 
     with pytest.raises(InstabilityError, match="cannot advance"):
         max_stable_dt_scan(st, EOS2, params, stepper, 1e300, 1e-3, 1e-2, 1 / 16)
-    # A T that dt_lo still advances starts the trials.
-    with pytest.raises(AssertionError, match="took a step"):
+    # A T that dt_lo advances, but in more than MAX_STEPS steps, fails too.
+    with pytest.raises(InstabilityError, match="steps a run may take"):
         max_stable_dt_scan(st, EOS2, params, stepper, 1e12, 1e-3, 1e-2, 1 / 16)
+    # A T that dt_lo reaches within the cap starts the trials.
+    with pytest.raises(AssertionError, match="took a step"):
+        max_stable_dt_scan(st, EOS2, params, stepper, 1.0, 1e-3, 1e-2, 1 / 16)
+
+
+def test_step_count_cap():
+    # t_end / dt at the cap passes, above it fails with the caller's error;
+    # a dt that cannot move t off t_end is check_dt_advances's to reject.
+    check_step_count(1.0, float(MAX_STEPS))
+    with pytest.raises(InstabilityError, match="1000000 steps a run may take"):
+        check_step_count(1.0, float(MAX_STEPS + 1))
+    with pytest.raises(ConfigError, match="t_final / dt"):
+        check_step_count(1e-3, 1e12, ConfigError)
+    check_step_count(5e-324, 0.01, ConfigError)
+    with pytest.raises(InstabilityError, match="cannot advance"):
+        check_dt_advances(5e-324, 0.01)
 
 
 def test_scan_smoke_tiny_grid():

@@ -18,13 +18,13 @@ def random_dominant_system(rng, n):
 def test_identity_system():
     rhs = np.array([3.0, -1.0, 2.0, 0.5])
     sys = PeriodicTridiagonalSystem(sub=np.zeros(4), diag=np.ones(4), sup=np.zeros(4), rhs=rhs)
-    assert np.allclose(solve_periodic_tridiagonal(sys), rhs, rtol=0, atol=1e-14)
+    assert np.allclose(solve_periodic_tridiagonal(sys)[0], rhs, rtol=0, atol=1e-14)
 
 
 def test_matches_dense_oracle_n6():
     rng = np.random.default_rng(42)
     sys = random_dominant_system(rng, 6)
-    x = solve_periodic_tridiagonal(sys)
+    x, _ = solve_periodic_tridiagonal(sys)
     x_dense = np.linalg.solve(sys.dense(), sys.rhs)
     assert np.max(np.abs(x - x_dense)) <= 1e-12 * max(1.0, np.max(np.abs(x_dense)))
 
@@ -34,7 +34,7 @@ def test_matches_dense_oracle_sizes(n):
     rng = np.random.default_rng(n)
     for _ in range(20):
         sys = random_dominant_system(rng, n)
-        x = solve_periodic_tridiagonal(sys)
+        x, _ = solve_periodic_tridiagonal(sys)
         x_dense = np.linalg.solve(sys.dense(), sys.rhs)
         assert np.max(np.abs(x - x_dense)) <= 1e-11 * max(1.0, np.max(np.abs(x_dense)))
 
@@ -67,8 +67,10 @@ def test_residual_contract():
     rng = np.random.default_rng(1)
     for _ in range(50):
         sys = random_dominant_system(rng, 32)
-        x = solve_periodic_tridiagonal(sys, linear_tol=1e-11)
+        x, returned = solve_periodic_tridiagonal(sys, linear_tol=1e-11)
         resid = np.max(np.abs(sys.matvec(x) - sys.rhs))
+        # The returned residual is the one the solve tested.
+        assert returned == resid
         assert resid <= 1e-11 * np.max(np.abs(sys.rhs))
 
 
@@ -77,8 +79,8 @@ def test_zero_rhs_gives_exact_zeros(n):
     # A zero rhs passes the residual test only with a zero residual.
     sys = random_dominant_system(np.random.default_rng(n), n)
     sys = PeriodicTridiagonalSystem(sub=sys.sub, diag=sys.diag, sup=sys.sup, rhs=np.zeros(n))
-    x = solve_periodic_tridiagonal(sys)
-    assert np.all(x == 0.0)
+    x, resid = solve_periodic_tridiagonal(sys)
+    assert np.all(x == 0.0) and resid == 0.0
 
 
 @pytest.mark.parametrize("where", [0, 5, 15])
