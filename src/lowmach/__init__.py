@@ -58,7 +58,7 @@ from .onedim import (
     step_ice_1d,
     wave_speeds,
 )
-from .tridiag import PeriodicTridiagonalSystem, solve_periodic_tridiagonal
+from .tridiag import solve_periodic_tridiagonal
 from .twodim import (
     DirectionalSpeeds,
     assemble_dphi_2d,

@@ -292,9 +292,6 @@ class SchemeParams:
     alpha: float = 1.0
     sigma: float = 0.5
     dt_policy: DtPolicy = field(default_factory=DtPolicy.adaptive)
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 50
-    linear_tol: float = 1e-11
 
 
 def validate_params(p: SchemeParams) -> None:
@@ -321,9 +318,3 @@ def validate_params(p: SchemeParams) -> None:
         raise ParamError("dt-policy-unknown", f"unknown dt policy {p.dt_policy.kind!r}")
     if p.dt_policy.kind == "fixed" and not (p.dt_policy.dt is not None and p.dt_policy.dt > 0.0):
         raise ParamError("dt-not-positive", "fixed dt policy requires dt > 0")
-    if not (p.newton_tol > 0.0):
-        raise ParamError("newton-tol-not-positive", "newton_tol must be > 0")
-    if p.newton_max_iter < 1:
-        raise ParamError("newton-max-iter-not-positive", "newton_max_iter must be >= 1")
-    if not (p.linear_tol > 0.0):
-        raise ParamError("linear-tol-not-positive", "linear_tol must be > 0")

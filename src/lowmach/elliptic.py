@@ -16,11 +16,11 @@ F_i - F_{i-s}.  The 1D linear solves build their tridiagonal bands from one
 periodic extension of the mobility scaled by -beta/(s dx)^2 (the
 off-diagonals are slices of it) and return, with the solution, the max-norm
 residual that the tridiagonal solve has already tested, which the steps
-report; they apply no operator after the solve.  In 2D,
-:meth:`EllipticCoefficients.faces` builds the face coefficients once per
-step, and the CG solve and the step's residual check (a real check there:
-CG's recursive residual can drift from the true one) apply the same
-read-only arrays.  Three 1D variants:
+report; they apply no operator after the solve.  In 2D the CG solve and
+the step's residual check (a real check there: CG's recursive residual can
+drift from the true one) each build the face coefficients from the
+mobility.  Every solve hands its results back by return value.  Three 1D
+variants:
 
 * LD -- stride 1, one cyclic tridiagonal solve;
 * L  -- stride 2; even and odd cells decouple into two cyclic tridiagonal
@@ -30,12 +30,13 @@ read-only arrays.  Three 1D variants:
   Each iterate is extended by two cells on either side with one
   concatenation (:func:`lowmach.core._periodic`); p and p' are evaluated on
   the extension, and the Jacobian bands and the neighbours of the residual
-  G are slice views of it.  A solve that ends on its G test leaves that
-  iterate's p and G in the step's coefficients, and the step reads them
-  back (:func:`_nl_pressure_and_residual`) instead of evaluating them again.
+  G are slice views of it.  The solve returns, with the solution, max|G|
+  and p on the extension at the solution, which the step reports and
+  differences instead of evaluating them again.
 
-Each 1D tridiagonal system is built through the trusted
-:meth:`PeriodicTridiagonalSystem._trusted` and checked by the solve.
+Each 1D tridiagonal system goes to
+:func:`lowmach.tridiag.solve_periodic_tridiagonal` as its four bands,
+which that solve checks.
 
 The 2D solves (wide stride-2 or reduced five-point stencil) run one
 conjugate-gradient iteration on the full grid, preconditioned by the
@@ -46,7 +47,7 @@ preconditioner is nearly exact, so a solve takes a few iterations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +59,7 @@ from .errors import (
     SolverFailureError,
     UnsupportedGridError,
 )
-from .tridiag import PeriodicTridiagonalSystem, solve_periodic_tridiagonal
+from .tridiag import solve_periodic_tridiagonal
 
 # CG is run tighter than the nominal contract so that the telescoping
 # conservation identities survive the linear solve at the 1e-12 level.
@@ -71,18 +72,10 @@ _STENCIL_STRIDE = {"wide": 2, "reduced": 1}
 
 @dataclass(frozen=True)
 class EllipticCoefficients:
-    """beta >= 0 and the per-cell mobility p'(rho^n) > 0, held read-only.
-
-    :meth:`faces` builds the flux-form face coefficients once per stride
-    and spacings and hands the same read-only arrays to every later call,
-    so a 2D step's solve and its residual check share them (the 1D linear
-    solves build their bands without them).  The same per-step cache
-    carries the ``nl`` Newton solve's last p and G to the step.
-    """
+    """beta >= 0 and the per-cell mobility p'(rho^n) > 0, held read-only."""
 
     beta: float
     mobility: np.ndarray
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mob = np.array(self.mobility, dtype=float)
@@ -109,7 +102,6 @@ class EllipticCoefficients:
             coeff = object.__new__(cls)
             object.__setattr__(coeff, "beta", beta)
             object.__setattr__(coeff, "mobility", mobility)
-            object.__setattr__(coeff, "_cache", {})
             return coeff
         try:
             return cls(beta=beta, mobility=mobility)
@@ -121,19 +113,6 @@ class EllipticCoefficients:
             raise PositivityError(
                 cell, f"mobility p'(rho) = {mobility[cell]:.3g} is not positive and finite "
                       f"at cell {cell}") from None
-
-    def faces(self, stride: int, spacings) -> tuple:
-        """Face coefficients beta/(s h)^2 p'_{i+1} of the stride-s flux form,
-        one read-only array per axis with h the spacing along that axis;
-        built on the first call for these ``stride`` and ``spacings``."""
-        key = (stride, *spacings)
-        faces = self._cache.get(key)
-        if faces is None:
-            faces = _face_coefficients(stride, self, spacings)
-            for face in faces:
-                face.flags.writeable = False
-            self._cache[key] = faces
-        return faces
 
 
 def beta_coefficient(epsilon: float, alpha: float, dt: float) -> float:
@@ -156,8 +135,9 @@ def _face_scale(beta: float, h2: float) -> float:
 
 
 def _face_coefficients(stride: int, coeff: EllipticCoefficients, spacings):
-    """Builder of :meth:`EllipticCoefficients.faces`; :func:`_linear_bands`
-    restates it for the 1D linear solves."""
+    """Face coefficients beta/(s h)^2 p'_{i+1} of the stride-s flux form, one
+    array per axis with h the spacing along that axis; :func:`_linear_bands`
+    restates them for the 1D linear solves."""
     return tuple(_face_scale(coeff.beta, _square(stride * h)) * _shift(coeff.mobility, -1, axis)
                  for axis, h in enumerate(spacings))
 
@@ -182,14 +162,13 @@ def _solve_strided_tridiagonal(sub, diag, sup, rhs, stride: int, linear_tol: flo
     tridiagonal system.  Returns (x, the largest of the classes' max-norm
     residuals).  Stride 1 is one system, whose solution is returned without
     a copy."""
-    trusted = PeriodicTridiagonalSystem._trusted
     if stride == 1:
-        return solve_periodic_tridiagonal(trusted(sub, diag, sup, rhs), linear_tol)
+        return solve_periodic_tridiagonal(sub, diag, sup, rhs, linear_tol)
     out = np.empty_like(rhs)
     resid = 0.0
     for p in range(stride):
-        sys = trusted(sub[p::stride], diag[p::stride], sup[p::stride], rhs[p::stride])
-        out[p::stride], r = solve_periodic_tridiagonal(sys, linear_tol)
+        out[p::stride], r = solve_periodic_tridiagonal(sub[p::stride], diag[p::stride],
+                                                       sup[p::stride], rhs[p::stride], linear_tol)
         resid = max(resid, r)
     return out, resid
 
@@ -200,7 +179,7 @@ def _linear_bands(coeff: EllipticCoefficients, dx: float, stride: int):
     face_i = beta/(s dx)^2 p'_{i+1}.  One periodic extension of the mobility,
     scaled once by -beta/(s dx)^2, holds both off-diagonals as slices, and
     diag = 1 - sup - sub: the same floats as -face_{i-s}, 1 + face_i +
-    face_{i-s} and -face_i from :meth:`EllipticCoefficients.faces`."""
+    face_{i-s} and -face_i from :func:`_face_coefficients`."""
     neg = _periodic(coeff.mobility)
     neg *= -_face_scale(coeff.beta, _square(stride * dx))
     sup = neg[2:]
@@ -287,14 +266,17 @@ def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: Equation
 
     G(rho) = rho - beta * (p(rho)_{j+2} - 2 p(rho)_j + p(rho)_{j-2})/(4 dx^2) - dphi = 0
 
-    by Newton iteration started from rho_n.  Returns (rho, iterations).
+    by Newton iteration started from rho_n.  Returns (rho, iterations,
+    residual, pressure): ``residual`` is max|G(rho)|, ``pressure`` p(rho) on
+    the two-cell periodic extension of rho.
 
     Each iterate is checked once (positive and finite, else PositivityError)
     and extended once by two cells on either side; p, p' and G are then
     evaluated once on it, unchecked, and the G of the convergence test is
-    the next Newton step's right-hand side.  When that test accepts the
-    iterate, its p (on the extension) and G stay in ``coeff``'s cache for
-    :func:`_nl_pressure_and_residual`.
+    the next Newton step's right-hand side.  Where that test accepts the
+    iterate, its p and max|G| are the ones returned; where the increment
+    test accepts it (or beta = 0 makes rho = dphi), they are evaluated once
+    on the checked solution.
     """
     rho_n = np.asarray(rho_n, dtype=float)
     dphi = np.asarray(dphi, dtype=float)
@@ -304,7 +286,9 @@ def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: Equation
     beta = coeff.beta
     b4 = _face_scale(beta, 4.0 * _square(dx))
     if beta == 0.0:
-        return dphi.copy(), 1
+        rho = dphi.copy()
+        _check_newton_iterate(rho, "solution")
+        return (rho, 1, *_nl_residual_and_pressure(rho, dphi, beta, eos, dx))
 
     rho = rho_n
     _check_newton_iterate(rho, "iterate")
@@ -322,49 +306,41 @@ def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: Equation
         rho = rho + delta
         if np.abs(delta).max() <= newton_tol:
             _check_newton_iterate(rho, "solution")
-            return rho, it
+            return (rho, it, *_nl_residual_and_pressure(rho, dphi, beta, eos, dx))
         _check_newton_iterate(rho, "iterate")
         ext = _periodic(rho, 2)
         p = eos._pressure(ext)
         g = _nl_operator(rho, p, beta, dx)
         g -= dphi
-        if np.abs(g).max() <= newton_tol * scale:
-            coeff._cache["nl"] = (rho, p, g)
-            return rho, it
+        residual = np.abs(g).max()
+        if residual <= newton_tol * scale:
+            return rho, it, float(residual), p
     raise NewtonDivergenceError(
         f"Newton did not converge in {newton_max_iter} iterations "
         f"(last increment {np.max(np.abs(delta)):.3e})"
     )
 
 
-def _nl_pressure_and_residual(rho, dphi, coeff: EllipticCoefficients, eos: EquationOfState,
-                              dx: float):
-    """(p on the two-cell periodic extension of ``rho``, G(rho)) for the
-    solution ``rho`` of :func:`solve_elliptic_nl_1d` with these ``dphi``,
-    ``coeff``, ``eos`` and ``dx``, its density checked: the arrays of the
-    solve's last G test when that test accepted ``rho``, else evaluated
-    here as the solve evaluates them."""
-    last = coeff._cache.get("nl")
-    if last is not None and last[0] is rho:
-        return last[1], last[2]
+def _nl_residual_and_pressure(rho, dphi, beta: float, eos: EquationOfState, dx: float):
+    """(max|G(rho)|, p on the two-cell periodic extension of ``rho``) for a
+    checked density ``rho``, evaluated as the Newton loop evaluates them."""
     p = eos._pressure(_periodic(rho, 2))
-    g = _nl_operator(rho, p, coeff.beta, dx)
+    g = _nl_operator(rho, p, beta, dx)
     g -= dphi
-    return p, g
+    return float(np.abs(g).max()), p
 
 
 def apply_elliptic_operator_1d(variant: str, rho, rho_n, coeff: EllipticCoefficients,
                                eos: EquationOfState, dx: float) -> np.ndarray:
     """Left-hand side of the variant's elliptic equation, for residual checks
-    (the steps do not call it: ``nl`` keeps its Newton solve's G, and the
-    linear solves return their residual)."""
+    (the steps do not call it: every 1D solve returns its residual)."""
     rho = np.asarray(rho, dtype=float)
     if variant == "nl":
         return _nl_operator(rho, eos.pressure(_periodic(rho, 2)), coeff.beta, dx)
     if variant not in _VARIANT_STRIDE:
         raise ValueError(f"unknown variant {variant!r}")
     stride = _VARIANT_STRIDE[variant]
-    return _flux_operator(rho, stride, coeff.faces(stride, (dx,)))
+    return _flux_operator(rho, stride, _face_coefficients(stride, coeff, (dx,)))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +454,7 @@ def solve_elliptic_2d(rho_n, dphi, coeff: EllipticCoefficients, dx: float, dy: f
     shift = dphi.flat[0]
     rhs = dphi - shift
 
-    faces = coeff.faces(stride, (dx, dy))
+    faces = _face_coefficients(stride, coeff, (dx, dy))
     x, iters = _cg(lambda v: _flux_operator(v, stride, faces), rhs, rtol, maxiter,
                    _fft_preconditioner((m1, m2), stride, coeff, dx, dy))
     return x + shift, iters
@@ -490,4 +466,4 @@ def apply_elliptic_operator_2d(stencil: str, rho, coeff: EllipticCoefficients,
     for residual checks; the same operator the solve iterates on."""
     stride = _stride(stencil)
     return _flux_operator(np.asarray(rho, dtype=float), stride,
-                          coeff.faces(stride, (dx, dy)))
+                          _face_coefficients(stride, coeff, (dx, dy)))

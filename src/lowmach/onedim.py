@@ -24,14 +24,14 @@ either side, x_{n-1}, x_0 ... x_{n-1}, x_0, made by one concatenation
 density, and every neighbour of the kernel and of the differences below is
 a slice view of an extension rather than a shifted copy.  The fluxes are
 computed in place, with the operands and order of the plain formulas, so
-they are the same floats.  The ``nl`` step takes p(rho^{n+1}) and the
-residual of the density row from the Newton solve where its last G test
-accepted the new density, and evaluates them otherwise.  The ``ld`` and
-``l`` steps and the ICE corrector report the max-norm residual that their
-linear solve returns, the one its cyclic tridiagonal solves have tested
-(for ``l`` the larger of the two residue classes'), and apply no operator
-after the solve; their tridiagonal bands come from one periodic extension
-of the mobility (:mod:`lowmach.elliptic`).
+they are the same floats.  Every step takes what it needs of its solve
+from the solve's return value.  The ``nl`` step takes p(rho^{n+1}) on the
+two-cell extension and the max-norm residual of the density row from the
+Newton solve.  The ``ld`` and ``l`` steps and the ICE corrector report the
+max-norm residual that their linear solve returns, the one its cyclic
+tridiagonal solves have tested (for ``l`` the larger of the two residue
+classes'), and apply no operator after the solve; their tridiagonal bands
+come from one periodic extension of the mobility (:mod:`lowmach.elliptic`).
 
 These three and :func:`lowmach.twodim.step_ap_2d` hand a step back the same
 way: :func:`_check_new_density` on the new density, then
@@ -55,7 +55,6 @@ from .diagnostics import total_variation
 from .elliptic import (
     _VARIANT_STRIDE,
     EllipticCoefficients,
-    _nl_pressure_and_residual,
     beta_coefficient,
     solve_elliptic_l_1d,
     solve_elliptic_ld_1d,
@@ -287,25 +286,15 @@ def step_ap_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
     dphi = _dphi_from_fluxes(rho, f1, df2, dt, dx)
 
     newton_iters = 0
-    if variant == "ld":
-        rho_new, residual = solve_elliptic_ld_1d(rho, dphi, coeff, dx, params.linear_tol)
-    elif variant == "l":
-        rho_new, residual = solve_elliptic_l_1d(rho, dphi, coeff, dx, params.linear_tol)
-    else:
-        rho_new, newton_iters = solve_elliptic_nl_1d(
-            rho, dphi, coeff, eos, dx,
-            newton_tol=params.newton_tol,
-            newton_max_iter=params.newton_max_iter,
-            linear_tol=params.linear_tol,
-        )
-    mass = _check_new_density(rho_new)
-
     if variant == "nl":
-        # p on the two-cell extension of rho^{n+1}, and G(rho^{n+1}).
-        p_new, g = _nl_pressure_and_residual(rho_new, dphi, coeff, eos, dx)
+        # p on the two-cell extension of rho^{n+1}, and max|G(rho^{n+1})|.
+        rho_new, newton_iters, residual, p_new = solve_elliptic_nl_1d(rho, dphi, coeff, eos, dx)
+        mass = _check_new_density(rho_new)
         p_jump = p_new[3:-1] - p_new[1:-3]
-        residual = float(np.abs(g).max())
     else:
+        solve = solve_elliptic_ld_1d if variant == "ld" else solve_elliptic_l_1d
+        rho_new, residual = solve(rho, dphi, coeff, dx)
+        mass = _check_new_density(rho_new)
         p_jump = _centered_difference(eos._pressure(rho_new))
     c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
     q_new = _momentum_from_fluxes(q, df2, p_jump, c, dt, dx)
@@ -355,7 +344,7 @@ def step_ice_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
         raise InstabilityError("non-finite predictor state")
 
     coeff = EllipticCoefficients._of_step(_square(dt) / eps**2, eos._pressure_derivative(rho))
-    rho_new, residual = solve_elliptic_ld_1d(rho, rho_star, coeff, dx, params.linear_tol)
+    rho_new, residual = solve_elliptic_ld_1d(rho, rho_star, coeff, dx)
     mass = _check_new_density(rho_new)
 
     q_new = q_star - (dt / eps**2) * _centered_difference(eos._pressure(rho_new)) / (2.0 * dx)

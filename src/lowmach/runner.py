@@ -338,7 +338,9 @@ def reference_solution(eps: float, cells=None, inv_dt=None, t_final=0.1, refine=
     sampling.  At the reference resolution alone the first-order smearing is
     not yet converged for O(1) Mach shocks, and the published error table is
     only reproduced against a converged reference; refine=1 recovers the
-    plain single-grid run.
+    plain single-grid run.  A time step that cannot advance t to
+    ``t_final``, or needs more than MAX_STEPS steps to reach it, is an
+    InstabilityError before the first step.
     """
     cells = TABLE_REFERENCE[0] if cells is None else cells
     inv_dt = TABLE_REFERENCE[1] if inv_dt is None else inv_dt
@@ -350,6 +352,8 @@ def reference_solution(eps: float, cells=None, inv_dt=None, t_final=0.1, refine=
     # integer multiple of the nominal rate keeping the explicit CFL <= 0.45
     k = max(1, int(np.ceil(lam0 * fine_cells / (0.45 * inv_dt))))
     dt = 1.0 / (k * inv_dt)
+    check_dt_advances(dt, t_final)
+    check_step_count(dt, t_final)
     for _ in range(int(round(t_final * inv_dt)) * k):
         state, _ = step_explicit_llf_1d(state, eos, params, dt, grid.dx)
     if refine == 1:
@@ -362,7 +366,9 @@ def reproduce_table2(eps_list, refinement_levels=5, coarsest_m=20, t_final=0.1,
                      variant="ld", alpha=1.0, output_path=None, reference_states=None):
     """Relative-error table: semi-implicit runs on halving grids against the
     fine explicit reference, with successive error ratios; each level's
-    cell count must divide the reference's."""
+    cell count must divide the reference's.  A level whose time step cannot
+    reach ``t_final`` in MAX_STEPS steps is an InstabilityError before its
+    first step, as in :func:`reference_solution`."""
     _check_table_shape(eps_list, refinement_levels >= 1)
     refs = reference_states or {}
     ref_cells = [refs[eps].m if eps in refs else TABLE_REFERENCE[0] for eps in eps_list]
@@ -387,6 +393,8 @@ def reproduce_table2(eps_list, refinement_levels=5, coarsest_m=20, t_final=0.1,
             params = scheme_params(cfg)
             lam0 = _max_speed("ap", eos, state, params)
             dt = table2_dt(eps, grid.dx, lam0)
+            check_dt_advances(dt, t_final)
+            check_step_count(dt, t_final)
             for _ in range(int(round(t_final / dt))):
                 state, _ = stepper(state, eos, params, dt, grid.dx)
             err = relative_l2_error(state, ref)

@@ -5,20 +5,16 @@ systems with wrap-around corner couplings.  They are solved in O(N) by a
 rank-one (Sherman-Morrison) correction of an ordinary tridiagonal solve:
 one call of LAPACK ``dgtsv`` with two right-hand sides.
 
-The 1D elliptic solves build their systems through
-:meth:`PeriodicTridiagonalSystem._trusted`, which skips the public
-constructor's conversions and keeps only its N >= 3 check; the solve itself
-checks every system the same way.  The residual check applies the system
-with :meth:`PeriodicTridiagonalSystem.matvec`, which takes both neighbours
-of each unknown from one periodic extension of x, and the solve returns the
-max norm of that residual with the solution: the 1D linear steps report it
-instead of applying their operator again.
+The solve takes the four bands as arrays and checks them in one place:
+float arrays of one length N >= 3.  Its residual check applies the system
+with both neighbours of each unknown taken from one periodic extension of
+x, and it returns the max norm of that residual with the solution: the 1D
+linear steps report it instead of applying their operator again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,84 +40,40 @@ def _load_dgtsv():
     return dgtsv
 
 
-@dataclass(frozen=True)
-class PeriodicTridiagonalSystem:
-    """Rows  sub[i]*x[i-1] + diag[i]*x[i] + sup[i]*x[i+1] = rhs[i]
-    with indices wrapping modulo N (sub[0] couples x[N-1], sup[N-1]
-    couples x[0])."""
-
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        sub = np.asarray(self.sub, dtype=float)
-        diag = np.asarray(self.diag, dtype=float)
-        sup = np.asarray(self.sup, dtype=float)
-        rhs = np.asarray(self.rhs, dtype=float)
-        _check_size(diag)
-        if not (sub.shape == diag.shape == sup.shape == rhs.shape):
-            raise ValueError("sub, diag, sup, rhs must share one length")
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "sup", sup)
-        object.__setattr__(self, "rhs", rhs)
-
-    @classmethod
-    def _trusted(cls, sub, diag, sup, rhs) -> "PeriodicTridiagonalSystem":
-        """System over four float arrays of one length that the caller has
-        built: only N >= 3 is checked, without the constructor's conversions."""
-        _check_size(diag)
-        sys = object.__new__(cls)
-        object.__setattr__(sys, "sub", sub)
-        object.__setattr__(sys, "diag", diag)
-        object.__setattr__(sys, "sup", sup)
-        object.__setattr__(sys, "rhs", rhs)
-        return sys
-
-    @property
-    def n(self) -> int:
-        return self.diag.shape[0]
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """sub x_{i-1} + diag x_i + sup x_{i+1}, the neighbours slice views of
-        one periodic extension of x."""
-        ext = _periodic(x)
-        out = self.sub * ext[:-2]
-        out += self.diag * x
-        out += self.sup * ext[2:]
-        return out
-
-    def dense(self) -> np.ndarray:
-        """Dense matrix form, for oracle comparisons on small N."""
-        n = self.n
-        a = np.zeros((n, n))
-        for i in range(n):
-            a[i, (i - 1) % n] += self.sub[i]
-            a[i, i] += self.diag[i]
-            a[i, (i + 1) % n] += self.sup[i]
-        return a
+def _matvec(sub, diag, sup, x):
+    """sub x_{i-1} + diag x_i + sup x_{i+1}, indices modulo N, the neighbours
+    slice views of one periodic extension of x."""
+    ext = _periodic(x)
+    out = sub * ext[:-2]
+    out += diag * x
+    out += sup * ext[2:]
+    return out
 
 
-def _check_size(diag):
-    if diag.shape[0] < 3:
-        raise ValueError("periodic tridiagonal system requires N >= 3")
+def solve_periodic_tridiagonal(sub, diag, sup, rhs, linear_tol: float = 1e-11):
+    """Solve the cyclic system of rows
 
+        sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1] = rhs[i]
 
-def solve_periodic_tridiagonal(sys: PeriodicTridiagonalSystem, linear_tol: float = 1e-11):
-    """Solve the cyclic system; returns (x, max|A x - rhs|), the residual a
-    float that passed the test max|A x - rhs| <= linear_tol max|rhs|.
-    Raises SingularSystemError when the matrix is numerically singular or
-    the residual test fails.
+    with indices modulo N (sub[0] couples x[N-1], sup[N-1] couples x[0]).
+    The four bands are read as float arrays of one length N >= 3 (else
+    ValueError) and left unchanged.  Returns (x, max|A x - rhs|), the
+    residual a float that passed the test max|A x - rhs| <= linear_tol
+    max|rhs|.  Raises SingularSystemError when the matrix is numerically
+    singular or the residual test fails.
 
     Writes the cyclic matrix as T + u v^T with T tridiagonal and solves
     T for the rhs and for u in one ``dgtsv`` call.  The scalars of the
     rank-one correction are Python floats.
     """
-    dgtsv = _dgtsv if _dgtsv is not None else _load_dgtsv()
-    sub, diag, sup, rhs = sys.sub, sys.diag, sys.sup, sys.rhs
+    sub, diag, sup, rhs = (np.asarray(sub, dtype=float), np.asarray(diag, dtype=float),
+                           np.asarray(sup, dtype=float), np.asarray(rhs, dtype=float))
     n = diag.shape[0]
+    if n < 3:
+        raise ValueError("periodic tridiagonal system requires N >= 3")
+    if not sub.shape == diag.shape == sup.shape == rhs.shape:
+        raise ValueError("sub, diag, sup, rhs must share one length")
+    dgtsv = _dgtsv if _dgtsv is not None else _load_dgtsv()
     diag0, sub0, sup_n = float(diag[0]), float(sub[0]), float(sup[-1])
     gamma = -diag0 if diag0 != 0.0 else -1.0
     sub0_g = sub0 / gamma
@@ -162,7 +114,7 @@ def solve_periodic_tridiagonal(sys: PeriodicTridiagonalSystem, linear_tol: float
     # Every row of the residual holds its unknown times a coefficient, so a
     # non-finite entry of x makes the residual inf or NaN, and the NaN-safe
     # test below fails it; a zero rhs passes only a zero residual.
-    r = sys.matvec(x)
+    r = _matvec(sub, diag, sup, x)
     r -= rhs
     resid = np.abs(r, out=r).max()
     rhs_scale = np.abs(rhs).max()

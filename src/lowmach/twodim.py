@@ -155,8 +155,7 @@ def step_ap_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
     explicit1 = (dflux[0][0] + dflux[0][1]) + (diss[0][0] + diss[0][1])
     explicit2 = (dflux[1][0] + dflux[1][1]) + (diss[1][0] + diss[1][1])
     del speeds, dflux, diss
-    rho_new, cg_iters = solve_elliptic_2d(rho, dphi, coeff, dx, dy, stencil=stencil,
-                                          linear_tol=params.linear_tol)
+    rho_new, cg_iters = solve_elliptic_2d(rho, dphi, coeff, dx, dy, stencil=stencil)
 
     mass = _check_new_density(rho_new)
     p_new = eos._pressure(rho_new)

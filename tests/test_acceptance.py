@@ -341,7 +341,7 @@ def test_criterion_8_solver_oracles():
         beta = float(10.0 ** rng.uniform(-4, -1))
         dphi = 1 + 0.05 * rng.standard_normal(m)
         coeff = EllipticCoefficients(beta=beta, mobility=EOS2.pressure_derivative(np.ones(m)))
-        mine, _ = solve_elliptic_nl_1d(np.ones(m), dphi, coeff, EOS2, 1 / m)
+        mine, *_ = solve_elliptic_nl_1d(np.ones(m), dphi, coeff, EOS2, 1 / m)
         oracle = dense_nl_solve(dphi, beta, EOS2, 1 / m)
         worst = max(worst, float(np.max(np.abs(mine - oracle))))
         checks += 1
@@ -365,7 +365,7 @@ def test_criterion_8_solver_oracles():
     dphi_ld = apply_elliptic_operator_1d("ld", rho_star, None, coeff, EOS2, 1 / m)
     manu_ld = float(np.max(np.abs(solve_elliptic_ld_1d(np.ones(m), dphi_ld, coeff, 1 / m)[0] - rho_star)))
     dphi_nl = apply_elliptic_operator_1d("nl", rho_star, None, coeff, EOS2, 1 / m)
-    sol_nl, iters = solve_elliptic_nl_1d(np.ones(m), dphi_nl, coeff, EOS2, 1 / m)
+    sol_nl, iters, *_ = solve_elliptic_nl_1d(np.ones(m), dphi_nl, coeff, EOS2, 1 / m)
     manu_nl = float(np.max(np.abs(sol_nl - rho_star)))
 
     ok = worst <= 1e-10 and manu_ld <= 1e-10 and manu_nl <= 1e-10 and iters <= 6

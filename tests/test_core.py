@@ -131,9 +131,6 @@ def test_validate_params_named_errors():
         (SchemeParams(epsilon=0.1, alpha=-0.5), "alpha-negative"),
         (SchemeParams(epsilon=0.1, sigma=1.5), "sigma-out-of-range"),
         (SchemeParams(epsilon=0.1, dt_policy=DtPolicy(kind="fixed", dt=-1.0)), "dt-not-positive"),
-        (SchemeParams(epsilon=0.1, newton_tol=0.0), "newton-tol-not-positive"),
-        (SchemeParams(epsilon=0.1, newton_max_iter=0), "newton-max-iter-not-positive"),
-        (SchemeParams(epsilon=0.1, linear_tol=-1e-9), "linear-tol-not-positive"),
     ]
     for params, code in cases:
         with pytest.raises(ParamError) as err:

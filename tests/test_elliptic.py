@@ -91,8 +91,9 @@ def test_beta_zero_is_identity():
     for solver in (solve_elliptic_ld_1d, solve_elliptic_l_1d):
         assert solver(np.ones(16), dphi, coeff, 1 / 16)[1] == 0.0
         assert np.array_equal(solver(np.ones(16), dphi, coeff, 1 / 16)[0], dphi)
-    rho, iters = solve_elliptic_nl_1d(np.ones(16), dphi, coeff, EOS2, 1 / 16)
+    rho, iters, residual, _ = solve_elliptic_nl_1d(np.ones(16), dphi, coeff, EOS2, 1 / 16)
     assert np.array_equal(rho, dphi) and iters == 1
+    assert residual == 0.0
 
 
 def test_constant_dphi_gives_constant_solution():
@@ -103,7 +104,7 @@ def test_constant_dphi_gives_constant_solution():
     for solver in (solve_elliptic_ld_1d, solve_elliptic_l_1d):
         out, _ = solver(np.ones(m), dphi, coeff, 1 / m)
         assert np.array_equal(out, dphi)
-    rho, _ = solve_elliptic_nl_1d(np.full(m, 1.7), dphi, coeff, EOS2, 1 / m)
+    rho, *_ = solve_elliptic_nl_1d(np.full(m, 1.7), dphi, coeff, EOS2, 1 / m)
     assert np.allclose(rho, 1.7, rtol=0, atol=1e-13)
 
 
@@ -162,7 +163,7 @@ def test_nl_gamma1_converges_in_one_iteration_and_equals_l():
     rho_n = 0.5 + rng.random(m)
     dphi = 1 + 0.05 * rng.standard_normal(m)
     coeff = EllipticCoefficients(beta=0.02, mobility=eos1.pressure_derivative(rho_n))
-    out_nl, iters = solve_elliptic_nl_1d(rho_n, dphi, coeff, eos1, 1 / m)
+    out_nl, iters, *_ = solve_elliptic_nl_1d(rho_n, dphi, coeff, eos1, 1 / m)
     out_l, _ = solve_elliptic_l_1d(rho_n, dphi, coeff, 1 / m)
     assert iters == 1
     assert np.max(np.abs(out_nl - out_l)) <= 1e-12
@@ -174,7 +175,7 @@ def test_nl_manufactured_solution_few_iterations():
     rho_star = 1 + 0.1 * np.sin(2 * np.pi * x)
     coeff = EllipticCoefficients(beta=0.01, mobility=EOS2.pressure_derivative(np.ones(m)))
     dphi = apply_elliptic_operator_1d("nl", rho_star, None, coeff, EOS2, 1 / m)
-    out, iters = solve_elliptic_nl_1d(np.ones(m), dphi, coeff, EOS2, 1 / m)
+    out, iters, *_ = solve_elliptic_nl_1d(np.ones(m), dphi, coeff, EOS2, 1 / m)
     assert np.max(np.abs(out - rho_star)) <= 1e-10
     assert iters <= 6
 
@@ -185,7 +186,7 @@ def test_nl_residual_contract():
     rho_n = 0.8 + 0.4 * rng.random(m)
     dphi = rho_n + 0.02 * rng.standard_normal(m)
     coeff = EllipticCoefficients(beta=0.05, mobility=EOS2.pressure_derivative(rho_n))
-    out, _ = solve_elliptic_nl_1d(rho_n, dphi, coeff, EOS2, 1 / m, newton_tol=1e-12)
+    out, *_ = solve_elliptic_nl_1d(rho_n, dphi, coeff, EOS2, 1 / m, newton_tol=1e-12)
     resid = apply_elliptic_operator_1d("nl", out, rho_n, coeff, EOS2, 1 / m) - dphi
     assert np.max(np.abs(resid)) <= 1e-11
 

@@ -1,9 +1,11 @@
 """The hot path: the periodic shift that replaces np.roll, the 1D LLF
 kernel and the nl Newton loop on periodic extensions, the validate-once
-contract of the 1D and 2D steppers and of the Newton solve, the face
-coefficients built once per step, the hand-off checks folded into the
-report sums, and the direct tridiagonal solve."""
+contract of the 1D and 2D steppers and of the Newton solve, what the
+solves hand back by return value, the 1D bands built without face
+coefficients, the hand-off checks folded into the report sums, and the
+direct tridiagonal solve."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -22,7 +24,6 @@ from lowmach import (
     InstabilityError,
     InvalidStateError,
     NumericsError,
-    PeriodicTridiagonalSystem,
     PositivityError,
     SchemeParams,
     SingularSystemError,
@@ -53,6 +54,8 @@ from lowmach.presets import (
 )
 
 EOS2 = EquationOfState(1.0, 2.0)
+# The 1D linear solves' tolerance, which the steps use.
+LINEAR_TOL = inspect.signature(elliptic.solve_elliptic_ld_1d).parameters["linear_tol"].default
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 8, 11])
@@ -349,7 +352,7 @@ def test_newton_solve_matches_validated_loop(gamma, seed, monkeypatch):
     assert expected_iters > 1
     monkeypatch.setattr(EquationOfState, "pressure", _raise)
     monkeypatch.setattr(EquationOfState, "pressure_derivative", _raise)
-    rho, iters = solve_elliptic_nl_1d(state.rho, dphi, coeff, eos, dx)
+    rho, iters, *_ = solve_elliptic_nl_1d(state.rho, dphi, coeff, eos, dx)
     assert np.array_equal(rho, expected) and iters == expected_iters
 
 
@@ -458,12 +461,54 @@ _NL_CASES = [(gamma, seed, eps) for gamma in (1.0, 1.4, 2.0, 3.0) for seed in ra
              for eps in (0.3, 0.05, 1e-3)]
 
 
+def _from_scratch(rho, dphi, coeff, eos, dx):
+    """(max|G(rho)|, p on the two-cell extension of rho), evaluated anew with
+    the validating pressure."""
+    p = eos.pressure(_periodic(rho, 2))
+    return float(np.abs(elliptic._nl_operator(rho, p, coeff.beta, dx) - dphi).max()), p
+
+
 def test_nl_cases_cover_both_newton_exits():
+    # On either exit the solve returns max|G| and p at its solution, the
+    # floats of a from-scratch evaluation.
     exits = set()
     for case in _NL_CASES:
         eos, state, _, _, dx, dphi, coeff = _nl_case(*case)
         exits.add(_roll_newton(state.rho, dphi, coeff, eos, dx)[3])
+        rho, _, residual, pressure = solve_elliptic_nl_1d(state.rho, dphi, coeff, eos, dx)
+        expected_residual, expected_pressure = _from_scratch(rho, dphi, coeff, eos, dx)
+        assert residual == expected_residual and type(residual) is float
+        assert np.array_equal(pressure, expected_pressure)
     assert exits == {"delta", "G"}
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0])
+def test_nl_beta_zero_returns_residual_and_pressure(gamma):
+    eos = EquationOfState(1.3, gamma)
+    dphi = np.random.default_rng(2).uniform(0.5, 1.5, 16)
+    coeff = EllipticCoefficients(beta=0.0, mobility=np.ones(16))
+    rho, iters, residual, pressure = solve_elliptic_nl_1d(np.ones(16), dphi, coeff, eos, 1 / 16)
+    assert np.array_equal(rho, dphi) and rho is not dphi and iters == 1
+    expected_residual, expected_pressure = _from_scratch(rho, dphi, coeff, eos, 1 / 16)
+    assert residual == expected_residual == 0.0
+    assert np.array_equal(pressure, expected_pressure)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+def test_nl_beta_zero_checks_the_density_before_the_pressure(value, monkeypatch):
+    # rho = dphi at beta = 0: a bad cell is a PositivityError naming it, and
+    # p is never evaluated on it (a negative density under gamma = 1.4
+    # would be a float warning).
+    def no_pressure(*args):
+        raise AssertionError("p evaluated on an unchecked density")
+
+    monkeypatch.setattr(EquationOfState, "_pressure", no_pressure)
+    dphi = np.ones(8)
+    dphi[3] = value
+    coeff = EllipticCoefficients(beta=0.0, mobility=np.ones(8))
+    with np.errstate(all="raise"), pytest.raises(PositivityError) as err:
+        solve_elliptic_nl_1d(np.ones(8), dphi, coeff, EquationOfState(1.0, 1.4), 1 / 8)
+    assert err.value.index == 3 and "cell 3" in str(err.value)
 
 
 @pytest.mark.parametrize("gamma, seed, eps", _NL_CASES)
@@ -480,7 +525,7 @@ def test_newton_equals_roll_loop(gamma, seed, eps, monkeypatch):
         check(rho, what)
 
     monkeypatch.setattr(elliptic, "_check_newton_iterate", recording)
-    rho, iters = solve_elliptic_nl_1d(state.rho, dphi, coeff, eos, dx)
+    rho, iters, *_ = solve_elliptic_nl_1d(state.rho, dphi, coeff, eos, dx)
     assert iters == expected_iters and np.array_equal(rho, expected)
     assert len(iterates) == len(expected_iterates)
     for got, want in zip(iterates, expected_iterates):
@@ -508,10 +553,10 @@ def _roll_nl_step(state, eos, params, dt, dx):
 
 @pytest.mark.parametrize("gamma, seed, eps", _NL_CASES)
 def test_nl_step_equals_roll_step(gamma, seed, eps, monkeypatch):
-    # The consistency residual is G(rho^{n+1}): the last G of a solve that
-    # stopped on its G test, else evaluated by the step.  Either way p is
-    # evaluated once for the fluxes and once per Newton iterate, the start
-    # and the accepted one included.
+    # The consistency residual is max|G(rho^{n+1})| that the solve returns:
+    # its last G where it stopped on its G test, else evaluated once at the
+    # solution.  Either way p is evaluated once for the fluxes and once per
+    # Newton iterate, the start and the accepted one included.
     eos, state, params, dt, dx, _, _ = _nl_case(gamma, seed, eps)
     rho, q, expected = _roll_nl_step(state, eos, params, dt, dx)
     calls = []
@@ -533,12 +578,11 @@ def test_singular_tridiagonal_core_raises():
 
     # gamma = -diag[0] = -1 folds the core to diag(2, 0, 1): exactly
     # singular, so dgtsv meets a zero pivot and reports info > 0.
-    sys_ = PeriodicTridiagonalSystem(sub=np.zeros(3), diag=np.array([1.0, 0.0, 1.0]),
-                                     sup=np.zeros(3), rhs=np.ones(3))
     *_, info = dgtsv(np.zeros(2), np.array([2.0, 0.0, 1.0]), np.zeros(2), np.ones((3, 2)))
     assert info > 0
     with pytest.raises(SingularSystemError, match="dgtsv info"):
-        solve_periodic_tridiagonal(sys_)
+        solve_periodic_tridiagonal(np.zeros(3), np.array([1.0, 0.0, 1.0]), np.zeros(3),
+                                   np.ones(3))
 
 
 def test_tridiagonal_solve_leaves_system_unchanged():
@@ -547,12 +591,13 @@ def test_tridiagonal_solve_leaves_system_unchanged():
     sub, sup = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
     diag = 3.0 + rng.uniform(0, 1, n)
     rhs = rng.standard_normal(n)
-    sys_ = PeriodicTridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
-    copies = [a.copy() for a in (sys_.sub, sys_.diag, sys_.sup, sys_.rhs)]
-    x, _ = solve_periodic_tridiagonal(sys_)
-    for a, b in zip((sys_.sub, sys_.diag, sys_.sup, sys_.rhs), copies):
+    bands = (sub, diag, sup, rhs)
+    copies = [a.copy() for a in bands]
+    x, _ = solve_periodic_tridiagonal(*bands)
+    for a, b in zip(bands, copies):
         assert np.array_equal(a, b)
-    assert np.max(np.abs(sys_.dense() @ x - rhs)) <= 1e-12
+    applied = sub * np.roll(x, 1) + diag * x + sup * np.roll(x, -1)
+    assert np.max(np.abs(applied - rhs)) <= 1e-12
 
 
 def test_tridiagonal_corner_fold_does_not_overflow():
@@ -561,19 +606,12 @@ def test_tridiagonal_corner_fold_does_not_overflow():
     # system (here: numerically singular) without a float warning.
     n = 10
     face = np.full(n, 4e156)
-    sys_ = PeriodicTridiagonalSystem(sub=-face, diag=1.0 + 2.0 * face, sup=-face,
-                                     rhs=np.linspace(0.0, 1e-3, n))
     with np.errstate(all="raise"), pytest.raises(SingularSystemError, match="singular"):
-        solve_periodic_tridiagonal(sys_)
-
-
-def test_trusted_tridiagonal_system_still_checks_size():
-    with pytest.raises(ValueError, match="N >= 3"):
-        PeriodicTridiagonalSystem._trusted(np.zeros(2), np.ones(2), np.zeros(2), np.ones(2))
+        solve_periodic_tridiagonal(-face, 1.0 + 2.0 * face, -face, np.linspace(0.0, 1e-3, n))
 
 
 # ---------------------------------------------------------------------------
-# face coefficients: built once per step, shared read-only
+# face coefficients: none in a 1D step, built per use in 2D
 
 def _one_step(kind):
     if kind in ("wide", "reduced"):
@@ -591,8 +629,8 @@ def _one_step(kind):
 
 @pytest.mark.parametrize("kind", ["ld", "l", "ice", "wide", "reduced"])
 def test_step_builds_its_faces_once(kind, monkeypatch):
-    # A 2D step builds its cached faces once, for the solve and the residual
-    # check; a 1D linear step builds none and extends its mobility once.
+    # A 1D linear step builds no faces and extends its mobility once; a 2D
+    # step builds them for its solve and again for its residual check.
     expected, expected_report = _one_step(kind)
     built, extended = [], []
     builder, periodic = elliptic._face_coefficients, elliptic._periodic
@@ -609,7 +647,7 @@ def test_step_builds_its_faces_once(kind, monkeypatch):
     monkeypatch.setattr(elliptic, "_periodic", extending)
     out, report = _one_step(kind)
     if kind in ("wide", "reduced"):
-        assert len(built) == 1 and not extended
+        assert built == [elliptic._STENCIL_STRIDE[kind]] * 2 and not extended
     else:
         assert not built and len(extended) == 1
         grid = example1_grid(100)
@@ -631,7 +669,7 @@ def test_linear_bands_are_the_faces(stride):
         m = int(rng.choice([6, 8, 16, 100]))
         coeff = EllipticCoefficients(beta=beta, mobility=rng.uniform(0.1, 4.0, m))
         with np.errstate(over="ignore"):
-            (face,) = coeff.faces(stride, (dx,))
+            (face,) = elliptic._face_coefficients(stride, coeff, (dx,))
             face_w = _shift(face, stride)
             sub, diag, sup = elliptic._linear_bands(coeff, dx, stride)
             expected = (-face_w, 1.0 + face + face_w, -face)
@@ -679,9 +717,10 @@ def test_linear_solve_returns_the_largest_class_residual(variant, classes, monke
     residuals = []
     solve = elliptic.solve_periodic_tridiagonal
 
-    def recording(sys_, tol):
-        x, resid = solve(sys_, tol)
-        assert resid == np.abs(sys_.matvec(x) - sys_.rhs).max()
+    def recording(sub, diag, sup, rhs, tol):
+        x, resid = solve(sub, diag, sup, rhs, tol)
+        applied = sub * np.roll(x, 1) + diag * x + sup * np.roll(x, -1)
+        assert resid == np.abs(applied - rhs).max()
         residuals.append(resid)
         return x, resid
 
@@ -699,8 +738,8 @@ def _recording_solves(monkeypatch):
     for name in ("solve_elliptic_ld_1d", "solve_elliptic_l_1d"):
         solve = getattr(onedim, name)
 
-        def recording(rho_n, dphi, coeff, dx, linear_tol, solve=solve):
-            result = solve(rho_n, dphi, coeff, dx, linear_tol)
+        def recording(rho_n, dphi, coeff, dx, solve=solve):
+            result = solve(rho_n, dphi, coeff, dx)
             calls.append((dphi, coeff, dx, result))
             return result
 
@@ -737,27 +776,14 @@ def test_linear_step_reports_its_solve_residual(kind, eps, example, monkeypatch)
         assert report.consistency_residual == residual and residual > 0.0
         # Within the contract's bound of the operator applied again.
         applied = apply_elliptic_operator_1d(variant, rho_new, None, coeff, eos, dx) - dphi
-        bound = 10 * params.linear_tol * max(1.0, float(np.abs(rho_new).max()))
+        bound = 10 * LINEAR_TOL * max(1.0, float(np.abs(rho_new).max()))
         assert abs(residual - float(np.abs(applied).max())) <= bound
 
 
-@pytest.mark.parametrize("spacings", [(0.1,), (0.1, 0.2)])
-def test_cached_faces_are_read_only_and_shared(spacings):
-    shape = (8,) if len(spacings) == 1 else (8, 6)
-    coeff = EllipticCoefficients(beta=0.5, mobility=1.0 + np.arange(np.prod(shape)).reshape(shape))
-    for stride in (1, 2):
-        faces = coeff.faces(stride, spacings)
-        assert coeff.faces(stride, spacings) is faces
-        assert len(faces) == len(spacings)
-        for axis, (face, h) in enumerate(zip(faces, spacings)):
-            assert not face.flags.writeable
-            with pytest.raises(ValueError):
-                face[0] = 1.0
-            expected = 0.5 / (stride * h) ** 2 * np.roll(coeff.mobility, -1, axis=axis)
-            assert np.array_equal(face, expected)
-    assert coeff.faces(1, spacings) is not coeff.faces(2, spacings)
-    # The faces are built from the mobility once, so it is read-only too: in
-    # a step's coefficients, and as a copy in the public constructor's.
+@pytest.mark.parametrize("shape", [(8,), (8, 6)])
+def test_coefficients_hold_the_mobility_read_only(shape):
+    # Read-only in a step's coefficients, frozen without a copy, and as a
+    # copy in the public constructor's.
     mobility = np.ones(shape)
     for held in (EllipticCoefficients(0.5, mobility).mobility,
                  EllipticCoefficients._of_step(0.5, mobility).mobility):

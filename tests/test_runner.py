@@ -1,13 +1,16 @@
 """End-to-end runs from the benchmark presets and the table commands."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
-from lowmach import ConfigError, FluidState1D, FluidState2D, Grid1D, Grid2D, onedim
+from lowmach import (ConfigError, FluidState1D, FluidState2D, Grid1D, Grid2D, InstabilityError,
+                     onedim, runner)
 from lowmach.cli import main
 from lowmach.config import build_config, build_problem, scheme_params
+from lowmach.presets import example1_grid, example1_state
 from lowmach.runner import (
     _make_stepper,
     _max_speed,
@@ -162,6 +165,30 @@ def test_reproduce_table2_levels_must_divide_the_reference(monkeypatch):
     refs = {0.3: FluidState1D(rho=np.ones(320), q=np.zeros(320))}
     with pytest.raises(ConfigError, match="640 cells"):
         reproduce_table2([0.3], refinement_levels=6, coarsest_m=20, reference_states=refs)
+
+
+def _no_step(*args):
+    raise AssertionError("a step ran before the step count was checked")
+
+
+def test_reference_solution_beyond_the_step_cap_raises(monkeypatch):
+    # 1e14 steps of dt = 1e-2: rejected before the first step, in well under
+    # a second (the loop used to run for ever).
+    monkeypatch.setattr(runner, "step_explicit_llf_1d", _no_step)
+    start = time.perf_counter()
+    with pytest.raises(InstabilityError, match="more than the 1000000 steps"):
+        reference_solution(0.8, cells=20, inv_dt=100, t_final=1e12, refine=1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_reproduce_table2_level_beyond_the_step_cap_raises(monkeypatch):
+    monkeypatch.setattr(onedim, "step_ap_1d", _no_step)
+    grid = example1_grid(20)
+    refs = {0.8: example1_state(grid, 0.8)}
+    start = time.perf_counter()
+    with pytest.raises(InstabilityError, match="more than the 1000000 steps"):
+        reproduce_table2([0.8], 1, 20, t_final=1e12, reference_states=refs)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_compare_ice_outputs(tmp_path):
