@@ -600,6 +600,16 @@ def test_tridiagonal_solve_leaves_system_unchanged():
     assert np.max(np.abs(applied - rhs)) <= 1e-12
 
 
+def test_trusted_tridiagonal_system_still_checks_size():
+    # The internal strided solve the steps call still refuses a system of
+    # fewer than three unknowns: two cells at stride 1, or four cells split
+    # into two classes of two at stride 2.
+    for n, stride in ((2, 1), (4, 2)):
+        bands = (np.zeros(n), np.ones(n), np.zeros(n), np.ones(n))
+        with pytest.raises(ValueError, match="N >= 3"):
+            _solve_strided_tridiagonal(*bands, stride, 1e-11)
+
+
 def test_tridiagonal_corner_fold_does_not_overflow():
     # Face coefficients ~1e156 (eps = 1e-80): sup[-1] * sub[0] overflows,
     # sup[-1] * (sub[0] / gamma) does not.  The solve must judge the folded
