@@ -16,11 +16,11 @@ F_i - F_{i-s}.  The 1D linear solves build their tridiagonal bands from one
 periodic extension of the mobility scaled by -beta/(s dx)^2 (the
 off-diagonals are slices of it) and return, with the solution, the max-norm
 residual that the tridiagonal solve has already tested, which the steps
-report; they apply no operator after the solve.  In 2D the CG solve and
-the step's residual check (a real check there: CG's recursive residual can
-drift from the true one) each build the face coefficients from the
-mobility.  Every solve hands its results back by return value.  Three 1D
-variants:
+report; they apply no operator after the solve.  In 2D the CG solve builds
+the face coefficients from the mobility once and hands them back for the
+step's residual check (a real check there: CG's recursive residual can
+drift from the true one).  Every solve hands its results back by return
+value.  Three 1D variants:
 
 * LD -- stride 1, one cyclic tridiagonal solve;
 * L  -- stride 2; even and odd cells decouple into two cyclic tridiagonal
@@ -361,16 +361,24 @@ def _cg(matvec, b, rtol, maxiter, precond):
     ||b - A x|| <= rtol ||b||, whatever the preconditioner.  It is taken as
     soon as the residual is updated, so the converged residual is never
     preconditioned: a solve of ``iters`` iterations calls ``precond``
-    ``iters`` times.
+    ``iters`` times.  A finite ``b`` whose squared norm overflows is solved
+    scaled by a power of two, which scales every iterate exactly: the
+    iterates and their count are those of the unscaled solve.
     """
-    bnorm = np.linalg.norm(b)
+    with np.errstate(over="ignore"):
+        bb = np.vdot(b, b)
+    if bb == math.inf and np.isfinite(b).all():
+        exponent = math.frexp(float(np.abs(b).max()))[1]
+        x, it = _cg(matvec, np.ldexp(b, -exponent), rtol, maxiter, precond)
+        return np.ldexp(x, exponent), it
+    bnorm = np.sqrt(bb)
     if bnorm == 0.0:
         return np.zeros_like(b), 0
+    rr = float(bb)
     x = np.zeros_like(b)
     r = b.copy()
     z = precond(r)
     p = z.copy()
-    rr = float(np.vdot(r, r))
     rz = float(np.vdot(r, z))
     tol2 = (rtol * bnorm) ** 2
     it = 0
@@ -419,6 +427,10 @@ def _fft_preconditioner(shape, stride, coeff: EllipticCoefficients, dx: float, d
     k1 = np.arange(m1)[:, None]
     k2 = np.arange(m2 // 2 + 1)[None, :]
     mean_mob = float(np.mean(coeff.mobility))
+    top = 4.0 * (b_x + b_y)
+    if not (top < math.inf and mean_mob * top < math.inf):
+        raise InstabilityError(f"preconditioner symbol 1 + {mean_mob:.3g} * {top:.3g} "
+                               f"is not finite")
     inv_symbol = 1.0 / (1.0 + mean_mob * (b_x * 4.0 * np.sin(np.pi * stride * k1 / m1) ** 2
                                           + b_y * 4.0 * np.sin(np.pi * stride * k2 / m2) ** 2))
 
@@ -438,14 +450,17 @@ def solve_elliptic_2d(rho_n, dphi, coeff: EllipticCoefficients, dx: float, dy: f
     the full grid with the operator of ``apply_elliptic_operator_2d``.
     ``maxiter`` defaults to m1 m2, the number of unknowns: in exact
     arithmetic CG converges within that many iterations, so a solve that
-    has not is stagnating.  Returns (rho, cg_iterations).
+    has not is stagnating.  Returns (rho, cg_iterations, faces), with faces
+    the face coefficients the operator was built from, for a residual check
+    through :func:`_flux_operator` that builds none; () where beta = 0,
+    whose operator is the identity.
     """
     dphi = np.asarray(dphi, dtype=float)
     m1, m2 = dphi.shape
     if maxiter is None:
         maxiter = m1 * m2
     if coeff.beta == 0.0:
-        return dphi.copy(), 0
+        return dphi.copy(), 0, ()
     stride = _stride(stencil)
     if stride == 2 and (m1 % 2 != 0 or m2 % 2 != 0):
         raise UnsupportedGridError("wide 2D stencil requires even cell counts")
@@ -457,7 +472,7 @@ def solve_elliptic_2d(rho_n, dphi, coeff: EllipticCoefficients, dx: float, dy: f
     faces = _face_coefficients(stride, coeff, (dx, dy))
     x, iters = _cg(lambda v: _flux_operator(v, stride, faces), rhs, rtol, maxiter,
                    _fft_preconditioner((m1, m2), stride, coeff, dx, dy))
-    return x + shift, iters
+    return x + shift, iters, faces
 
 
 def apply_elliptic_operator_2d(stencil: str, rho, coeff: EllipticCoefficients,

@@ -10,15 +10,19 @@ reduced 5-point stencil), then explicit momentum updates.
 
 As in :func:`lowmach.onedim.step_ap_1d`, :func:`_explicit_terms` evaluates
 the explicit terms of rho^n once per step: p and p' (unchecked: the state's
-density is valid), the cell and interface speeds, and the eight flux and
-dissipation differences that the elliptic right-hand side differentiates
-once more and the momentum update sums.  :func:`step_ap_2d` sums each
-momentum's explicit part before the solve and lets the eight terms and the
-interface speeds go, so the solve runs on a smaller working set.  Shifts
-are the two-slice :func:`lowmach.core._shift`, and each dissipation term
-takes one difference, its backward difference being the shift of the
-forward one.  The step ends through the 1D module's checked hand-off
-(:func:`lowmach.onedim._check_new_density`, then
+density is valid), the cell and interface speeds, each momentum's flux
+divergence and the four dissipation terms.  :func:`_momentum_parts` sums
+each momentum's explicit part, which the momentum update takes, and the part
+of it whose divergence the elliptic right-hand side takes: eliminating the
+new-time momenta from the density flux leaves dt^2 times the centered
+divergence of that part, so the right-hand side differentiates each
+momentum once.  :func:`step_ap_2d` lets the terms and the interface speeds
+go before the solve, so the solve runs on a smaller working set.  The
+centered difference and the dissipation write each result into one new
+array from slice views of their input, the wrap row or column apart, with
+the floats of the shifted-copy formulas.  The residual check applies the
+face coefficients the solve built.  The step ends through the 1D module's
+checked hand-off (:func:`lowmach.onedim._check_new_density`, then
 :func:`lowmach.onedim._finish_step`), as the three 1D steppers do.
 
 Expression groupings below deliberately pair x/y swap partners so that the
@@ -36,7 +40,7 @@ from .core import EquationOfState, FluidState2D, SchemeParams, _shift, _square, 
 from .elliptic import (
     _STENCIL_STRIDE,
     EllipticCoefficients,
-    apply_elliptic_operator_2d,
+    _flux_operator,
     beta_coefficient,
     solve_elliptic_2d,
 )
@@ -69,23 +73,44 @@ def directional_speeds_2d(state: FluidState2D, eos: EquationOfState, alpha: floa
 
 
 def _dc(u, h, axis):
-    """Centered difference (u_{+1} - u_{-1}) / 2h along ``axis``."""
-    return (_shift(u, -1, axis) - _shift(u, 1, axis)) / (2.0 * h)
+    """Centered difference (u_{+1} - u_{-1}) / 2h along ``axis``, written
+    into one new array from slice views, the two wrap rows (or columns)
+    apart; their neighbours are indexed modulo the length n, so that n = 1
+    reads 0."""
+    out = np.empty_like(u)
+    v, o = (u, out) if axis == 0 else (u.T, out.T)
+    n = len(v)
+    np.subtract(v[2:], v[:-2], out=o[1:-1])
+    np.subtract(v[1 % n], v[-1], out=o[0])
+    np.subtract(v[0], v[-2 % n], out=o[-1])
+    out /= 2.0 * h
+    return out
 
 
 def _diss(u, a, h, axis):
     """(1/2)(A_{-1/2} D- - A_{+1/2} D+) u along ``axis``, with a[i] the speed
     at interface i+1/2: minus the LLF diffusion; it enters the updates with
-    the flux-divergence sign."""
-    dp = (_shift(u, -1, axis) - u) / h
-    dm = _shift(dp, 1, axis)
-    return 0.5 * (_shift(a, 1, axis) * dm - a * dp)
+    the flux-divergence sign.  With the interface flux f = a (u_{+1} - u) / h
+    it is (f_{-1} - f) / 2, each of f and the result one new array written
+    from slice views."""
+    f = np.empty_like(u)
+    v, g = (u, f) if axis == 0 else (u.T, f.T)
+    np.subtract(v[1:], v[:-1], out=g[:-1])
+    np.subtract(v[0], v[-1], out=g[-1])
+    f /= h
+    f *= a
+    out = np.empty_like(f)
+    o = out if axis == 0 else out.T
+    np.subtract(g[:-1], g[1:], out=o[1:])
+    np.subtract(g[-1], g[0], out=o[0])
+    out *= 0.5
+    return out
 
 
 def _explicit_terms(state: FluidState2D, eos: EquationOfState, alpha: float, dx: float, dy: float):
-    """(p', cell speeds, interface speeds, dflux, diss) of rho^n, with
-    dflux[k][d] the derivative along axis d of the flux (g1, w; w, g2) of
-    momentum k and diss[k][d] the dissipation of q_k along axis d."""
+    """(p', cell speeds, interface speeds, flux, diss) of rho^n, with
+    flux[k] the divergence of row k of the momentum flux (g1, w; w, g2) and
+    diss[k][d] the dissipation of q_k along axis d."""
     rho, q1, q2 = state.rho, state.q1, state.q2
     u1, u2 = state.velocity()
     dp = eos._pressure_derivative(rho)
@@ -93,37 +118,48 @@ def _explicit_terms(state: FluidState2D, eos: EquationOfState, alpha: float, dx:
     speeds = _interface_speeds(cell_max)
     p = eos._pressure(rho)
     w = rho * (u1 * u2)
-    dflux = ((_dc(q1 * u1 + alpha * p, dx, 0), _dc(w, dy, 1)),
-             (_dc(w, dx, 0), _dc(q2 * u2 + alpha * p, dy, 1)))
+    flux = (_dc(q1 * u1 + alpha * p, dx, 0) + _dc(w, dy, 1),
+            _dc(w, dx, 0) + _dc(q2 * u2 + alpha * p, dy, 1))
     diss = tuple((_diss(q, speeds.a_x, dx, 0), _diss(q, speeds.a_y, dy, 1)) for q in (q1, q2))
-    return dp, cell_max, speeds, dflux, diss
+    return dp, cell_max, speeds, flux, diss
 
 
-def _dphi_from_terms(state: FluidState2D, speeds: DirectionalSpeeds, dflux, diss,
-                     dt: float, dx: float, dy: float, literal: bool) -> np.ndarray:
+def _momentum_parts(flux, diss, literal: bool):
+    """(explicit, e): explicit[k] is the explicit part of momentum k, its
+    flux divergence plus both dissipations, and e[k] the part of it whose
+    divergence the elliptic right-hand side takes, the same arrays where
+    ``literal`` and without the cross-direction dissipation where not."""
+    explicit = tuple(f + (d[0] + d[1]) for f, d in zip(flux, diss))
+    if literal:
+        return explicit, explicit
+    return explicit, (flux[0] + diss[0][0], flux[1] + diss[1][1])
+
+
+def _dphi(state: FluidState2D, speeds: DirectionalSpeeds, e, dt: float, dx: float,
+          dy: float) -> np.ndarray:
+    """rho - dt (div q + dissipation of rho) + dt^2 div(e1, e2): the O(dt^2)
+    term differentiates each momentum's part ``e`` once."""
     rho = state.rho
     first_order = (_dc(state.q1, dx, 0) + _dc(state.q2, dy, 1)) + (
         _diss(rho, speeds.a_x, dx, 0) + _diss(rho, speeds.a_y, dy, 1))
-    t_axis = _dc(dflux[0][0], dx, 0) + _dc(dflux[1][1], dy, 1)
-    t_mixed = _dc(dflux[0][1], dx, 0) + _dc(dflux[1][0], dy, 1)
-    t_diss = _dc(diss[0][0], dx, 0) + _dc(diss[1][1], dy, 1)
-    if literal:
-        t_diss = t_diss + (_dc(diss[0][1], dx, 0) + _dc(diss[1][0], dy, 1))
-    return rho - dt * first_order + _square(dt) * (t_axis + t_mixed + t_diss)
+    return rho - dt * first_order + _square(dt) * (_dc(e[0], dx, 0) + _dc(e[1], dy, 1))
 
 
 def assemble_dphi_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
                      dt: float, dx: float, dy: float, literal: bool = True) -> np.ndarray:
     """Right-hand side of the 2D elliptic equation from old-time data.
 
-    ``literal`` keeps the mixed dissipation-correction pairings of the
-    exact elimination (an outer y-derivative on the x-direction dissipation
-    of q2 and vice versa); ``literal=False`` selects the symmetric variant
-    where each momentum's dissipation is differentiated only along its own
-    flux direction.  The two differ at O(dt^2 dx).
+    rho - dt (div q + dissipation of rho) + dt^2 div(e1, e2), with e_k the
+    part of momentum k's explicit update that the elimination leaves in the
+    density flux: its flux divergence and its dissipation along its own
+    direction.  ``literal`` keeps the cross-direction dissipation in e_k
+    too, as the exact elimination does (an outer y-derivative on the
+    x-direction dissipation of q2 and vice versa), so that e_k is the whole
+    explicit part; ``literal=False`` selects the symmetric variant without
+    it.  The two differ at O(dt^2 dx).
     """
-    _, _, speeds, dflux, diss = _explicit_terms(state, eos, params.alpha, dx, dy)
-    return _dphi_from_terms(state, speeds, dflux, diss, dt, dx, dy, literal)
+    _, _, speeds, flux, diss = _explicit_terms(state, eos, params.alpha, dx, dy)
+    return _dphi(state, speeds, _momentum_parts(flux, diss, literal)[1], dt, dx, dy)
 
 
 def step_ap_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
@@ -135,8 +171,8 @@ def step_ap_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
     density row: the new density put through the stencil's elliptic
     operator, minus the right-hand side (in density units).  Unlike the 1D
     linear steps, which report their tridiagonal solve's tested residual,
-    this re-applies the operator: CG's recursive residual can drift from
-    the true one.
+    this re-applies the operator, from the face coefficients the solve
+    built: CG's recursive residual can drift from the true one.
     """
     validate_params(params)
     if not dt > 0.0:
@@ -146,23 +182,22 @@ def step_ap_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
 
     rho = state.rho
     # p'(rho^n) is both the sound speed and the mobility.
-    dp, cell_max, speeds, dflux, diss = _explicit_terms(state, eos, params.alpha, dx, dy)
+    dp, cell_max, speeds, flux, diss = _explicit_terms(state, eos, params.alpha, dx, dy)
     # beta first: an overflowing dt^2 fails here, not in the right-hand side.
     coeff = EllipticCoefficients._of_step(beta_coefficient(params.epsilon, params.alpha, dt), dp)
-    dphi = _dphi_from_terms(state, speeds, dflux, diss, dt, dx, dy, dphi2_literal)
     # Each momentum's explicit part, summed now so that the solve runs
-    # without the interface speeds and the eight terms.
-    explicit1 = (dflux[0][0] + dflux[0][1]) + (diss[0][0] + diss[0][1])
-    explicit2 = (dflux[1][0] + dflux[1][1]) + (diss[1][0] + diss[1][1])
-    del speeds, dflux, diss
-    rho_new, cg_iters = solve_elliptic_2d(rho, dphi, coeff, dx, dy, stencil=stencil)
+    # without the interface speeds and the flux and dissipation terms.
+    (explicit1, explicit2), e = _momentum_parts(flux, diss, dphi2_literal)
+    dphi = _dphi(state, speeds, e, dt, dx, dy)
+    del speeds, flux, diss, e
+    rho_new, cg_iters, faces = solve_elliptic_2d(rho, dphi, coeff, dx, dy, stencil=stencil)
 
     mass = _check_new_density(rho_new)
     p_new = eos._pressure(rho_new)
     c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
     momenta = (state.q1 - dt * (explicit1 + c * _dc(p_new, dx, 0)),
                state.q2 - dt * (explicit2 + c * _dc(p_new, dy, 1)))
-    r_density = apply_elliptic_operator_2d(stencil, rho_new, coeff, dx, dy) - dphi
+    r_density = _flux_operator(rho_new, _STENCIL_STRIDE[stencil], faces) - dphi
     return _finish_step(FluidState2D, rho_new, mass, momenta, dx * dy, cell_max,
                         float(np.abs(r_density).max()), dt,
                         linear_iters=cg_iters)

@@ -352,7 +352,7 @@ def test_criterion_8_solver_oracles():
         dphi = 1 + 0.4 * rng.standard_normal((8, 8))
         coeff = EllipticCoefficients(beta=beta, mobility=mob)
         stencil = ("wide", "reduced")[k % 2]
-        mine, _ = solve_elliptic_2d(np.ones((8, 8)), dphi, coeff, 1 / 8, 1 / 8, stencil=stencil)
+        mine, _, _ = solve_elliptic_2d(np.ones((8, 8)), dphi, coeff, 1 / 8, 1 / 8, stencil=stencil)
         oracle = np.linalg.solve(dense_matrix_2d(stencil, mob, beta, 1 / 8, 1 / 8), dphi.ravel())
         worst = max(worst, float(np.max(np.abs(mine.ravel() - oracle))) / max(1.0, float(np.max(np.abs(oracle)))))
         checks += 1

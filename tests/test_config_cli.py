@@ -243,6 +243,25 @@ def test_cli_run_beta_overflow_exits_3(tmp_path, capsys, flags):
     assert (out / "steps.csv").read_text().count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("stencil, dt, message", [
+    # The right-hand side's squared norm overflows: CG runs on it scaled by
+    # a power of two and fails to converge on the system, whose beta ~ 4e202
+    # is beyond what the float operator resolves.
+    ("reduced", "1e100", "CG "),
+    ("wide", "1e100", "CG "),
+    # The preconditioner's symbol overflows, though the faces do not.
+    ("wide", "1e152", "preconditioner symbol"),
+])
+def test_cli_run_2d_huge_dt_exits_3(tmp_path, stencil, dt, message):
+    out = tmp_path / "huge"
+    code = main(["run", "--preset", "example3", "--m1", "8", "--m2", "8", "--alpha", "0",
+                 "--epsilon", "0.05", "--dt", dt, "--t-final", f"2{dt}", "--stencil", stencil,
+                 "--output-dir", str(out)])
+    assert code == 3
+    assert message in json.loads((out / "manifest.json").read_text())["message"]
+
+
 def test_cli_import_does_not_load_process_pool():
     # Only a pooled sweep needs concurrent.futures.process and multiprocessing;
     # every other verb must not pay for importing them.

@@ -269,12 +269,13 @@ def dense_matrix_2d(stencil, mob, beta, dx, dy):
 def test_2d_beta_zero_identity_and_constant(stencil):
     rng = np.random.default_rng(3)
     dphi = 1 + 0.1 * rng.random((8, 8))
-    out, iters = solve_elliptic_2d(np.ones((8, 8)), dphi, EllipticCoefficients(0.0, np.ones((8, 8))),
-                                   1 / 8, 1 / 8, stencil=stencil)
-    assert np.array_equal(out, dphi) and iters == 0
+    out, iters, faces = solve_elliptic_2d(np.ones((8, 8)), dphi,
+                                          EllipticCoefficients(0.0, np.ones((8, 8))),
+                                          1 / 8, 1 / 8, stencil=stencil)
+    assert np.array_equal(out, dphi) and iters == 0 and faces == ()
     const = np.full((8, 8), 2.5)
-    out, _ = solve_elliptic_2d(np.ones((8, 8)), const,
-                               EllipticCoefficients(0.04, np.ones((8, 8))), 1 / 8, 1 / 8, stencil=stencil)
+    out, _, _ = solve_elliptic_2d(np.ones((8, 8)), const, EllipticCoefficients(0.04, np.ones((8, 8))),
+                                  1 / 8, 1 / 8, stencil=stencil)
     assert np.array_equal(out, const)
 
 
@@ -287,21 +288,42 @@ def test_2d_matches_dense_oracle(stencil):
         beta = float(10.0 ** rng.uniform(-4, -1))
         dphi = 1 + 0.4 * rng.standard_normal((m1, m2))
         coeff = EllipticCoefficients(beta=beta, mobility=mob)
-        out, _ = solve_elliptic_2d(np.ones((m1, m2)), dphi, coeff, 1 / m1, 1 / m2, stencil=stencil)
+        out, _, _ = solve_elliptic_2d(np.ones((m1, m2)), dphi, coeff, 1 / m1, 1 / m2, stencil=stencil)
         oracle = np.linalg.solve(dense_matrix_2d(stencil, mob, beta, 1 / m1, 1 / m2), dphi.ravel())
         assert np.max(np.abs(out.ravel() - oracle)) <= 1e-10 * max(1.0, np.max(np.abs(oracle)))
 
 
 def test_2d_rectangular_grid():
+    from lowmach import elliptic
+
     rng = np.random.default_rng(23)
     m1, m2 = 6, 10
     mob = 0.5 + rng.random((m1, m2))
     dphi = 1 + 0.2 * rng.standard_normal((m1, m2))
     coeff = EllipticCoefficients(beta=0.01, mobility=mob)
     for stencil in ("wide", "reduced"):
-        out, _ = solve_elliptic_2d(np.ones((m1, m2)), dphi, coeff, 1 / m1, 1 / m2, stencil=stencil)
-        resid = apply_elliptic_operator_2d(stencil, out, coeff, 1 / m1, 1 / m2) - dphi
-        assert np.max(np.abs(resid)) <= 1e-11 * np.max(np.abs(dphi))
+        out, _, faces = solve_elliptic_2d(np.ones((m1, m2)), dphi, coeff, 1 / m1, 1 / m2,
+                                          stencil=stencil)
+        applied = apply_elliptic_operator_2d(stencil, out, coeff, 1 / m1, 1 / m2)
+        # The faces the solve hands back apply the same operator.
+        stride = elliptic._STENCIL_STRIDE[stencil]
+        assert np.array_equal(elliptic._flux_operator(out, stride, faces), applied)
+        assert np.max(np.abs(applied - dphi)) <= 1e-11 * np.max(np.abs(dphi))
+
+
+@pytest.mark.parametrize("stencil", ["wide", "reduced"])
+def test_2d_solve_scales_a_right_hand_side_whose_norm_overflows(stencil):
+    # ||2^1000 dphi||^2 >= 2^2000 overflows: the solve runs on the right-hand
+    # side scaled by a power of two, so its solution and iteration count are
+    # those of the same system at a small scale.
+    rng = np.random.default_rng(41)
+    mob = 0.5 + rng.random((8, 8))
+    dphi = 1 + 0.4 * rng.standard_normal((8, 8))
+    coeff = EllipticCoefficients(beta=0.01, mobility=mob)
+    small, iters, _ = solve_elliptic_2d(np.ones((8, 8)), dphi, coeff, 1 / 8, 1 / 8, stencil=stencil)
+    big = np.ldexp(dphi, 1000)
+    out, big_iters, _ = solve_elliptic_2d(np.ones((8, 8)), big, coeff, 1 / 8, 1 / 8, stencil=stencil)
+    assert big_iters == iters >= 2 and np.array_equal(out, np.ldexp(small, 1000))
 
 
 def test_2d_wide_requires_even_cells():
@@ -324,7 +346,7 @@ def test_2d_wide_anisotropic_matches_dense_oracle():
         beta = 1.0 if constant else float(10.0 ** rng.uniform(-3, 0))
         dphi = 1 + 0.4 * rng.standard_normal((m1, m2))
         coeff = EllipticCoefficients(beta=beta, mobility=mob)
-        out, iters = solve_elliptic_2d(np.ones((m1, m2)), dphi, coeff, dx, dy, stencil="wide")
+        out, iters, _ = solve_elliptic_2d(np.ones((m1, m2)), dphi, coeff, dx, dy, stencil="wide")
         oracle = np.linalg.solve(dense_matrix_2d("wide", mob, beta, dx, dy), dphi.ravel())
         assert np.max(np.abs(out.ravel() - oracle)) <= 1e-10 * max(1.0, np.max(np.abs(oracle)))
         if constant:
@@ -433,7 +455,7 @@ def test_2d_solve_preconditions_each_iteration_once(stencil, monkeypatch):
         return counting
 
     monkeypatch.setattr(elliptic, "_fft_preconditioner", counting_build)
-    _, iters = solve_elliptic_2d(np.ones((16, 16)), dphi, coeff, 1 / 16, 1 / 16, stencil=stencil)
+    _, iters, _ = solve_elliptic_2d(np.ones((16, 16)), dphi, coeff, 1 / 16, 1 / 16, stencil=stencil)
     assert iters >= 2 and len(calls) == iters
 
 
