@@ -18,6 +18,9 @@ and each case of a table is built as a config, so it is checked by the
 rules of ``run``.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
+An unknown or missing flag is a config error too (argparse's 2), and
+``--help`` exits 0: :func:`main` returns each of these, and raises no
+``SystemExit``.
 """
 
 from __future__ import annotations
@@ -145,8 +148,11 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a bad or missing flag, 0 after --help.
+        return exc.code
     handlers = {
         "run": _cmd_run,
         "table1": _cmd_table1,

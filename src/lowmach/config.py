@@ -73,21 +73,10 @@ class RunConfig:
     stencil: str = "reduced"
     snapshot_times: tuple = ()
     output_dir: str = "out"
-    dphi2_literal: bool = True
     domain_a: float = 0.0
     domain_b: float = 1.0
     rho0: float = 1.0
     q0: float = 0.0
-
-
-_BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
-def _parse_bool(key, raw):
-    try:
-        return _BOOL_VALUES[raw.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}") from None
 
 
 def _parse_float(key, raw):
@@ -114,7 +103,7 @@ def parse_floats(key, raw) -> tuple:
 
 # The parser of each field's type: the fields' annotations are strings.
 _TYPE_PARSERS = {"int": _parse_int, "float": _parse_float, "float | None": _parse_float,
-                 "str": str, "bool": _parse_bool, "tuple": parse_floats}
+                 "str": str, "tuple": parse_floats}
 _KEY_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(RunConfig)}
 
 

@@ -265,7 +265,9 @@ class FluidState2D(_State):
 @dataclass(frozen=True)
 class DtPolicy:
     """Time step policy: fixed dt, or adaptive from the explicit-part CFL
-    condition dt = sigma * dx / max(|u| + sqrt(alpha p'))."""
+    condition dt = sigma * dx / max(|u| + sqrt(alpha p')).  Validated with
+    the parameters but read by no step or run: a run's ``dt`` picks the step
+    (:class:`lowmach.config.RunConfig`)."""
 
     kind: str
     dt: float | None = None
@@ -285,7 +287,9 @@ class SchemeParams:
 
     epsilon is the scaled Mach number; alpha the pressure-splitting
     parameter (alpha <= 1/epsilon^2, the equality giving a fully explicit
-    pressure); sigma the Courant number for the explicit part.
+    pressure); sigma the Courant number for the explicit part; dt_policy a
+    :class:`DtPolicy`, validated and otherwise unread.  The solves'
+    tolerances are their own constants, not parameters.
     """
 
     epsilon: float

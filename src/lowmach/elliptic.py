@@ -61,9 +61,14 @@ from .errors import (
 )
 from .tridiag import solve_periodic_tridiagonal
 
-# CG is run tighter than the nominal contract so that the telescoping
-# conservation identities survive the linear solve at the 1e-12 level.
-_CG_RTOL_CAP = 1e-13
+# CG stops at ||b - A x||_2 <= _CG_RTOL ||b||_2, tighter than the 1D solves'
+# 1e-11, so that the telescoping conservation identities survive the linear
+# solve at the 1e-12 level.
+_CG_RTOL = 1e-13
+
+# Newton stops where the increment's max norm is at most _NEWTON_TOL, or
+# max|G| at most _NEWTON_TOL max(1, max|dphi|).
+_NEWTON_TOL = 1e-12
 
 # Neighbour distance of each 1D variant's and each 2D stencil's operator.
 _VARIANT_STRIDE = {"nl": 2, "l": 2, "ld": 1}
@@ -156,19 +161,19 @@ def _flux_operator(rho, stride: int, faces) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # 1D solves
 
-def _solve_strided_tridiagonal(sub, diag, sup, rhs, stride: int, linear_tol: float):
+def _solve_strided_tridiagonal(sub, diag, sup, rhs, stride: int):
     """Solve rows sub_i x_{i-s} + diag_i x_i + sup_i x_{i+s} = rhs_i (indices
     modulo the length): each residue class mod s is an independent cyclic
     tridiagonal system.  Returns (x, the largest of the classes' max-norm
     residuals).  Stride 1 is one system, whose solution is returned without
     a copy."""
     if stride == 1:
-        return solve_periodic_tridiagonal(sub, diag, sup, rhs, linear_tol)
+        return solve_periodic_tridiagonal(sub, diag, sup, rhs)
     out = np.empty_like(rhs)
     resid = 0.0
     for p in range(stride):
         out[p::stride], r = solve_periodic_tridiagonal(sub[p::stride], diag[p::stride],
-                                                       sup[p::stride], rhs[p::stride], linear_tol)
+                                                       sup[p::stride], rhs[p::stride])
         resid = max(resid, r)
     return out, resid
 
@@ -189,8 +194,7 @@ def _linear_bands(coeff: EllipticCoefficients, dx: float, stride: int):
     return sub, diag, sup
 
 
-def _solve_linear_1d(dphi, coeff: EllipticCoefficients, dx: float, stride: int,
-                     linear_tol: float):
+def _solve_linear_1d(dphi, coeff: EllipticCoefficients, dx: float, stride: int):
     """Solve the stride-s flux-form equation; returns (rho, the max-norm
     residual of the solve's systems)."""
     dphi = np.asarray(dphi, dtype=float)
@@ -203,26 +207,24 @@ def _solve_linear_1d(dphi, coeff: EllipticCoefficients, dx: float, stride: int,
     # deviation from dphi[0] keeps exactly-constant inputs exact fixed
     # points (free-stream preservation to the bit).
     shift = dphi[0]
-    out, resid = _solve_strided_tridiagonal(*bands, dphi - shift, stride, linear_tol)
+    out, resid = _solve_strided_tridiagonal(*bands, dphi - shift, stride)
     out += shift
     return out, resid
 
 
-def solve_elliptic_ld_1d(rho_n, dphi, coeff: EllipticCoefficients, dx: float,
-                         linear_tol: float = 1e-11):
+def solve_elliptic_ld_1d(dphi, coeff: EllipticCoefficients, dx: float):
     """Three-point variant:
 
     rho_j - (beta/dx^2) [ p'_{j+1} (rho_{j+1}-rho_j) - p'_j (rho_j-rho_{j-1}) ] = dphi_j
 
     Returns (rho, residual): the max norm of the cyclic system's residual,
-    which the solve has tested against ``linear_tol`` (for the deviation
-    from dphi[0]; 0 where beta = 0).
+    which the tridiagonal solve has tested against its fixed relative bound
+    1e-11 (for the deviation from dphi[0]; 0 where beta = 0).
     """
-    return _solve_linear_1d(dphi, coeff, dx, 1, linear_tol)
+    return _solve_linear_1d(dphi, coeff, dx, 1)
 
 
-def solve_elliptic_l_1d(rho_n, dphi, coeff: EllipticCoefficients, dx: float,
-                        linear_tol: float = 1e-11):
+def solve_elliptic_l_1d(dphi, coeff: EllipticCoefficients, dx: float):
     """Five-point stride-2 variant:
 
     rho_j - (beta/(4 dx^2)) [ p'_{j+1} (rho_{j+2}-rho_j) - p'_{j-1} (rho_j-rho_{j-2}) ] = dphi_j
@@ -231,7 +233,7 @@ def solve_elliptic_l_1d(rho_n, dphi, coeff: EllipticCoefficients, dx: float,
     (rho, residual), the residual the larger of the two residue classes'
     max norms, as in :func:`solve_elliptic_ld_1d`.
     """
-    return _solve_linear_1d(dphi, coeff, dx, 2, linear_tol)
+    return _solve_linear_1d(dphi, coeff, dx, 2)
 
 
 def _nl_operator(rho, p_ext, beta: float, dx: float) -> np.ndarray:
@@ -260,8 +262,7 @@ def _check_newton_iterate(rho, what: str):
 
 
 def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: EquationOfState,
-                         dx: float, newton_tol: float = 1e-12, newton_max_iter: int = 50,
-                         linear_tol: float = 1e-11):
+                         dx: float, newton_max_iter: int = 50):
     """Nonlinear stride-2 variant: find rho with
 
     G(rho) = rho - beta * (p(rho)_{j+2} - 2 p(rho)_j + p(rho)_{j-2})/(4 dx^2) - dphi = 0
@@ -271,12 +272,11 @@ def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: Equation
     the two-cell periodic extension of rho.
 
     Each iterate is checked once (positive and finite, else PositivityError)
-    and extended once by two cells on either side; p, p' and G are then
-    evaluated once on it, unchecked, and the G of the convergence test is
-    the next Newton step's right-hand side.  Where that test accepts the
-    iterate, its p and max|G| are the ones returned; where the increment
-    test accepts it (or beta = 0 makes rho = dphi), they are evaluated once
-    on the checked solution.
+    and extended once by two cells on either side; p, G and, after the first
+    step, max|G| are then evaluated once on it, unchecked.  The iteration
+    stops at the iterate whose increment or max|G| passes its test (or at
+    rho = dphi where beta = 0), and returns that iterate's p and max|G|; G
+    is otherwise the next Newton step's right-hand side.
     """
     rho_n = np.asarray(rho_n, dtype=float)
     dphi = np.asarray(dphi, dtype=float)
@@ -285,49 +285,32 @@ def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: Equation
         raise UnsupportedGridError("stride-2 elliptic variant requires an even cell count")
     beta = coeff.beta
     b4 = _face_scale(beta, 4.0 * _square(dx))
-    if beta == 0.0:
-        rho = dphi.copy()
-        _check_newton_iterate(rho, "solution")
-        return (rho, 1, *_nl_residual_and_pressure(rho, dphi, beta, eos, dx))
-
-    rho = rho_n
-    _check_newton_iterate(rho, "iterate")
-    ext = _periodic(rho, 2)
-    g = _nl_operator(rho, eos._pressure(ext), beta, dx)
-    g -= dphi
     scale = max(1.0, float(np.abs(dphi).max()))
-    for it in range(1, newton_max_iter + 1):
+    rho, it, converged = (dphi.copy(), 1, True) if beta == 0.0 else (rho_n, 0, False)
+    while True:
+        _check_newton_iterate(rho, "solution" if converged else "iterate")
+        ext = _periodic(rho, 2)
+        p = eos._pressure(ext)
+        g = _nl_operator(rho, p, beta, dx)
+        g -= dphi
+        if it:  # the starting iterate of a Newton solve is not tested
+            residual = float(np.abs(g).max())
+            if converged or residual <= _NEWTON_TOL * scale:
+                return rho, it, residual, p
+            if it >= newton_max_iter:
+                raise NewtonDivergenceError(
+                    f"Newton did not converge in {newton_max_iter} iterations "
+                    f"(last increment {np.max(np.abs(delta)):.3e})"
+                )
+        it += 1
         # Exact Jacobian of the power law, (I - b4 S2 diag(p'(rho))) with S2
         # the stride-2 second difference: p' sits at the stencil points of
         # the current iterate, and even/odd cells still decouple.
         dp = eos._pressure_derivative(ext)
         delta, _ = _solve_strided_tridiagonal(-b4 * dp[:-4], 1.0 + 2.0 * b4 * dp[2:-2],
-                                              -b4 * dp[4:], -g, 2, linear_tol)
+                                              -b4 * dp[4:], -g, 2)
         rho = rho + delta
-        if np.abs(delta).max() <= newton_tol:
-            _check_newton_iterate(rho, "solution")
-            return (rho, it, *_nl_residual_and_pressure(rho, dphi, beta, eos, dx))
-        _check_newton_iterate(rho, "iterate")
-        ext = _periodic(rho, 2)
-        p = eos._pressure(ext)
-        g = _nl_operator(rho, p, beta, dx)
-        g -= dphi
-        residual = np.abs(g).max()
-        if residual <= newton_tol * scale:
-            return rho, it, float(residual), p
-    raise NewtonDivergenceError(
-        f"Newton did not converge in {newton_max_iter} iterations "
-        f"(last increment {np.max(np.abs(delta)):.3e})"
-    )
-
-
-def _nl_residual_and_pressure(rho, dphi, beta: float, eos: EquationOfState, dx: float):
-    """(max|G(rho)|, p on the two-cell periodic extension of ``rho``) for a
-    checked density ``rho``, evaluated as the Newton loop evaluates them."""
-    p = eos._pressure(_periodic(rho, 2))
-    g = _nl_operator(rho, p, beta, dx)
-    g -= dphi
-    return float(np.abs(g).max()), p
+        converged = np.abs(delta).max() <= _NEWTON_TOL
 
 
 def apply_elliptic_operator_1d(variant: str, rho, rho_n, coeff: EllipticCoefficients,
@@ -440,14 +423,15 @@ def _fft_preconditioner(shape, stride, coeff: EllipticCoefficients, dx: float, d
     return precond
 
 
-def solve_elliptic_2d(rho_n, dphi, coeff: EllipticCoefficients, dx: float, dy: float,
-                      stencil: str = "reduced", linear_tol: float = 1e-11,
-                      maxiter: int | None = None):
+def solve_elliptic_2d(dphi, coeff: EllipticCoefficients, dx: float, dy: float,
+                      stencil: str = "reduced", maxiter: int | None = None):
     """Solve the 2D screened-diffusion system on a periodic grid.
 
     ``stencil`` is "wide" (stride-2 in each direction, requires even cell
     counts) or "reduced" (5-point).  Both run one FFT-preconditioned CG on
-    the full grid with the operator of ``apply_elliptic_operator_2d``.
+    the full grid with the operator of ``apply_elliptic_operator_2d``, for
+    the deviation b of dphi from dphi[0, 0], and stop where the recursive
+    residual has ||b - A x||_2 <= 1e-13 ||b||_2.
     ``maxiter`` defaults to m1 m2, the number of unknowns: in exact
     arithmetic CG converges within that many iterations, so a solve that
     has not is stagnating.  Returns (rho, cg_iterations, faces), with faces
@@ -464,13 +448,12 @@ def solve_elliptic_2d(rho_n, dphi, coeff: EllipticCoefficients, dx: float, dy: f
     stride = _stride(stencil)
     if stride == 2 and (m1 % 2 != 0 or m2 % 2 != 0):
         raise UnsupportedGridError("wide 2D stencil requires even cell counts")
-    rtol = min(linear_tol, _CG_RTOL_CAP)
     # Deviation-from-constant solve: exact free-stream preservation.
     shift = dphi.flat[0]
     rhs = dphi - shift
 
     faces = _face_coefficients(stride, coeff, (dx, dy))
-    x, iters = _cg(lambda v: _flux_operator(v, stride, faces), rhs, rtol, maxiter,
+    x, iters = _cg(lambda v: _flux_operator(v, stride, faces), rhs, _CG_RTOL, maxiter,
                    _fft_preconditioner((m1, m2), stride, coeff, dx, dy))
     return x + shift, iters, faces
 

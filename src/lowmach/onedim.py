@@ -293,7 +293,7 @@ def step_ap_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
         p_jump = p_new[3:-1] - p_new[1:-3]
     else:
         solve = solve_elliptic_ld_1d if variant == "ld" else solve_elliptic_l_1d
-        rho_new, residual = solve(rho, dphi, coeff, dx)
+        rho_new, residual = solve(dphi, coeff, dx)
         mass = _check_new_density(rho_new)
         p_jump = _centered_difference(eos._pressure(rho_new))
     c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
@@ -344,7 +344,7 @@ def step_ice_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
         raise InstabilityError("non-finite predictor state")
 
     coeff = EllipticCoefficients._of_step(_square(dt) / eps**2, eos._pressure_derivative(rho))
-    rho_new, residual = solve_elliptic_ld_1d(rho, rho_star, coeff, dx)
+    rho_new, residual = solve_elliptic_ld_1d(rho_star, coeff, dx)
     mass = _check_new_density(rho_new)
 
     q_new = q_star - (dt / eps**2) * _centered_difference(eos._pressure(rho_new)) / (2.0 * dx)
@@ -388,9 +388,8 @@ def check_step_count(dt: float, t_end: float, error=InstabilityError, dt_name: s
 
 
 def max_stable_dt_scan(initial: FluidState1D, eos: EquationOfState, params: SchemeParams,
-                       stepper, T: float, dt_lo: float, dt_hi: float, dx: float,
-                       bisection_iters: int = 12) -> float:
-    """Largest stable dt in [dt_lo, dt_hi] found by bisection.
+                       stepper, T: float, dt_lo: float, dt_hi: float, dx: float) -> float:
+    """Largest stable dt in [dt_lo, dt_hi] found by 12 bisection steps.
 
     A trial integrates to time T with fixed dt (final step overshooting)
     and counts as unstable on NaN/Inf, solver failure, or either conserved
@@ -438,7 +437,7 @@ def max_stable_dt_scan(initial: FluidState1D, eos: EquationOfState, params: Sche
     if is_stable(dt_hi):
         return dt_hi
     lo, hi = dt_lo, dt_hi
-    for _ in range(bisection_iters):
+    for _ in range(12):
         mid = 0.5 * (lo + hi)
         if is_stable(mid):
             lo = mid

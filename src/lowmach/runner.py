@@ -124,8 +124,7 @@ def _max_speed(stepper: str, eos, state, params) -> float:
 def _make_stepper(cfg: RunConfig, grid):
     if cfg.dimension == 2:
         def stepper(state, eos, params, dt):
-            return step_ap_2d(state, eos, params, cfg.stencil, dt, grid.dx, grid.dy,
-                              dphi2_literal=cfg.dphi2_literal)
+            return step_ap_2d(state, eos, params, cfg.stencil, dt, grid.dx, grid.dy)
         return stepper
     dx = grid.dx
     if cfg.stepper == "ap":
@@ -280,14 +279,13 @@ def _speed_tracking(stepper, initial):
     return tracked, max_speed
 
 
-def reproduce_table1(eps_list, dx_list, variant="ld", t_final=0.1, alpha=1.0,
-                     output_path=None):
+def reproduce_table1(eps_list, dx_list, variant="ld", t_final=0.1, output_path=None):
     """Stability scan over (epsilon, dx): the largest stable dt of the
-    semi-implicit scheme on the stacked-Riemann preset, with the observed
-    maximal wave speed and the implied Courant number."""
+    semi-implicit scheme (alpha = 1) on the stacked-Riemann preset, with the
+    observed maximal wave speed and the implied Courant number."""
     cell_counts = [_cells_for(dx) for dx in dx_list]
     _check_table_shape(eps_list, cell_counts)
-    cases = [_table_case(eps, m, t_final, alpha=alpha, variant=variant)
+    cases = [_table_case(eps, m, t_final, variant=variant)
              for eps in eps_list for m in cell_counts]
     stepper = ap_stepper(variant)
     rows = []
@@ -362,21 +360,22 @@ def reference_solution(eps: float, cells=None, inv_dt=None, t_final=0.1, refine=
     return FluidState1D(rho=state.rho[idx], q=state.q[idx])
 
 
-def reproduce_table2(eps_list, refinement_levels=5, coarsest_m=20, t_final=0.1,
-                     variant="ld", alpha=1.0, output_path=None, reference_states=None):
-    """Relative-error table: semi-implicit runs on halving grids against the
-    fine explicit reference, with successive error ratios; each level's
-    cell count must divide the reference's.  A level whose time step cannot
-    reach ``t_final`` in MAX_STEPS steps is an InstabilityError before its
-    first step, as in :func:`reference_solution`."""
+def reproduce_table2(eps_list, refinement_levels=5, t_final=0.1, variant="ld",
+                     output_path=None, reference_states=None):
+    """Relative-error table: semi-implicit runs (alpha = 1) on halving grids
+    of 20, 40, ... cells against the fine explicit reference, with
+    successive error ratios; each level's cell count must divide the
+    reference's.  A level whose time step cannot reach ``t_final`` in
+    MAX_STEPS steps is an InstabilityError before its first step, as in
+    :func:`reference_solution`."""
     _check_table_shape(eps_list, refinement_levels >= 1)
     refs = reference_states or {}
     ref_cells = [refs[eps].m if eps in refs else TABLE_REFERENCE[0] for eps in eps_list]
     # Level by level: a table of many levels stops at the first bad one.
     levels = []
     for level in range(refinement_levels):
-        m = coarsest_m * 2**level
-        levels.append([_table_case(eps, m, t_final, alpha=alpha, variant=variant)
+        m = 20 * 2**level
+        levels.append([_table_case(eps, m, t_final, variant=variant)
                        for eps in eps_list])
         for ref_m in ref_cells:
             if ref_m % m:
@@ -414,12 +413,12 @@ def reproduce_table2(eps_list, refinement_levels=5, coarsest_m=20, t_final=0.1,
     return rows
 
 
-def compare_ice(epsilon, dx, dt, t_final, variant="ld", output_dir=None):
-    """Run the semi-implicit scheme (alpha=1) and the predictor/corrector
-    baseline side by side on the stacked-Riemann preset; report solutions
-    and total variation of each."""
+def compare_ice(epsilon, dx, dt, t_final, output_dir=None):
+    """Run the semi-implicit scheme (alpha=1, variant ld) and the
+    predictor/corrector baseline side by side on the stacked-Riemann preset;
+    report solutions and total variation of each."""
     m = _cells_for(dx)
-    ap_case = _table_case(epsilon, m, t_final, alpha=1.0, variant=variant)
+    ap_case = _table_case(epsilon, m, t_final, alpha=1.0, variant="ld")
     # The predictor/corrector baseline solves on the three-point stencil.
     _table_case(epsilon, m, t_final, alpha=1.0, stepper="ice")
     # dt is not cut to t_final: the runs take ceil(t_final/dt) steps of dt.
@@ -429,7 +428,7 @@ def compare_ice(epsilon, dx, dt, t_final, variant="ld", output_dir=None):
     check_step_count(dt, t_final, ConfigError)
     eos, grid, ap_state = build_problem(ap_case)
     params = scheme_params(ap_case)
-    stepper = ap_stepper(variant)
+    stepper = ap_stepper("ld")
     n_steps = int(np.ceil(t_final / dt))
 
     ice_state = ap_state  # states are immutable
@@ -486,12 +485,12 @@ def _sweep_procs_from_env():
     return procs
 
 
-def run_sweep(base_raw: dict, varied: dict, output_dir, max_workers=None):
+def run_sweep(base_raw: dict, varied: dict, output_dir):
     """Cartesian product of the varied keys, one run per combination in its
     own subdirectory; combinations run concurrently on at most
-    min(workers, combinations, CPUs) processes."""
-    if max_workers is None:
-        max_workers = _sweep_procs_from_env() or os.cpu_count() or 1
+    min(workers, combinations, CPUs) processes, with workers the
+    LOWMACH_SWEEP_PROCS environment variable where set."""
+    workers = _sweep_procs_from_env() or os.cpu_count() or 1
     keys = sorted(varied)
     combos = list(product(*(varied[k] for k in keys)))
     entries = []
@@ -505,12 +504,12 @@ def run_sweep(base_raw: dict, varied: dict, output_dir, max_workers=None):
     # Validate everything before launching any work.
     for raw in entries:
         build_config(raw)
-    max_workers = min(max_workers, len(entries), os.cpu_count() or 1)
-    if max_workers <= 1:
+    workers = min(workers, len(entries), os.cpu_count() or 1)
+    if workers <= 1:
         return [_run_sweep_entry(raw) for raw in entries]
     # Imported here: loading the pool (and multiprocessing) costs every
     # other CLI verb ~20 ms.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
+    with ProcessPoolExecutor(workers) as pool:
         return list(pool.map(_run_sweep_entry, entries))

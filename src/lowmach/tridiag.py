@@ -26,6 +26,9 @@ from .errors import SingularSystemError
 # core is not (constant-nullspace Laplacians hit this).
 _DENOM_RTOL = 1e-12
 
+# Relative bound of the residual test: max|A x - rhs| <= _LINEAR_RTOL max|rhs|.
+_LINEAR_RTOL = 1e-11
+
 # LAPACK dgtsv, loaded on the first solve: only the 1D elliptic solves need
 # scipy.linalg, and loading it about doubles the memory and the import time
 # of the package.
@@ -50,7 +53,7 @@ def _matvec(sub, diag, sup, x):
     return out
 
 
-def solve_periodic_tridiagonal(sub, diag, sup, rhs, linear_tol: float = 1e-11):
+def solve_periodic_tridiagonal(sub, diag, sup, rhs):
     """Solve the cyclic system of rows
 
         sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1] = rhs[i]
@@ -58,9 +61,9 @@ def solve_periodic_tridiagonal(sub, diag, sup, rhs, linear_tol: float = 1e-11):
     with indices modulo N (sub[0] couples x[N-1], sup[N-1] couples x[0]).
     The four bands are read as float arrays of one length N >= 3 (else
     ValueError) and left unchanged.  Returns (x, max|A x - rhs|), the
-    residual a float that passed the test max|A x - rhs| <= linear_tol
-    max|rhs|.  Raises SingularSystemError when the matrix is numerically
-    singular or the residual test fails.
+    residual a float that passed the test max|A x - rhs| <= 1e-11 max|rhs|
+    (``_LINEAR_RTOL``).  Raises SingularSystemError when the matrix is
+    numerically singular or the residual test fails.
 
     Writes the cyclic matrix as T + u v^T with T tridiagonal and solves
     T for the rhs and for u in one ``dgtsv`` call.  The scalars of the
@@ -118,8 +121,9 @@ def solve_periodic_tridiagonal(sub, diag, sup, rhs, linear_tol: float = 1e-11):
     r -= rhs
     resid = np.abs(r, out=r).max()
     rhs_scale = np.abs(rhs).max()
-    if not resid <= linear_tol * rhs_scale or resid == math.inf:
+    if not resid <= _LINEAR_RTOL * rhs_scale or resid == math.inf:
         raise SingularSystemError(
-            f"residual {resid:.3e} exceeds {linear_tol:.1e} * ||rhs|| = {linear_tol * rhs_scale:.3e}"
+            f"residual {resid:.3e} exceeds {_LINEAR_RTOL:.1e} * ||rhs|| = "
+            f"{_LINEAR_RTOL * rhs_scale:.3e}"
         )
     return x, float(resid)

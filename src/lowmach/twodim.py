@@ -11,17 +11,17 @@ reduced 5-point stencil), then explicit momentum updates.
 As in :func:`lowmach.onedim.step_ap_1d`, :func:`_explicit_terms` evaluates
 the explicit terms of rho^n once per step: p and p' (unchecked: the state's
 density is valid), the cell and interface speeds, each momentum's flux
-divergence and the four dissipation terms.  :func:`_momentum_parts` sums
-each momentum's explicit part, which the momentum update takes, and the part
-of it whose divergence the elliptic right-hand side takes: eliminating the
-new-time momenta from the density flux leaves dt^2 times the centered
-divergence of that part, so the right-hand side differentiates each
-momentum once.  :func:`step_ap_2d` lets the terms and the interface speeds
-go before the solve, so the solve runs on a smaller working set.  The
-centered difference and the dissipation write each result into one new
-array from slice views of their input, the wrap row or column apart, with
-the floats of the shifted-copy formulas.  The residual check applies the
-face coefficients the solve built.  The step ends through the 1D module's
+divergence and the four dissipation terms.  :func:`_explicit_parts` sums
+each momentum's explicit part, its flux divergence plus both dissipations,
+which the momentum update and the elliptic right-hand side both take:
+eliminating the new-time momenta from the density flux leaves dt^2 times
+the centered divergence of those parts, so the right-hand side
+differentiates each momentum once.  :func:`step_ap_2d` lets the terms and
+the interface speeds go before the solve, so the solve runs on a smaller
+working set.  The centered difference and the dissipation write each result
+into one new array from slice views of their input, the wrap row or column
+apart, with the floats of the shifted-copy formulas.  The residual check
+applies the face coefficients the solve built.  The step ends through the 1D module's
 checked hand-off (:func:`lowmach.onedim._check_new_density`, then
 :func:`lowmach.onedim._finish_step`), as the three 1D steppers do.
 
@@ -124,21 +124,16 @@ def _explicit_terms(state: FluidState2D, eos: EquationOfState, alpha: float, dx:
     return dp, cell_max, speeds, flux, diss
 
 
-def _momentum_parts(flux, diss, literal: bool):
-    """(explicit, e): explicit[k] is the explicit part of momentum k, its
-    flux divergence plus both dissipations, and e[k] the part of it whose
-    divergence the elliptic right-hand side takes, the same arrays where
-    ``literal`` and without the cross-direction dissipation where not."""
-    explicit = tuple(f + (d[0] + d[1]) for f, d in zip(flux, diss))
-    if literal:
-        return explicit, explicit
-    return explicit, (flux[0] + diss[0][0], flux[1] + diss[1][1])
+def _explicit_parts(flux, diss):
+    """The explicit part of each momentum's update: its flux divergence plus
+    both dissipations."""
+    return tuple(f + (d[0] + d[1]) for f, d in zip(flux, diss))
 
 
 def _dphi(state: FluidState2D, speeds: DirectionalSpeeds, e, dt: float, dx: float,
           dy: float) -> np.ndarray:
     """rho - dt (div q + dissipation of rho) + dt^2 div(e1, e2): the O(dt^2)
-    term differentiates each momentum's part ``e`` once."""
+    term differentiates each momentum's explicit part ``e`` once."""
     rho = state.rho
     first_order = (_dc(state.q1, dx, 0) + _dc(state.q2, dy, 1)) + (
         _diss(rho, speeds.a_x, dx, 0) + _diss(rho, speeds.a_y, dy, 1))
@@ -146,25 +141,21 @@ def _dphi(state: FluidState2D, speeds: DirectionalSpeeds, e, dt: float, dx: floa
 
 
 def assemble_dphi_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
-                     dt: float, dx: float, dy: float, literal: bool = True) -> np.ndarray:
+                     dt: float, dx: float, dy: float) -> np.ndarray:
     """Right-hand side of the 2D elliptic equation from old-time data.
 
     rho - dt (div q + dissipation of rho) + dt^2 div(e1, e2), with e_k the
-    part of momentum k's explicit update that the elimination leaves in the
-    density flux: its flux divergence and its dissipation along its own
-    direction.  ``literal`` keeps the cross-direction dissipation in e_k
-    too, as the exact elimination does (an outer y-derivative on the
-    x-direction dissipation of q2 and vice versa), so that e_k is the whole
-    explicit part; ``literal=False`` selects the symmetric variant without
-    it.  The two differ at O(dt^2 dx).
+    explicit part of momentum k's update, which the exact elimination of
+    the new-time momenta leaves in the density flux: its flux divergence
+    and its dissipations along both directions (so the x-direction
+    dissipation of q2 takes an outer y-derivative, and vice versa).
     """
     _, _, speeds, flux, diss = _explicit_terms(state, eos, params.alpha, dx, dy)
-    return _dphi(state, speeds, _momentum_parts(flux, diss, literal)[1], dt, dx, dy)
+    return _dphi(state, speeds, _explicit_parts(flux, diss), dt, dx, dy)
 
 
 def step_ap_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
-               stencil: str, dt: float, dx: float, dy: float,
-               dphi2_literal: bool = True):
+               stencil: str, dt: float, dx: float, dy: float):
     """One semi-implicit 2D step; returns (new_state, StepReport).
 
     The report's consistency_residual is the max-norm residual of the
@@ -180,23 +171,22 @@ def step_ap_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
     if stencil not in _STENCIL_STRIDE:
         raise ValueError(f"unknown 2D stencil {stencil!r}")
 
-    rho = state.rho
     # p'(rho^n) is both the sound speed and the mobility.
     dp, cell_max, speeds, flux, diss = _explicit_terms(state, eos, params.alpha, dx, dy)
     # beta first: an overflowing dt^2 fails here, not in the right-hand side.
     coeff = EllipticCoefficients._of_step(beta_coefficient(params.epsilon, params.alpha, dt), dp)
     # Each momentum's explicit part, summed now so that the solve runs
     # without the interface speeds and the flux and dissipation terms.
-    (explicit1, explicit2), e = _momentum_parts(flux, diss, dphi2_literal)
-    dphi = _dphi(state, speeds, e, dt, dx, dy)
-    del speeds, flux, diss, e
-    rho_new, cg_iters, faces = solve_elliptic_2d(rho, dphi, coeff, dx, dy, stencil=stencil)
+    explicit = _explicit_parts(flux, diss)
+    dphi = _dphi(state, speeds, explicit, dt, dx, dy)
+    del speeds, flux, diss
+    rho_new, cg_iters, faces = solve_elliptic_2d(dphi, coeff, dx, dy, stencil=stencil)
 
     mass = _check_new_density(rho_new)
     p_new = eos._pressure(rho_new)
     c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
-    momenta = (state.q1 - dt * (explicit1 + c * _dc(p_new, dx, 0)),
-               state.q2 - dt * (explicit2 + c * _dc(p_new, dy, 1)))
+    momenta = (state.q1 - dt * (explicit[0] + c * _dc(p_new, dx, 0)),
+               state.q2 - dt * (explicit[1] + c * _dc(p_new, dy, 1)))
     r_density = _flux_operator(rho_new, _STENCIL_STRIDE[stencil], faces) - dphi
     return _finish_step(FluidState2D, rho_new, mass, momenta, dx * dy, cell_max,
                         float(np.abs(r_density).max()), dt,

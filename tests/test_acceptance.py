@@ -328,10 +328,10 @@ def test_criterion_8_solver_oracles():
         dphi = 1 + 0.4 * rng.standard_normal(m)
         coeff = EllipticCoefficients(beta=beta, mobility=mob)
         if k % 2 == 0:
-            mine, _ = solve_elliptic_ld_1d(np.ones(m), dphi, coeff, 1 / m)
+            mine, _ = solve_elliptic_ld_1d(dphi, coeff, 1 / m)
             oracle = np.linalg.solve(dense_matrix_1d("ld", mob, beta, 1 / m, m), dphi)
         else:
-            mine, _ = solve_elliptic_l_1d(np.ones(m), dphi, coeff, 1 / m)
+            mine, _ = solve_elliptic_l_1d(dphi, coeff, 1 / m)
             oracle = np.linalg.solve(dense_matrix_1d("l", mob, beta, 1 / m, m), dphi)
         worst = max(worst, float(np.max(np.abs(mine - oracle))) / max(1.0, float(np.max(np.abs(oracle)))))
         checks += 1
@@ -352,7 +352,7 @@ def test_criterion_8_solver_oracles():
         dphi = 1 + 0.4 * rng.standard_normal((8, 8))
         coeff = EllipticCoefficients(beta=beta, mobility=mob)
         stencil = ("wide", "reduced")[k % 2]
-        mine, _, _ = solve_elliptic_2d(np.ones((8, 8)), dphi, coeff, 1 / 8, 1 / 8, stencil=stencil)
+        mine, _, _ = solve_elliptic_2d(dphi, coeff, 1 / 8, 1 / 8, stencil=stencil)
         oracle = np.linalg.solve(dense_matrix_2d(stencil, mob, beta, 1 / 8, 1 / 8), dphi.ravel())
         worst = max(worst, float(np.max(np.abs(mine.ravel() - oracle))) / max(1.0, float(np.max(np.abs(oracle)))))
         checks += 1
@@ -363,7 +363,7 @@ def test_criterion_8_solver_oracles():
     rho_star = 1 + 0.1 * np.sin(2 * np.pi * x)
     coeff = EllipticCoefficients(beta=0.01, mobility=EOS2.pressure_derivative(np.ones(m)))
     dphi_ld = apply_elliptic_operator_1d("ld", rho_star, None, coeff, EOS2, 1 / m)
-    manu_ld = float(np.max(np.abs(solve_elliptic_ld_1d(np.ones(m), dphi_ld, coeff, 1 / m)[0] - rho_star)))
+    manu_ld = float(np.max(np.abs(solve_elliptic_ld_1d(dphi_ld, coeff, 1 / m)[0] - rho_star)))
     dphi_nl = apply_elliptic_operator_1d("nl", rho_star, None, coeff, EOS2, 1 / m)
     sol_nl, iters, *_ = solve_elliptic_nl_1d(np.ones(m), dphi_nl, coeff, EOS2, 1 / m)
     manu_nl = float(np.max(np.abs(sol_nl - rho_star)))

@@ -325,7 +325,7 @@ def test_cli_run_invalid_config_exits_2(tmp_path, capsys, flags):
 @pytest.mark.parametrize("flags", [
     ["--m", "abc"],
     ["--m", "2.5"],
-    ["--dphi2-literal", "maybe"],
+    ["--dt", "1e-3s"],
     ["--epsilon", "x"],
     ["--snapshot-times", "0.1,x"],
 ])
@@ -349,14 +349,26 @@ def test_cli_run_flags_are_the_config_keys():
             assert getattr(args, key) == "v"
 
 
-def test_dt_policy_is_an_unknown_key_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["run", "--help"], 0), ([], 2),
+                                        (["bogus"], 2), (["compare-ice"], 2)])
+def test_main_returns_the_argparse_exit_code(capsys, argv, code):
+    # --help, a missing or unknown verb and a missing required flag end in
+    # argparse; main returns its status instead of raising SystemExit.
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert "usage: lowmach" in (err if code else out)
+
+
+@pytest.mark.parametrize("key, value", [("dt_policy", "adaptive"), ("dphi2_literal", "true")])
+def test_dt_policy_is_an_unknown_key_exits_2(tmp_path, capsys, key, value):
+    # Not config keys: argparse rejects the flag, and the config the file key.
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--dt-policy", "fixed", "--dt", "1e-3", "--output-dir", str(out)])
-    assert exc.value.code == 2
-    path = write_config(tmp_path, "dt_policy = adaptive\n")
+    flag = "--" + key.replace("_", "-")
+    assert main(["run", flag, value, "--dt", "1e-3", "--output-dir", str(out)]) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    path = write_config(tmp_path, f"{key} = {value}\n")
     assert main(["run", "--config", str(path), "--output-dir", str(out)]) == 2
-    assert "unknown key 'dt_policy'" in capsys.readouterr().err
+    assert f"unknown key '{key}'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -89,8 +89,8 @@ def test_beta_zero_is_identity():
     dphi = 1 + 0.2 * rng.random(16)
     coeff = EllipticCoefficients(beta=0.0, mobility=np.ones(16))
     for solver in (solve_elliptic_ld_1d, solve_elliptic_l_1d):
-        assert solver(np.ones(16), dphi, coeff, 1 / 16)[1] == 0.0
-        assert np.array_equal(solver(np.ones(16), dphi, coeff, 1 / 16)[0], dphi)
+        assert solver(dphi, coeff, 1 / 16)[1] == 0.0
+        assert np.array_equal(solver(dphi, coeff, 1 / 16)[0], dphi)
     rho, iters, residual, _ = solve_elliptic_nl_1d(np.ones(16), dphi, coeff, EOS2, 1 / 16)
     assert np.array_equal(rho, dphi) and iters == 1
     assert residual == 0.0
@@ -102,7 +102,7 @@ def test_constant_dphi_gives_constant_solution():
     coeff = EllipticCoefficients(beta=0.03, mobility=mob)
     dphi = np.full(m, 1.7)
     for solver in (solve_elliptic_ld_1d, solve_elliptic_l_1d):
-        out, _ = solver(np.ones(m), dphi, coeff, 1 / m)
+        out, _ = solver(dphi, coeff, 1 / m)
         assert np.array_equal(out, dphi)
     rho, *_ = solve_elliptic_nl_1d(np.full(m, 1.7), dphi, coeff, EOS2, 1 / m)
     assert np.allclose(rho, 1.7, rtol=0, atol=1e-13)
@@ -114,7 +114,7 @@ def test_ld_manufactured_solution():
     rho_star = 1 + 0.1 * np.sin(2 * np.pi * x)
     coeff = EllipticCoefficients(beta=0.01, mobility=np.ones(m))
     dphi = apply_elliptic_operator_1d("ld", rho_star, None, coeff, EOS2, 1 / m)
-    out, _ = solve_elliptic_ld_1d(np.ones(m), dphi, coeff, 1 / m)
+    out, _ = solve_elliptic_ld_1d(dphi, coeff, 1 / m)
     assert np.max(np.abs(out - rho_star)) <= 1e-10
 
 
@@ -124,7 +124,7 @@ def test_l_matches_dense_oracle():
     mob = 0.5 + rng.random(m)
     dphi = 1 + 0.3 * rng.standard_normal(m)
     coeff = EllipticCoefficients(beta=0.02, mobility=mob)
-    out, _ = solve_elliptic_l_1d(np.ones(m), dphi, coeff, 1 / m)
+    out, _ = solve_elliptic_l_1d(dphi, coeff, 1 / m)
     oracle = np.linalg.solve(dense_matrix_1d("l", mob, 0.02, 1 / m, m), dphi)
     assert np.max(np.abs(out - oracle)) <= 1e-12
 
@@ -138,7 +138,7 @@ def test_linear_solvers_match_dense_oracle_randomized(variant, solver):
         beta = float(10.0 ** rng.uniform(-4, -0.5))
         dphi = 1 + 0.5 * rng.standard_normal(m)
         coeff = EllipticCoefficients(beta=beta, mobility=mob)
-        out, _ = solver(np.ones(m), dphi, coeff, 1 / m)
+        out, _ = solver(dphi, coeff, 1 / m)
         dense = dense_matrix_1d(variant, mob, beta, 1 / m, m)
         oracle = np.linalg.solve(dense, dphi)
         assert np.max(np.abs(out - oracle)) <= 1e-10 * max(1.0, np.max(np.abs(oracle)))
@@ -151,7 +151,7 @@ def test_l_requires_even_m():
     m = 9
     coeff = EllipticCoefficients(beta=0.01, mobility=np.ones(m))
     with pytest.raises(UnsupportedGridError):
-        solve_elliptic_l_1d(np.ones(m), np.ones(m), coeff, 1 / m)
+        solve_elliptic_l_1d(np.ones(m), coeff, 1 / m)
     with pytest.raises(UnsupportedGridError):
         solve_elliptic_nl_1d(np.ones(m), np.ones(m), coeff, EOS2, 1 / m)
 
@@ -164,7 +164,7 @@ def test_nl_gamma1_converges_in_one_iteration_and_equals_l():
     dphi = 1 + 0.05 * rng.standard_normal(m)
     coeff = EllipticCoefficients(beta=0.02, mobility=eos1.pressure_derivative(rho_n))
     out_nl, iters, *_ = solve_elliptic_nl_1d(rho_n, dphi, coeff, eos1, 1 / m)
-    out_l, _ = solve_elliptic_l_1d(rho_n, dphi, coeff, 1 / m)
+    out_l, _ = solve_elliptic_l_1d(dphi, coeff, 1 / m)
     assert iters == 1
     assert np.max(np.abs(out_nl - out_l)) <= 1e-12
 
@@ -186,7 +186,7 @@ def test_nl_residual_contract():
     rho_n = 0.8 + 0.4 * rng.random(m)
     dphi = rho_n + 0.02 * rng.standard_normal(m)
     coeff = EllipticCoefficients(beta=0.05, mobility=EOS2.pressure_derivative(rho_n))
-    out, *_ = solve_elliptic_nl_1d(rho_n, dphi, coeff, EOS2, 1 / m, newton_tol=1e-12)
+    out, *_ = solve_elliptic_nl_1d(rho_n, dphi, coeff, EOS2, 1 / m)
     resid = apply_elliptic_operator_1d("nl", out, rho_n, coeff, EOS2, 1 / m) - dphi
     assert np.max(np.abs(resid)) <= 1e-11
 
@@ -211,7 +211,7 @@ def test_ld_reflection_symmetry_constant_mobility():
     dphi = np.minimum(dphi, dphi[::-1])  # exactly reflection symmetric
     assert np.array_equal(dphi, dphi[::-1])
     coeff = EllipticCoefficients(beta=0.02, mobility=np.full(m, 1.7))
-    out, _ = solve_elliptic_ld_1d(np.ones(m), dphi, coeff, 1 / m)
+    out, _ = solve_elliptic_ld_1d(dphi, coeff, 1 / m)
     assert np.max(np.abs(out - out[::-1])) <= 1e-12
 
 
@@ -225,9 +225,9 @@ def test_ld_one_sided_mobility_maps_to_mirror_operator():
     dphi = 1 + 0.1 * rng.standard_normal(m)
     mob = EOS2.pressure_derivative(rho_n)
     coeff = EllipticCoefficients(beta=0.02, mobility=mob)
-    out, _ = solve_elliptic_ld_1d(rho_n, dphi, coeff, 1 / m)
+    out, _ = solve_elliptic_ld_1d(dphi, coeff, 1 / m)
     mirrored = EllipticCoefficients(beta=0.02, mobility=np.roll(mob[::-1], 1))
-    out_mirror, _ = solve_elliptic_ld_1d(rho_n[::-1], dphi[::-1], mirrored, 1 / m)
+    out_mirror, _ = solve_elliptic_ld_1d(dphi[::-1], mirrored, 1 / m)
     assert np.max(np.abs(out[::-1] - out_mirror)) <= 1e-11
 
 
@@ -269,12 +269,11 @@ def dense_matrix_2d(stencil, mob, beta, dx, dy):
 def test_2d_beta_zero_identity_and_constant(stencil):
     rng = np.random.default_rng(3)
     dphi = 1 + 0.1 * rng.random((8, 8))
-    out, iters, faces = solve_elliptic_2d(np.ones((8, 8)), dphi,
-                                          EllipticCoefficients(0.0, np.ones((8, 8))),
+    out, iters, faces = solve_elliptic_2d(dphi, EllipticCoefficients(0.0, np.ones((8, 8))),
                                           1 / 8, 1 / 8, stencil=stencil)
     assert np.array_equal(out, dphi) and iters == 0 and faces == ()
     const = np.full((8, 8), 2.5)
-    out, _, _ = solve_elliptic_2d(np.ones((8, 8)), const, EllipticCoefficients(0.04, np.ones((8, 8))),
+    out, _, _ = solve_elliptic_2d(const, EllipticCoefficients(0.04, np.ones((8, 8))),
                                   1 / 8, 1 / 8, stencil=stencil)
     assert np.array_equal(out, const)
 
@@ -288,7 +287,7 @@ def test_2d_matches_dense_oracle(stencil):
         beta = float(10.0 ** rng.uniform(-4, -1))
         dphi = 1 + 0.4 * rng.standard_normal((m1, m2))
         coeff = EllipticCoefficients(beta=beta, mobility=mob)
-        out, _, _ = solve_elliptic_2d(np.ones((m1, m2)), dphi, coeff, 1 / m1, 1 / m2, stencil=stencil)
+        out, _, _ = solve_elliptic_2d(dphi, coeff, 1 / m1, 1 / m2, stencil=stencil)
         oracle = np.linalg.solve(dense_matrix_2d(stencil, mob, beta, 1 / m1, 1 / m2), dphi.ravel())
         assert np.max(np.abs(out.ravel() - oracle)) <= 1e-10 * max(1.0, np.max(np.abs(oracle)))
 
@@ -302,8 +301,7 @@ def test_2d_rectangular_grid():
     dphi = 1 + 0.2 * rng.standard_normal((m1, m2))
     coeff = EllipticCoefficients(beta=0.01, mobility=mob)
     for stencil in ("wide", "reduced"):
-        out, _, faces = solve_elliptic_2d(np.ones((m1, m2)), dphi, coeff, 1 / m1, 1 / m2,
-                                          stencil=stencil)
+        out, _, faces = solve_elliptic_2d(dphi, coeff, 1 / m1, 1 / m2, stencil=stencil)
         applied = apply_elliptic_operator_2d(stencil, out, coeff, 1 / m1, 1 / m2)
         # The faces the solve hands back apply the same operator.
         stride = elliptic._STENCIL_STRIDE[stencil]
@@ -320,16 +318,16 @@ def test_2d_solve_scales_a_right_hand_side_whose_norm_overflows(stencil):
     mob = 0.5 + rng.random((8, 8))
     dphi = 1 + 0.4 * rng.standard_normal((8, 8))
     coeff = EllipticCoefficients(beta=0.01, mobility=mob)
-    small, iters, _ = solve_elliptic_2d(np.ones((8, 8)), dphi, coeff, 1 / 8, 1 / 8, stencil=stencil)
+    small, iters, _ = solve_elliptic_2d(dphi, coeff, 1 / 8, 1 / 8, stencil=stencil)
     big = np.ldexp(dphi, 1000)
-    out, big_iters, _ = solve_elliptic_2d(np.ones((8, 8)), big, coeff, 1 / 8, 1 / 8, stencil=stencil)
+    out, big_iters, _ = solve_elliptic_2d(big, coeff, 1 / 8, 1 / 8, stencil=stencil)
     assert big_iters == iters >= 2 and np.array_equal(out, np.ldexp(small, 1000))
 
 
 def test_2d_wide_requires_even_cells():
     coeff = EllipticCoefficients(beta=0.01, mobility=np.ones((7, 8)))
     with pytest.raises(UnsupportedGridError):
-        solve_elliptic_2d(np.ones((7, 8)), np.ones((7, 8)), coeff, 1 / 7, 1 / 8, stencil="wide")
+        solve_elliptic_2d(np.ones((7, 8)), coeff, 1 / 7, 1 / 8, stencil="wide")
 
 
 def test_2d_wide_anisotropic_matches_dense_oracle():
@@ -346,7 +344,7 @@ def test_2d_wide_anisotropic_matches_dense_oracle():
         beta = 1.0 if constant else float(10.0 ** rng.uniform(-3, 0))
         dphi = 1 + 0.4 * rng.standard_normal((m1, m2))
         coeff = EllipticCoefficients(beta=beta, mobility=mob)
-        out, iters, _ = solve_elliptic_2d(np.ones((m1, m2)), dphi, coeff, dx, dy, stencil="wide")
+        out, iters, _ = solve_elliptic_2d(dphi, coeff, dx, dy, stencil="wide")
         oracle = np.linalg.solve(dense_matrix_2d("wide", mob, beta, dx, dy), dphi.ravel())
         assert np.max(np.abs(out.ravel() - oracle)) <= 1e-10 * max(1.0, np.max(np.abs(oracle)))
         if constant:
@@ -372,8 +370,7 @@ def test_2d_iteration_cap_reports_failure():
     dphi = 1 + 0.3 * rng.standard_normal((8, 8))
     coeff = EllipticCoefficients(beta=0.5, mobility=0.5 + rng.random((8, 8)))
     with pytest.raises(SolverFailureError):
-        solve_elliptic_2d(np.ones((8, 8)), dphi, coeff, 1 / 8, 1 / 8,
-                          stencil="reduced", maxiter=1)
+        solve_elliptic_2d(dphi, coeff, 1 / 8, 1 / 8, stencil="reduced", maxiter=1)
 
 
 def test_2d_wide_iteration_cap_reports_failure():
@@ -381,14 +378,13 @@ def test_2d_wide_iteration_cap_reports_failure():
     dphi = 1 + 0.3 * rng.standard_normal((8, 8))
     coeff = EllipticCoefficients(beta=0.5, mobility=0.5 + rng.random((8, 8)))
     with pytest.raises(SolverFailureError):
-        solve_elliptic_2d(np.ones((8, 8)), dphi, coeff, 1 / 8, 1 / 8,
-                          stencil="wide", maxiter=1)
+        solve_elliptic_2d(dphi, coeff, 1 / 8, 1 / 8, stencil="wide", maxiter=1)
 
 
 def test_2d_unknown_stencil_rejected():
     coeff = EllipticCoefficients(beta=0.01, mobility=np.ones((8, 8)))
     with pytest.raises(ValueError):
-        solve_elliptic_2d(np.ones((8, 8)), np.ones((8, 8)), coeff, 1 / 8, 1 / 8, stencil="bogus")
+        solve_elliptic_2d(np.ones((8, 8)), coeff, 1 / 8, 1 / 8, stencil="bogus")
 
 
 def test_2d_cg_vanishing_preconditioned_residual_reports_failure():
@@ -424,11 +420,11 @@ def test_2d_stagnating_solve_fails_within_the_unknown_count(monkeypatch):
 
     monkeypatch.setattr(elliptic, "_flux_operator", counting)
     with pytest.raises(SolverFailureError, match="in 100 iterations"):
-        solve_elliptic_2d(np.ones((10, 10)), dphi, coeff, 0.1, 0.1, stencil="wide")
+        solve_elliptic_2d(dphi, coeff, 0.1, 0.1, stencil="wide")
     assert len(applied) == 100
     applied.clear()
     with pytest.raises(SolverFailureError, match="in 300 iterations"):
-        solve_elliptic_2d(np.ones((10, 10)), dphi, coeff, 0.1, 0.1, stencil="wide", maxiter=300)
+        solve_elliptic_2d(dphi, coeff, 0.1, 0.1, stencil="wide", maxiter=300)
     assert len(applied) == 300
 
 
@@ -455,7 +451,7 @@ def test_2d_solve_preconditions_each_iteration_once(stencil, monkeypatch):
         return counting
 
     monkeypatch.setattr(elliptic, "_fft_preconditioner", counting_build)
-    _, iters, _ = solve_elliptic_2d(np.ones((16, 16)), dphi, coeff, 1 / 16, 1 / 16, stencil=stencil)
+    _, iters, _ = solve_elliptic_2d(dphi, coeff, 1 / 16, 1 / 16, stencil=stencil)
     assert iters >= 2 and len(calls) == iters
 
 
@@ -477,3 +473,22 @@ def test_2d_cg_iteration_counts_are_pinned(eps, stencil, expected):
                                    grid.dx, grid.dy)
         iters.append(report.linear_iters)
     assert iters == expected
+
+
+@pytest.mark.parametrize("stencil", ["wide", "reduced"])
+def test_2d_cg_stops_at_its_relative_residual_bound(stencil):
+    # CG stops at the first iterate whose residual has ||b - A x||_2 <=
+    # 1e-13 ||b||_2, for b the deviation of dphi from dphi[0, 0]: the solve
+    # meets that bound, and one iteration fewer is still above it.
+    rng = np.random.default_rng(31)
+    m = 16
+    dphi = 1 + 0.2 * rng.standard_normal((m, m))
+    coeff = EllipticCoefficients(beta=0.01, mobility=0.5 + rng.random((m, m)))
+    out, iters, _ = solve_elliptic_2d(dphi, coeff, 1 / m, 1 / m, stencil=stencil)
+    b_norm = np.linalg.norm(dphi - dphi[0, 0])
+    residual = dphi - apply_elliptic_operator_2d(stencil, out, coeff, 1 / m, 1 / m)
+    assert np.linalg.norm(residual) <= 1e-13 * b_norm
+    assert iters >= 2
+    with pytest.raises(SolverFailureError, match=f"in {iters - 1} iterations") as err:
+        solve_elliptic_2d(dphi, coeff, 1 / m, 1 / m, stencil=stencil, maxiter=iters - 1)
+    assert float(str(err.value).split("residual ")[1].rstrip(")")) > 1e-13

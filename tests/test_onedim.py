@@ -1,7 +1,6 @@
 """1D operators and steppers: flux formulas against hand values and
 loop-coded oracles, conservation, consistency residuals, stability scans."""
 
-import inspect
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from lowmach import (
     llf_flux_pair,
     max_stable_dt_scan,
     momentum_update_1d,
-    solve_elliptic_ld_1d,
     step_ap_1d,
     step_explicit_llf_1d,
     step_ice_1d,
@@ -31,10 +29,10 @@ from lowmach.diagnostics import ap_fluctuation
 from lowmach.errors import ConfigError
 from lowmach.onedim import MAX_STEPS, check_dt_advances, check_step_count
 from lowmach.presets import example1_eos, example1_grid, example1_state
+# The tolerance of the solves the steps call.
+from lowmach.tridiag import _LINEAR_RTOL as LINEAR_TOL
 
 EOS2 = EquationOfState(1.0, 2.0)
-# The tolerance of the solves the steps call.
-LINEAR_TOL = inspect.signature(solve_elliptic_ld_1d).parameters["linear_tol"].default
 
 
 def random_state(rng, m, rho_lo=0.5, rho_hi=1.5, q_amp=0.5):

@@ -114,7 +114,7 @@ _EXTREME = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, 1e-
 _BAD = ("", " ", "abc", "maybe", ",", "0,nan", "0.01,inf", "1e999", "-0", "2.5")
 _NAMES = {"preset": PRESET_NAMES, "stepper": ("ap", "ice", "explicit_llf"),
           "variant": ("nl", "l", "ld"), "stencil": ("wide", "reduced"),
-          "dphi2_literal": ("true", "no"), "snapshot_times": ("0", "0,0.01", ",0.1"),
+          "snapshot_times": ("0", "0,0.01", ",0.1"),
           "output_dir": ("out",)}
 
 

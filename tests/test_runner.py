@@ -149,8 +149,7 @@ def test_reproduce_table2_identical_levels_ratio():
     # two identical refinement levels would give ratio exactly 1; emulate by
     # validating the ratio arithmetic on the emitted rows instead
     refs = {0.3: reference_solution(0.3, cells=320, inv_dt=6400, refine=2)}
-    rows = reproduce_table2([0.3], refinement_levels=2, coarsest_m=20,
-                            reference_states=refs)
+    rows = reproduce_table2([0.3], refinement_levels=2, reference_states=refs)
     assert len(rows) == 2
     assert rows[1]["ratio_rho"] == pytest.approx(rows[0]["e_rho"] / rows[1]["e_rho"])
 
@@ -164,7 +163,7 @@ def test_reproduce_table2_levels_must_divide_the_reference(monkeypatch):
     monkeypatch.setattr(onedim, "step_ap_1d", no_step)
     refs = {0.3: FluidState1D(rho=np.ones(320), q=np.zeros(320))}
     with pytest.raises(ConfigError, match="640 cells"):
-        reproduce_table2([0.3], refinement_levels=6, coarsest_m=20, reference_states=refs)
+        reproduce_table2([0.3], refinement_levels=6, reference_states=refs)
 
 
 def _no_step(*args):
@@ -187,7 +186,7 @@ def test_reproduce_table2_level_beyond_the_step_cap_raises(monkeypatch):
     refs = {0.8: example1_state(grid, 0.8)}
     start = time.perf_counter()
     with pytest.raises(InstabilityError, match="more than the 1000000 steps"):
-        reproduce_table2([0.8], 1, 20, t_final=1e12, reference_states=refs)
+        reproduce_table2([0.8], 1, t_final=1e12, reference_states=refs)
     assert time.perf_counter() - start < 1.0
 
 
