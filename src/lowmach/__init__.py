@@ -45,25 +45,15 @@ from .errors import (
     SolverFailureError,
     UnsupportedGridError,
 )
+from .handoff import StepReport
 from .onedim import (
-    StepReport,
     ap_stepper,
-    assemble_dphi_1d,
-    interface_speed,
-    llf_flux_pair,
     max_stable_dt_scan,
-    momentum_update_1d,
     step_ap_1d,
     step_explicit_llf_1d,
     step_ice_1d,
-    wave_speeds,
 )
 from .tridiag import solve_periodic_tridiagonal
-from .twodim import (
-    DirectionalSpeeds,
-    assemble_dphi_2d,
-    directional_speeds_2d,
-    step_ap_2d,
-)
+from .twodim import assemble_dphi_2d, step_ap_2d
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ A config is checked by building what it describes, with the constructors a
 run uses: an input that one of them rejects is a :class:`ConfigError`
 naming the keys it came from.  Only what no constructor checks is checked
 here: names, the run length, the step count t_final / dt of a fixed dt
-(at most :data:`lowmach.onedim.MAX_STEPS`), snapshot times, the 2D stepper
+(at most :data:`lowmach.handoff.MAX_STEPS`), snapshot times, the 2D stepper
 and domain, and the cell counts of the elliptic solve.  The table verbs
 build each of their cases as a config too, so these are the rules of every
 verb.
@@ -29,7 +29,7 @@ from pathlib import Path
 from .core import DtPolicy, EquationOfState, Grid1D, Grid2D, SchemeParams, validate_params
 from .elliptic import _STENCIL_STRIDE, _VARIANT_STRIDE
 from .errors import ConfigError, InvalidStateError, ParamError
-from .onedim import check_step_count
+from .handoff import check_step_count
 from .presets import (
     PRESET_NAMES,
     custom_state_1d,

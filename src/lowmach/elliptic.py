@@ -276,8 +276,11 @@ def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: Equation
     step, max|G| are then evaluated once on it, unchecked.  The iteration
     stops at the iterate whose increment or max|G| passes its test (or at
     rho = dphi where beta = 0), and returns that iterate's p and max|G|; G
-    is otherwise the next Newton step's right-hand side.
+    is otherwise the next Newton step's right-hand side.  A
+    ``newton_max_iter`` below 1 is a ValueError.
     """
+    if newton_max_iter < 1:
+        raise ValueError(f"newton_max_iter must be >= 1, got {newton_max_iter}")
     rho_n = np.asarray(rho_n, dtype=float)
     dphi = np.asarray(dphi, dtype=float)
     m = dphi.shape[0]
@@ -313,7 +316,7 @@ def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: Equation
         converged = np.abs(delta).max() <= _NEWTON_TOL
 
 
-def apply_elliptic_operator_1d(variant: str, rho, rho_n, coeff: EllipticCoefficients,
+def apply_elliptic_operator_1d(variant: str, rho, coeff: EllipticCoefficients,
                                eos: EquationOfState, dx: float) -> np.ndarray:
     """Left-hand side of the variant's elliptic equation, for residual checks
     (the steps do not call it: every 1D solve returns its residual)."""
@@ -434,11 +437,14 @@ def solve_elliptic_2d(dphi, coeff: EllipticCoefficients, dx: float, dy: float,
     residual has ||b - A x||_2 <= 1e-13 ||b||_2.
     ``maxiter`` defaults to m1 m2, the number of unknowns: in exact
     arithmetic CG converges within that many iterations, so a solve that
-    has not is stagnating.  Returns (rho, cg_iterations, faces), with faces
-    the face coefficients the operator was built from, for a residual check
-    through :func:`_flux_operator` that builds none; () where beta = 0,
-    whose operator is the identity.
+    has not is stagnating; a ``maxiter`` below 1 is a ValueError.  Returns
+    (rho, cg_iterations, faces), with faces the face coefficients the
+    operator was built from, for a residual check through
+    :func:`_flux_operator` that builds none; () where beta = 0, whose
+    operator is the identity.
     """
+    if maxiter is not None and maxiter < 1:
+        raise ValueError(f"maxiter must be >= 1, got {maxiter}")
     dphi = np.asarray(dphi, dtype=float)
     m1, m2 = dphi.shape
     if maxiter is None:

@@ -32,25 +32,17 @@ max-norm residual that their linear solve returns, the one its cyclic
 tridiagonal solves have tested (for ``l`` the larger of the two residue
 classes'), and apply no operator after the solve; their tridiagonal bands
 come from one periodic extension of the mobility (:mod:`lowmach.elliptic`).
-
-These three and :func:`lowmach.twodim.step_ap_2d` hand a step back the same
-way: :func:`_check_new_density` on the new density, then
-:func:`_finish_step`, which checks each new momentum, freezes the arrays
-into the state without a copy, and builds the one :class:`StepReport`.
-The checks ride on the sums the report needs: a valid field passes on its
-sum (and, for the density, its minimum), and only a field that fails them
-is searched for the error and the cell to report.
+The three steps check their inputs and hand their results back through
+:mod:`lowmach.handoff`, as :func:`lowmach.twodim.step_ap_2d` does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import ceil, inf, isfinite
+from math import ceil, inf
 
 import numpy as np
 
-from .core import (EquationOfState, FluidState1D, SchemeParams, _cell_index, _periodic,
-                   _square, validate_params)
+from .core import EquationOfState, FluidState1D, SchemeParams, _periodic, _square
 from .diagnostics import total_variation
 from .elliptic import (
     _VARIANT_STRIDE,
@@ -60,82 +52,9 @@ from .elliptic import (
     solve_elliptic_ld_1d,
     solve_elliptic_nl_1d,
 )
-from .errors import InstabilityError, NoStableDtError, NumericsError, PositivityError
-
-
-@dataclass(frozen=True)
-class StepReport:
-    """Per-step diagnostics (totals refer to the post-step state)."""
-
-    max_wave_speed: float
-    mass_total: float
-    momentum_total: float
-    consistency_residual: float
-    newton_iters: int
-    linear_iters: int
-    dt_used: float
-    momentum2_total: float = 0.0
-
-
-def _check_new_density(rho_new):
-    """First check of every stepper's output, 1D or 2D: the new density is
-    finite and positive, else the error names the lowest cell.  Returns
-    ``rho_new.sum()``, the report's mass before the cell size.  A valid
-    density passes on its minimum and that sum: NaN and -inf fail the
-    first, +inf the second, and either is diagnosed below."""
-    total = rho_new.sum() if rho_new.min() > 0.0 else None
-    if total is not None and isfinite(total):
-        return total
-    if not np.isfinite(rho_new).all():
-        raise InstabilityError("non-finite density after step")
-    if (rho_new <= 0.0).any():
-        bad = _cell_index(rho_new.argmin(), rho_new.shape)
-        raise PositivityError(bad, f"density lost positivity at cell {bad}")
-    # Finite and positive: only the sum overflowed.
-    return total
-
-
-def _finish_step(state_cls, rho_new, mass, momenta, cell_size, cell_max, residual, dt,
-                 newton_iters=0, linear_iters=0):
-    """Hand-off of every stepper, 1D or 2D; returns (new_state, StepReport).
-
-    ``rho_new`` has passed :func:`_check_new_density`, which returned its
-    sum ``mass``.  Each array of ``momenta`` (q, or q1 and q2) must be
-    finite: one whose sum is finite passes, any other is searched for a
-    non-finite entry.  The arrays are frozen into a ``state_cls`` through
-    its ``_trusted``.  The report's totals are sums times ``cell_size``
-    (dx, or dx dy), its wave speed the max of ``cell_max``, and its
-    consistency_residual ``residual``, the max-norm residual of the density
-    row (0.0 for a step without a solve).
-    """
-    totals = []
-    for q in momenta:
-        total = q.sum()
-        if not isfinite(total) and not np.isfinite(q).all():
-            raise InstabilityError("non-finite momentum after step")
-        totals.append(total)
-    report = StepReport(
-        max_wave_speed=float(cell_max.max()),
-        mass_total=float(mass * cell_size),
-        momentum_total=float(totals[0] * cell_size),
-        consistency_residual=residual,
-        newton_iters=newton_iters,
-        linear_iters=linear_iters,
-        dt_used=dt,
-        momentum2_total=float(totals[1] * cell_size) if len(totals) > 1 else 0.0,
-    )
-    return state_cls._trusted(rho_new, *momenta), report
-
-
-def wave_speeds(eos: EquationOfState, rho, u, alpha: float):
-    """(u - sqrt(alpha p'), u + sqrt(alpha p')); equal to u when alpha = 0."""
-    s = np.sqrt(alpha * eos.pressure_derivative(rho))
-    return u - s, u + s
-
-
-def interface_speed(lambda_cell_j, lambda_cell_j1):
-    """Local maximal wave speed at the interface between two cells."""
-    return np.maximum(lambda_cell_j, lambda_cell_j1)
+from .errors import InstabilityError, NoStableDtError, NumericsError
+from .handoff import (_check_new_density, _check_step_inputs, _finish_step, check_dt_advances,
+                      check_step_count)
 
 
 def _llf_fluxes(rho, q, sound, pressure_flux):
@@ -153,7 +72,7 @@ def _llf_fluxes(rho, q, sound, pressure_flux):
     u = q / rho
     cell_max = np.abs(u)
     cell_max += sound
-    half_a = interface_speed(cell_max[:-1], cell_max[1:])
+    half_a = np.maximum(cell_max[:-1], cell_max[1:])
     half_a *= 0.5
     g = np.multiply(q, u, out=u)
     g += pressure_flux
@@ -217,18 +136,6 @@ def _centered_difference(v):
     return ext[2:] - ext[:-2]
 
 
-def llf_flux_pair(state: FluidState1D, eos: EquationOfState, alpha: float, j: int):
-    """Explicit parts (f1, f2) of the numerical flux at interface j+1/2.
-
-    The implicit new-time momentum average of the density flux is excluded;
-    it is eliminated through the momentum update when assembling the
-    elliptic system.
-    """
-    f1, f2, _, _ = _ap_fluxes(state, eos, alpha)
-    k = j % state.m + 1
-    return float(f1[k]), float(f2[k])
-
-
 def _dphi_from_fluxes(rho, f1, df2, dt, dx):
     """The right-hand side; InstabilityError where dt^2/(2 dx) overflows."""
     explicit = _conservative_update(rho, f1, dt, dx)
@@ -238,27 +145,9 @@ def _dphi_from_fluxes(rho, f1, df2, dt, dx):
     return explicit + scale * _centered_difference(df2)
 
 
-def assemble_dphi_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
-                     dt: float, dx: float) -> np.ndarray:
-    """Right-hand side of the per-step elliptic equation, from old-time fluxes."""
-    f1, f2, _, _ = _ap_fluxes(state, eos, params.alpha)
-    return _dphi_from_fluxes(state.rho, f1, _flux_derivative(f2, dx), dt, dx)
-
-
 def _momentum_from_fluxes(q, df2, p_jump, coeff_c, dt, dx):
     """The momentum update, with ``p_jump`` p(rho^{n+1})_{j+1} - p(rho^{n+1})_{j-1}."""
     return q - dt * df2 - coeff_c * (dt / (2.0 * dx)) * p_jump
-
-
-def momentum_update_1d(state_n: FluidState1D, rho_np1, eos: EquationOfState,
-                       params: SchemeParams, dt: float, dx: float) -> np.ndarray:
-    """q^{n+1} = q^n - dt Df2(old fluxes) - (1-alpha eps^2)/eps^2 * dt/(2dx) *
-    (p(rho^{n+1})_{j+1} - p(rho^{n+1})_{j-1})."""
-    rho_np1 = np.asarray(rho_np1, dtype=float)
-    _, f2, _, _ = _ap_fluxes(state_n, eos, params.alpha)
-    c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
-    return _momentum_from_fluxes(state_n.q, _flux_derivative(f2, dx),
-                                 _centered_difference(eos.pressure(rho_np1)), c, dt, dx)
 
 
 def step_ap_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
@@ -271,11 +160,7 @@ def step_ap_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
     returns, which its tridiagonal solves have tested.
     ``variant`` is "nl", "l" or "ld".
     """
-    if variant not in _VARIANT_STRIDE:
-        raise ValueError(f"unknown variant {variant!r}")
-    validate_params(params)
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    _check_step_inputs(params, dt, "variant", variant, _VARIANT_STRIDE)
 
     rho, q = state.rho, state.q
     # p'(rho^n) is both the sound speed and the mobility.
@@ -306,9 +191,7 @@ def step_explicit_llf_1d(state: FluidState1D, eos: EquationOfState, params: Sche
                          dt: float, dx: float):
     """Fully explicit LLF step for the unsplit system; wave speeds and the
     momentum flux carry the full 1/eps^2 pressure."""
-    validate_params(params)
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    _check_step_inputs(params, dt)
     eps = params.epsilon
 
     rho = _periodic(state.rho)
@@ -330,9 +213,7 @@ def step_ice_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
     implicit pressure correction reduced to a three-point elliptic solve
     with coefficient dt^2/eps^2 and mobility p'(rho^n), followed by the
     centered explicit momentum correction."""
-    validate_params(params)
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    _check_step_inputs(params, dt)
     eps = params.epsilon
 
     rho, q = state.rho, state.q
@@ -358,33 +239,6 @@ def ap_stepper(variant):
         return step_ap_1d(state, eos, params, variant, dt, dx)
 
     return stepper
-
-
-def check_dt_advances(dt: float, t_end: float, dt_name: str = "dt",
-                      t_name: str = "t_final") -> None:
-    """InstabilityError where a step of ``dt`` cannot move t off ``t_end``
-    (t_end - dt == t_end): steps of that dt would never reach it."""
-    if t_end - dt == t_end:
-        raise InstabilityError(f"time step {dt_name} = {dt:.3g} cannot advance t to "
-                               f"{t_name} = {t_end:.6g}")
-
-
-# The most steps a run, or one trial of a stability scan, may take: 26 times
-# the 38,400 steps of the largest run a committed verb makes (the refine-4
-# Table 2 reference at eps = 0.05).  A fixed step whose count t_end / dt
-# exceeds it fails before the first step (check_step_count); a run on the
-# CFL rule counts its steps.
-MAX_STEPS = 1_000_000
-
-
-def check_step_count(dt: float, t_end: float, error=InstabilityError, dt_name: str = "dt",
-                     t_name: str = "t_final") -> None:
-    """``error`` where steps of ``dt`` would take more than MAX_STEPS to reach
-    ``t_end``.  A dt that cannot move t off ``t_end`` at all passes here:
-    :func:`check_dt_advances` states that rule."""
-    if t_end / dt > MAX_STEPS and t_end - dt != t_end:
-        raise error(f"{t_name} / {dt_name} = {t_end:.6g} / {dt:.3g} needs more than the "
-                    f"{MAX_STEPS} steps a run may take")
 
 
 def max_stable_dt_scan(initial: FluidState1D, eos: EquationOfState, params: SchemeParams,

@@ -28,8 +28,8 @@ from .config import RunConfig, build_config, build_problem, config_to_dict, sche
 from .core import FluidState1D, FluidState2D, Grid2D
 from .diagnostics import _sample_indices, relative_l2_error, total_variation
 from .errors import ConfigError, InstabilityError, NumericsError
-from .onedim import (MAX_STEPS, ap_stepper, check_dt_advances, check_step_count,
-                     max_stable_dt_scan, step_explicit_llf_1d, step_ice_1d)
+from .handoff import MAX_STEPS, check_dt_advances, check_step_count
+from .onedim import ap_stepper, max_stable_dt_scan, step_explicit_llf_1d, step_ice_1d
 from .twodim import _cell_speeds, step_ap_2d
 
 STATUS_OK = 0

@@ -21,9 +21,10 @@ the interface speeds go before the solve, so the solve runs on a smaller
 working set.  The centered difference and the dissipation write each result
 into one new array from slice views of their input, the wrap row or column
 apart, with the floats of the shifted-copy formulas.  The residual check
-applies the face coefficients the solve built.  The step ends through the 1D module's
-checked hand-off (:func:`lowmach.onedim._check_new_density`, then
-:func:`lowmach.onedim._finish_step`), as the three 1D steppers do.
+applies the face coefficients the solve built.  The step checks its inputs
+and ends through the checked hand-off of :mod:`lowmach.handoff`
+(:func:`~lowmach.handoff._check_new_density`, then
+:func:`~lowmach.handoff._finish_step`), as the three 1D steppers do.
 
 Expression groupings below deliberately pair x/y swap partners so that the
 assembled right-hand side is bitwise equivariant under transposition
@@ -32,11 +33,9 @@ assembled right-hand side is bitwise equivariant under transposition
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import EquationOfState, FluidState2D, SchemeParams, _shift, _square, validate_params
+from .core import EquationOfState, FluidState2D, SchemeParams, _shift, _square
 from .elliptic import (
     _STENCIL_STRIDE,
     EllipticCoefficients,
@@ -44,17 +43,7 @@ from .elliptic import (
     beta_coefficient,
     solve_elliptic_2d,
 )
-from .onedim import _check_new_density, _finish_step
-
-
-@dataclass(frozen=True)
-class DirectionalSpeeds:
-    """Interface speeds: a_x[i, j] is A at interface (i+1/2, j), a_y[i, j]
-    is A at (i, j+1/2); each is the max of the four candidate eigenvalue
-    magnitudes of the two adjacent cells."""
-
-    a_x: np.ndarray
-    a_y: np.ndarray
+from .handoff import _check_new_density, _check_step_inputs, _finish_step
 
 
 def _cell_speeds(u1, u2, dp, alpha):
@@ -62,14 +51,12 @@ def _cell_speeds(u1, u2, dp, alpha):
     return np.maximum(np.abs(u1), np.abs(u2)) + np.sqrt(alpha * dp)
 
 
-def _interface_speeds(cell_max) -> DirectionalSpeeds:
-    return DirectionalSpeeds(a_x=np.maximum(cell_max, _shift(cell_max, -1, 0)),
-                             a_y=np.maximum(cell_max, _shift(cell_max, -1, 1)))
-
-
-def directional_speeds_2d(state: FluidState2D, eos: EquationOfState, alpha: float) -> DirectionalSpeeds:
-    return _interface_speeds(_cell_speeds(*state.velocity(), eos._pressure_derivative(state.rho),
-                                          alpha))
+def _interface_speeds(cell_max):
+    """Interface speeds (a_x, a_y): a_x[i, j] is A at interface (i+1/2, j),
+    a_y[i, j] is A at (i, j+1/2); each is the larger cell speed of the two
+    adjacent cells."""
+    return (np.maximum(cell_max, _shift(cell_max, -1, 0)),
+            np.maximum(cell_max, _shift(cell_max, -1, 1)))
 
 
 def _dc(u, h, axis):
@@ -120,7 +107,8 @@ def _explicit_terms(state: FluidState2D, eos: EquationOfState, alpha: float, dx:
     w = rho * (u1 * u2)
     flux = (_dc(q1 * u1 + alpha * p, dx, 0) + _dc(w, dy, 1),
             _dc(w, dx, 0) + _dc(q2 * u2 + alpha * p, dy, 1))
-    diss = tuple((_diss(q, speeds.a_x, dx, 0), _diss(q, speeds.a_y, dy, 1)) for q in (q1, q2))
+    a_x, a_y = speeds
+    diss = tuple((_diss(q, a_x, dx, 0), _diss(q, a_y, dy, 1)) for q in (q1, q2))
     return dp, cell_max, speeds, flux, diss
 
 
@@ -130,13 +118,14 @@ def _explicit_parts(flux, diss):
     return tuple(f + (d[0] + d[1]) for f, d in zip(flux, diss))
 
 
-def _dphi(state: FluidState2D, speeds: DirectionalSpeeds, e, dt: float, dx: float,
-          dy: float) -> np.ndarray:
-    """rho - dt (div q + dissipation of rho) + dt^2 div(e1, e2): the O(dt^2)
-    term differentiates each momentum's explicit part ``e`` once."""
+def _dphi(state: FluidState2D, speeds, e, dt: float, dx: float, dy: float) -> np.ndarray:
+    """rho - dt (div q + dissipation of rho) + dt^2 div(e1, e2), with
+    ``speeds`` the interface speeds (a_x, a_y): the O(dt^2) term
+    differentiates each momentum's explicit part ``e`` once."""
     rho = state.rho
+    a_x, a_y = speeds
     first_order = (_dc(state.q1, dx, 0) + _dc(state.q2, dy, 1)) + (
-        _diss(rho, speeds.a_x, dx, 0) + _diss(rho, speeds.a_y, dy, 1))
+        _diss(rho, a_x, dx, 0) + _diss(rho, a_y, dy, 1))
     return rho - dt * first_order + _square(dt) * (_dc(e[0], dx, 0) + _dc(e[1], dy, 1))
 
 
@@ -165,11 +154,7 @@ def step_ap_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
     this re-applies the operator, from the face coefficients the solve
     built: CG's recursive residual can drift from the true one.
     """
-    validate_params(params)
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    if stencil not in _STENCIL_STRIDE:
-        raise ValueError(f"unknown 2D stencil {stencil!r}")
+    _check_step_inputs(params, dt, "2D stencil", stencil, _STENCIL_STRIDE)
 
     # p'(rho^n) is both the sound speed and the mobility.
     dp, cell_max, speeds, flux, diss = _explicit_terms(state, eos, params.alpha, dx, dy)

@@ -362,9 +362,9 @@ def test_criterion_8_solver_oracles():
     x = (np.arange(m) + 0.5) / m
     rho_star = 1 + 0.1 * np.sin(2 * np.pi * x)
     coeff = EllipticCoefficients(beta=0.01, mobility=EOS2.pressure_derivative(np.ones(m)))
-    dphi_ld = apply_elliptic_operator_1d("ld", rho_star, None, coeff, EOS2, 1 / m)
+    dphi_ld = apply_elliptic_operator_1d("ld", rho_star, coeff, EOS2, 1 / m)
     manu_ld = float(np.max(np.abs(solve_elliptic_ld_1d(dphi_ld, coeff, 1 / m)[0] - rho_star)))
-    dphi_nl = apply_elliptic_operator_1d("nl", rho_star, None, coeff, EOS2, 1 / m)
+    dphi_nl = apply_elliptic_operator_1d("nl", rho_star, coeff, EOS2, 1 / m)
     sol_nl, iters, *_ = solve_elliptic_nl_1d(np.ones(m), dphi_nl, coeff, EOS2, 1 / m)
     manu_nl = float(np.max(np.abs(sol_nl - rho_star)))
 

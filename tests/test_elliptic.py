@@ -113,7 +113,7 @@ def test_ld_manufactured_solution():
     x = (np.arange(m) + 0.5) / m
     rho_star = 1 + 0.1 * np.sin(2 * np.pi * x)
     coeff = EllipticCoefficients(beta=0.01, mobility=np.ones(m))
-    dphi = apply_elliptic_operator_1d("ld", rho_star, None, coeff, EOS2, 1 / m)
+    dphi = apply_elliptic_operator_1d("ld", rho_star, coeff, EOS2, 1 / m)
     out, _ = solve_elliptic_ld_1d(dphi, coeff, 1 / m)
     assert np.max(np.abs(out - rho_star)) <= 1e-10
 
@@ -143,7 +143,7 @@ def test_linear_solvers_match_dense_oracle_randomized(variant, solver):
         oracle = np.linalg.solve(dense, dphi)
         assert np.max(np.abs(out - oracle)) <= 1e-10 * max(1.0, np.max(np.abs(oracle)))
         # The residual check applies the same operator the solve inverts.
-        applied = apply_elliptic_operator_1d(variant, dphi, None, coeff, EOS2, 1 / m)
+        applied = apply_elliptic_operator_1d(variant, dphi, coeff, EOS2, 1 / m)
         assert np.max(np.abs(applied - dense @ dphi)) <= 1e-13 * max(1.0, np.max(np.abs(dense @ dphi)))
 
 
@@ -174,7 +174,7 @@ def test_nl_manufactured_solution_few_iterations():
     x = (np.arange(m) + 0.5) / m
     rho_star = 1 + 0.1 * np.sin(2 * np.pi * x)
     coeff = EllipticCoefficients(beta=0.01, mobility=EOS2.pressure_derivative(np.ones(m)))
-    dphi = apply_elliptic_operator_1d("nl", rho_star, None, coeff, EOS2, 1 / m)
+    dphi = apply_elliptic_operator_1d("nl", rho_star, coeff, EOS2, 1 / m)
     out, iters, *_ = solve_elliptic_nl_1d(np.ones(m), dphi, coeff, EOS2, 1 / m)
     assert np.max(np.abs(out - rho_star)) <= 1e-10
     assert iters <= 6
@@ -187,7 +187,7 @@ def test_nl_residual_contract():
     dphi = rho_n + 0.02 * rng.standard_normal(m)
     coeff = EllipticCoefficients(beta=0.05, mobility=EOS2.pressure_derivative(rho_n))
     out, *_ = solve_elliptic_nl_1d(rho_n, dphi, coeff, EOS2, 1 / m)
-    resid = apply_elliptic_operator_1d("nl", out, rho_n, coeff, EOS2, 1 / m) - dphi
+    resid = apply_elliptic_operator_1d("nl", out, coeff, EOS2, 1 / m) - dphi
     assert np.max(np.abs(resid)) <= 1e-11
 
 
@@ -379,6 +379,32 @@ def test_2d_wide_iteration_cap_reports_failure():
     coeff = EllipticCoefficients(beta=0.5, mobility=0.5 + rng.random((8, 8)))
     with pytest.raises(SolverFailureError):
         solve_elliptic_2d(dphi, coeff, 1 / 8, 1 / 8, stencil="wide", maxiter=1)
+
+
+@pytest.mark.parametrize("cap", [0, -1, -3])
+def test_iteration_cap_below_one_is_a_value_error(cap, monkeypatch):
+    # A cap below 1 is the caller's error, raised before any work, and not
+    # a numerical failure (NewtonDivergenceError or SolverFailureError).
+    from lowmach import elliptic
+
+    def no_work(*args):
+        raise AssertionError("the solve started")
+
+    monkeypatch.setattr(elliptic, "_check_newton_iterate", no_work)
+    monkeypatch.setattr(elliptic, "_face_coefficients", no_work)
+    rng = np.random.default_rng(29)
+    m = 16
+    coeff = EllipticCoefficients(beta=0.01, mobility=EOS2.pressure_derivative(np.ones(m)))
+    with pytest.raises(ValueError, match=f"newton_max_iter must be >= 1, got {cap}") as err:
+        solve_elliptic_nl_1d(np.ones(m), 1 + 0.1 * rng.standard_normal(m), coeff, EOS2, 1 / m,
+                             newton_max_iter=cap)
+    assert not isinstance(err.value, NumericsError)
+    coeff = EllipticCoefficients(beta=0.5, mobility=0.5 + rng.random((8, 8)))
+    for stencil in ("reduced", "wide"):
+        with pytest.raises(ValueError, match=f"maxiter must be >= 1, got {cap}") as err:
+            solve_elliptic_2d(1 + 0.3 * rng.standard_normal((8, 8)), coeff, 1 / 8, 1 / 8,
+                              stencil=stencil, maxiter=cap)
+        assert not isinstance(err.value, NumericsError)
 
 
 def test_2d_unknown_stencil_rejected():

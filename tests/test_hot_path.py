@@ -24,11 +24,11 @@ from lowmach import (
     InvalidStateError,
     NumericsError,
     PositivityError,
+    ParamError,
     SchemeParams,
     SingularSystemError,
-    assemble_dphi_1d,
+    StepReport,
     beta_coefficient,
-    momentum_update_1d,
     solve_elliptic_nl_1d,
     solve_periodic_tridiagonal,
     step_ap_1d,
@@ -36,10 +36,10 @@ from lowmach import (
     step_explicit_llf_1d,
     step_ice_1d,
 )
-from lowmach import elliptic, llf_flux_pair, onedim
-from lowmach.core import FluidState2D, _shift
+from lowmach import elliptic, onedim, twodim
+from lowmach.core import FluidState2D, _periodic, _shift
 from lowmach.elliptic import _solve_strided_tridiagonal, apply_elliptic_operator_1d
-from lowmach.onedim import _check_new_density, _finish_step, _periodic
+from lowmach.handoff import _check_new_density, _finish_step
 # The 1D linear solves' tolerance, which the steps use.
 from lowmach.tridiag import _LINEAR_RTOL as LINEAR_TOL
 from lowmach.presets import (
@@ -193,6 +193,30 @@ def _roll_centered_difference(v):
     return np.roll(v, -1) - np.roll(v, 1)
 
 
+def _roll_ap_fluxes(state, eos, alpha):
+    """The AP step's explicit fluxes from the np.roll kernel: sound speed
+    sqrt(alpha p') and pressure flux alpha p."""
+    dp = eos.pressure_derivative(state.rho)
+    return _roll_llf_fluxes(state.rho, state.q, np.sqrt(alpha * dp),
+                            alpha * eos.pressure(state.rho))
+
+
+def _roll_dphi(state, eos, params, dt, dx):
+    """The AP step's elliptic right-hand side from the np.roll formulas."""
+    f1, f2, _ = _roll_ap_fluxes(state, eos, params.alpha)
+    return (_roll_conservative_update(state.rho, f1, dt, dx)
+            + (dt**2 / (2.0 * dx)) * _roll_centered_difference(_roll_flux_derivative(f2, dx)))
+
+
+def _roll_momentum(state, rho_new, eos, params, dt, dx):
+    """The AP step's momentum update for the new density ``rho_new`` from the
+    np.roll formulas."""
+    _, f2, _ = _roll_ap_fluxes(state, eos, params.alpha)
+    c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
+    return (state.q - dt * _roll_flux_derivative(f2, dx)
+            - c * (dt / (2.0 * dx)) * _roll_centered_difference(eos.pressure(rho_new)))
+
+
 # Layout adapters only: the steppers hand the kernel periodic extensions
 # (cell j at index j + 1) and read n+1 interface values (index k holds
 # k-1/2); the reference works on the n cells and n interfaces j+1/2.
@@ -241,14 +265,14 @@ def test_1d_kernel_equals_roll_formulas(name, example, m, monkeypatch):
 @pytest.mark.parametrize("example", sorted(_EXAMPLES_1D))
 @pytest.mark.parametrize("alpha", [0.0, 1.0])
 def test_llf_flux_pair_equals_roll_formulas(example, alpha):
+    # Index k of the step's fluxes holds interface k-1/2, so index 0 and
+    # index m are both the wrap interface.
     make_eos, make_grid, make_state = _EXAMPLES_1D[example]
-    m = 100
-    eos, state = make_eos(), make_state(make_grid(m), 0.3)
-    dp = eos.pressure_derivative(state.rho)
-    f1, f2, _ = _roll_llf_fluxes(state.rho, state.q, np.sqrt(alpha * dp),
-                                 alpha * eos.pressure(state.rho))
-    for j in (0, m - 1, -1, m):
-        assert llf_flux_pair(state, eos, alpha, j) == (float(f1[j % m]), float(f2[j % m]))
+    eos, state = make_eos(), make_state(make_grid(100), 0.3)
+    f1, f2, _ = _roll_ap_fluxes(state, eos, alpha)
+    fast_f1, fast_f2, _, _ = onedim._ap_fluxes(state, eos, alpha)
+    assert np.array_equal(fast_f1[1:], f1) and np.array_equal(fast_f2[1:], f2)
+    assert fast_f1[0] == f1[-1] and fast_f2[0] == f2[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +320,56 @@ def test_ap_step_losing_positivity_names_the_cell(variant):
         step_ap_1d(state, EOS2, SchemeParams(epsilon=0.8, alpha=1.0), variant, 0.05, 1 / 16)
     assert isinstance(err.value.index, int) and 0 <= err.value.index < 16
     assert f"cell {err.value.index}" in str(err.value)
+
+
+_STATE_1D = FluidState1D(rho=np.ones(8), q=np.zeros(8))
+_STATE_2D = FluidState2D(rho=np.ones((8, 8)), q1=np.zeros((8, 8)), q2=np.zeros((8, 8)))
+# Each stepper as (params, dt, variant or stencil) -> step; the explicit and
+# ICE steps take neither.
+_INPUT_STEPPERS = {
+    "ap_1d": lambda p, dt, name="ld": step_ap_1d(_STATE_1D, EOS2, p, name, dt, 1 / 8),
+    "explicit_llf_1d": lambda p, dt: step_explicit_llf_1d(_STATE_1D, EOS2, p, dt, 1 / 8),
+    "ice_1d": lambda p, dt: step_ice_1d(_STATE_1D, EOS2, p, dt, 1 / 8),
+    "ap_2d": lambda p, dt, name="reduced": step_ap_2d(_STATE_2D, EOS2, p, name, dt, 1 / 8, 1 / 8),
+}
+_VALID = SchemeParams(epsilon=0.5, alpha=1.0)
+_INPUT_CASES = [(stepper, f"dt={dt}", (_VALID, dt), ValueError)
+                for stepper in _INPUT_STEPPERS for dt in (0.0, -1.0, np.nan)]
+_INPUT_CASES += [(stepper, code, (params, 0.01), ParamError)
+                 for stepper in _INPUT_STEPPERS
+                 for code, params in (("epsilon-not-positive", SchemeParams(epsilon=0.0)),
+                                      ("alpha-exceeds-bound", SchemeParams(epsilon=0.1, alpha=200.0)),
+                                      ("sigma-out-of-range", SchemeParams(epsilon=0.5, sigma=1.0)))]
+_INPUT_CASES += [("ap_1d", "variant=LD", (_VALID, 0.01, "LD"), ValueError),
+                 ("ap_2d", "stencil=5-point", (_VALID, 0.01, "5-point"), ValueError)]
+
+
+@pytest.mark.parametrize("stepper, case, args, error", _INPUT_CASES,
+                         ids=[f"{s}-{c}" for s, c, *_ in _INPUT_CASES])
+def test_steppers_reject_bad_input_in_the_shared_check(stepper, case, args, error, monkeypatch):
+    # Every stepper checks its inputs in the one shared check, before any
+    # work: no pressure is evaluated.  A bad dt or an unknown variant or
+    # stencil is a plain ValueError, a bad parameter a ParamError.
+    raised = []
+    check = onedim._check_step_inputs
+    assert twodim._check_step_inputs is check
+
+    def recording(*check_args):
+        try:
+            check(*check_args)
+        except ValueError as exc:
+            raised.append(exc)
+            raise
+
+    for module in (onedim, twodim):
+        monkeypatch.setattr(module, "_check_step_inputs", recording)
+    monkeypatch.setattr(EquationOfState, "_pressure", _raise)
+    monkeypatch.setattr(EquationOfState, "_pressure_derivative", _raise)
+    with pytest.raises(error) as err:
+        _INPUT_STEPPERS[stepper](*args)
+    assert type(err.value) is error and raised == [err.value]
+    if error is ParamError:
+        assert err.value.code == case
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +435,11 @@ def test_nl_step_matches_validated_loop(gamma, seed, monkeypatch):
     eos, state, _, _, dx = _newton_case(gamma, seed)
     params = SchemeParams(epsilon=0.3, alpha=1.0)
     dt = 0.3 * dx
-    dphi = assemble_dphi_1d(state, eos, params, dt, dx)
+    dphi = _roll_dphi(state, eos, params, dt, dx)
     coeff = EllipticCoefficients(beta=beta_coefficient(params.epsilon, params.alpha, dt),
                                  mobility=eos.pressure_derivative(state.rho))
     rho_new, iters = _validated_newton(state.rho, dphi, coeff, eos, dx)
-    q_new = momentum_update_1d(state, rho_new, eos, params, dt, dx)
+    q_new = _roll_momentum(state, rho_new, eos, params, dt, dx)
     p_new = eos.pressure(rho_new)
     residual = np.abs(rho_new - coeff.beta * ((_shift(p_new, -2) - 2.0 * p_new + _shift(p_new, 2))
                                               / (4.0 * dx**2)) - dphi).max()
@@ -449,7 +523,7 @@ def _nl_case(gamma, seed, eps):
     params = SchemeParams(epsilon=eps, alpha=1.0)
     dx = 1 / m
     dt = 0.3 * dx
-    dphi = assemble_dphi_1d(state, eos, params, dt, dx)
+    dphi = _roll_dphi(state, eos, params, dt, dx)
     coeff = EllipticCoefficients(beta=beta_coefficient(eps, 1.0, dt),
                                  mobility=eos.pressure_derivative(state.rho))
     return eos, state, params, dt, dx, dphi, coeff
@@ -533,16 +607,16 @@ def test_newton_equals_roll_loop(gamma, seed, eps, monkeypatch):
 def _roll_nl_step(state, eos, params, dt, dx):
     """An nl step from the np.roll Newton loop and np.roll residual; returns
     (rho, q, StepReport)."""
-    dphi = assemble_dphi_1d(state, eos, params, dt, dx)
+    dphi = _roll_dphi(state, eos, params, dt, dx)
     dp = eos.pressure_derivative(state.rho)
     coeff = EllipticCoefficients(beta=beta_coefficient(params.epsilon, params.alpha, dt),
                                  mobility=dp)
     rho, iters, _, _ = _roll_newton(state.rho, dphi, coeff, eos, dx)
-    q = momentum_update_1d(state, rho, eos, params, dt, dx)
+    q = _roll_momentum(state, rho, eos, params, dt, dx)
     p = eos.pressure(rho)
     residual = rho - coeff.beta * ((np.roll(p, -2) - 2.0 * p + np.roll(p, 2)) / (4.0 * dx**2)) - dphi
     speed = np.abs(state.q / state.rho) + np.sqrt(params.alpha * dp)
-    report = onedim.StepReport(
+    report = StepReport(
         max_wave_speed=float(speed.max()), mass_total=float(rho.sum() * dx),
         momentum_total=float(q.sum() * dx), consistency_residual=float(np.abs(residual).max()),
         newton_iters=iters, linear_iters=0, dt_used=dt)
@@ -784,7 +858,7 @@ def test_linear_step_reports_its_solve_residual(kind, eps, example, monkeypatch)
     for report, (dphi, coeff, _, (rho_new, residual)) in zip(reports, calls):
         assert report.consistency_residual == residual and residual > 0.0
         # Within the contract's bound of the operator applied again.
-        applied = apply_elliptic_operator_1d(variant, rho_new, None, coeff, eos, dx) - dphi
+        applied = apply_elliptic_operator_1d(variant, rho_new, coeff, eos, dx) - dphi
         bound = 10 * LINEAR_TOL * max(1.0, float(np.abs(rho_new).max()))
         assert abs(residual - float(np.abs(applied).max())) <= bound
 

@@ -15,19 +15,16 @@ from lowmach import (
     PositivityError,
     SchemeParams,
     ap_stepper,
-    assemble_dphi_1d,
-    interface_speed,
-    llf_flux_pair,
     max_stable_dt_scan,
-    momentum_update_1d,
     step_ap_1d,
     step_explicit_llf_1d,
     step_ice_1d,
-    wave_speeds,
 )
 from lowmach.diagnostics import ap_fluctuation
 from lowmach.errors import ConfigError
-from lowmach.onedim import MAX_STEPS, check_dt_advances, check_step_count
+from lowmach.handoff import MAX_STEPS, check_dt_advances, check_step_count
+from lowmach.onedim import (_ap_fluxes, _centered_difference, _dphi_from_fluxes, _flux_derivative,
+                            _momentum_from_fluxes)
 from lowmach.presets import example1_eos, example1_grid, example1_state
 # The tolerance of the solves the steps call.
 from lowmach.tridiag import _LINEAR_RTOL as LINEAR_TOL
@@ -42,30 +39,34 @@ def random_state(rng, m, rho_lo=0.5, rho_hi=1.5, q_amp=0.5):
 
 
 # ---------------------------------------------------------------------------
-# wave speeds / interface speeds / fluxes
+# The step's kernels: LLF fluxes, right-hand side and momentum update
 
 
-def test_wave_speeds_examples():
-    lo, hi = wave_speeds(EOS2, 1.0, 0.0, 1.0)
-    assert lo == pytest.approx(-np.sqrt(2)) and hi == pytest.approx(np.sqrt(2))
-    lo, hi = wave_speeds(EOS2, 1.0, 0.7, 0.0)
-    assert lo == 0.7 and hi == 0.7
-    lo, hi = wave_speeds(EOS2, 4.0, 1.0, 1.0)
-    assert lo == pytest.approx(1 - np.sqrt(8)) and hi == pytest.approx(1 + np.sqrt(8))
+def llf_flux_pair(state, eos, alpha):
+    """(f1, f2) of the AP step's explicit fluxes, index j at interface j+1/2."""
+    f1, f2, _, _ = _ap_fluxes(state, eos, alpha)
+    return f1[1:], f2[1:]
 
 
-def test_interface_speed_examples():
-    assert interface_speed(1.0, 2.0) == 2.0
-    assert interface_speed(0.0, 0.0) == 0.0
-    assert interface_speed(4.24, 3.1) == 4.24
+def assemble_dphi(state, eos, params, dt, dx):
+    """The AP step's elliptic right-hand side, from its kernels."""
+    f1, f2, _, _ = _ap_fluxes(state, eos, params.alpha)
+    return _dphi_from_fluxes(state.rho, f1, _flux_derivative(f2, dx), dt, dx)
+
+
+def momentum_update(state, rho_new, eos, params, dt, dx):
+    """The AP step's momentum update for a given new density, from its kernels."""
+    _, f2, _, _ = _ap_fluxes(state, eos, params.alpha)
+    c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
+    return _momentum_from_fluxes(state.q, _flux_derivative(f2, dx),
+                                 _centered_difference(eos.pressure(rho_new)), c, dt, dx)
 
 
 def test_llf_flux_pair_constant_state():
     st = FluidState1D(rho=np.ones(8), q=np.zeros(8))
-    for j in range(8):
-        f1, f2 = llf_flux_pair(st, EOS2, 1.0, j)
-        assert f1 == 0.0
-        assert f2 == pytest.approx(1.0)  # g = alpha * p(1) = 1
+    f1, f2 = llf_flux_pair(st, EOS2, 1.0)
+    assert np.all(f1 == 0.0)
+    assert f2 == pytest.approx(np.ones(8))  # g = alpha * p(1) = 1
 
 
 def test_llf_flux_pair_single_jump():
@@ -73,16 +74,15 @@ def test_llf_flux_pair_single_jump():
     # A = 2 and f1 = -(2/2)(2-1) = -1.
     rho = np.array([1.0, 2.0, 2.0, 1.0])
     st = FluidState1D(rho=rho, q=np.zeros(4))
-    f1, _ = llf_flux_pair(st, EOS2, 1.0, 0)
-    assert f1 == pytest.approx(-1.0)
+    f1, _ = llf_flux_pair(st, EOS2, 1.0)
+    assert f1[0] == pytest.approx(-1.0)
 
 
 def test_llf_flux_pair_alpha_zero_at_rest():
     rng = np.random.default_rng(0)
     st = FluidState1D(rho=0.5 + rng.random(6), q=np.zeros(6))
-    for j in range(6):
-        f1, f2 = llf_flux_pair(st, EOS2, 0.0, j)
-        assert f1 == 0.0 and f2 == 0.0  # A = 0 still fluid
+    f1, f2 = llf_flux_pair(st, EOS2, 0.0)
+    assert np.all(f1 == 0.0) and np.all(f2 == 0.0)  # A = 0 still fluid
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,7 @@ def dphi_oracle(rho, q, eos, alpha, dt, dx):
 def test_dphi_constant_state():
     st = FluidState1D(rho=np.full(10, 1.3), q=np.zeros(10))
     params = SchemeParams(epsilon=0.5, alpha=1.0)
-    out = assemble_dphi_1d(st, EOS2, params, 0.01, 0.1)
+    out = assemble_dphi(st, EOS2, params, 0.01, 0.1)
     assert np.array_equal(out, np.full(10, 1.3))
 
 
@@ -137,7 +137,7 @@ def test_dphi_dt_zero():
     rng = np.random.default_rng(1)
     st = random_state(rng, 12)
     params = SchemeParams(epsilon=0.5, alpha=1.0)
-    out = assemble_dphi_1d(st, EOS2, params, 0.0, 1 / 12)
+    out = assemble_dphi(st, EOS2, params, 0.0, 1 / 12)
     assert np.allclose(out, st.rho, rtol=0, atol=1e-15)
 
 
@@ -146,7 +146,7 @@ def test_dphi_matches_oracle_on_benchmark_data():
     st = example1_state(grid, 0.8)
     params = SchemeParams(epsilon=0.8, alpha=1.0)
     dt = 1 / 340
-    out = assemble_dphi_1d(st, example1_eos(), params, dt, grid.dx)
+    out = assemble_dphi(st, example1_eos(), params, dt, grid.dx)
     oracle = dphi_oracle(st.rho, st.q, example1_eos(), 1.0, dt, grid.dx)
     assert np.max(np.abs(out - oracle)) <= 1e-13
 
@@ -159,7 +159,7 @@ def test_dphi_matches_oracle_random():
         alpha = float(rng.uniform(0, 2))
         params = SchemeParams(epsilon=0.7, alpha=alpha)
         dt = float(rng.uniform(0.001, 0.01))
-        out = assemble_dphi_1d(st, EOS2, params, dt, 1 / m)
+        out = assemble_dphi(st, EOS2, params, dt, 1 / m)
         oracle = dphi_oracle(st.rho, st.q, EOS2, alpha, dt, 1 / m)
         assert np.max(np.abs(out - oracle)) <= 1e-12
 
@@ -171,11 +171,11 @@ def test_dphi_matches_oracle_random():
 def test_momentum_update_trivial_cases():
     st = FluidState1D(rho=np.full(8, 1.2), q=np.zeros(8))
     params = SchemeParams(epsilon=0.3, alpha=1.0)
-    q1 = momentum_update_1d(st, np.full(8, 1.2), EOS2, params, 0.01, 1 / 8)
+    q1 = momentum_update(st, np.full(8, 1.2), EOS2, params, 0.01, 1 / 8)
     assert np.array_equal(q1, np.zeros(8))
     rng = np.random.default_rng(2)
     st2 = random_state(rng, 8)
-    q2 = momentum_update_1d(st2, 0.9 + 0.2 * rng.random(8), EOS2, params, 0.0, 1 / 8)
+    q2 = momentum_update(st2, 0.9 + 0.2 * rng.random(8), EOS2, params, 0.0, 1 / 8)
     assert np.array_equal(q2, st2.q)
 
 
@@ -185,7 +185,7 @@ def test_momentum_update_conserves_total():
     for _ in range(20):
         st = random_state(rng, 16)
         rho_new = 0.8 + 0.4 * rng.random(16)
-        q_new = momentum_update_1d(st, rho_new, EOS2, params, 0.004, 1 / 16)
+        q_new = momentum_update(st, rho_new, EOS2, params, 0.004, 1 / 16)
         assert np.sum(q_new) == pytest.approx(np.sum(st.q), abs=1e-12 * max(1, abs(np.sum(st.q))))
 
 
@@ -572,18 +572,6 @@ def test_nl_solver_positivity_error():
     with pytest.raises(PositivityError):
         # a uniformly negative right-hand side has no positive solution
         solve_elliptic_nl_1d(np.ones(8), np.full(8, -5.0), coeff, EOS2, 1 / 8)
-
-
-def test_llf_flux_pair_index_wraps():
-    st = FluidState1D(rho=np.array([1.0, 2.0, 1.5, 1.2]), q=np.zeros(4))
-    assert llf_flux_pair(st, EOS2, 1.0, -1) == llf_flux_pair(st, EOS2, 1.0, 3)
-    assert llf_flux_pair(st, EOS2, 1.0, 4) == llf_flux_pair(st, EOS2, 1.0, 0)
-
-
-def test_wave_speeds_vectorized():
-    lo, hi = wave_speeds(EOS2, np.array([1.0, 4.0]), np.array([0.0, 1.0]), 1.0)
-    assert np.allclose(lo, [-np.sqrt(2), 1 - np.sqrt(8)])
-    assert np.allclose(hi, [np.sqrt(2), 1 + np.sqrt(8)])
 
 
 @pytest.mark.parametrize("eps, code", [(0.0, "epsilon-not-positive"),
