@@ -47,7 +47,6 @@ from .errors import (
 )
 from .handoff import StepReport
 from .onedim import (
-    ap_stepper,
     max_stable_dt_scan,
     step_ap_1d,
     step_explicit_llf_1d,

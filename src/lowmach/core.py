@@ -79,8 +79,7 @@ def _power_law(x, coeff: float, exponent: float):
 class Grid1D:
     """Uniform periodic 1D grid on [a, b] with m cells.
 
-    Cell centers sit at x_j = a + (j + 1/2) dx; index arithmetic wraps
-    modulo m.
+    Cell centers sit at x_j = a + (j + 1/2) dx.
     """
 
     a: float
@@ -106,9 +105,6 @@ class Grid1D:
 
     def cell_centers(self) -> np.ndarray:
         return self.a + (np.arange(self.m) + 0.5) * self.dx
-
-    def wrap(self, j: int) -> int:
-        return j % self.m
 
 
 @dataclass(frozen=True)

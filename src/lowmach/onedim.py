@@ -34,6 +34,9 @@ classes'), and apply no operator after the solve; their tridiagonal bands
 come from one periodic extension of the mobility (:mod:`lowmach.elliptic`).
 The three steps check their inputs and hand their results back through
 :mod:`lowmach.handoff`, as :func:`lowmach.twodim.step_ap_2d` does.
+:func:`max_stable_dt_scan`, Table 1's bisection, runs any ``step(state,
+dt)``; ``lowmach.runner`` builds that step from a config, as for every
+verb.
 """
 
 from __future__ import annotations
@@ -232,18 +235,11 @@ def step_ice_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
     return _finish_step(FluidState1D, rho_new, mass, (q_new,), dx, cell_max, residual, dt)
 
 
-def ap_stepper(variant):
-    """Stepper callable for scans/runs: (state, eos, params, dt, dx) -> (state, report)."""
-
-    def stepper(state, eos, params, dt, dx):
-        return step_ap_1d(state, eos, params, variant, dt, dx)
-
-    return stepper
-
-
-def max_stable_dt_scan(initial: FluidState1D, eos: EquationOfState, params: SchemeParams,
-                       stepper, T: float, dt_lo: float, dt_hi: float, dx: float) -> float:
-    """Largest stable dt in [dt_lo, dt_hi] found by 12 bisection steps.
+def max_stable_dt_scan(initial: FluidState1D, step, T: float, dt_lo: float,
+                       dt_hi: float) -> tuple:
+    """Largest stable dt in [dt_lo, dt_hi] found by 12 bisection steps,
+    with the largest ``max_wave_speed`` that ``step(state, dt) -> (state,
+    StepReport)`` reported in the trial at that dt: (stable_dt, speed).
 
     A trial integrates to time T with fixed dt (final step overshooting)
     and counts as unstable on NaN/Inf, solver failure, or either conserved
@@ -266,17 +262,21 @@ def max_stable_dt_scan(initial: FluidState1D, eos: EquationOfState, params: Sche
     q_cap = 10.0 * max(float(np.abs(initial.q).max()), float(initial.rho.max()))
 
     def run_trial(dt):
+        """(total variation of rho, of q, largest reported speed) at the
+        end of the trial at dt, or None where it blows up."""
         state = initial
+        speed = 0.0
         try:
             for _ in range(ceil(T / dt)):
-                state, _ = stepper(state, eos, params, dt, dx)
+                state, report = step(state, dt)
+                speed = max(speed, report.max_wave_speed)
                 if float(state.rho.max()) > rho_cap:
                     return None
                 if float(np.abs(state.q).max()) > q_cap:
                     return None
         except NumericsError:
             return None
-        return total_variation(state.rho), total_variation(state.q)
+        return total_variation(state.rho), total_variation(state.q), speed
 
     reference = run_trial(dt_lo)
     if reference is None:
@@ -284,17 +284,22 @@ def max_stable_dt_scan(initial: FluidState1D, eos: EquationOfState, params: Sche
     tv_rho_cap = 3.0 * reference[0]
     tv_q_cap = 3.0 * reference[1]
 
-    def is_stable(dt):
-        tv = run_trial(dt)
-        return tv is not None and tv[0] <= tv_rho_cap and tv[1] <= tv_q_cap
+    def stable_speed(dt):
+        """The trial's largest speed where the trial at dt is stable, else None."""
+        trial = run_trial(dt)
+        if trial is not None and trial[0] <= tv_rho_cap and trial[1] <= tv_q_cap:
+            return trial[2]
+        return None
 
-    if is_stable(dt_hi):
-        return dt_hi
-    lo, hi = dt_lo, dt_hi
+    speed = stable_speed(dt_hi)
+    if speed is not None:
+        return dt_hi, speed
+    lo, hi, speed = dt_lo, dt_hi, reference[2]
     for _ in range(12):
         mid = 0.5 * (lo + hi)
-        if is_stable(mid):
-            lo = mid
-        else:
+        mid_speed = stable_speed(mid)
+        if mid_speed is None:
             hi = mid
-    return lo
+        else:
+            lo, speed = mid, mid_speed
+    return lo, speed

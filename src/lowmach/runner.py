@@ -6,7 +6,8 @@ numerical failure (instability / positivity / solver), 4 I/O error.
 
 The tables build every case as a run config (:func:`_table_case`) before
 any work, so ``run``'s rules check it; only a table's own shape is checked
-here.
+here.  Every verb steps through :func:`_make_stepper`, the one place a
+config picks its step function.
 
 Every CSV value is written as ``%.17g``.  A run builds its snapshot format
 once, with the grid columns already formatted into it, so each snapshot
@@ -20,6 +21,7 @@ import json
 import os
 from dataclasses import dataclass
 from itertools import product
+from math import ceil
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,7 @@ from .core import FluidState1D, FluidState2D, Grid2D
 from .diagnostics import _sample_indices, relative_l2_error, total_variation
 from .errors import ConfigError, InstabilityError, NumericsError
 from .handoff import MAX_STEPS, check_dt_advances, check_step_count
-from .onedim import ap_stepper, max_stable_dt_scan, step_explicit_llf_1d, step_ice_1d
+from .onedim import max_stable_dt_scan, step_ap_1d, step_explicit_llf_1d, step_ice_1d
 from .twodim import _cell_speeds, step_ap_2d
 
 STATUS_OK = 0
@@ -121,18 +123,19 @@ def _max_speed(stepper: str, eos, state, params) -> float:
         return float(np.max(np.abs(u) + s))
 
 
-def _make_stepper(cfg: RunConfig, grid):
-    if cfg.dimension == 2:
-        def stepper(state, eos, params, dt):
-            return step_ap_2d(state, eos, params, cfg.stencil, dt, grid.dx, grid.dy)
-        return stepper
+def _make_stepper(cfg: RunConfig, grid, eos, params):
+    """``step(state, dt) -> (state, StepReport)`` of ``cfg``'s scheme on
+    ``grid``, with ``eos`` and ``params``."""
     dx = grid.dx
+    if cfg.dimension == 2:
+        stencil, dy = cfg.stencil, grid.dy
+        return lambda state, dt: step_ap_2d(state, eos, params, stencil, dt, dx, dy)
     if cfg.stepper == "ap":
-        inner = ap_stepper(cfg.variant)
-        return lambda state, eos, params, dt: inner(state, eos, params, dt, dx)
+        variant = cfg.variant
+        return lambda state, dt: step_ap_1d(state, eos, params, variant, dt, dx)
     if cfg.stepper == "explicit_llf":
-        return lambda state, eos, params, dt: step_explicit_llf_1d(state, eos, params, dt, dx)
-    return lambda state, eos, params, dt: step_ice_1d(state, eos, params, dt, dx)
+        return lambda state, dt: step_explicit_llf_1d(state, eos, params, dt, dx)
+    return lambda state, dt: step_ice_1d(state, eos, params, dt, dx)
 
 
 def run(cfg: RunConfig) -> RunResult:
@@ -143,7 +146,7 @@ def run(cfg: RunConfig) -> RunResult:
     MAX_STEPS steps without reaching t_final is a numerical failure."""
     eos, grid, state = build_problem(cfg)
     params = scheme_params(cfg)
-    stepper = _make_stepper(cfg, grid)
+    stepper = _make_stepper(cfg, grid, eos, params)
     snapshot = _snapshot_writer(grid)
 
     out_dir = Path(cfg.output_dir)
@@ -191,7 +194,7 @@ def run(cfg: RunConfig) -> RunResult:
             check_dt_advances(dt, cfg.t_final)
             next_event = snapshots[0] if snapshots else cfg.t_final
             dt = min(dt, next_event - t, cfg.t_final - t)
-            state, report = stepper(state, eos, params, dt)
+            state, report = stepper(state, dt)
             t += dt
             nstep += 1
             step_rows.append((nstep, t, report.dt_used, report.max_wave_speed,
@@ -257,26 +260,9 @@ def _check_table_shape(eps_list, has_grid) -> None:
 
 
 def _table_case(epsilon, m, t_final, **keys) -> RunConfig:
-    """Config of a table case: example1 at ``epsilon`` on ``m`` cells,
-    sigma 0.9, and the case's own ``keys``."""
-    return build_config(dict(preset="example1", epsilon=epsilon, m=m, sigma=0.9,
-                             t_final=t_final, **keys))
-
-
-def _speed_tracking(stepper, initial):
-    """``stepper`` wrapped to record, for each dt, the largest
-    ``max_wave_speed`` of the run from ``initial`` at that dt; returns
-    (wrapped stepper, {dt: speed}).  A step from ``initial`` starts the
-    run at its dt over."""
-    max_speed = {}
-
-    def tracked(state, eos, params, dt, dx):
-        new_state, report = stepper(state, eos, params, dt, dx)
-        prior = 0.0 if state is initial else max_speed[dt]
-        max_speed[dt] = max(prior, report.max_wave_speed)
-        return new_state, report
-
-    return tracked, max_speed
+    """Config of a table case: example1 at ``epsilon`` on ``m`` cells and
+    the case's own ``keys``."""
+    return build_config(dict(preset="example1", epsilon=epsilon, m=m, t_final=t_final, **keys))
 
 
 def reproduce_table1(eps_list, dx_list, variant="ld", t_final=0.1, output_path=None):
@@ -287,20 +273,16 @@ def reproduce_table1(eps_list, dx_list, variant="ld", t_final=0.1, output_path=N
     _check_table_shape(eps_list, cell_counts)
     cases = [_table_case(eps, m, t_final, variant=variant)
              for eps in eps_list for m in cell_counts]
-    stepper = ap_stepper(variant)
     rows = []
     for cfg in cases:
         eos, grid, state = build_problem(cfg)
         params = scheme_params(cfg)
-        lam0 = _max_speed("ap", eos, state, params)
-        dt_lo = 0.05 * grid.dx / lam0
-        dt_hi = 4.0 * grid.dx / lam0
+        lam0 = _max_speed(cfg.stepper, eos, state, params)
         # max_lambda is that of the scan's accepted trial, the run at
         # stable_dt, so the run is not repeated.
-        tracked, max_speed = _speed_tracking(stepper, state)
-        stable_dt = max_stable_dt_scan(state, eos, params, tracked, t_final, dt_lo, dt_hi,
-                                       grid.dx)
-        max_lambda = max_speed[stable_dt]
+        stable_dt, max_lambda = max_stable_dt_scan(state, _make_stepper(cfg, grid, eos, params),
+                                                   t_final, 0.05 * grid.dx / lam0,
+                                                   4.0 * grid.dx / lam0)
         rows.append({
             "epsilon": cfg.epsilon,
             "max_lambda": max_lambda,
@@ -319,11 +301,19 @@ def reproduce_table1(eps_list, dx_list, variant="ld", t_final=0.1, output_path=N
 _TABLE2_DT_RULE = {0.8: 9.0, 0.05: 3.5}
 
 
-def table2_dt(eps: float, dx: float, lam0: float) -> float:
+def table2_dt(eps: float, dx: float, lam0: float, t_final: float) -> float:
+    """Time step of a Table 2 run: t_final / n, with n the fewest steps
+    whose dt does not exceed the rule's (to 1e-12), so that n steps land on
+    t_final.  At the published ratios and t_final = 0.1 that is the rule's
+    dt itself.  A rule dt that cannot reach t_final in MAX_STEPS steps is an
+    InstabilityError."""
     rule = _TABLE2_DT_RULE.get(round(eps, 10))
-    if rule is not None:
-        return dx / rule
-    return 0.7 * dx / (2.0 * lam0)
+    dt_max = dx / rule if rule is not None else 0.7 * dx / (2.0 * lam0)
+    check_dt_advances(dt_max, t_final)
+    check_step_count(dt_max, t_final)
+    # A quotient a rounding error above a whole count is that count, so an
+    # exact multiple keeps its n.
+    return t_final / ceil(t_final / dt_max * (1.0 - 1e-12))
 
 
 def reference_solution(eps: float, cells=None, inv_dt=None, t_final=0.1, refine=4):
@@ -346,14 +336,15 @@ def reference_solution(eps: float, cells=None, inv_dt=None, t_final=0.1, refine=
     cfg = _table_case(eps, fine_cells, t_final, alpha=0.0, stepper="explicit_llf")
     eos, grid, state = build_problem(cfg)
     params = scheme_params(cfg)
-    lam0 = _max_speed("explicit_llf", eos, state, params)
+    step = _make_stepper(cfg, grid, eos, params)
+    lam0 = _max_speed(cfg.stepper, eos, state, params)
     # integer multiple of the nominal rate keeping the explicit CFL <= 0.45
     k = max(1, int(np.ceil(lam0 * fine_cells / (0.45 * inv_dt))))
     dt = 1.0 / (k * inv_dt)
     check_dt_advances(dt, t_final)
     check_step_count(dt, t_final)
     for _ in range(int(round(t_final * inv_dt)) * k):
-        state, _ = step_explicit_llf_1d(state, eos, params, dt, grid.dx)
+        state, _ = step(state, dt)
     if refine == 1:
         return state
     idx = _sample_indices(cells, fine_cells)
@@ -365,8 +356,9 @@ def reproduce_table2(eps_list, refinement_levels=5, t_final=0.1, variant="ld",
     """Relative-error table: semi-implicit runs (alpha = 1) on halving grids
     of 20, 40, ... cells against the fine explicit reference, with
     successive error ratios; each level's cell count must divide the
-    reference's.  A level whose time step cannot reach ``t_final`` in
-    MAX_STEPS steps is an InstabilityError before its first step, as in
+    reference's.  Each level lands on ``t_final`` in equal steps
+    (:func:`table2_dt`); one whose time step cannot reach it in MAX_STEPS
+    steps is an InstabilityError before its first step, as in
     :func:`reference_solution`."""
     _check_table_shape(eps_list, refinement_levels >= 1)
     refs = reference_states or {}
@@ -381,7 +373,6 @@ def reproduce_table2(eps_list, refinement_levels=5, t_final=0.1, variant="ld",
             if ref_m % m:
                 raise ConfigError(f"level {level} has {m} cells, which do not divide the "
                                   f"{ref_m} cells of the reference")
-    stepper = ap_stepper(variant)
     rows = []
     # levels[level][i] is the case of eps_list[i].
     for eps, cases in zip(eps_list, zip(*levels)):
@@ -390,12 +381,10 @@ def reproduce_table2(eps_list, refinement_levels=5, t_final=0.1, variant="ld",
         for cfg in cases:
             eos, grid, state = build_problem(cfg)
             params = scheme_params(cfg)
-            lam0 = _max_speed("ap", eos, state, params)
-            dt = table2_dt(eps, grid.dx, lam0)
-            check_dt_advances(dt, t_final)
-            check_step_count(dt, t_final)
-            for _ in range(int(round(t_final / dt))):
-                state, _ = stepper(state, eos, params, dt, grid.dx)
+            step = _make_stepper(cfg, grid, eos, params)
+            dt = table2_dt(eps, grid.dx, _max_speed(cfg.stepper, eos, state, params), t_final)
+            for _ in range(round(t_final / dt)):
+                state, _ = step(state, dt)
             err = relative_l2_error(state, ref)
             row = {
                 "epsilon": eps,
@@ -420,21 +409,21 @@ def compare_ice(epsilon, dx, dt, t_final, output_dir=None):
     m = _cells_for(dx)
     ap_case = _table_case(epsilon, m, t_final, alpha=1.0, variant="ld")
     # The predictor/corrector baseline solves on the three-point stencil.
-    _table_case(epsilon, m, t_final, alpha=1.0, stepper="ice")
+    ice_case = _table_case(epsilon, m, t_final, alpha=1.0, stepper="ice")
     # dt is not cut to t_final: the runs take ceil(t_final/dt) steps of dt.
     if not (np.isfinite(dt) and dt > 0.0):
         raise ConfigError(f"dt must be > 0, got {dt}")
     check_dt_advances(dt, t_final)
     check_step_count(dt, t_final, ConfigError)
     eos, grid, ap_state = build_problem(ap_case)
-    params = scheme_params(ap_case)
-    stepper = ap_stepper("ld")
+    ap_step = _make_stepper(ap_case, grid, eos, scheme_params(ap_case))
+    ice_step = _make_stepper(ice_case, grid, eos, scheme_params(ice_case))
     n_steps = int(np.ceil(t_final / dt))
 
     ice_state = ap_state  # states are immutable
     for _ in range(n_steps):
-        ap_state, _ = stepper(ap_state, eos, params, dt, grid.dx)
-        ice_state, _ = step_ice_1d(ice_state, eos, params, dt, grid.dx)
+        ap_state, _ = ap_step(ap_state, dt)
+        ice_state, _ = ice_step(ice_state, dt)
 
     result = {
         "tv_rho_ap": total_variation(ap_state.rho),

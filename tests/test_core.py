@@ -79,14 +79,12 @@ def test_eos_invariants():
     EquationOfState(gamma=1.0)  # linear pressure is allowed
 
 
-def test_grid1d_centers_and_wrap():
+def test_grid1d_centers():
     g = Grid1D(a=0.0, b=1.0, m=10)
     assert g.dx == pytest.approx(0.1)
     x = g.cell_centers()
     assert x[0] == pytest.approx(0.05)
     assert x[-1] == pytest.approx(0.95)
-    assert g.wrap(-1) == 9
-    assert g.wrap(10) == 0
 
 
 def test_grid2d_invariants():

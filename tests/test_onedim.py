@@ -1,6 +1,8 @@
 """1D operators and steppers: flux formulas against hand values and
 loop-coded oracles, conservation, consistency residuals, stability scans."""
 
+from math import ceil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from lowmach import (
     ParamError,
     PositivityError,
     SchemeParams,
-    ap_stepper,
     max_stable_dt_scan,
     step_ap_1d,
     step_explicit_llf_1d,
@@ -229,9 +230,8 @@ def test_step_ap_variants_agree():
     finals = {}
     for variant in ("nl", "l", "ld"):
         st = example1_state(grid, 0.8)
-        stepper = ap_stepper(variant)
         for _ in range(100):
-            st, _ = stepper(st, example1_eos(), params, 1 / 2000, grid.dx)
+            st, _ = step_ap_1d(st, example1_eos(), params, variant, 1 / 2000, grid.dx)
         finals[variant] = st.rho
     for a in ("nl", "l"):
         for b in ("l", "ld"):
@@ -400,9 +400,8 @@ def test_ice_oscillates_more_than_ap():
     params = SchemeParams(epsilon=0.8, alpha=1.0)
     ap = example1_state(grid, 0.8)
     ice = example1_state(grid, 0.8)
-    stepper = ap_stepper("ld")
     for _ in range(200):  # T = 0.01 at dt = 1/20000
-        ap, _ = stepper(ap, eos, params, 1 / 20000, grid.dx)
+        ap, _ = step_ap_1d(ap, eos, params, "ld", 1 / 20000, grid.dx)
         ice, _ = step_ice_1d(ice, eos, params, 1 / 20000, grid.dx)
     tv = lambda v: np.sum(np.abs(np.roll(v, -1) - v))
     assert tv(ice.rho) > tv(ap.rho)
@@ -413,10 +412,15 @@ def test_ice_oscillates_more_than_ap():
 
 
 def all_steppers():
+    def ap(variant):
+        def stepper(s, e, p, dt, dx):
+            return step_ap_1d(s, e, p, variant, dt, dx)
+        return stepper
+
     return [
-        ("ap-nl", ap_stepper("nl")),
-        ("ap-l", ap_stepper("l")),
-        ("ap-ld", ap_stepper("ld")),
+        ("ap-nl", ap("nl")),
+        ("ap-l", ap("l")),
+        ("ap-ld", ap("ld")),
         ("explicit", lambda s, e, p, dt, dx: step_explicit_llf_1d(s, e, p, dt, dx)),
         ("ice", lambda s, e, p, dt, dx: step_ice_1d(s, e, p, dt, dx)),
     ]
@@ -477,11 +481,10 @@ def test_scan_explicit_vs_ap_factor():
     grid = example1_grid(100)
     st = example1_state(grid, 0.05)
     params = SchemeParams(epsilon=0.05, alpha=1.0)
-    explicit = lambda s, e, p, dt, dx: step_explicit_llf_1d(s, e, p, dt, dx)
-    dt_ap = max_stable_dt_scan(st, eos, params, ap_stepper("ld"), 0.1,
-                               grid.dx / 50, 4 * grid.dx, grid.dx)
-    dt_ex = max_stable_dt_scan(st, eos, params, explicit, 0.1,
-                               grid.dx / 500, 4 * grid.dx, grid.dx)
+    ap = lambda s, dt: step_ap_1d(s, eos, params, "ld", dt, grid.dx)
+    explicit = lambda s, dt: step_explicit_llf_1d(s, eos, params, dt, grid.dx)
+    dt_ap, _ = max_stable_dt_scan(st, ap, 0.1, grid.dx / 50, 4 * grid.dx)
+    dt_ex, _ = max_stable_dt_scan(st, explicit, 0.1, grid.dx / 500, 4 * grid.dx)
     assert dt_ap >= 5 * dt_ex
 
 
@@ -490,35 +493,61 @@ def test_scan_no_stable_dt():
     grid = example1_grid(20)
     st = example1_state(grid, 0.005)
     params = SchemeParams(epsilon=0.005)
-    explicit = lambda s, e, p, dt, dx: step_explicit_llf_1d(s, e, p, dt, dx)
+    explicit = lambda s, dt: step_explicit_llf_1d(s, eos, params, dt, grid.dx)
     with pytest.raises(NoStableDtError):
-        max_stable_dt_scan(st, eos, params, explicit, 0.01, 1 / 500, 1 / 100, grid.dx)
+        max_stable_dt_scan(st, explicit, 0.01, 1 / 500, 1 / 100)
 
 
 def test_scan_returns_hi_when_everything_stable():
     st = FluidState1D(rho=np.ones(16), q=np.zeros(16))
     params = SchemeParams(epsilon=0.5, alpha=1.0)
-    dt = max_stable_dt_scan(st, EOS2, params, ap_stepper("ld"), 0.01, 1e-4, 1e-3, 1 / 16)
+    ap = lambda s, dt: step_ap_1d(s, EOS2, params, "ld", dt, 1 / 16)
+    dt, _ = max_stable_dt_scan(st, ap, 0.01, 1e-4, 1e-3)
     assert dt == 1e-3
+
+
+@pytest.mark.parametrize("dt_hi, unstable_above", [(1e-3, 1.0), (1e-3, 4e-4)],
+                         ids=["dt_hi-accepted", "bisected"])
+def test_scan_returns_the_largest_speed_of_the_accepted_trial(dt_hi, unstable_above):
+    # A fake step whose reported speed grows with dt and along the trial,
+    # and that blows the density up above a dt: the scan's speed is the
+    # largest one the trial at the returned dt reported, on both exits.
+    initial = FluidState1D(rho=np.ones(8), q=np.zeros(8))
+
+    def step(state, dt):
+        speed = 100.0 * dt + state.q[0]
+        rho = state.rho if dt <= unstable_above else 100.0 * state.rho
+        return FluidState1D(rho=rho, q=state.q + dt), SimpleNamespace(max_wave_speed=speed)
+
+    def trial_speed(dt):
+        state, speed = initial, 0.0
+        for _ in range(ceil(0.01 / dt)):
+            state, report = step(state, dt)
+            speed = max(speed, report.max_wave_speed)
+        return speed
+
+    dt, speed = max_stable_dt_scan(initial, step, 0.01, 1e-4, dt_hi)
+    assert (dt == dt_hi) == (unstable_above > dt_hi)
+    assert 1e-4 < dt <= min(dt_hi, unstable_above)
+    assert speed == trial_speed(dt) > trial_speed(1e-4)
 
 
 def test_scan_with_a_dt_lo_that_cannot_advance_T_raises():
     # ceil(T / dt_lo) = 1e303 steps per trial: the scan fails before its
     # first step instead of running for ever.
     st = FluidState1D(rho=np.ones(16), q=np.zeros(16))
-    params = SchemeParams(epsilon=0.5, alpha=1.0)
 
     def stepper(*args):
         raise AssertionError("the scan took a step")
 
     with pytest.raises(InstabilityError, match="cannot advance"):
-        max_stable_dt_scan(st, EOS2, params, stepper, 1e300, 1e-3, 1e-2, 1 / 16)
+        max_stable_dt_scan(st, stepper, 1e300, 1e-3, 1e-2)
     # A T that dt_lo advances, but in more than MAX_STEPS steps, fails too.
     with pytest.raises(InstabilityError, match="steps a run may take"):
-        max_stable_dt_scan(st, EOS2, params, stepper, 1e12, 1e-3, 1e-2, 1 / 16)
+        max_stable_dt_scan(st, stepper, 1e12, 1e-3, 1e-2)
     # A T that dt_lo reaches within the cap starts the trials.
     with pytest.raises(AssertionError, match="took a step"):
-        max_stable_dt_scan(st, EOS2, params, stepper, 1.0, 1e-3, 1e-2, 1 / 16)
+        max_stable_dt_scan(st, stepper, 1.0, 1e-3, 1e-2)
 
 
 def test_step_count_cap():
@@ -539,8 +568,8 @@ def test_scan_smoke_tiny_grid():
     grid = example1_grid(4)
     st = example1_state(grid, 0.3)
     params = SchemeParams(epsilon=0.3, alpha=1.0)
-    dt = max_stable_dt_scan(st, eos, params, ap_stepper("ld"), 0.1,
-                            grid.dx / 100, grid.dx, grid.dx)
+    ap = lambda s, dt: step_ap_1d(s, eos, params, "ld", dt, grid.dx)
+    dt, _ = max_stable_dt_scan(st, ap, 0.1, grid.dx / 100, grid.dx)
     assert dt > 0
 
 

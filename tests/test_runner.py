@@ -50,19 +50,17 @@ def test_example2_collision_cycle():
     # the two pulses superpose into a density maximum around T = 0.04 (the
     # velocity nearly stalls), then separate again
     from lowmach.core import SchemeParams
-    from lowmach.onedim import ap_stepper
     from lowmach.presets import example2_eos, example2_grid, example2_state
 
     eos = example2_eos()
     grid = example2_grid(100)
     st = example2_state(grid, 0.1)
     params = SchemeParams(epsilon=0.1, alpha=1.0)
-    stepper = ap_stepper("ld")
     peak = {}
     speed = {}
     t = 0.0
     for _ in range(80):
-        st, _ = stepper(st, eos, params, 1 / 1000, grid.dx)
+        st, _ = onedim.step_ap_1d(st, eos, params, "ld", 1 / 1000, grid.dx)
         t += 1 / 1000
         for mark in (0.01, 0.04, 0.08):
             if abs(t - mark) < 1e-9:
@@ -96,7 +94,7 @@ def test_cfl_speed_is_the_speed_a_step_reports(raw):
     cfg = build_config({"epsilon": 0.3, "m": 20, "m1": 8, "m2": 8, "dt": 1e-3, **raw})
     eos, grid, state = build_problem(cfg)
     params = scheme_params(cfg)
-    _, report = _make_stepper(cfg, grid)(state, eos, params, cfg.dt)
+    _, report = _make_stepper(cfg, grid, eos, params)(state, cfg.dt)
     assert _max_speed(cfg.stepper, eos, state, params) == report.max_wave_speed
 
 
@@ -129,14 +127,14 @@ def test_table1_takes_max_lambda_from_the_accepted_scan_trial(monkeypatch):
         dts.append(args[4])
         return step(*args)
 
-    monkeypatch.setattr(onedim, "step_ap_1d", counting)
+    monkeypatch.setattr(runner, "step_ap_1d", counting)
     [row] = reproduce_table1([0.3], [1 / 50], variant="ld", t_final=0.05)
     n_steps = int(np.ceil(0.05 / row["stable_dt"]))
     assert dts.count(row["stable_dt"]) == n_steps
 
     grid = example1_grid(50)
     state = example1_state(grid, 0.3)
-    params = SchemeParams(epsilon=0.3, alpha=1.0, sigma=0.9)
+    params = SchemeParams(epsilon=0.3, alpha=1.0)
     max_lambda = 0.0
     for _ in range(n_steps):
         state, report = step(state, example1_eos(), params, "ld", row["stable_dt"], grid.dx)
@@ -154,13 +152,66 @@ def test_reproduce_table2_identical_levels_ratio():
     assert rows[1]["ratio_rho"] == pytest.approx(rows[0]["e_rho"] / rows[1]["e_rho"])
 
 
+@pytest.mark.parametrize("eps", [0.3, 0.1])
+def test_reproduce_table2_lands_on_t_final(eps):
+    # Outside the published rule the CFL-0.7 dt does not divide t_final; each
+    # level takes the fewest equal steps of at most that dt, and ends at
+    # t_final like the reference it is compared with.
+    refs = {eps: example1_state(example1_grid(320), eps)}
+    rows = reproduce_table2([eps], refinement_levels=5, reference_states=refs)
+    assert len(rows) == 5
+    for row in rows:
+        assert abs(round(0.1 / row["dt"]) * row["dt"] - 0.1) <= 1e-12 * 0.1
+
+
+def test_table2_dt_keeps_the_published_ratios():
+    # At t_final = 0.1, t_final / n is the published dx/9 and dx/3.5 itself.
+    for m in (20, 40, 80, 160, 320, 640):
+        dx = example1_grid(m).dx
+        assert runner.table2_dt(0.8, dx, 1.0, 0.1) == dx / 9.0
+        assert runner.table2_dt(0.05, dx, 1.0, 0.1) == dx / 3.5
+    # 15 steps of dx/9 at dx = 0.1, whose quotient rounds to 15 + 2 ulp, stay 15.
+    t_final = 15 * (0.1 / 9.0)
+    assert t_final / (0.1 / 9.0) > 15
+    assert runner.table2_dt(0.8, 0.1, 1.0, t_final) == t_final / 15
+
+
+def test_every_verb_steps_through_make_stepper(tmp_path, monkeypatch):
+    # The builder is the one place a config picks its step function: each
+    # verb asks it for its steppers, with the config of the scheme it runs.
+    build = runner._make_stepper
+    schemes = []
+
+    def recording(cfg, *args):
+        schemes.append((cfg.stepper, cfg.variant) if cfg.stepper == "ap" else cfg.stepper)
+        return build(cfg, *args)
+
+    monkeypatch.setattr(runner, "_make_stepper", recording)
+    verbs = {
+        "run": lambda: run_raw({"preset": "example1", "m": 20, "dt": 1e-3, "t_final": 0.002,
+                                "output_dir": str(tmp_path / "run")}),
+        "table1": lambda: reproduce_table1([0.8], [0.1], t_final=0.01),
+        "table2": lambda: reproduce_table2(
+            [0.8], 1, reference_states={0.8: example1_state(example1_grid(20), 0.8)}),
+        "compare_ice": lambda: compare_ice(0.3, 0.05, 1e-3, 0.002),
+        "reference": lambda: reference_solution(0.8, cells=20, inv_dt=1000, t_final=0.002,
+                                                refine=1),
+    }
+    expected = {"run": [("ap", "ld")], "table1": [("ap", "ld")], "table2": [("ap", "ld")],
+                "compare_ice": [("ap", "ld"), "ice"], "reference": ["explicit_llf"]}
+    for verb, call in verbs.items():
+        schemes.clear()
+        call()
+        assert schemes == expected[verb], verb
+
+
 def test_reproduce_table2_levels_must_divide_the_reference(monkeypatch):
     # A given 320-cell reference takes levels of 20 ... 320 cells; a sixth
     # level (640 cells) is a config error before any level runs.
     def no_step(*args):
         raise AssertionError("a level ran before the levels were checked")
 
-    monkeypatch.setattr(onedim, "step_ap_1d", no_step)
+    monkeypatch.setattr(runner, "step_ap_1d", no_step)
     refs = {0.3: FluidState1D(rho=np.ones(320), q=np.zeros(320))}
     with pytest.raises(ConfigError, match="640 cells"):
         reproduce_table2([0.3], refinement_levels=6, reference_states=refs)
@@ -181,7 +232,7 @@ def test_reference_solution_beyond_the_step_cap_raises(monkeypatch):
 
 
 def test_reproduce_table2_level_beyond_the_step_cap_raises(monkeypatch):
-    monkeypatch.setattr(onedim, "step_ap_1d", _no_step)
+    monkeypatch.setattr(runner, "step_ap_1d", _no_step)
     grid = example1_grid(20)
     refs = {0.8: example1_state(grid, 0.8)}
     start = time.perf_counter()
@@ -283,7 +334,7 @@ def test_steps_csv_bytes_match_per_step_lines(tmp_path, monkeypatch, raw, status
         reports.append(report)
         return state, report
 
-    monkeypatch.setattr(onedim, "step_ap_1d", recording_step)
+    monkeypatch.setattr(runner, "step_ap_1d", recording_step)
     out = tmp_path / "run"
     result = run_raw(dict(raw, variant="nl", output_dir=str(out)))
     assert result.status == status and result.steps_taken == len(reports) > 5
