@@ -21,7 +21,7 @@ import json
 import os
 from dataclasses import dataclass
 from itertools import product
-from math import ceil
+from math import ceil, isfinite
 from pathlib import Path
 
 import numpy as np
@@ -326,14 +326,21 @@ def reference_solution(eps: float, cells=None, inv_dt=None, t_final=0.1, refine=
     sampling.  At the reference resolution alone the first-order smearing is
     not yet converged for O(1) Mach shocks, and the published error table is
     only reproduced against a converged reference; refine=1 recovers the
-    plain single-grid run.  A time step that cannot advance t to
-    ``t_final``, or needs more than MAX_STEPS steps to reach it, is an
-    InstabilityError before the first step.
+    plain single-grid run.  The run takes ``t_final * inv_dt`` nominal steps,
+    so a product that is not a whole number >= 1 (to 1e-9 relative) is a
+    ConfigError.  A time step that cannot advance t to ``t_final``, or needs
+    more than MAX_STEPS steps to reach it, is an InstabilityError.  Both are
+    raised before the first step.
     """
     cells = TABLE_REFERENCE[0] if cells is None else cells
     inv_dt = TABLE_REFERENCE[1] if inv_dt is None else inv_dt
     fine_cells = cells * refine
     cfg = _table_case(eps, fine_cells, t_final, alpha=0.0, stepper="explicit_llf")
+    nominal_steps = t_final * inv_dt
+    if not (isfinite(nominal_steps) and nominal_steps >= 0.5
+            and abs(nominal_steps - round(nominal_steps)) <= 1e-9 * nominal_steps):
+        raise ConfigError(f"t_final = {t_final:.6g} is not a whole positive number of steps "
+                          f"of 1/inv_dt, inv_dt = {inv_dt:.6g}")
     eos, grid, state = build_problem(cfg)
     params = scheme_params(cfg)
     step = _make_stepper(cfg, grid, eos, params)
@@ -343,7 +350,7 @@ def reference_solution(eps: float, cells=None, inv_dt=None, t_final=0.1, refine=
     dt = 1.0 / (k * inv_dt)
     check_dt_advances(dt, t_final)
     check_step_count(dt, t_final)
-    for _ in range(int(round(t_final * inv_dt)) * k):
+    for _ in range(int(round(nominal_steps)) * k):
         state, _ = step(state, dt)
     if refine == 1:
         return state

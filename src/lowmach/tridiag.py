@@ -14,7 +14,10 @@ linear steps report it instead of applying their operator again.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 
 import numpy as np
 
@@ -29,16 +32,36 @@ _DENOM_RTOL = 1e-12
 # Relative bound of the residual test: max|A x - rhs| <= _LINEAR_RTOL max|rhs|.
 _LINEAR_RTOL = 1e-11
 
-# LAPACK dgtsv, loaded on the first solve: only the 1D elliptic solves need
-# scipy.linalg, and loading it about doubles the memory and the import time
-# of the package.
+# LAPACK dgtsv, loaded on the first solve from scipy's compiled LAPACK
+# extension alone: neither scipy/__init__ nor scipy.linalg/__init__ runs, and
+# a process that never solves a 1D system never loads it.
 _dgtsv = None
+
+
+def _flapack_spec():
+    """The spec of scipy's ``scipy.linalg._flapack`` extension, found without
+    importing scipy, or None."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        return None
+    linalg = os.path.join(scipy.submodule_search_locations[0], "linalg")
+    return importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", [linalg])
 
 
 def _load_dgtsv():
     global _dgtsv
-    from scipy.linalg.lapack import dgtsv
-
+    dgtsv = None
+    try:
+        spec = _flapack_spec()
+        if spec is not None:
+            flapack = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(flapack)
+            dgtsv = flapack.dgtsv
+    except ImportError:
+        pass
+    if dgtsv is None:
+        # _flapack is a private name, and pyproject allows any scipy >= 1.10.
+        from scipy.linalg.lapack import dgtsv
     _dgtsv = dgtsv
     return dgtsv
 

@@ -36,7 +36,7 @@ from lowmach import (
     step_explicit_llf_1d,
     step_ice_1d,
 )
-from lowmach import elliptic, onedim, twodim
+from lowmach import elliptic, onedim, tridiag, twodim
 from lowmach.core import FluidState2D, _periodic, _shift
 from lowmach.elliptic import _solve_strided_tridiagonal, apply_elliptic_operator_1d
 from lowmach.handoff import _check_new_density, _finish_step
@@ -646,8 +646,7 @@ def test_nl_step_equals_roll_step(gamma, seed, eps, monkeypatch):
 
 
 def test_singular_tridiagonal_core_raises():
-    from scipy.linalg.lapack import dgtsv
-
+    dgtsv = tridiag._load_dgtsv()
     # gamma = -diag[0] = -1 folds the core to diag(2, 0, 1): exactly
     # singular, so dgtsv meets a zero pivot and reports info > 0.
     *_, info = dgtsv(np.zeros(2), np.array([2.0, 0.0, 1.0]), np.zeros(2), np.ones((3, 2)))
@@ -942,20 +941,60 @@ def test_finite_momentum_with_overflowing_sum_completes(shape):
     assert report.mass_total == 0.5 * np.prod(shape)
 
 
-def test_scipy_linalg_loads_on_the_first_1d_solve():
-    code = textwrap.dedent("""
-        import sys
-        import lowmach
-        from lowmach.presets import example1_eos, example1_grid, example1_state
-        assert "scipy.linalg" not in sys.modules, "import lowmach loaded scipy.linalg"
-        grid = example1_grid(20)
-        params = lowmach.SchemeParams(epsilon=0.3, alpha=1.0)
-        lowmach.step_ap_1d(example1_state(grid, 0.3), example1_eos(), params, "ld",
-                           0.01, grid.dx)
-        assert "scipy.linalg" in sys.modules, "an ld step did not load scipy.linalg"
-    """)
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports lowmach from this tree."""
     src = str(Path(lowmach.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_1d_solves_load_lapack_without_scipy_linalg():
+    # import lowmach loads no scipy module; each 1D scheme that solves a
+    # cyclic system loads dgtsv on its first step, from LAPACK's extension
+    # alone: scipy.linalg is never imported.
+    _run_fresh("""
+        import sys
+        import lowmach
+        from lowmach import tridiag
+        from lowmach.presets import example1_eos, example1_grid, example1_state
+        loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+        assert not loaded, f"import lowmach loaded {loaded}"
+        grid = example1_grid(20)
+        params = lowmach.SchemeParams(epsilon=0.3, alpha=1.0)
+        steps = {variant: lambda s, v=variant: lowmach.step_ap_1d(s, example1_eos(), params, v,
+                                                                  0.01, grid.dx)
+                 for variant in ("ld", "l", "nl")}
+        steps["ice"] = lambda s: lowmach.step_ice_1d(s, example1_eos(), params, 0.01, grid.dx)
+        for name, step in steps.items():
+            tridiag._dgtsv = None
+            step(example1_state(grid, 0.3))
+            assert tridiag._dgtsv is not None, f"a {name} step did not load dgtsv"
+        assert "scipy.linalg" not in sys.modules, "a 1D solve loaded scipy.linalg"
+    """)
+
+
+def test_standalone_dgtsv_is_scipy_linalg_lapack_dgtsv():
+    _run_fresh("""
+        import numpy as np
+        from lowmach import tridiag
+        tridiag.solve_periodic_tridiagonal(np.ones(4), np.full(4, 4.0), np.ones(4), np.arange(4.0))
+        import scipy.linalg.lapack
+        assert tridiag._dgtsv is scipy.linalg.lapack.dgtsv
+    """)
+
+
+def test_dgtsv_fallback_gives_the_same_routine_and_solution(monkeypatch):
+    from scipy.linalg.lapack import dgtsv
+
+    rng = np.random.default_rng(5)
+    n = 16
+    bands = (rng.uniform(-1, 1, n), 3.0 + rng.uniform(0, 1, n), rng.uniform(-1, 1, n),
+             rng.standard_normal(n))
+    monkeypatch.setattr(tridiag, "_dgtsv", None)
+    x, resid = solve_periodic_tridiagonal(*bands)
+    monkeypatch.setattr(tridiag, "_flapack_spec", lambda: None)
+    assert tridiag._load_dgtsv() is dgtsv
+    x_fallback, resid_fallback = solve_periodic_tridiagonal(*bands)
+    assert np.array_equal(x, x_fallback) and resid == resid_fallback

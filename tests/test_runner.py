@@ -231,6 +231,14 @@ def test_reference_solution_beyond_the_step_cap_raises(monkeypatch):
     assert time.perf_counter() - start < 1.0
 
 
+def test_reference_solution_off_the_nominal_step_raises(monkeypatch):
+    # t_final * inv_dt = 1.5 nominal steps: the run used to take 2 and end at
+    # t = 0.002.  Rejected before the first step, naming both values.
+    monkeypatch.setattr(runner, "step_explicit_llf_1d", _no_step)
+    with pytest.raises(ConfigError, match=r"t_final = 0\.0015 .* inv_dt = 1000"):
+        reference_solution(0.8, cells=20, inv_dt=1000, t_final=0.0015, refine=1)
+
+
 def test_reproduce_table2_level_beyond_the_step_cap_raises(monkeypatch):
     monkeypatch.setattr(runner, "step_ap_1d", _no_step)
     grid = example1_grid(20)

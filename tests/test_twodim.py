@@ -307,18 +307,23 @@ def test_step_2d_benchmark_run_divergence():
 
 
 def test_2d_path_does_not_load_scipy_linalg():
-    # scipy.linalg serves only the 1D tridiagonal solves; the 2D step must not
-    # pay for importing it.
+    # scipy.linalg and its LAPACK extension serve only the 1D tridiagonal
+    # solves; neither the 2D step nor the explicit-LLF step may load them.
     code = textwrap.dedent("""
         import sys
         import lowmach
-        from lowmach.presets import example3_eos, example3_grid, example3_state
+        from lowmach.presets import (example1_eos, example1_grid, example1_state,
+                                     example3_eos, example3_grid, example3_state)
         grid = example3_grid(8, 8)
         params = lowmach.SchemeParams(epsilon=0.05, alpha=0.0)
         for stencil in ("reduced", "wide"):
             state = example3_state(grid, 0.05)
             lowmach.step_ap_2d(state, example3_eos(), params, stencil, 0.01, grid.dx, grid.dy)
-        assert "scipy.linalg" not in sys.modules, "scipy.linalg was imported"
+        grid = example1_grid(20)
+        lowmach.step_explicit_llf_1d(example1_state(grid, 0.3), example1_eos(),
+                                     lowmach.SchemeParams(epsilon=0.3, alpha=0.0), 1e-3, grid.dx)
+        for name in ("scipy.linalg", "scipy.linalg._flapack"):
+            assert name not in sys.modules, f"{name} was imported"
     """)
     src = str(Path(lowmach.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
