@@ -10,6 +10,7 @@ import numpy as np
 
 from .core import FluidState1D, FluidState2D, _shift
 from .errors import UnsupportedGridError
+from .twodim import _dc
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,4 @@ def ap_fluctuation(state, epsilon: float):
 def discrete_divergence_2d(state: FluidState2D, dx: float, dy: float) -> np.ndarray:
     """Centered divergence (q1_{i+1,j} - q1_{i-1,j})/(2dx) + (q2_{i,j+1} -
     q2_{i,j-1})/(2dy) per cell."""
-    q1, q2 = state.q1, state.q2
-    div_x = (_shift(q1, -1, 0) - _shift(q1, 1, 0)) / (2.0 * dx)
-    div_y = (_shift(q2, -1, 1) - _shift(q2, 1, 1)) / (2.0 * dy)
-    return div_x + div_y
+    return _dc(state.q1, dx, 0) + _dc(state.q2, dy, 1)

@@ -6,8 +6,8 @@ numerical failure (instability / positivity / solver), 4 I/O error.
 
 The tables build every case as a run config (:func:`_table_case`) before
 any work, so ``run``'s rules check it; only a table's own shape is checked
-here.  Every verb steps through :func:`_make_stepper`, the one place a
-config picks its step function.
+here.  Every verb builds its case through :func:`_case`, the one place a
+config picks its step function and the CFL wave speed of that step.
 
 Every CSV value is written as ``%.17g``.  A run builds its snapshot format
 once, with the grid columns already formatted into it, so each snapshot
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, build_config, build_problem, config_to_dict, scheme_params
-from .core import FluidState1D, FluidState2D, Grid2D
+from .core import FluidState1D, Grid2D
 from .diagnostics import _sample_indices, relative_l2_error, total_variation
 from .errors import ConfigError, InstabilityError, NumericsError
 from .handoff import MAX_STEPS, check_dt_advances, check_step_count
@@ -103,39 +103,37 @@ def _snapshot_writer(grid):
     return write
 
 
-def _max_speed(stepper: str, eos, state, params) -> float:
-    """Largest wave speed of the CFL condition of ``stepper`` ("ap",
-    "explicit_llf" or "ice") on a 1D or 2D state, whose density was
-    validated by its constructor.  A speed that overflows reads inf, or nan
-    where alpha = 0 meets p' = inf, without a float warning: the caller
-    decides what a speed that is not finite means."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(state, FluidState2D):
-            return float(np.max(_cell_speeds(*state.velocity(),
-                                             eos._pressure_derivative(state.rho), params.alpha)))
-        u = state.velocity()
-        if stepper == "explicit_llf":
-            s = np.sqrt(eos._pressure_derivative(state.rho)) / params.epsilon
-        elif stepper == "ice":
-            s = 0.0
-        else:
-            s = np.sqrt(params.alpha * eos._pressure_derivative(state.rho))
-        return float(np.max(np.abs(u) + s))
-
-
-def _make_stepper(cfg: RunConfig, grid, eos, params):
-    """``step(state, dt) -> (state, StepReport)`` of ``cfg``'s scheme on
-    ``grid``, with ``eos`` and ``params``."""
-    dx = grid.dx
+def _case(cfg: RunConfig):
+    """(grid, initial state, step, speed) of ``cfg``: ``step(state, dt) ->
+    (state, StepReport)`` of its scheme, and ``speed(state)``, the largest
+    wave speed of that scheme's CFL condition, the ``max_wave_speed`` a step
+    from ``state`` reports.  A speed that overflows reads inf, or nan where
+    alpha = 0 meets p' = inf, without a float warning: the caller decides
+    what a speed that is not finite means."""
+    eos, grid, state = build_problem(cfg)
+    params = scheme_params(cfg)
+    dp, dx, alpha = eos._pressure_derivative, grid.dx, params.alpha
     if cfg.dimension == 2:
         stencil, dy = cfg.stencil, grid.dy
-        return lambda state, dt: step_ap_2d(state, eos, params, stencil, dt, dx, dy)
-    if cfg.stepper == "ap":
+        step = lambda st, dt: step_ap_2d(st, eos, params, stencil, dt, dx, dy)
+        cell_speeds = lambda st: _cell_speeds(*st.velocity(), dp(st.rho), alpha)
+    elif cfg.stepper == "ap":
         variant = cfg.variant
-        return lambda state, dt: step_ap_1d(state, eos, params, variant, dt, dx)
-    if cfg.stepper == "explicit_llf":
-        return lambda state, dt: step_explicit_llf_1d(state, eos, params, dt, dx)
-    return lambda state, dt: step_ice_1d(state, eos, params, dt, dx)
+        step = lambda st, dt: step_ap_1d(st, eos, params, variant, dt, dx)
+        cell_speeds = lambda st: np.abs(st.velocity()) + np.sqrt(alpha * dp(st.rho))
+    elif cfg.stepper == "explicit_llf":
+        step = lambda st, dt: step_explicit_llf_1d(st, eos, params, dt, dx)
+        cell_speeds = lambda st: np.abs(st.velocity()) + np.sqrt(dp(st.rho)) / params.epsilon
+    else:
+        # The pressureless predictor's speed is |u| alone.
+        step = lambda st, dt: step_ice_1d(st, eos, params, dt, dx)
+        cell_speeds = lambda st: np.abs(st.velocity())
+
+    def speed(st) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.max(cell_speeds(st)))
+
+    return grid, state, step, speed
 
 
 def run(cfg: RunConfig) -> RunResult:
@@ -144,66 +142,56 @@ def run(cfg: RunConfig) -> RunResult:
     code (0 success, 3 numerical failure).  A fixed dt's step count was
     checked with the config; a run on the CFL rule that has taken
     MAX_STEPS steps without reaching t_final is a numerical failure."""
-    eos, grid, state = build_problem(cfg)
-    params = scheme_params(cfg)
-    stepper = _make_stepper(cfg, grid, eos, params)
+    grid, state, step, speed = _case(cfg)
     snapshot = _snapshot_writer(grid)
+    length = min(grid.dx, grid.dy) if cfg.dimension == 2 else grid.dx
 
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
-
     snapshots = sorted(cfg.snapshot_times or (cfg.t_final,))
-    snap_index = 0
     step_rows = []
-
-    def write_snapshot(st):
-        nonlocal snap_index
-        name = f"snapshot_{snap_index:03d}.csv"
-        snapshot(out_dir / name, st)
-        outputs.append(name)
-        snap_index += 1
-
-    while snapshots and snapshots[0] <= _EVENT_TOL:
-        write_snapshot(state)
-        snapshots.pop(0)
-
     t = 0.0
     nstep = 0
     status = STATUS_OK
     message = "completed"
     try:
-        while t < cfg.t_final - _EVENT_TOL:
+        while True:
+            # Every snapshot due at t, then the next step; outputs holds
+            # only snapshots until the loop ends.
+            while snapshots and t >= snapshots[0] - _EVENT_TOL:
+                name = f"snapshot_{len(outputs):03d}.csv"
+                snapshot(out_dir / name, state)
+                outputs.append(name)
+                snapshots.pop(0)
+            if t >= cfg.t_final - _EVENT_TOL:
+                break
             if cfg.dt is not None:
                 dt = cfg.dt
             else:
                 if nstep >= MAX_STEPS:
                     raise InstabilityError(f"the CFL rule took {MAX_STEPS} steps, the most a "
                                            f"run may take, without reaching t_final")
-                speed = _max_speed(cfg.stepper, eos, state, params)
-                length = min(grid.dx, grid.dy) if cfg.dimension == 2 else grid.dx
-                if speed == 0.0:
+                lam = speed(state)
+                if lam == 0.0:
                     dt = cfg.t_final - t
                 else:
                     # 0 or nan where the speed is not finite or dt underflows;
                     # inf, where the speed is tiny, is cut to the next event.
-                    dt = params.sigma * length / speed
+                    dt = cfg.sigma * length / lam
                     if not dt > 0.0:
-                        raise InstabilityError(f"CFL wave speed {speed:.3g} gives the adaptive "
+                        raise InstabilityError(f"CFL wave speed {lam:.3g} gives the adaptive "
                                                f"time step dt = {dt:.3g}")
             check_dt_advances(dt, cfg.t_final)
             next_event = snapshots[0] if snapshots else cfg.t_final
             dt = min(dt, next_event - t, cfg.t_final - t)
-            state, report = stepper(state, dt)
+            state, report = step(state, dt)
             t += dt
             nstep += 1
             step_rows.append((nstep, t, report.dt_used, report.max_wave_speed,
                               report.mass_total, report.momentum_total,
                               report.momentum2_total, report.consistency_residual,
                               report.newton_iters, report.linear_iters))
-            while snapshots and t >= snapshots[0] - _EVENT_TOL:
-                write_snapshot(state)
-                snapshots.pop(0)
     except NumericsError as exc:
         status = STATUS_NUMERICAL
         message = f"numerical failure at step {nstep + 1} (t={t:.6g}): {exc}"
@@ -275,13 +263,11 @@ def reproduce_table1(eps_list, dx_list, variant="ld", t_final=0.1, output_path=N
              for eps in eps_list for m in cell_counts]
     rows = []
     for cfg in cases:
-        eos, grid, state = build_problem(cfg)
-        params = scheme_params(cfg)
-        lam0 = _max_speed(cfg.stepper, eos, state, params)
+        grid, state, step, speed = _case(cfg)
+        lam0 = speed(state)
         # max_lambda is that of the scan's accepted trial, the run at
         # stable_dt, so the run is not repeated.
-        stable_dt, max_lambda = max_stable_dt_scan(state, _make_stepper(cfg, grid, eos, params),
-                                                   t_final, 0.05 * grid.dx / lam0,
+        stable_dt, max_lambda = max_stable_dt_scan(state, step, t_final, 0.05 * grid.dx / lam0,
                                                    4.0 * grid.dx / lam0)
         rows.append({
             "epsilon": cfg.epsilon,
@@ -341,10 +327,8 @@ def reference_solution(eps: float, cells=None, inv_dt=None, t_final=0.1, refine=
             and abs(nominal_steps - round(nominal_steps)) <= 1e-9 * nominal_steps):
         raise ConfigError(f"t_final = {t_final:.6g} is not a whole positive number of steps "
                           f"of 1/inv_dt, inv_dt = {inv_dt:.6g}")
-    eos, grid, state = build_problem(cfg)
-    params = scheme_params(cfg)
-    step = _make_stepper(cfg, grid, eos, params)
-    lam0 = _max_speed(cfg.stepper, eos, state, params)
+    _, state, step, speed = _case(cfg)
+    lam0 = speed(state)
     # integer multiple of the nominal rate keeping the explicit CFL <= 0.45
     k = max(1, int(np.ceil(lam0 * fine_cells / (0.45 * inv_dt))))
     dt = 1.0 / (k * inv_dt)
@@ -386,10 +370,8 @@ def reproduce_table2(eps_list, refinement_levels=5, t_final=0.1, variant="ld",
         ref = refs[eps] if eps in refs else reference_solution(eps, t_final=t_final)
         prev = None
         for cfg in cases:
-            eos, grid, state = build_problem(cfg)
-            params = scheme_params(cfg)
-            step = _make_stepper(cfg, grid, eos, params)
-            dt = table2_dt(eps, grid.dx, _max_speed(cfg.stepper, eos, state, params), t_final)
+            grid, state, step, speed = _case(cfg)
+            dt = table2_dt(eps, grid.dx, speed(state), t_final)
             for _ in range(round(t_final / dt)):
                 state, _ = step(state, dt)
             err = relative_l2_error(state, ref)
@@ -422,12 +404,10 @@ def compare_ice(epsilon, dx, dt, t_final, output_dir=None):
         raise ConfigError(f"dt must be > 0, got {dt}")
     check_dt_advances(dt, t_final)
     check_step_count(dt, t_final, ConfigError)
-    eos, grid, ap_state = build_problem(ap_case)
-    ap_step = _make_stepper(ap_case, grid, eos, scheme_params(ap_case))
-    ice_step = _make_stepper(ice_case, grid, eos, scheme_params(ice_case))
+    grid, ap_state, ap_step, _ = _case(ap_case)
+    _, ice_state, ice_step, _ = _case(ice_case)
     n_steps = int(np.ceil(t_final / dt))
 
-    ice_state = ap_state  # states are immutable
     for _ in range(n_steps):
         ap_state, _ = ap_step(ap_state, dt)
         ice_state, _ = ice_step(ice_state, dt)

@@ -451,10 +451,16 @@ def test_cli_run_fixed_dt_beyond_the_step_cap_exits_2(tmp_path, capsys, monkeypa
     # The config alone fixes t_final / dt = 1e15 steps: a config error before
     # any output, also for a sweep entry, which stops the sweep before it runs,
     # and for compare-ice.  No step may run (it would not end).
+    case = runner_module._case
+
     def no_step(*args):
         raise AssertionError("a step ran")
 
-    monkeypatch.setattr(runner_module, "_make_stepper", lambda *args: no_step)
+    def no_step_case(cfg):
+        grid, state, _, speed = case(cfg)
+        return grid, state, no_step, speed
+
+    monkeypatch.setattr(runner_module, "_case", no_step_case)
     with pytest.raises(ConfigError, match="t_final / dt = 1e[+]12 / 0.001 needs more than"):
         compare_ice(0.3, 0.05, 1e-3, 1e12)
     out = tmp_path / "long"

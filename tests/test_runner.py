@@ -9,11 +9,10 @@ import pytest
 from lowmach import (ConfigError, FluidState1D, FluidState2D, Grid1D, Grid2D, InstabilityError,
                      onedim, runner)
 from lowmach.cli import main
-from lowmach.config import build_config, build_problem, scheme_params
+from lowmach.config import build_config
 from lowmach.presets import example1_grid, example1_state
 from lowmach.runner import (
-    _make_stepper,
-    _max_speed,
+    _case,
     _snapshot_writer,
     _write_csv,
     compare_ice,
@@ -89,13 +88,32 @@ def test_run_example3_2d_preset(tmp_path):
       for stencil in ("wide", "reduced") for alpha in (0.0, 1.0)),
 ], ids=lambda raw: "-".join(map(str, raw.values())))
 def test_cfl_speed_is_the_speed_a_step_reports(raw):
-    # The run's CFL rule restates each stepper's sound speed (sqrt(alpha p'),
-    # sqrt(p')/eps, 0): it must read the float the step itself reports.
+    # A case's CFL speed states its scheme's sound speed (sqrt(alpha p'),
+    # sqrt(p')/eps, 0) beside the step's: it must read the float the step
+    # itself reports.
     cfg = build_config({"epsilon": 0.3, "m": 20, "m1": 8, "m2": 8, "dt": 1e-3, **raw})
-    eos, grid, state = build_problem(cfg)
-    params = scheme_params(cfg)
-    _, report = _make_stepper(cfg, grid, eos, params)(state, cfg.dt)
-    assert _max_speed(cfg.stepper, eos, state, params) == report.max_wave_speed
+    _, state, step, speed = _case(cfg)
+    assert speed(state) == step(state, cfg.dt)[1].max_wave_speed
+
+
+@pytest.mark.parametrize("raw, length", [
+    ({"preset": "example1", "m": 100}, "dx"),
+    ({"preset": "example3", "m1": 8, "m2": 16}, "dy"),
+], ids=["example1", "example3"])
+def test_cfl_dt_is_sigma_length_over_the_case_speed(raw, length, tmp_path):
+    # On the CFL rule each step that no event cuts takes dt = sigma * length
+    # / speed(state before the step), with length dx in 1D and min(dx, dy)
+    # in 2D, here dy.  Only the last step is cut, to t_final.
+    cfg = build_config({**raw, "epsilon": 0.3, "t_final": 0.05, "sigma": 0.7,
+                        "output_dir": str(tmp_path)})
+    assert runner.run(cfg).status == 0
+    dts = np.loadtxt(tmp_path / "steps.csv", delimiter=",", skiprows=1, usecols=2)
+    assert len(dts) > 2
+    grid, state, step, speed = _case(cfg)
+    for i, dt in enumerate(dts):
+        cfl_dt = cfg.sigma * getattr(grid, length) / speed(state)
+        assert dt == cfl_dt if i < len(dts) - 1 else dt <= cfl_dt
+        state, _ = step(state, dt)
 
 
 def test_reference_solution_refine1_matches_plain_run():
@@ -176,17 +194,17 @@ def test_table2_dt_keeps_the_published_ratios():
     assert runner.table2_dt(0.8, 0.1, 1.0, t_final) == t_final / 15
 
 
-def test_every_verb_steps_through_make_stepper(tmp_path, monkeypatch):
+def test_every_verb_steps_through_case(tmp_path, monkeypatch):
     # The builder is the one place a config picks its step function: each
-    # verb asks it for its steppers, with the config of the scheme it runs.
-    build = runner._make_stepper
+    # verb asks it for its cases, with the config of the scheme it runs.
+    build = runner._case
     schemes = []
 
-    def recording(cfg, *args):
+    def recording(cfg):
         schemes.append((cfg.stepper, cfg.variant) if cfg.stepper == "ap" else cfg.stepper)
-        return build(cfg, *args)
+        return build(cfg)
 
-    monkeypatch.setattr(runner, "_make_stepper", recording)
+    monkeypatch.setattr(runner, "_case", recording)
     verbs = {
         "run": lambda: run_raw({"preset": "example1", "m": 20, "dt": 1e-3, "t_final": 0.002,
                                 "output_dir": str(tmp_path / "run")}),
