@@ -12,11 +12,11 @@ preset-fixed quantity with a contradictory value is a config error.
 A config is checked by building what it describes, with the constructors a
 run uses: an input that one of them rejects is a :class:`ConfigError`
 naming the keys it came from.  Only what no constructor checks is checked
-here: names, the run length, the step count t_final / dt of a fixed dt
-(at most :data:`lowmach.handoff.MAX_STEPS`), snapshot times, the 2D stepper
-and domain, and the cell counts of the elliptic solve.  The table verbs
-build each of their cases as a config too, so these are the rules of every
-verb.
+here: names, the run length, a fixed dt (finite and > 0, and at most
+:data:`lowmach.handoff.MAX_STEPS` steps t_final / dt), snapshot times, the
+2D stepper and domain, and the cell counts of the elliptic solve.  The
+table verbs and compare-ice build each of their cases as a config too, so
+these are the rules of every verb.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .core import DtPolicy, EquationOfState, Grid1D, Grid2D, SchemeParams, validate_params
+from .core import EquationOfState, Grid1D, Grid2D, SchemeParams, validate_params
 from .elliptic import _STENCIL_STRIDE, _VARIANT_STRIDE
 from .errors import ConfigError, InvalidStateError, ParamError
 from .handoff import check_step_count
@@ -182,9 +182,12 @@ def _validate_config(cfg: RunConfig) -> None:
     if cfg.dimension == 2 and cfg.stencil == "wide" and (cfg.m1 % 2 or cfg.m2 % 2):
         raise ConfigError(f"wide stencil requires even m1, m2, got {cfg.m1}, {cfg.m2}")
     # The parameters first: a preset's initial state is built from epsilon.
-    with config_errors("epsilon, alpha, sigma, dt"):
+    with config_errors("epsilon, alpha, sigma"):
         validate_params(scheme_params(cfg))
     if cfg.dt is not None:
+        # NaN fails here: check_step_count lets it pass.
+        if not 0.0 < cfg.dt < math.inf:
+            raise ConfigError(f"a fixed dt must be finite with dt > 0, got {cfg.dt}")
         check_step_count(cfg.dt, cfg.t_final, ConfigError)
     build_problem(cfg)
 
@@ -235,9 +238,7 @@ def build_problem(cfg: RunConfig):
 
 
 def scheme_params(cfg: RunConfig) -> SchemeParams:
-    policy = DtPolicy.adaptive() if cfg.dt is None else DtPolicy.fixed(cfg.dt)
-    return SchemeParams(epsilon=cfg.epsilon, alpha=cfg.alpha, sigma=cfg.sigma,
-                        dt_policy=policy)
+    return SchemeParams(epsilon=cfg.epsilon, alpha=cfg.alpha, sigma=cfg.sigma)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

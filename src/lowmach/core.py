@@ -261,9 +261,9 @@ class FluidState2D(_State):
 @dataclass(frozen=True)
 class DtPolicy:
     """Time step policy: fixed dt, or adaptive from the explicit-part CFL
-    condition dt = sigma * dx / max(|u| + sqrt(alpha p')).  Validated with
-    the parameters but read by no step or run: a run's ``dt`` picks the step
-    (:class:`lowmach.config.RunConfig`)."""
+    condition dt = sigma * dx / max(|u| + sqrt(alpha p')).  Nothing in the
+    library builds, checks or reads it: a step takes its ``dt`` from the
+    caller, and a run's ``dt`` picks it (:class:`lowmach.config.RunConfig`)."""
 
     kind: str
     dt: float | None = None
@@ -284,8 +284,8 @@ class SchemeParams:
     epsilon is the scaled Mach number; alpha the pressure-splitting
     parameter (alpha <= 1/epsilon^2, the equality giving a fully explicit
     pressure); sigma the Courant number for the explicit part; dt_policy a
-    :class:`DtPolicy`, validated and otherwise unread.  The solves'
-    tolerances are their own constants, not parameters.
+    :class:`DtPolicy` that nothing in the library builds, checks or reads.
+    The solves' tolerances are their own constants, not parameters.
     """
 
     epsilon: float
@@ -314,7 +314,3 @@ def validate_params(p: SchemeParams) -> None:
         )
     if not (0.0 < p.sigma < 1.0):
         raise ParamError("sigma-out-of-range", f"sigma must be in (0,1), got {p.sigma}")
-    if p.dt_policy.kind not in ("fixed", "adaptive"):
-        raise ParamError("dt-policy-unknown", f"unknown dt policy {p.dt_policy.kind!r}")
-    if p.dt_policy.kind == "fixed" and not (p.dt_policy.dt is not None and p.dt_policy.dt > 0.0):
-        raise ParamError("dt-not-positive", "fixed dt policy requires dt > 0")

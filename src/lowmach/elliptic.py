@@ -449,11 +449,11 @@ def solve_elliptic_2d(dphi, coeff: EllipticCoefficients, dx: float, dy: float,
     m1, m2 = dphi.shape
     if maxiter is None:
         maxiter = m1 * m2
-    if coeff.beta == 0.0:
-        return dphi.copy(), 0, ()
     stride = _stride(stencil)
     if stride == 2 and (m1 % 2 != 0 or m2 % 2 != 0):
         raise UnsupportedGridError("wide 2D stencil requires even cell counts")
+    if coeff.beta == 0.0:
+        return dphi.copy(), 0, ()
     # Deviation-from-constant solve: exact free-stream preservation.
     shift = dphi.flat[0]
     rhs = dphi - shift

@@ -36,7 +36,6 @@ class StepReport:
     consistency_residual: float
     newton_iters: int
     linear_iters: int
-    dt_used: float
     momentum2_total: float = 0.0
 
 
@@ -71,7 +70,7 @@ def _check_new_density(rho_new):
     return total
 
 
-def _finish_step(state_cls, rho_new, mass, momenta, cell_size, cell_max, residual, dt,
+def _finish_step(state_cls, rho_new, mass, momenta, cell_size, cell_max, residual,
                  newton_iters=0, linear_iters=0):
     """Hand-off of every stepper, 1D or 2D; returns (new_state, StepReport).
 
@@ -97,7 +96,6 @@ def _finish_step(state_cls, rho_new, mass, momenta, cell_size, cell_max, residua
         consistency_residual=residual,
         newton_iters=newton_iters,
         linear_iters=linear_iters,
-        dt_used=dt,
         momentum2_total=float(totals[1] * cell_size) if len(totals) > 1 else 0.0,
     )
     return state_cls._trusted(rho_new, *momenta), report

@@ -186,7 +186,7 @@ def step_ap_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
         p_jump = _centered_difference(eos._pressure(rho_new))
     c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
     q_new = _momentum_from_fluxes(q, df2, p_jump, c, dt, dx)
-    return _finish_step(FluidState1D, rho_new, mass, (q_new,), dx, cell_max, residual, dt,
+    return _finish_step(FluidState1D, rho_new, mass, (q_new,), dx, cell_max, residual,
                         newton_iters=newton_iters)
 
 
@@ -207,7 +207,7 @@ def step_explicit_llf_1d(state: FluidState1D, eos: EquationOfState, params: Sche
     q_new = _conservative_update(state.q, f2, dt, dx)
 
     mass = _check_new_density(rho_new)
-    return _finish_step(FluidState1D, rho_new, mass, (q_new,), dx, cell_max, 0.0, dt)
+    return _finish_step(FluidState1D, rho_new, mass, (q_new,), dx, cell_max, 0.0)
 
 
 def step_ice_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
@@ -232,7 +232,7 @@ def step_ice_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
     mass = _check_new_density(rho_new)
 
     q_new = q_star - (dt / eps**2) * _centered_difference(eos._pressure(rho_new)) / (2.0 * dx)
-    return _finish_step(FluidState1D, rho_new, mass, (q_new,), dx, cell_max, residual, dt)
+    return _finish_step(FluidState1D, rho_new, mass, (q_new,), dx, cell_max, residual)
 
 
 def max_stable_dt_scan(initial: FluidState1D, step, T: float, dt_lo: float,

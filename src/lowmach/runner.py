@@ -61,10 +61,6 @@ class RunResult:
     final_time: float
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_text(path: Path, text: str):
     path.write_text(text, encoding="utf-8")
 
@@ -75,9 +71,9 @@ def _values(columns) -> tuple:
 
 
 def _write_csv(path: Path, header: str, columns):
-    """One row per index of the equal-length ``columns``, every value in
-    the same ``%.17g`` form as :func:`_fmt`: the bytes of
-    ``np.savetxt(fmt="%.17g")``, formatted in one pass."""
+    """One row per index of the equal-length ``columns``, every value as
+    ``%.17g``: the bytes of ``np.savetxt(fmt="%.17g")``, formatted in one
+    pass."""
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     path.write_bytes((header + "\n" + row * len(columns[0]) % _values(columns)).encode())
 
@@ -139,9 +135,9 @@ def _case(cfg: RunConfig):
 def run(cfg: RunConfig) -> RunResult:
     """Integrate to t_final, writing snapshot CSVs, a per-step report log
     and a manifest.  Returns a RunResult whose status mirrors the CLI exit
-    code (0 success, 3 numerical failure).  A fixed dt's step count was
-    checked with the config; a run on the CFL rule that has taken
-    MAX_STEPS steps without reaching t_final is a numerical failure."""
+    code (0 success, 3 numerical failure).  A fixed dt was checked with the
+    config; a run on the CFL rule that has taken MAX_STEPS steps without
+    reaching t_final is a numerical failure."""
     grid, state, step, speed = _case(cfg)
     snapshot = _snapshot_writer(grid)
     length = min(grid.dx, grid.dy) if cfg.dimension == 2 else grid.dx
@@ -188,7 +184,7 @@ def run(cfg: RunConfig) -> RunResult:
             state, report = step(state, dt)
             t += dt
             nstep += 1
-            step_rows.append((nstep, t, report.dt_used, report.max_wave_speed,
+            step_rows.append((nstep, t, dt, report.max_wave_speed,
                               report.mass_total, report.momentum_total,
                               report.momentum2_total, report.consistency_residual,
                               report.newton_iters, report.linear_iters))
@@ -394,16 +390,14 @@ def reproduce_table2(eps_list, refinement_levels=5, t_final=0.1, variant="ld",
 def compare_ice(epsilon, dx, dt, t_final, output_dir=None):
     """Run the semi-implicit scheme (alpha=1, variant ld) and the
     predictor/corrector baseline side by side on the stacked-Riemann preset;
-    report solutions and total variation of each."""
+    report solutions and total variation of each.  ``dt`` is a fixed dt of
+    the cases' configs, checked as ``run``'s is."""
     m = _cells_for(dx)
-    ap_case = _table_case(epsilon, m, t_final, alpha=1.0, variant="ld")
+    ap_case = _table_case(epsilon, m, t_final, alpha=1.0, variant="ld", dt=dt)
     # The predictor/corrector baseline solves on the three-point stencil.
-    ice_case = _table_case(epsilon, m, t_final, alpha=1.0, stepper="ice")
+    ice_case = _table_case(epsilon, m, t_final, alpha=1.0, stepper="ice", dt=dt)
     # dt is not cut to t_final: the runs take ceil(t_final/dt) steps of dt.
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise ConfigError(f"dt must be > 0, got {dt}")
     check_dt_advances(dt, t_final)
-    check_step_count(dt, t_final, ConfigError)
     grid, ap_state, ap_step, _ = _case(ap_case)
     _, ice_state, ice_step, _ = _case(ice_case)
     n_steps = int(np.ceil(t_final / dt))
@@ -425,12 +419,9 @@ def compare_ice(epsilon, dx, dt, t_final, output_dir=None):
         out.mkdir(parents=True, exist_ok=True)
         _write_csv(out / "compare_ice_solutions.csv", "x,rho_ap,q_ap,rho_ice,q_ice",
                    (grid.cell_centers(), ap_state.rho, ap_state.q, ice_state.rho, ice_state.q))
-        tv_lines = [
-            "method,tv_rho,tv_q",
-            f"ap,{_fmt(result['tv_rho_ap'])},{_fmt(result['tv_q_ap'])}",
-            f"ice,{_fmt(result['tv_rho_ice'])},{_fmt(result['tv_q_ice'])}",
-        ]
-        _write_text(out / "compare_ice_tv.csv", "\n".join(tv_lines) + "\n")
+        tv = "method,tv_rho,tv_q\nap,%.17g,%.17g\nice,%.17g,%.17g\n" % (
+            result["tv_rho_ap"], result["tv_q_ap"], result["tv_rho_ice"], result["tv_q_ice"])
+        _write_text(out / "compare_ice_tv.csv", tv)
     return result
 
 

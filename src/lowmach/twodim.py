@@ -174,5 +174,4 @@ def step_ap_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
                state.q2 - dt * (explicit[1] + c * _dc(p_new, dy, 1)))
     r_density = _flux_operator(rho_new, _STENCIL_STRIDE[stencil], faces) - dphi
     return _finish_step(FluidState2D, rho_new, mass, momenta, dx * dy, cell_max,
-                        float(np.abs(r_density).max()), dt,
-                        linear_iters=cg_iters)
+                        float(np.abs(r_density).max()), linear_iters=cg_iters)

@@ -18,7 +18,7 @@ import lowmach
 from lowmach.cli import build_parser, main
 from lowmach.config import (_KEY_PARSERS, RunConfig, build_config, config_to_dict,
                             parse_config_file, scheme_params)
-from lowmach.core import DtPolicy
+from lowmach.core import SchemeParams
 from lowmach.errors import ConfigError
 from lowmach import runner as runner_module
 from lowmach.runner import compare_ice, run_raw, run_sweep
@@ -93,10 +93,12 @@ def test_config_validation_errors():
 
 def test_dt_is_fixed_where_given_and_the_cfl_rule_otherwise():
     assert build_config({}).dt is None
-    assert scheme_params(build_config({})).dt_policy == DtPolicy.adaptive()
     typed = build_config({"dt": 1})
     assert type(typed.dt) is float and typed.dt == 1.0
-    assert scheme_params(typed).dt_policy == DtPolicy.fixed(1.0)
+    # The scheme's parameters do not carry the time step, given or not.
+    for cfg in (build_config({}), typed):
+        assert scheme_params(cfg) == SchemeParams(epsilon=cfg.epsilon, alpha=cfg.alpha,
+                                                  sigma=cfg.sigma)
 
 
 def test_state_that_does_not_fit_in_memory_is_a_config_error():
@@ -446,11 +448,9 @@ def test_cli_table1_trial_beyond_the_step_cap_exits_3(tmp_path, capsys):
     assert not (tmp_path / "t1.csv").exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_cli_run_fixed_dt_beyond_the_step_cap_exits_2(tmp_path, capsys, monkeypatch):
-    # The config alone fixes t_final / dt = 1e15 steps: a config error before
-    # any output, also for a sweep entry, which stops the sweep before it runs,
-    # and for compare-ice.  No step may run (it would not end).
+@pytest.fixture
+def no_steps(monkeypatch):
+    """Every case that runner builds gets a step that fails the test."""
     case = runner_module._case
 
     def no_step(*args):
@@ -461,6 +461,13 @@ def test_cli_run_fixed_dt_beyond_the_step_cap_exits_2(tmp_path, capsys, monkeypa
         return grid, state, no_step, speed
 
     monkeypatch.setattr(runner_module, "_case", no_step_case)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_run_fixed_dt_beyond_the_step_cap_exits_2(tmp_path, capsys, no_steps):
+    # The config alone fixes t_final / dt = 1e15 steps: a config error before
+    # any output, also for a sweep entry, which stops the sweep before it runs,
+    # and for compare-ice.  No step may run (it would not end).
     with pytest.raises(ConfigError, match="t_final / dt = 1e[+]12 / 0.001 needs more than"):
         compare_ice(0.3, 0.05, 1e-3, 1e12)
     out = tmp_path / "long"
@@ -474,6 +481,39 @@ def test_cli_run_fixed_dt_beyond_the_step_cap_exits_2(tmp_path, capsys, monkeypa
     assert not sweep_dir.exists()
     # At the cap a fixed dt is a valid config.
     build_config({"preset": "example1", "m": 20, "dt": 1.0, "t_final": 1e6})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dt", ["inf", "nan", "-inf", "0"])
+def test_cli_bad_fixed_dt_exits_2_with_nothing_written(tmp_path, capsys, no_steps, dt):
+    # A fixed dt is finite and > 0 on every verb that takes one; a NaN or
+    # an infinite dt passes the step-count rule, so it is stated apart.
+    argvs = {
+        "run": ["run", "--preset", "example1", "--m", "20", f"--dt={dt}", "--t-final", "0.01",
+                "--output-dir"],
+        "sweep": ["sweep", "--preset", "example1", "--m", "20", "--t-final", "0.01",
+                  "--vary", f"dt=0.001,{dt}", "--sweep-dir"],
+        "compare-ice": ["compare-ice", "--epsilon", "0.3", "--dx", "0.05", f"--dt={dt}",
+                        "--t-final", "0.01", "--output-dir"],
+    }
+    for verb, argv in argvs.items():
+        out = tmp_path / verb
+        assert main(argv + [str(out)]) == 2, verb
+        assert "dt > 0" in capsys.readouterr().err, verb
+        assert not out.exists(), verb
+
+
+@pytest.mark.parametrize("dt", [["--dt", "0.002"], []])
+def test_manifest_is_strict_json(tmp_path, dt):
+    # No Infinity or NaN: a fixed dt is finite, and the CFL rule writes none.
+    def no_constant(name):
+        raise ValueError(f"{name} in manifest.json")
+
+    out = tmp_path / "run"
+    assert main(["run", "--preset", "example1", "--m", "20", "--t-final", "0.01", *dt,
+                 "--output-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=no_constant)
+    assert manifest["config"]["dt"] == (float(dt[1]) if dt else None)
 
 
 def test_cli_run_cfl_rule_beyond_the_step_cap_exits_3(tmp_path, monkeypatch):

@@ -128,7 +128,6 @@ def test_validate_params_named_errors():
         (SchemeParams(epsilon=1e155, alpha=0.0), "epsilon-scale-not-finite"),  # eps^2 overflows
         (SchemeParams(epsilon=0.1, alpha=-0.5), "alpha-negative"),
         (SchemeParams(epsilon=0.1, sigma=1.5), "sigma-out-of-range"),
-        (SchemeParams(epsilon=0.1, dt_policy=DtPolicy(kind="fixed", dt=-1.0)), "dt-not-positive"),
     ]
     for params, code in cases:
         with pytest.raises(ParamError) as err:

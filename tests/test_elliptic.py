@@ -330,6 +330,16 @@ def test_2d_wide_requires_even_cells():
         solve_elliptic_2d(np.ones((7, 8)), coeff, 1 / 7, 1 / 8, stencil="wide")
 
 
+def test_2d_solve_checks_its_stencil_at_beta_zero():
+    # beta = 0 makes the operator the identity, but the input is checked
+    # first, as the 1D solves check their cell count.
+    coeff = EllipticCoefficients(0.0, np.ones((5, 5)))
+    with pytest.raises(ValueError, match="unknown 2D stencil 'bogus'"):
+        solve_elliptic_2d(np.ones((5, 5)), coeff, 0.2, 0.2, stencil="bogus")
+    with pytest.raises(UnsupportedGridError):
+        solve_elliptic_2d(np.ones((5, 5)), coeff, 0.2, 0.2, stencil="wide")
+
+
 def test_2d_wide_anisotropic_matches_dense_oracle():
     # m1 != m2 and dx != dy.  With constant mobility the FFT preconditioner
     # is the exact inverse, so one iteration (two, with rounding at large

@@ -619,7 +619,7 @@ def _roll_nl_step(state, eos, params, dt, dx):
     report = StepReport(
         max_wave_speed=float(speed.max()), mass_total=float(rho.sum() * dx),
         momentum_total=float(q.sum() * dx), consistency_residual=float(np.abs(residual).max()),
-        newton_iters=iters, linear_iters=0, dt_used=dt)
+        newton_iters=iters, linear_iters=0)
     return rho, q, report
 
 
@@ -914,7 +914,7 @@ def _hand_off(momenta):
     state_cls = FluidState1D if len(shape) == 1 else FluidState2D
     rho = np.ones(shape)
     return _finish_step(state_cls, rho, _check_new_density(rho), momenta, 0.5, np.ones(shape),
-                        0.0, 0.1)
+                        0.0)
 
 
 @pytest.mark.parametrize("shape", [(6,), (4, 5)])

@@ -331,14 +331,15 @@ def test_csv_bytes_match_repr_format(tmp_path):
             assert path.read_bytes() == _fmt_rows("x,y,rho,q1,q2", rows).encode()
 
 
-def _per_step_lines(reports):
-    """steps.csv as written one f-string line per step, integers as ints."""
+def _per_step_lines(steps):
+    """steps.csv as written one f-string line per (dt, report) step,
+    integers as ints."""
     lines = ["step,t,dt,max_wave_speed,mass_total,momentum_total,momentum2_total,"
              "consistency_residual,newton_iters,linear_iters"]
     t = 0.0
-    for n, r in enumerate(reports, 1):
-        t += r.dt_used
-        lines.append(f"{n},{t:.17g},{r.dt_used:.17g},{r.max_wave_speed:.17g},"
+    for n, (dt, r) in enumerate(steps, 1):
+        t += dt
+        lines.append(f"{n},{t:.17g},{dt:.17g},{r.max_wave_speed:.17g},"
                      f"{r.mass_total:.17g},{r.momentum_total:.17g},{r.momentum2_total:.17g},"
                      f"{r.consistency_residual:.17g},{r.newton_iters},{r.linear_iters}")
     return "\n".join(lines) + "\n"
@@ -352,16 +353,16 @@ def _per_step_lines(reports):
     ({"preset": "example1", "epsilon": 0.8, "m": 100, "dt": 0.003, "t_final": 0.05}, 3),
 ])
 def test_steps_csv_bytes_match_per_step_lines(tmp_path, monkeypatch, raw, status):
-    reports = []
+    steps = []
     step = onedim.step_ap_1d
 
-    def recording_step(*args, **kwargs):
-        state, report = step(*args, **kwargs)
-        reports.append(report)
+    def recording_step(state, eos, params, variant, dt, dx):
+        state, report = step(state, eos, params, variant, dt, dx)
+        steps.append((dt, report))
         return state, report
 
     monkeypatch.setattr(runner, "step_ap_1d", recording_step)
     out = tmp_path / "run"
     result = run_raw(dict(raw, variant="nl", output_dir=str(out)))
-    assert result.status == status and result.steps_taken == len(reports) > 5
-    assert (out / "steps.csv").read_bytes() == _per_step_lines(reports).encode()
+    assert result.status == status and result.steps_taken == len(steps) > 5
+    assert (out / "steps.csv").read_bytes() == _per_step_lines(steps).encode()
