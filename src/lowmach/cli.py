@@ -130,12 +130,13 @@ def _cmd_compare_ice(args) -> int:
 
 def _cmd_sweep(args) -> int:
     base = _collect_raw(args)
-    base.pop("output_dir", None)
     varied = {}
     for spec in args.vary:
         if "=" not in spec:
             raise ConfigError(f"--vary expects key=v1,v2,..., got {spec!r}")
         key, values = spec.split("=", 1)
+        if key.strip() in varied:
+            raise ConfigError(f"--vary {key.strip()} is given more than once")
         varied[key.strip()] = [v.strip() for v in values.split(",") if v.strip()]
     if not varied:
         raise ConfigError("sweep requires at least one --vary")

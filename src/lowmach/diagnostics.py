@@ -4,7 +4,7 @@ advisor for the pressure-splitting parameter."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2
+from math import inf, log2
 
 import numpy as np
 
@@ -43,21 +43,25 @@ def _sample_indices(m_coarse: int, m_fine: int) -> np.ndarray:
     return (2 * np.arange(m_coarse) * r + r - 1) // 2
 
 
-def _relative_l2(diff, ref_field, m, m_ref) -> float:
+def _relative_l2(diff, ref_field, m, m_ref, name) -> float:
     # (1/M) sqrt(sum over the coarse grid) over (1/M_ref) sqrt(sum over the
     # reference grid); the 1/M prefactors (rather than 1/sqrt(M)) follow the
     # error norm the benchmark tables are stated in.
     num = np.sqrt(np.sum(np.asarray(diff) ** 2)) / m
     den = np.sqrt(np.sum(np.asarray(ref_field) ** 2)) / m_ref
+    if den == 0.0:
+        raise ValueError(f"the reference's {name} is identically zero: no relative error")
     return float(num / den)
 
 
 def relative_l2_error(numeric: FluidState1D, reference: FluidState1D) -> ErrorReport:
     """Relative L2 error of a coarse solution against a finer reference,
-    the reference sampled at the coarse cell centers (nearest fine cell)."""
+    the reference sampled at the coarse cell centers (nearest fine cell).
+    A reference field that is identically zero is a ValueError."""
     idx = _sample_indices(numeric.m, reference.m)
-    e_rho = _relative_l2(numeric.rho - reference.rho[idx], reference.rho, numeric.m, reference.m)
-    e_q = _relative_l2(numeric.q - reference.q[idx], reference.q, numeric.m, reference.m)
+    e_rho = _relative_l2(numeric.rho - reference.rho[idx], reference.rho, numeric.m, reference.m,
+                         "rho")
+    e_q = _relative_l2(numeric.q - reference.q[idx], reference.q, numeric.m, reference.m, "q")
     return ErrorReport(e_rho=e_rho, e_q=e_q)
 
 
@@ -93,8 +97,12 @@ def alpha_admissible(dx: float, dt: float, epsilon: float, sigma: float, umax: f
 
     Feasibility also enforces the hard bound alpha < 1/eps^2: whenever
     dt <= eps dx / 4 the required lower bound reaches 1/eps and no
-    admissible alpha exists regardless of the CFL headroom.
+    admissible alpha exists regardless of the CFL headroom.  dt and epsilon
+    must be > 0 (else ValueError).
     """
+    for name, value in (("dt", dt), ("epsilon", epsilon)):
+        if not value > 0.0:
+            raise ValueError(f"{name} must be > 0, got {value}")
     lo = dx / (2.0 * dt) - 1.0 / epsilon
     hi = sigma * dx / dt - umax
     feasible = (max(lo, 0.0) <= hi) and (lo < 1.0 / epsilon)
@@ -103,12 +111,16 @@ def alpha_admissible(dx: float, dt: float, epsilon: float, sigma: float, umax: f
 
 def ap_fluctuation(state, epsilon: float):
     """(mean density, max|rho - mean| / eps^2): the measured amplitude of
-    the second-order density fluctuation around the constant limit."""
+    the second-order density fluctuation around the constant limit.  An
+    epsilon whose eps^2 or 1/eps^2 leaves float range is a ValueError."""
     if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    eps2 = epsilon * epsilon
+    if not (0.0 < eps2 < inf and 1.0 / eps2 < inf):
+        raise ValueError(f"epsilon = {epsilon} puts epsilon^2 or 1/epsilon^2 out of float range")
     rho = state.rho if isinstance(state, (FluidState1D, FluidState2D)) else np.asarray(state)
     mean = float(np.mean(rho))
-    fluct = float(np.max(np.abs(rho - mean)) / epsilon**2)
+    fluct = float(np.max(np.abs(rho - mean)) / eps2)
     return mean, fluct
 
 

@@ -456,7 +456,21 @@ def run_sweep(base_raw: dict, varied: dict, output_dir):
     """Cartesian product of the varied keys, one run per combination in its
     own subdirectory; combinations run concurrently on at most
     min(workers, combinations, CPUs) processes, with workers the
-    LOWMACH_SWEEP_PROCS environment variable where set."""
+    LOWMACH_SWEEP_PROCS environment variable where set.
+
+    Every part of the spec is run or refused: a varied key with no value or
+    with a value twice, and an ``output_dir`` in the base or among the
+    varied keys (each run writes to its own subdirectory of ``output_dir``),
+    are a ConfigError, raised before any run."""
+    if "output_dir" in base_raw or "output_dir" in varied:
+        raise ConfigError("a sweep writes each run to its own subdirectory of the sweep "
+                          "directory: output_dir can be neither set nor varied")
+    for key, values in varied.items():
+        if not values:
+            raise ConfigError(f"nothing to compute: the values of the varied key {key} are empty")
+        if len({_slug(v) for v in values}) < len(values):
+            raise ConfigError(f"the varied key {key} lists a value twice (one entry directory): "
+                              f"{values}")
     workers = _sweep_procs_from_env() or os.cpu_count() or 1
     keys = sorted(varied)
     combos = list(product(*(varied[k] for k in keys)))

@@ -42,7 +42,7 @@ from lowmach.presets import (
 )
 from lowmach.runner import compare_ice, reference_solution, reproduce_table1, reproduce_table2, run_raw
 
-from test_elliptic import dense_matrix_1d, dense_matrix_2d
+from oracle import STRIDE, dense_operator, newton_solve
 
 EOS2 = EquationOfState(1.0, 2.0)
 
@@ -298,22 +298,6 @@ def test_criterion_7_consistency_residual():
 # 8. Solver oracle equivalence (property-based).
 
 
-def dense_nl_solve(dphi, beta, eos, dx):
-    """Dense Newton with an explicitly assembled exact Jacobian (oracle)."""
-    m = len(dphi)
-    rho = np.ones(m)
-    b4 = beta / (4 * dx**2)
-    shift2 = np.roll(np.eye(m), -2, axis=1) - 2 * np.eye(m) + np.roll(np.eye(m), 2, axis=1)
-    for _ in range(100):
-        g = rho - b4 * shift2 @ eos.pressure(rho) - dphi
-        jac = np.eye(m) - b4 * shift2 @ np.diag(eos.pressure_derivative(rho))
-        delta = np.linalg.solve(jac, -g)
-        rho = rho + delta
-        if np.max(np.abs(delta)) < 1e-13:
-            return rho
-    raise RuntimeError("dense Newton stalled")
-
-
 def test_criterion_8_solver_oracles():
     rng = np.random.default_rng(88)
     worst = 0.0
@@ -327,20 +311,20 @@ def test_criterion_8_solver_oracles():
         coeff = EllipticCoefficients(beta=beta, mobility=mob)
         if k % 2 == 0:
             mine, _ = solve_elliptic_ld_1d(dphi, coeff, 1 / m)
-            oracle = np.linalg.solve(dense_matrix_1d("ld", mob, beta, 1 / m, m), dphi)
+            oracle = np.linalg.solve(dense_operator(mob, beta, (1 / m,), STRIDE["ld"]), dphi)
         else:
             mine, _ = solve_elliptic_l_1d(dphi, coeff, 1 / m)
-            oracle = np.linalg.solve(dense_matrix_1d("l", mob, beta, 1 / m, m), dphi)
+            oracle = np.linalg.solve(dense_operator(mob, beta, (1 / m,), STRIDE["l"]), dphi)
         worst = max(worst, float(np.max(np.abs(mine - oracle))) / max(1.0, float(np.max(np.abs(oracle)))))
         checks += 1
-    # 20 nonlinear sets against dense Newton
+    # 20 nonlinear sets against the reference Newton loop
     for _ in range(20):
         m = 32
         beta = float(10.0 ** rng.uniform(-4, -1))
         dphi = 1 + 0.05 * rng.standard_normal(m)
         coeff = EllipticCoefficients(beta=beta, mobility=EOS2.pressure_derivative(np.ones(m)))
         mine, *_ = solve_elliptic_nl_1d(np.ones(m), dphi, coeff, EOS2, 1 / m)
-        oracle = dense_nl_solve(dphi, beta, EOS2, 1 / m)
+        oracle = newton_solve(np.ones(m), dphi, beta, EOS2, 1 / m)[0]
         worst = max(worst, float(np.max(np.abs(mine - oracle))))
         checks += 1
     # 20 2D sets (8x8 = 64 unknowns)
@@ -351,7 +335,8 @@ def test_criterion_8_solver_oracles():
         coeff = EllipticCoefficients(beta=beta, mobility=mob)
         stencil = ("wide", "reduced")[k % 2]
         mine, _, _ = solve_elliptic_2d(dphi, coeff, 1 / 8, 1 / 8, stencil=stencil)
-        oracle = np.linalg.solve(dense_matrix_2d(stencil, mob, beta, 1 / 8, 1 / 8), dphi.ravel())
+        oracle = np.linalg.solve(dense_operator(mob, beta, (1 / 8, 1 / 8), STRIDE[stencil]),
+                                 dphi.ravel())
         worst = max(worst, float(np.max(np.abs(mine.ravel() - oracle))) / max(1.0, float(np.max(np.abs(oracle)))))
         checks += 1
 

@@ -757,6 +757,25 @@ def test_cli_sweep_entry_with_invalid_initial_state_exits_2_before_running(tmp_p
     assert not sweep_dir.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--vary", "m="], "nothing to compute"),
+    (["--vary", "m=10", "--vary", "m=20"], "--vary m is given more than once"),
+    (["--vary", "output_dir=a,b"], "output_dir can be neither set nor varied"),
+    (["--vary", "m=10,20", "--output-dir", "X"], "output_dir can be neither set nor varied"),
+    (["--vary", "m=10,10"], "lists a value twice"),
+], ids=["empty", "key-twice", "output-dir-varied", "output-dir-set", "value-twice"])
+def test_cli_sweep_that_would_drop_part_of_its_spec_exits_2(tmp_path, capsys, monkeypatch,
+                                                            flags, message):
+    # Each of these used to run some entries and drop the rest of the spec,
+    # or run nothing and exit 0; now no run starts and nothing is written.
+    monkeypatch.chdir(tmp_path)
+    sweep_dir = tmp_path / "sweep"
+    code = main(["sweep", "--preset", "example1", "--m", "20", "--dt", "1e-3", "--t-final",
+                 "0.002", *flags, "--sweep-dir", str(sweep_dir)])
+    assert code == 2 and message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
 def test_sweep_rejects_invalid_procs(tmp_path, monkeypatch, value):
     monkeypatch.setenv("LOWMACH_SWEEP_PROCS", value)

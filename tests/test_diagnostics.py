@@ -21,6 +21,10 @@ def test_relative_error_identical_fields():
     st = FluidState1D(rho=np.linspace(1, 2, 8), q=np.linspace(-1, 1, 8))
     err = relative_l2_error(st, st)
     assert err.e_rho == 0.0 and err.e_q == 0.0
+    # Two states at rest: the error relative to a zero momentum is undefined.
+    at_rest = FluidState1D(rho=np.ones(8), q=np.zeros(8))
+    with pytest.raises(ValueError, match="reference's q is identically zero"):
+        relative_l2_error(at_rest, at_rest)
 
 
 def test_relative_error_constant_offset():
@@ -104,6 +108,11 @@ def test_alpha_admissible_examples():
     # dt <= eps dx / 4 leaves no admissible alpha below the hard cap
     ai = alpha_admissible(dx=0.01, dt=0.5 * 0.01 * 0.25, epsilon=0.5, sigma=0.9, umax=0.0)
     assert not ai.feasible
+    # 1/eps and dx/(2 dt) are undefined at eps = 0 and dt = 0.
+    with pytest.raises(ValueError, match="epsilon must be > 0, got 0.0"):
+        alpha_admissible(0.1, 0.01, 0.0, 0.5, 1.0)
+    with pytest.raises(ValueError, match="dt must be > 0, got 0.0"):
+        alpha_admissible(0.1, 0.0, 0.5, 0.5, 1.0)
 
 
 def test_alpha_admissible_monotonicity():
@@ -135,6 +144,10 @@ def test_ap_fluctuation_examples():
     st = FluidState1D(rho=field, q=np.zeros(m))
     _, fluct = ap_fluctuation(st, eps)
     assert fluct == pytest.approx(1.0, rel=1e-2)
+    # eps^2 underflows to 0 at eps = 1e-170 and overflows at 1e200.
+    for eps in (1e-170, 1e200):
+        with pytest.raises(ValueError, match=r"epsilon = 1e.+ puts epsilon\^2"):
+            ap_fluctuation(st, eps)
 
 
 def test_discrete_divergence_examples():

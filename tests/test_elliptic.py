@@ -1,9 +1,14 @@
-"""Per-step elliptic solves: manufactured solutions, dense oracles,
-constant preservation, Newton behavior, 2D stencils."""
+"""Per-step elliptic solves: every solve against the reference in
+``oracle.py`` on hypothesis-drawn input (the 1D solves bit for bit and
+against dense solves, the 2D solves against dense solves), manufactured
+solutions, constant preservation, Newton behavior, 2D stencils."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
+import oracle
 from lowmach import (
     EllipticCoefficients,
     EquationOfState,
@@ -12,6 +17,7 @@ from lowmach import (
     NumericsError,
     PositivityError,
     SchemeParams,
+    SingularSystemError,
     SolverFailureError,
     UnsupportedGridError,
     beta_coefficient,
@@ -21,33 +27,13 @@ from lowmach import (
     solve_elliptic_nl_1d,
     step_ap_2d,
 )
-from lowmach.elliptic import apply_elliptic_operator_1d, apply_elliptic_operator_2d
+from lowmach.elliptic import _flux_operator, apply_elliptic_operator_1d, apply_elliptic_operator_2d
 from lowmach.presets import example3_eos, example3_grid, example3_state
 
 EOS2 = EquationOfState(1.0, 2.0)
 
 
-def dense_matrix_1d(variant, mob, beta, dx, m):
-    """Dense assembly of the linear 1D operators (oracle)."""
-    a = np.eye(m)
-    if variant == "ld":
-        b = beta / dx**2
-        for j in range(m):
-            jp, jm = (j + 1) % m, (j - 1) % m
-            a[j, jp] += -b * mob[jp]
-            a[j, j] += b * (mob[jp] + mob[j])
-            a[j, jm] += -b * mob[j]
-    elif variant == "l":
-        b4 = beta / (4.0 * dx**2)
-        for j in range(m):
-            jp, jm = (j + 1) % m, (j - 1) % m
-            jp2, jm2 = (j + 2) % m, (j - 2) % m
-            a[j, jp2] += -b4 * mob[jp]
-            a[j, j] += b4 * (mob[jp] + mob[jm])
-            a[j, jm2] += -b4 * mob[jm]
-    else:
-        raise ValueError(variant)
-    return a
+SOLVE_SETTINGS = settings(max_examples=20, derandomize=True, database=None, deadline=None)
 
 
 def _ones_but(shape, cell, value):
@@ -118,33 +104,54 @@ def test_ld_manufactured_solution():
     assert np.max(np.abs(out - rho_star)) <= 1e-10
 
 
-def test_l_matches_dense_oracle():
-    rng = np.random.default_rng(11)
-    m = 8
-    mob = 0.5 + rng.random(m)
-    dphi = 1 + 0.3 * rng.standard_normal(m)
-    coeff = EllipticCoefficients(beta=0.02, mobility=mob)
-    out, _ = solve_elliptic_l_1d(dphi, coeff, 1 / m)
-    oracle = np.linalg.solve(dense_matrix_1d("l", mob, 0.02, 1 / m, m), dphi)
-    assert np.max(np.abs(out - oracle)) <= 1e-12
-
-
 @pytest.mark.parametrize("variant,solver", [("ld", solve_elliptic_ld_1d), ("l", solve_elliptic_l_1d)])
-def test_linear_solvers_match_dense_oracle_randomized(variant, solver):
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        m = int(rng.choice([8, 12, 16, 32, 64]))
-        mob = 0.3 + 2.0 * rng.random(m)
-        beta = float(10.0 ** rng.uniform(-4, -0.5))
-        dphi = 1 + 0.5 * rng.standard_normal(m)
-        coeff = EllipticCoefficients(beta=beta, mobility=mob)
-        out, _ = solver(dphi, coeff, 1 / m)
-        dense = dense_matrix_1d(variant, mob, beta, 1 / m, m)
-        oracle = np.linalg.solve(dense, dphi)
-        assert np.max(np.abs(out - oracle)) <= 1e-10 * max(1.0, np.max(np.abs(oracle)))
-        # The residual check applies the same operator the solve inverts.
-        applied = apply_elliptic_operator_1d(variant, dphi, coeff, EOS2, 1 / m)
-        assert np.max(np.abs(applied - dense @ dphi)) <= 1e-13 * max(1.0, np.max(np.abs(dense @ dphi)))
+@SOLVE_SETTINGS
+@given(m=st.integers(3, 32).map(lambda k: 2 * k), seed=st.integers(0, 2**32 - 1),
+       log_beta=st.floats(-4.0, -0.5))
+def test_linear_solvers_match_dense_oracle_randomized(variant, solver, m, seed, log_beta):
+    # The reference's residue-class solves bit for bit, residual included,
+    # and the dense solve within 1e-10; the operator the residual check
+    # applies is the dense one within 1e-13.  (The steps' draws reach
+    # beta = 0.)
+    rng = np.random.default_rng(seed)
+    mob = 0.3 + 2.0 * rng.random(m)
+    beta = 10.0**log_beta
+    dphi = 1 + 0.5 * rng.standard_normal(m)
+    coeff = EllipticCoefficients(beta=beta, mobility=mob)
+    stride = oracle.STRIDE[variant]
+    out, residual = solver(dphi, coeff, 1 / m)
+    expected, expected_residual = oracle.linear_solve_1d(dphi, mob, beta, 1 / m, stride)
+    assert np.array_equal(out, expected) and residual == expected_residual
+    dense = oracle.dense_operator(mob, beta, (1 / m,), stride)
+    exact = np.linalg.solve(dense, dphi)
+    assert np.max(np.abs(out - exact)) <= 1e-10 * max(1.0, np.max(np.abs(exact)))
+    applied = apply_elliptic_operator_1d(variant, dphi, coeff, EOS2, 1 / m)
+    assert np.max(np.abs(applied - dense @ dphi)) <= 1e-13 * max(1.0, np.max(np.abs(dense @ dphi)))
+
+
+# beta = 10: G's round-off exceeds the G test; Newton stops on its increment.
+@example(m=32, seed=0, gamma=2.0, log_beta=1.0)
+@SOLVE_SETTINGS
+@given(m=st.integers(3, 32).map(lambda k: 2 * k), seed=st.integers(0, 2**32 - 1),
+       gamma=st.sampled_from([1.0, 1.4, 2.0, 3.0]),
+       log_beta=st.floats(-4.0, 0.0))
+def test_nl_solve_matches_oracle(m, seed, gamma, log_beta):
+    # The reference's Newton loop bit for bit: the solution, the iteration
+    # count, max|G| and p on the two-cell periodic extension; lambda
+    # U(0.5, 2), rho^n U(0.5, 1.5) and dphi rho^n + 0.05 N(0, 1) from seed.
+    rng = np.random.default_rng(seed)
+    eos = EquationOfState(rng.uniform(0.5, 2.0), gamma)
+    rho_n = rng.uniform(0.5, 1.5, m)
+    dphi = rho_n + 0.05 * rng.standard_normal(m)
+    beta = 10.0**log_beta
+    coeff = EllipticCoefficients(beta=beta, mobility=eos.pressure_derivative(rho_n))
+    try:
+        expected, iterations, residual, _ = oracle.newton_solve(rho_n, dphi, beta, eos, 1 / m)
+    except SingularSystemError:
+        reject()
+    rho, iters, resid, pressure = solve_elliptic_nl_1d(rho_n, dphi, coeff, eos, 1 / m)
+    assert np.array_equal(rho, expected) and (iters, resid) == (iterations, residual)
+    assert np.array_equal(pressure, np.pad(eos.pressure(rho), 2, mode="wrap"))
 
 
 def test_l_requires_even_m():
@@ -235,36 +242,6 @@ def test_ld_one_sided_mobility_maps_to_mirror_operator():
 # 2D
 
 
-def dense_matrix_2d(stencil, mob, beta, dx, dy):
-    m1, m2 = mob.shape
-    n = m1 * m2
-    a = np.eye(n)
-
-    def k(i, j):
-        return (i % m1) * m2 + (j % m2)
-
-    for i in range(m1):
-        for j in range(m2):
-            row = k(i, j)
-            if stencil == "reduced":
-                bx, by = beta / dx**2, beta / dy**2
-                a[row, k(i + 1, j)] += -bx * mob[(i + 1) % m1, j]
-                a[row, k(i - 1, j)] += -bx * mob[i, j]
-                a[row, row] += bx * (mob[(i + 1) % m1, j] + mob[i, j])
-                a[row, k(i, j + 1)] += -by * mob[i, (j + 1) % m2]
-                a[row, k(i, j - 1)] += -by * mob[i, j]
-                a[row, row] += by * (mob[i, (j + 1) % m2] + mob[i, j])
-            else:
-                bx, by = beta / (4 * dx**2), beta / (4 * dy**2)
-                a[row, k(i + 2, j)] += -bx * mob[(i + 1) % m1, j]
-                a[row, k(i - 2, j)] += -bx * mob[(i - 1) % m1, j]
-                a[row, row] += bx * (mob[(i + 1) % m1, j] + mob[(i - 1) % m1, j])
-                a[row, k(i, j + 2)] += -by * mob[i, (j + 1) % m2]
-                a[row, k(i, j - 2)] += -by * mob[i, (j - 1) % m2]
-                a[row, row] += by * (mob[i, (j + 1) % m2] + mob[i, (j - 1) % m2])
-    return a
-
-
 @pytest.mark.parametrize("stencil", ["wide", "reduced"])
 def test_2d_beta_zero_identity_and_constant(stencil):
     rng = np.random.default_rng(3)
@@ -278,35 +255,31 @@ def test_2d_beta_zero_identity_and_constant(stencil):
     assert np.array_equal(out, const)
 
 
+# Grids with m1 != m2 (the wide stencil takes even counts).
+SHAPES = [(4, 6), (6, 4), (4, 10), (8, 6), (6, 10), (10, 8)]
+
+
 @pytest.mark.parametrize("stencil", ["wide", "reduced"])
-def test_2d_matches_dense_oracle(stencil):
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        m1, m2 = 8, 8
-        mob = 0.5 + rng.random((m1, m2))
-        beta = float(10.0 ** rng.uniform(-4, -1))
-        dphi = 1 + 0.4 * rng.standard_normal((m1, m2))
-        coeff = EllipticCoefficients(beta=beta, mobility=mob)
-        out, _, _ = solve_elliptic_2d(dphi, coeff, 1 / m1, 1 / m2, stencil=stencil)
-        oracle = np.linalg.solve(dense_matrix_2d(stencil, mob, beta, 1 / m1, 1 / m2), dphi.ravel())
-        assert np.max(np.abs(out.ravel() - oracle)) <= 1e-10 * max(1.0, np.max(np.abs(oracle)))
-
-
-def test_2d_rectangular_grid():
-    from lowmach import elliptic
-
-    rng = np.random.default_rng(23)
-    m1, m2 = 6, 10
-    mob = 0.5 + rng.random((m1, m2))
-    dphi = 1 + 0.2 * rng.standard_normal((m1, m2))
-    coeff = EllipticCoefficients(beta=0.01, mobility=mob)
-    for stencil in ("wide", "reduced"):
-        out, _, faces = solve_elliptic_2d(dphi, coeff, 1 / m1, 1 / m2, stencil=stencil)
-        applied = apply_elliptic_operator_2d(stencil, out, coeff, 1 / m1, 1 / m2)
-        # The faces the solve hands back apply the same operator.
-        stride = elliptic._STENCIL_STRIDE[stencil]
-        assert np.array_equal(elliptic._flux_operator(out, stride, faces), applied)
-        assert np.max(np.abs(applied - dphi)) <= 1e-11 * np.max(np.abs(dphi))
+@SOLVE_SETTINGS
+@given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 2**32 - 1),
+       log_beta=st.floats(-4.0, -1.0))
+def test_2d_matches_dense_oracle(stencil, shape, seed, log_beta):
+    # dx != dy, U(0.05, 0.3) each from seed: the dense solve within 1e-10;
+    # the operator of the residual check, from the faces the solve hands
+    # back, is the public operator to the bit and the dense one within 1e-13.
+    rng = np.random.default_rng(seed)
+    mob = 0.5 + rng.random(shape)
+    dphi = 1 + 0.4 * rng.standard_normal(shape)
+    spacings = tuple(rng.uniform(0.05, 0.3, 2))
+    beta = 10.0**log_beta
+    coeff = EllipticCoefficients(beta=beta, mobility=mob)
+    out, _, faces = solve_elliptic_2d(dphi, coeff, *spacings, stencil=stencil)
+    dense = oracle.dense_operator(mob, beta, spacings, oracle.STRIDE[stencil])
+    exact = np.linalg.solve(dense, dphi.ravel()).reshape(shape)
+    assert np.max(np.abs(out - exact)) <= 1e-10 * max(1.0, np.max(np.abs(exact)))
+    applied = apply_elliptic_operator_2d(stencil, out, coeff, *spacings)
+    assert np.array_equal(_flux_operator(out, oracle.STRIDE[stencil], faces), applied)
+    assert np.max(np.abs(applied.ravel() - dense @ out.ravel())) <= 1e-13 * np.max(np.abs(applied))
 
 
 @pytest.mark.parametrize("stencil", ["wide", "reduced"])
@@ -355,8 +328,9 @@ def test_2d_wide_anisotropic_matches_dense_oracle():
         dphi = 1 + 0.4 * rng.standard_normal((m1, m2))
         coeff = EllipticCoefficients(beta=beta, mobility=mob)
         out, iters, _ = solve_elliptic_2d(dphi, coeff, dx, dy, stencil="wide")
-        oracle = np.linalg.solve(dense_matrix_2d("wide", mob, beta, dx, dy), dphi.ravel())
-        assert np.max(np.abs(out.ravel() - oracle)) <= 1e-10 * max(1.0, np.max(np.abs(oracle)))
+        dense = oracle.dense_operator(mob, beta, (dx, dy), oracle.STRIDE["wide"])
+        exact = np.linalg.solve(dense, dphi.ravel()).reshape(m1, m2)
+        assert np.max(np.abs(out - exact)) <= 1e-10 * max(1.0, np.max(np.abs(exact)))
         if constant:
             assert iters <= 2
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import lowmach
+import oracle
 from lowmach import (
     EllipticCoefficients,
     EquationOfState,
@@ -27,7 +28,6 @@ from lowmach import (
     ParamError,
     SchemeParams,
     SingularSystemError,
-    StepReport,
     beta_coefficient,
     solve_elliptic_nl_1d,
     solve_periodic_tridiagonal,
@@ -37,7 +37,7 @@ from lowmach import (
     step_ice_1d,
 )
 from lowmach import elliptic, onedim, tridiag, twodim
-from lowmach.core import FluidState2D, _periodic, _shift
+from lowmach.core import FluidState2D, _shift
 from lowmach.elliptic import _solve_strided_tridiagonal, apply_elliptic_operator_1d
 from lowmach.handoff import _check_new_density, _finish_step
 # The 1D linear solves' tolerance, which the steps use.
@@ -116,13 +116,19 @@ def _twenty_steps(stepper, example="example1", m=100):
     return state, reports
 
 
-_STEPPERS = {
-    "explicit_llf": lambda s, eos, p, dx: step_explicit_llf_1d(s, eos, p, 0.06 * dx, dx),
-    "ice": lambda s, eos, p, dx: step_ice_1d(s, eos, p, 0.3 * dx, dx),
-    "ap_nl": lambda s, eos, p, dx: step_ap_1d(s, eos, p, "nl", 0.3 * dx, dx),
-    "ap_l": lambda s, eos, p, dx: step_ap_1d(s, eos, p, "l", 0.3 * dx, dx),
-    "ap_ld": lambda s, eos, p, dx: step_ap_1d(s, eos, p, "ld", 0.3 * dx, dx),
-}
+def _steppers(explicit_llf, ice, ap):
+    return {
+        "explicit_llf": lambda s, eos, p, dx: explicit_llf(s, eos, p, 0.06 * dx, dx),
+        "ice": lambda s, eos, p, dx: ice(s, eos, p, 0.3 * dx, dx),
+        "ap_nl": lambda s, eos, p, dx: ap(s, eos, p, "nl", 0.3 * dx, dx),
+        "ap_l": lambda s, eos, p, dx: ap(s, eos, p, "l", 0.3 * dx, dx),
+        "ap_ld": lambda s, eos, p, dx: ap(s, eos, p, "ld", 0.3 * dx, dx),
+    }
+
+
+_STEPPERS = _steppers(step_explicit_llf_1d, step_ice_1d, step_ap_1d)
+# The same steps from the reference's np.roll formulas.
+_ROLL_STEPPERS = _steppers(oracle.explicit_llf_step_1d, oracle.ice_step_1d, oracle.ap_step_1d)
 
 
 def _five_steps_2d(stencil, alpha):
@@ -165,98 +171,17 @@ def test_steps_bit_identical_to_np_roll(name, monkeypatch):
     assert fast_reports == roll_reports
 
 
-# The 1D LLF kernel as it was written with np.roll on the n cells, fluxes
-# indexed j+1/2: the reference that the kernel on periodic extensions must
-# match bit for bit.
-
-def _roll_llf_fluxes(rho, q, sound, pressure_flux):
-    u = q / rho
-    cell_max = np.abs(u) + sound
-    a = np.maximum(cell_max, np.roll(cell_max, -1))
-    g = q * u + pressure_flux
-    q_east = np.roll(q, -1)
-    half_a = 0.5 * a
-    f1 = 0.5 * (q + q_east) - half_a * (np.roll(rho, -1) - rho)
-    f2 = 0.5 * (g + np.roll(g, -1)) - half_a * (q_east - q)
-    return f1, f2, cell_max
-
-
-def _roll_conservative_update(v, f, dt, dx):
-    return v - (dt / dx) * (f - np.roll(f, 1))
-
-
-def _roll_flux_derivative(f, dx):
-    return (f - np.roll(f, 1)) / dx
-
-
-def _roll_centered_difference(v):
-    return np.roll(v, -1) - np.roll(v, 1)
-
-
-def _roll_ap_fluxes(state, eos, alpha):
-    """The AP step's explicit fluxes from the np.roll kernel: sound speed
-    sqrt(alpha p') and pressure flux alpha p."""
-    dp = eos.pressure_derivative(state.rho)
-    return _roll_llf_fluxes(state.rho, state.q, np.sqrt(alpha * dp),
-                            alpha * eos.pressure(state.rho))
-
-
-def _roll_dphi(state, eos, params, dt, dx):
-    """The AP step's elliptic right-hand side from the np.roll formulas."""
-    f1, f2, _ = _roll_ap_fluxes(state, eos, params.alpha)
-    return (_roll_conservative_update(state.rho, f1, dt, dx)
-            + (dt**2 / (2.0 * dx)) * _roll_centered_difference(_roll_flux_derivative(f2, dx)))
-
-
-def _roll_momentum(state, rho_new, eos, params, dt, dx):
-    """The AP step's momentum update for the new density ``rho_new`` from the
-    np.roll formulas."""
-    _, f2, _ = _roll_ap_fluxes(state, eos, params.alpha)
-    c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
-    return (state.q - dt * _roll_flux_derivative(f2, dx)
-            - c * (dt / (2.0 * dx)) * _roll_centered_difference(eos.pressure(rho_new)))
-
-
-# Layout adapters only: the steppers hand the kernel periodic extensions
-# (cell j at index j + 1) and read n+1 interface values (index k holds
-# k-1/2); the reference works on the n cells and n interfaces j+1/2.
-
-def _cells(x):
-    return x[1:-1] if np.ndim(x) else x
-
-
-def _reference_llf_fluxes(rho, q, sound, pressure_flux):
-    f1, f2, cell_max = _roll_llf_fluxes(_cells(rho), _cells(q), _cells(sound),
-                                        _cells(pressure_flux))
-    return np.concatenate((f1[-1:], f1)), np.concatenate((f2[-1:], f2)), cell_max
-
-
-_REFERENCE_KERNEL = {
-    "_llf_fluxes": _reference_llf_fluxes,
-    "_conservative_update": lambda v, f, dt, dx: _roll_conservative_update(v, f[1:], dt, dx),
-    "_flux_derivative": lambda f, dx: _roll_flux_derivative(f[1:], dx),
-    "_centered_difference": _roll_centered_difference,
-}
-
 _KERNEL_CASES = [(name, "example1", 100) for name in sorted(_STEPPERS)]
 _KERNEL_CASES += [(name, "example1", 101) for name in ("explicit_llf", "ice", "ap_ld")]
 _KERNEL_CASES += [(name, "example2", 100) for name in sorted(_STEPPERS)]
 
 
 @pytest.mark.parametrize("name, example, m", _KERNEL_CASES)
-def test_1d_kernel_equals_roll_formulas(name, example, m, monkeypatch):
+def test_1d_kernel_equals_roll_formulas(name, example, m):
+    # Twenty steps on the periodic extensions are the reference's twenty
+    # np.roll steps, to the bit (gamma = 1.4 takes the non-integer power).
     fast_state, fast_reports = _twenty_steps(_STEPPERS[name], example, m)
-    # p and p' are evaluated on the extended density; each cell must get
-    # the value it gets on its own (gamma = 1.4 takes the non-integer power).
-    make_eos, make_grid, make_state = _EXAMPLES_1D[example]
-    eos = make_eos()
-    for rho in (make_state(make_grid(m), 0.3).rho, fast_state.rho):
-        assert np.array_equal(eos._pressure(_periodic(rho))[1:-1], eos._pressure(rho))
-        assert np.array_equal(eos._pressure_derivative(_periodic(rho))[1:-1],
-                              eos._pressure_derivative(rho))
-    for attr, reference in _REFERENCE_KERNEL.items():
-        monkeypatch.setattr(onedim, attr, reference)
-    roll_state, roll_reports = _twenty_steps(_STEPPERS[name], example, m)
+    roll_state, roll_reports = _twenty_steps(_ROLL_STEPPERS[name], example, m)
     assert np.array_equal(fast_state.rho, roll_state.rho)
     assert np.array_equal(fast_state.q, roll_state.q)
     assert fast_reports == roll_reports
@@ -269,7 +194,9 @@ def test_llf_flux_pair_equals_roll_formulas(example, alpha):
     # index m are both the wrap interface.
     make_eos, make_grid, make_state = _EXAMPLES_1D[example]
     eos, state = make_eos(), make_state(make_grid(100), 0.3)
-    f1, f2, _ = _roll_ap_fluxes(state, eos, alpha)
+    dp = eos.pressure_derivative(state.rho)
+    f1, f2, _ = oracle.llf_fluxes(state.rho, state.q, np.sqrt(alpha * dp),
+                                  alpha * eos.pressure(state.rho))
     fast_f1, fast_f2, _, _ = onedim._ap_fluxes(state, eos, alpha)
     assert np.array_equal(fast_f1[1:], f1) and np.array_equal(fast_f2[1:], f2)
     assert fast_f1[0] == f1[-1] and fast_f2[0] == f2[-1]
@@ -375,33 +302,6 @@ def test_steppers_reject_bad_input_in_the_shared_check(stepper, case, args, erro
 # ---------------------------------------------------------------------------
 # Newton solve: p, p' and the residual once per iterate
 
-def _validated_newton(rho_n, dphi, coeff, eos, dx, newton_tol=1e-12, newton_max_iter=50):
-    """The Newton loop with validating EOS calls and the residual of each
-    iterate evaluated twice (for the convergence test and again as the
-    next right-hand side); the reference the solve must match bit for bit."""
-    def residual(r):
-        p = eos.pressure(r)
-        return r - coeff.beta * ((_shift(p, -2) - 2.0 * p + _shift(p, 2)) / (4.0 * dx**2)) - dphi
-
-    rho = rho_n.copy()
-    scale = max(1.0, float(np.abs(dphi).max()))
-    for it in range(1, newton_max_iter + 1):
-        assert (rho > 0.0).all()
-        g = residual(rho)
-        dp = eos.pressure_derivative(rho)
-        b4 = coeff.beta / (4.0 * dx**2)
-        delta, _ = _solve_strided_tridiagonal(-b4 * _shift(dp, 2), 1.0 + 2.0 * b4 * dp,
-                                              -b4 * _shift(dp, -2), -g, 2)
-        rho = rho + delta
-        converged = np.abs(delta).max() <= newton_tol
-        if not converged:
-            assert (rho > 0.0).all()
-            converged = np.abs(residual(rho)).max() <= newton_tol * scale
-        if converged:
-            return rho, it
-    raise AssertionError("reference Newton loop did not converge")
-
-
 def _newton_case(gamma, seed):
     rng = np.random.default_rng(seed)
     m = 32
@@ -420,8 +320,9 @@ def _raise(*args, **kwargs):
 @pytest.mark.parametrize("gamma", [1.4, 2.0])
 @pytest.mark.parametrize("seed", range(4))
 def test_newton_solve_matches_validated_loop(gamma, seed, monkeypatch):
+    # The reference loop evaluates p and p' with the validating methods.
     eos, state, dphi, coeff, dx = _newton_case(gamma, seed)
-    expected, expected_iters = _validated_newton(state.rho, dphi, coeff, eos, dx)
+    expected, expected_iters = oracle.newton_solve(state.rho, dphi, coeff.beta, eos, dx)[:2]
     assert expected_iters > 1
     monkeypatch.setattr(EquationOfState, "pressure", _raise)
     monkeypatch.setattr(EquationOfState, "pressure_derivative", _raise)
@@ -434,21 +335,12 @@ def test_newton_solve_matches_validated_loop(gamma, seed, monkeypatch):
 def test_nl_step_matches_validated_loop(gamma, seed, monkeypatch):
     eos, state, _, _, dx = _newton_case(gamma, seed)
     params = SchemeParams(epsilon=0.3, alpha=1.0)
-    dt = 0.3 * dx
-    dphi = _roll_dphi(state, eos, params, dt, dx)
-    coeff = EllipticCoefficients(beta=beta_coefficient(params.epsilon, params.alpha, dt),
-                                 mobility=eos.pressure_derivative(state.rho))
-    rho_new, iters = _validated_newton(state.rho, dphi, coeff, eos, dx)
-    q_new = _roll_momentum(state, rho_new, eos, params, dt, dx)
-    p_new = eos.pressure(rho_new)
-    residual = np.abs(rho_new - coeff.beta * ((_shift(p_new, -2) - 2.0 * p_new + _shift(p_new, 2))
-                                              / (4.0 * dx**2)) - dphi).max()
-
+    expected, expected_report = oracle.ap_step_1d(state, eos, params, "nl", 0.3 * dx, dx)
     monkeypatch.setattr(EquationOfState, "pressure", _raise)
     monkeypatch.setattr(EquationOfState, "pressure_derivative", _raise)
-    out, report = step_ap_1d(state, eos, params, "nl", dt, dx)
-    assert np.array_equal(out.rho, rho_new) and np.array_equal(out.q, q_new)
-    assert report.newton_iters == iters and report.consistency_residual == float(residual)
+    out, report = step_ap_1d(state, eos, params, "nl", 0.3 * dx, dx)
+    assert np.array_equal(out.rho, expected.rho) and np.array_equal(out.q, expected.q)
+    assert report == expected_report
 
 
 @pytest.mark.parametrize("stencil", ["wide", "reduced"])
@@ -483,34 +375,8 @@ def test_newton_non_finite_input_is_a_numerics_error(where):
 
 
 # ---------------------------------------------------------------------------
-# Newton on a two-cell periodic extension: bit for bit the np.roll loop
-
-def _roll_newton(rho_n, dphi, coeff, eos, dx, newton_tol=1e-12, newton_max_iter=50):
-    """The Newton loop as written with np.roll neighbours in G and in the
-    Jacobian bands; returns (rho, iterations, iterates, exit), with exit
-    "delta" or "G" for the test that accepted rho."""
-    def residual(r):
-        p = eos._pressure(r)
-        return r - coeff.beta * ((np.roll(p, -2) - 2.0 * p + np.roll(p, 2)) / (4.0 * dx**2)) - dphi
-
-    b4 = coeff.beta / (4.0 * dx**2)
-    rho = rho_n.copy()
-    iterates = [rho]
-    g = residual(rho)
-    scale = max(1.0, float(np.abs(dphi).max()))
-    for it in range(1, newton_max_iter + 1):
-        dp = eos._pressure_derivative(rho)
-        delta, _ = _solve_strided_tridiagonal(-b4 * np.roll(dp, 2), 1.0 + 2.0 * b4 * dp,
-                                              -b4 * np.roll(dp, -2), -g, 2)
-        rho = rho + delta
-        iterates.append(rho)
-        if np.abs(delta).max() <= newton_tol:
-            return rho, it, iterates, "delta"
-        g = residual(rho)
-        if np.abs(g).max() <= newton_tol * scale:
-            return rho, it, iterates, "G"
-    raise AssertionError("reference Newton loop did not converge")
-
+# Newton on a two-cell periodic extension: bit for bit the reference's
+# np.roll loop
 
 def _nl_case(gamma, seed, eps):
     """(eos, state, params, dt, dx, dphi, coeff) of an nl step on a random
@@ -523,7 +389,7 @@ def _nl_case(gamma, seed, eps):
     params = SchemeParams(epsilon=eps, alpha=1.0)
     dx = 1 / m
     dt = 0.3 * dx
-    dphi = _roll_dphi(state, eos, params, dt, dx)
+    dphi = oracle.ap_rhs_1d(state, eos, params, dt, dx)[0]
     coeff = EllipticCoefficients(beta=beta_coefficient(eps, 1.0, dt),
                                  mobility=eos.pressure_derivative(state.rho))
     return eos, state, params, dt, dx, dphi, coeff
@@ -533,24 +399,23 @@ _NL_CASES = [(gamma, seed, eps) for gamma in (1.0, 1.4, 2.0, 3.0) for seed in ra
              for eps in (0.3, 0.05, 1e-3)]
 
 
-def _from_scratch(rho, dphi, coeff, eos, dx):
-    """(max|G(rho)|, p on the two-cell extension of rho), evaluated anew with
-    the validating pressure."""
-    p = eos.pressure(_periodic(rho, 2))
-    return float(np.abs(elliptic._nl_operator(rho, p, coeff.beta, dx) - dphi).max()), p
+def _wrapped_pressure(eos, rho):
+    """p on the two-cell periodic extension of rho, from the validating method."""
+    return np.pad(eos.pressure(rho), 2, mode="wrap")
 
 
 def test_nl_cases_cover_both_newton_exits():
-    # On either exit the solve returns max|G| and p at its solution, the
-    # floats of a from-scratch evaluation.
+    # On either exit, the increment test or the G test, the solve returns
+    # max|G| and p at its solution: the reference's floats.
     exits = set()
     for case in _NL_CASES:
         eos, state, _, _, dx, dphi, coeff = _nl_case(*case)
-        exits.add(_roll_newton(state.rho, dphi, coeff, eos, dx)[3])
+        expected_residual = oracle.newton_solve(state.rho, dphi, coeff.beta, eos, dx)[2]
+        g_test = expected_residual <= oracle.NEWTON_TOL * max(1.0, np.abs(dphi).max())
+        exits.add("G" if g_test else "delta")
         rho, _, residual, pressure = solve_elliptic_nl_1d(state.rho, dphi, coeff, eos, dx)
-        expected_residual, expected_pressure = _from_scratch(rho, dphi, coeff, eos, dx)
         assert residual == expected_residual and type(residual) is float
-        assert np.array_equal(pressure, expected_pressure)
+        assert np.array_equal(pressure, _wrapped_pressure(eos, rho))
     assert exits == {"delta", "G"}
 
 
@@ -561,9 +426,9 @@ def test_nl_beta_zero_returns_residual_and_pressure(gamma):
     coeff = EllipticCoefficients(beta=0.0, mobility=np.ones(16))
     rho, iters, residual, pressure = solve_elliptic_nl_1d(np.ones(16), dphi, coeff, eos, 1 / 16)
     assert np.array_equal(rho, dphi) and rho is not dphi and iters == 1
-    expected_residual, expected_pressure = _from_scratch(rho, dphi, coeff, eos, 1 / 16)
+    expected_residual = oracle.newton_solve(np.ones(16), dphi, 0.0, eos, 1 / 16)[2]
     assert residual == expected_residual == 0.0
-    assert np.array_equal(pressure, expected_pressure)
+    assert np.array_equal(pressure, _wrapped_pressure(eos, rho))
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
@@ -586,8 +451,8 @@ def test_nl_beta_zero_checks_the_density_before_the_pressure(value, monkeypatch)
 @pytest.mark.parametrize("gamma, seed, eps", _NL_CASES)
 def test_newton_equals_roll_loop(gamma, seed, eps, monkeypatch):
     eos, state, _, _, dx, dphi, coeff = _nl_case(gamma, seed, eps)
-    expected, expected_iters, expected_iterates, _ = _roll_newton(state.rho, dphi, coeff, eos,
-                                                                  dx)
+    expected, expected_iters, _, expected_iterates = oracle.newton_solve(state.rho, dphi,
+                                                                         coeff.beta, eos, dx)
     # Every iterate is checked once, the start iterate first.
     iterates = []
     check = elliptic._check_newton_iterate
@@ -604,25 +469,6 @@ def test_newton_equals_roll_loop(gamma, seed, eps, monkeypatch):
         assert np.array_equal(got, want)
 
 
-def _roll_nl_step(state, eos, params, dt, dx):
-    """An nl step from the np.roll Newton loop and np.roll residual; returns
-    (rho, q, StepReport)."""
-    dphi = _roll_dphi(state, eos, params, dt, dx)
-    dp = eos.pressure_derivative(state.rho)
-    coeff = EllipticCoefficients(beta=beta_coefficient(params.epsilon, params.alpha, dt),
-                                 mobility=dp)
-    rho, iters, _, _ = _roll_newton(state.rho, dphi, coeff, eos, dx)
-    q = _roll_momentum(state, rho, eos, params, dt, dx)
-    p = eos.pressure(rho)
-    residual = rho - coeff.beta * ((np.roll(p, -2) - 2.0 * p + np.roll(p, 2)) / (4.0 * dx**2)) - dphi
-    speed = np.abs(state.q / state.rho) + np.sqrt(params.alpha * dp)
-    report = StepReport(
-        max_wave_speed=float(speed.max()), mass_total=float(rho.sum() * dx),
-        momentum_total=float(q.sum() * dx), consistency_residual=float(np.abs(residual).max()),
-        newton_iters=iters, linear_iters=0)
-    return rho, q, report
-
-
 @pytest.mark.parametrize("gamma, seed, eps", _NL_CASES)
 def test_nl_step_equals_roll_step(gamma, seed, eps, monkeypatch):
     # The consistency residual is max|G(rho^{n+1})| that the solve returns:
@@ -630,7 +476,7 @@ def test_nl_step_equals_roll_step(gamma, seed, eps, monkeypatch):
     # solution.  Either way p is evaluated once for the fluxes and once per
     # Newton iterate, the start and the accepted one included.
     eos, state, params, dt, dx, _, _ = _nl_case(gamma, seed, eps)
-    rho, q, expected = _roll_nl_step(state, eos, params, dt, dx)
+    expected_state, expected = oracle.ap_step_1d(state, eos, params, "nl", dt, dx)
     calls = []
     pressure = EquationOfState._pressure
 
@@ -640,7 +486,7 @@ def test_nl_step_equals_roll_step(gamma, seed, eps, monkeypatch):
 
     monkeypatch.setattr(EquationOfState, "_pressure", counting)
     out, report = step_ap_1d(state, eos, params, "nl", dt, dx)
-    assert np.array_equal(out.rho, rho) and np.array_equal(out.q, q)
+    assert np.array_equal(out.rho, expected_state.rho) and np.array_equal(out.q, expected_state.q)
     assert report == expected
     assert len(calls) == report.newton_iters + 2
 
@@ -667,8 +513,7 @@ def test_tridiagonal_solve_leaves_system_unchanged():
     x, _ = solve_periodic_tridiagonal(*bands)
     for a, b in zip(bands, copies):
         assert np.array_equal(a, b)
-    applied = sub * np.roll(x, 1) + diag * x + sup * np.roll(x, -1)
-    assert np.max(np.abs(applied - rhs)) <= 1e-12
+    assert np.max(np.abs(oracle.tridiagonal_rows(sub, diag, sup, x) - rhs)) <= 1e-12
 
 
 def test_trusted_tridiagonal_system_still_checks_size():
@@ -801,8 +646,7 @@ def test_linear_solve_returns_the_largest_class_residual(variant, classes, monke
 
     def recording(sub, diag, sup, rhs):
         x, resid = solve(sub, diag, sup, rhs)
-        applied = sub * np.roll(x, 1) + diag * x + sup * np.roll(x, -1)
-        assert resid == np.abs(applied - rhs).max()
+        assert resid == np.abs(oracle.tridiagonal_rows(sub, diag, sup, x) - rhs).max()
         residuals.append(resid)
         return x, resid
 

@@ -1,12 +1,16 @@
-"""1D operators and steppers: flux formulas against hand values and
-loop-coded oracles, conservation, consistency residuals, stability scans."""
+"""1D operators and steppers: flux formulas against hand values, every
+step against the reference in ``oracle.py`` on hypothesis-drawn input,
+conservation, consistency residuals, stability scans."""
 
 from math import ceil
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
+import oracle
 from lowmach import (
     EquationOfState,
     FluidState1D,
@@ -16,6 +20,7 @@ from lowmach import (
     ParamError,
     PositivityError,
     SchemeParams,
+    SingularSystemError,
     max_stable_dt_scan,
     step_ap_1d,
     step_explicit_llf_1d,
@@ -24,8 +29,7 @@ from lowmach import (
 from lowmach.diagnostics import ap_fluctuation
 from lowmach.errors import ConfigError
 from lowmach.handoff import MAX_STEPS, check_dt_advances, check_step_count
-from lowmach.onedim import (_ap_fluxes, _centered_difference, _dphi_from_fluxes, _flux_derivative,
-                            _momentum_from_fluxes)
+from lowmach.onedim import _ap_fluxes
 from lowmach.presets import example1_eos, example1_grid, example1_state
 # The tolerance of the solves the steps call.
 from lowmach.tridiag import _LINEAR_RTOL as LINEAR_TOL
@@ -40,34 +44,14 @@ def random_state(rng, m, rho_lo=0.5, rho_hi=1.5, q_amp=0.5):
 
 
 # ---------------------------------------------------------------------------
-# The step's kernels: LLF fluxes, right-hand side and momentum update
-
-
-def llf_flux_pair(state, eos, alpha):
-    """(f1, f2) of the AP step's explicit fluxes, index j at interface j+1/2."""
-    f1, f2, _, _ = _ap_fluxes(state, eos, alpha)
-    return f1[1:], f2[1:]
-
-
-def assemble_dphi(state, eos, params, dt, dx):
-    """The AP step's elliptic right-hand side, from its kernels."""
-    f1, f2, _, _ = _ap_fluxes(state, eos, params.alpha)
-    return _dphi_from_fluxes(state.rho, f1, _flux_derivative(f2, dx), dt, dx)
-
-
-def momentum_update(state, rho_new, eos, params, dt, dx):
-    """The AP step's momentum update for a given new density, from its kernels."""
-    _, f2, _, _ = _ap_fluxes(state, eos, params.alpha)
-    c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
-    return _momentum_from_fluxes(state.q, _flux_derivative(f2, dx),
-                                 _centered_difference(eos.pressure(rho_new)), c, dt, dx)
+# The step's LLF fluxes; index k holds interface k-1/2, k = 0 ... m
 
 
 def test_llf_flux_pair_constant_state():
     st = FluidState1D(rho=np.ones(8), q=np.zeros(8))
-    f1, f2 = llf_flux_pair(st, EOS2, 1.0)
+    f1, f2, _, _ = _ap_fluxes(st, EOS2, 1.0)
     assert np.all(f1 == 0.0)
-    assert f2 == pytest.approx(np.ones(8))  # g = alpha * p(1) = 1
+    assert f2 == pytest.approx(np.ones(9))  # g = alpha * p(1) = 1
 
 
 def test_llf_flux_pair_single_jump():
@@ -75,119 +59,63 @@ def test_llf_flux_pair_single_jump():
     # A = 2 and f1 = -(2/2)(2-1) = -1.
     rho = np.array([1.0, 2.0, 2.0, 1.0])
     st = FluidState1D(rho=rho, q=np.zeros(4))
-    f1, _ = llf_flux_pair(st, EOS2, 1.0)
-    assert f1[0] == pytest.approx(-1.0)
+    f1, _, _, _ = _ap_fluxes(st, EOS2, 1.0)
+    assert f1[1] == pytest.approx(-1.0)
 
 
 def test_llf_flux_pair_alpha_zero_at_rest():
     rng = np.random.default_rng(0)
     st = FluidState1D(rho=0.5 + rng.random(6), q=np.zeros(6))
-    f1, f2 = llf_flux_pair(st, EOS2, 0.0)
+    f1, f2, _, _ = _ap_fluxes(st, EOS2, 0.0)
     assert np.all(f1 == 0.0) and np.all(f2 == 0.0)  # A = 0 still fluid
 
 
 # ---------------------------------------------------------------------------
-# Dphi against a loop-coded oracle
+# Every step against the reference, bit for bit, reports included.  One step
+# on m cells of the unit interval from rho U(0.5, 1.5) and q 0.5 N(0, 1),
+# with lambda U(0.5, 2) and dt U(0.05, 0.9) times the CFL step of the
+# scheme's explicit part, all drawn from ``seed``; alpha 0, 1 or 1/eps^2
+# (beta = 0).
 
 
-def dphi_oracle(rho, q, eos, alpha, dt, dx):
-    """Brute-force evaluation of the elliptic right-hand side, written from
-    the interface-flux definitions with explicit loops (no reuse of the
-    production flux code)."""
-    m = len(rho)
-    u = q / rho
-
-    def lam(j):
-        s = np.sqrt(alpha * eos.pressure_derivative(rho[j]))
-        return max(abs(u[j] - s), abs(u[j] + s))
-
-    def a_half(j):  # interface j+1/2
-        return max(lam(j), lam((j + 1) % m))
-
-    def f1_half(j):
-        jp = (j + 1) % m
-        return 0.5 * (q[j] + q[jp]) - 0.5 * a_half(j) * (rho[jp] - rho[j])
-
-    def f2_half(j):
-        jp = (j + 1) % m
-        gj = rho[j] * u[j] ** 2 + alpha * eos.pressure(rho[j])
-        gp = rho[jp] * u[jp] ** 2 + alpha * eos.pressure(rho[jp])
-        return 0.5 * (gj + gp) - 0.5 * a_half(j) * (q[jp] - q[j])
-
-    def d_f2(j):  # (f2_{j+1/2} - f2_{j-1/2}) / dx
-        return (f2_half(j) - f2_half((j - 1) % m)) / dx
-
-    out = np.empty(m)
-    for j in range(m):
-        out[j] = (
-            rho[j]
-            - (dt / dx) * (f1_half(j) - f1_half((j - 1) % m))
-            + dt**2 / (2 * dx) * (d_f2((j + 1) % m) - d_f2((j - 1) % m))
-        )
-    return out
+STEP_DRAWS = dict(m=st.integers(4, 50).map(lambda k: 2 * k), seed=st.integers(0, 2**32 - 1),
+                  gamma=st.sampled_from([1.0, 1.4, 2.0, 3.0]), log_eps=st.floats(-3.0, 0.0),
+                  alpha=st.sampled_from([0.0, 1.0, "bound"]))
+STEP_SETTINGS = settings(max_examples=25, derandomize=True, database=None, deadline=None)
 
 
-def test_dphi_constant_state():
-    st = FluidState1D(rho=np.full(10, 1.3), q=np.zeros(10))
-    params = SchemeParams(epsilon=0.5, alpha=1.0)
-    out = assemble_dphi(st, EOS2, params, 0.01, 0.1)
-    assert np.array_equal(out, np.full(10, 1.3))
+def _step_equals_oracle(step, reference, sound, m, seed, gamma, log_eps, alpha):
+    """One drawn case: ``step`` and ``reference`` take (state, eos, params,
+    dt, dx), and ``sound(p', params)`` is the sound speed of the scheme's
+    explicit part."""
+    rng = np.random.default_rng(seed)
+    eos = EquationOfState(rng.uniform(0.5, 2.0), gamma)
+    state = FluidState1D(rho=rng.uniform(0.5, 1.5, m), q=0.5 * rng.standard_normal(m))
+    eps = 10.0**log_eps
+    params = SchemeParams(epsilon=eps, alpha=1.0 / eps**2 if alpha == "bound" else alpha)
+    speed = np.abs(state.q / state.rho) + sound(eos.pressure_derivative(state.rho), params)
+    dx = 1.0 / m
+    dt = rng.uniform(0.05, 0.9) * dx / float(speed.max())
+    try:
+        expected, expected_report = reference(state, eos, params, dt, dx)
+    except SingularSystemError:
+        # Random O(1) densities at small eps meet cyclic systems that the
+        # residual test rejects: an error path, not compared here.
+        reject()
+    new, report = step(state, eos, params, dt, dx)
+    assert np.array_equal(new.rho, expected.rho) and np.array_equal(new.q, expected.q)
+    assert report == expected_report
 
 
-def test_dphi_dt_zero():
-    rng = np.random.default_rng(1)
-    st = random_state(rng, 12)
-    params = SchemeParams(epsilon=0.5, alpha=1.0)
-    out = assemble_dphi(st, EOS2, params, 0.0, 1 / 12)
-    assert np.allclose(out, st.rho, rtol=0, atol=1e-15)
-
-
-def test_dphi_matches_oracle_on_benchmark_data():
-    grid = example1_grid(100)
-    st = example1_state(grid, 0.8)
-    params = SchemeParams(epsilon=0.8, alpha=1.0)
-    dt = 1 / 340
-    out = assemble_dphi(st, example1_eos(), params, dt, grid.dx)
-    oracle = dphi_oracle(st.rho, st.q, example1_eos(), 1.0, dt, grid.dx)
-    assert np.max(np.abs(out - oracle)) <= 1e-13
-
-
-def test_dphi_matches_oracle_random():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        m = int(rng.choice([8, 16, 32]))
-        st = random_state(rng, m)
-        alpha = float(rng.uniform(0, 2))
-        params = SchemeParams(epsilon=0.7, alpha=alpha)
-        dt = float(rng.uniform(0.001, 0.01))
-        out = assemble_dphi(st, EOS2, params, dt, 1 / m)
-        oracle = dphi_oracle(st.rho, st.q, EOS2, alpha, dt, 1 / m)
-        assert np.max(np.abs(out - oracle)) <= 1e-12
-
-
-# ---------------------------------------------------------------------------
-# momentum update
-
-
-def test_momentum_update_trivial_cases():
-    st = FluidState1D(rho=np.full(8, 1.2), q=np.zeros(8))
-    params = SchemeParams(epsilon=0.3, alpha=1.0)
-    q1 = momentum_update(st, np.full(8, 1.2), EOS2, params, 0.01, 1 / 8)
-    assert np.array_equal(q1, np.zeros(8))
-    rng = np.random.default_rng(2)
-    st2 = random_state(rng, 8)
-    q2 = momentum_update(st2, 0.9 + 0.2 * rng.random(8), EOS2, params, 0.0, 1 / 8)
-    assert np.array_equal(q2, st2.q)
-
-
-def test_momentum_update_conserves_total():
-    rng = np.random.default_rng(3)
-    params = SchemeParams(epsilon=0.2, alpha=2.0)
-    for _ in range(20):
-        st = random_state(rng, 16)
-        rho_new = 0.8 + 0.4 * rng.random(16)
-        q_new = momentum_update(st, rho_new, EOS2, params, 0.004, 1 / 16)
-        assert np.sum(q_new) == pytest.approx(np.sum(st.q), abs=1e-12 * max(1, abs(np.sum(st.q))))
+# eps = 1e-3: the nl step's Newton loop stops on its increment test.
+@example(m=32, seed=0, gamma=2.0, log_eps=-3.0, alpha=1.0)
+@pytest.mark.parametrize("variant", ["nl", "l", "ld"])
+@STEP_SETTINGS
+@given(**STEP_DRAWS)
+def test_step_ap_matches_oracle(variant, **draw):
+    _step_equals_oracle(lambda *a: step_ap_1d(*a[:3], variant, *a[3:]),
+                        lambda *a: oracle.ap_step_1d(*a[:3], variant, *a[3:]),
+                        lambda dp, params: np.sqrt(params.alpha * dp), **draw)
 
 
 # ---------------------------------------------------------------------------
@@ -278,42 +206,17 @@ def test_step_ap_consistency_residual(variant):
 # explicit LLF
 
 
-def explicit_llf_oracle(rho, q, eos, eps, dt, dx):
-    """Textbook LLF step for the unsplit system, loops and all."""
-    m = len(rho)
-    u = q / rho
-    h = rho * u**2 + eos.pressure(rho) / eps**2
-    lam = np.abs(u) + np.sqrt(eos.pressure_derivative(rho)) / eps
-    rho_new = np.empty(m)
-    q_new = np.empty(m)
-    for j in range(m):
-        jp, jm = (j + 1) % m, (j - 1) % m
-        a_p = max(lam[j], lam[jp])
-        a_m = max(lam[jm], lam[j])
-        f1_p = 0.5 * (q[j] + q[jp]) - 0.5 * a_p * (rho[jp] - rho[j])
-        f1_m = 0.5 * (q[jm] + q[j]) - 0.5 * a_m * (rho[j] - rho[jm])
-        f2_p = 0.5 * (h[j] + h[jp]) - 0.5 * a_p * (q[jp] - q[j])
-        f2_m = 0.5 * (h[jm] + h[j]) - 0.5 * a_m * (q[j] - q[jm])
-        rho_new[j] = rho[j] - dt / dx * (f1_p - f1_m)
-        q_new[j] = q[j] - dt / dx * (f2_p - f2_m)
-    return rho_new, q_new
-
-
 def test_explicit_constant_state():
     st = FluidState1D(rho=np.full(8, 0.9), q=np.zeros(8))
     out, _ = step_explicit_llf_1d(st, EOS2, SchemeParams(epsilon=0.7), 0.001, 1 / 8)
     assert np.array_equal(out.rho, st.rho) and np.array_equal(out.q, st.q)
 
 
-def test_explicit_matches_textbook_oracle():
-    m = 64
-    x = (np.arange(m) + 0.5) / m
-    st = FluidState1D(rho=1 + 0.1 * np.sin(2 * np.pi * x), q=0.1 * np.cos(2 * np.pi * x))
-    params = SchemeParams(epsilon=1.0, alpha=1.0)
-    out, _ = step_explicit_llf_1d(st, EOS2, params, 1e-3, 1 / m)
-    rho_o, q_o = explicit_llf_oracle(st.rho, st.q, EOS2, 1.0, 1e-3, 1 / m)
-    assert np.max(np.abs(out.rho - rho_o)) <= 1e-13
-    assert np.max(np.abs(out.q - q_o)) <= 1e-13
+@STEP_SETTINGS
+@given(**STEP_DRAWS)
+def test_explicit_matches_textbook_oracle(**draw):
+    _step_equals_oracle(step_explicit_llf_1d, oracle.explicit_llf_step_1d,
+                        lambda dp, params: np.sqrt(dp) / params.epsilon, **draw)
 
 
 def test_explicit_blows_up_on_unresolved_mesh():
@@ -329,50 +232,11 @@ def test_explicit_blows_up_on_unresolved_mesh():
 # ICE
 
 
-def ice_oracle(rho, q, eos, eps, dt, dx):
-    """Pressureless LLF predictor, loops and all, then the implicit pressure
-    correction as a dense three-point solve."""
-    m = len(rho)
-    u = q / rho
-    g = rho * u**2
-    lam = np.abs(u)
-    rho_star = np.empty(m)
-    q_star = np.empty(m)
-    for j in range(m):
-        jp, jm = (j + 1) % m, (j - 1) % m
-        a_p = max(lam[j], lam[jp])
-        a_m = max(lam[jm], lam[j])
-        f1_p = 0.5 * (q[j] + q[jp]) - 0.5 * a_p * (rho[jp] - rho[j])
-        f1_m = 0.5 * (q[jm] + q[j]) - 0.5 * a_m * (rho[j] - rho[jm])
-        f2_p = 0.5 * (g[j] + g[jp]) - 0.5 * a_p * (q[jp] - q[j])
-        f2_m = 0.5 * (g[jm] + g[j]) - 0.5 * a_m * (q[j] - q[jm])
-        rho_star[j] = rho[j] - dt / dx * (f1_p - f1_m)
-        q_star[j] = q[j] - dt / dx * (f2_p - f2_m)
-    # rho - (dt/eps)^2 D(p'(rho^n) D rho) = rho_star on the three-point stencil
-    mob = eos.pressure_derivative(rho)
-    b = dt**2 / (eps**2 * dx**2)
-    a = np.eye(m)
-    for j in range(m):
-        jp, jm = (j + 1) % m, (j - 1) % m
-        a[j, jp] -= b * mob[jp]
-        a[j, j] += b * (mob[jp] + mob[j])
-        a[j, jm] -= b * mob[j]
-    rho_new = np.linalg.solve(a, rho_star)
-    p = eos.pressure(rho_new)
-    q_new = np.array([q_star[j] - dt / eps**2 * (p[(j + 1) % m] - p[j - 1]) / (2 * dx)
-                      for j in range(m)])
-    return rho_new, q_new
-
-
-def test_ice_matches_oracle():
-    rng = np.random.default_rng(12)
-    for m, eps in ((16, 0.8), (48, 0.1), (64, 0.02)):
-        st = random_state(rng, m, q_amp=0.3)
-        dt = 0.4 / (m * (1.0 + np.max(np.abs(st.q / st.rho))))
-        out, _ = step_ice_1d(st, EOS2, SchemeParams(epsilon=eps), dt, 1 / m)
-        rho_o, q_o = ice_oracle(st.rho, st.q, EOS2, eps, dt, 1 / m)
-        assert np.max(np.abs(out.rho - rho_o)) <= 1e-12
-        assert np.max(np.abs(out.q - q_o)) <= 1e-12 * max(1.0, np.max(np.abs(q_o)))
+@STEP_SETTINGS
+@given(**STEP_DRAWS)
+def test_ice_matches_oracle(**draw):
+    # The pressureless predictor's speed is |u| alone.
+    _step_equals_oracle(step_ice_1d, oracle.ice_step_1d, lambda dp, params: 0.0, **draw)
 
 
 def test_ice_constant_state():

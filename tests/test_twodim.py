@@ -1,5 +1,6 @@
 """2D operators and stepper: directional speeds, the elliptic right-hand
-side against a term-by-term loop oracle, conservation, and symmetry."""
+side and the step against the reference in ``oracle.py``, conservation,
+and symmetry."""
 
 import os
 import subprocess
@@ -9,8 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lowmach
+import oracle
 from lowmach import (
     EquationOfState,
     FluidState2D,
@@ -55,68 +59,7 @@ def test_directional_speeds_examples():
 
 
 # ---------------------------------------------------------------------------
-# Dphi oracle: pure loops, term by term
-
-
-def dphi2_oracle(rho, q1, q2, eos, alpha, dt, dx, dy):
-    m1, m2 = rho.shape
-    u1, u2 = q1 / rho, q2 / rho
-    p = eos.pressure(rho)
-    s = np.sqrt(alpha * eos.pressure_derivative(rho))
-    cell = np.maximum(np.abs(u1), np.abs(u2)) + s
-
-    def ax(i, j):  # A at (i+1/2, j)
-        return max(cell[i % m1, j % m2], cell[(i + 1) % m1, j % m2])
-
-    def ay(i, j):
-        return max(cell[i % m1, j % m2], cell[i % m1, (j + 1) % m2])
-
-    def dxc(f, i, j):
-        return (f((i + 1) % m1, j) - f((i - 1) % m1, j)) / (2 * dx)
-
-    def dyc(f, i, j):
-        return (f(i, (j + 1) % m2) - f(i, (j - 1) % m2)) / (2 * dy)
-
-    def val(arr):
-        return lambda i, j: arr[i % m1, j % m2]
-
-    def diss_x(arr):
-        def inner(i, j):
-            dm = (arr[i % m1, j % m2] - arr[(i - 1) % m1, j % m2]) / dx
-            dp = (arr[(i + 1) % m1, j % m2] - arr[i % m1, j % m2]) / dx
-            return 0.5 * (ax(i - 1, j) * dm - ax(i, j) * dp)
-        return inner
-
-    def diss_y(arr):
-        def inner(i, j):
-            dm = (arr[i % m1, j % m2] - arr[i % m1, (j - 1) % m2]) / dy
-            dp = (arr[i % m1, (j + 1) % m2] - arr[i % m1, j % m2]) / dy
-            return 0.5 * (ay(i, j - 1) * dm - ay(i, j) * dp)
-        return inner
-
-    g1 = rho * u1**2 + alpha * p
-    g2 = rho * u2**2 + alpha * p
-    w = rho * u1 * u2
-
-    out = np.empty((m1, m2))
-    for i in range(m1):
-        for j in range(m2):
-            first = (
-                dxc(val(q1), i, j) + dyc(val(q2), i, j)
-                + diss_x(rho)(i, j) + diss_y(rho)(i, j)
-            )
-            second = (
-                dxc(lambda a, b: dxc(val(g1), a, b), i, j)
-                + dyc(lambda a, b: dyc(val(g2), a, b), i, j)
-                + dxc(lambda a, b: dyc(val(w), a, b), i, j)
-                + dyc(lambda a, b: dxc(val(w), a, b), i, j)
-                + dxc(diss_x(q1), i, j)
-                + dyc(diss_x(q2), i, j)
-                + dxc(diss_y(q1), i, j)
-                + dyc(diss_y(q2), i, j)
-            )
-            out[i, j] = rho[i, j] - dt * first + dt**2 * second
-    return out
+# The right-hand side
 
 
 def test_dphi2_constant_state():
@@ -140,8 +83,8 @@ def test_dphi2_matches_oracle_benchmark():
     st = example3_state(grid, 0.8)
     params = SchemeParams(epsilon=0.8, alpha=0.0)
     out = assemble_dphi_2d(st, example3_eos(), params, 1 / 80, grid.dx, grid.dy)
-    oracle = dphi2_oracle(st.rho, st.q1, st.q2, example3_eos(), 0.0, 1 / 80, grid.dx, grid.dy)
-    assert np.max(np.abs(out - oracle)) <= 1e-12
+    expected = oracle.ap_rhs_2d(st, example3_eos(), params, 1 / 80, grid.dx, grid.dy)[0]
+    assert np.max(np.abs(out - expected)) <= 1e-12
 
 
 def test_dphi2_matches_oracle_random():
@@ -153,8 +96,8 @@ def test_dphi2_matches_oracle_random():
         params = SchemeParams(epsilon=0.7, alpha=alpha)
         dt = float(rng.uniform(0.001, 0.01))
         out = assemble_dphi_2d(st, EOS2, params, dt, 1 / m1, 1 / m2)
-        oracle = dphi2_oracle(st.rho, st.q1, st.q2, EOS2, alpha, dt, 1 / m1, 1 / m2)
-        assert np.max(np.abs(out - oracle)) <= 1e-12
+        expected = oracle.ap_rhs_2d(st, EOS2, params, dt, 1 / m1, 1 / m2)[0]
+        assert np.max(np.abs(out - expected)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +106,8 @@ def test_dphi2_matches_oracle_random():
 
 @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (9, 4), (1, 6), (6, 2), (3, 1)])
 def test_kernels_equal_np_roll_formulas(shape):
-    # _dc and _diss write from slice views; the np.roll formulas they replace
-    # are the reference, bit for bit, along both axes.
+    # _dc and _diss write from slice views; the reference's np.roll formulas
+    # are their floats, bit for bit, along both axes.
     from lowmach.twodim import _dc, _diss
 
     rng = np.random.default_rng(shape[0] * 10 + shape[1])
@@ -173,14 +116,8 @@ def test_kernels_equal_np_roll_formulas(shape):
         a = rng.uniform(0.1, 5.0, shape)
         h = float(rng.uniform(0.01, 1.0))
         for axis in (0, 1):
-            def roll(x, k):
-                return np.roll(x, k, axis=axis)
-
-            dc = (roll(u, -1) - roll(u, 1)) / (2.0 * h)
-            dp = (roll(u, -1) - u) / h
-            diss = 0.5 * (roll(a, 1) * roll(dp, 1) - a * dp)
-            assert np.array_equal(_dc(u, h, axis), dc)
-            assert np.array_equal(_diss(u, a, h, axis), diss)
+            assert np.array_equal(_dc(u, h, axis), oracle.centered_2d(u, h, axis))
+            assert np.array_equal(_diss(u, a, h, axis), oracle.dissipation_2d(u, a, h, axis))
 
 
 # The ids say that the step's right-hand side is the literal elimination.
@@ -219,6 +156,36 @@ def test_step_2d_free_stream_exact(stencil):
 
 
 @pytest.mark.parametrize("stencil", ["wide", "reduced"])
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(shape=st.sampled_from([(4, 6), (6, 4), (4, 10), (8, 6), (6, 10), (10, 8)]),
+       seed=st.integers(0, 2**32 - 1), gamma=st.sampled_from([1.0, 1.4, 2.0, 3.0]),
+       log_eps=st.floats(-2.0, 0.0), alpha=st.sampled_from([0.0, 1.0]))
+def test_step_2d_matches_oracle(stencil, shape, seed, gamma, log_eps, alpha):
+    # The reference solves its stencil's dense operator.  On m1 != m2 cells,
+    # with lambda U(0.5, 2), rho U(0.5, 1.5), each momentum 0.5 N(0, 1) and
+    # dt U(0.05, 0.9) times the explicit CFL step from seed: rho and both
+    # momenta within 1e-10 of it (relative to max(1, max|field|)), the
+    # totals and the residual within 1e-10, the wave speed the same float.
+    rng = np.random.default_rng(seed)
+    eos = EquationOfState(rng.uniform(0.5, 2.0), gamma)
+    state = FluidState2D(rho=rng.uniform(0.5, 1.5, shape), q1=0.5 * rng.standard_normal(shape),
+                         q2=0.5 * rng.standard_normal(shape))
+    params = SchemeParams(epsilon=10.0**log_eps, alpha=alpha)
+    dx, dy = 1 / shape[0], 1 / shape[1]
+    speed = float(oracle.speeds_2d(state, eos, alpha)[0].max())
+    dt = rng.uniform(0.05, 0.9) * min(dx, dy) / speed
+    expected, expected_report = oracle.ap_step_2d(state, eos, params, stencil, dt, dx, dy)
+    out, report = step_ap_2d(state, eos, params, stencil, dt, dx, dy)
+    for name in ("rho", "q1", "q2"):
+        want = getattr(expected, name)
+        assert np.max(np.abs(getattr(out, name) - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+    assert report.max_wave_speed == expected_report.max_wave_speed
+    for name in ("mass_total", "momentum_total", "momentum2_total", "consistency_residual"):
+        assert abs(getattr(report, name) - getattr(expected_report, name)) <= 1e-10
+    assert report.newton_iters == 0 and (report.linear_iters > 0) == (oracle.beta(params, dt) > 0)
+
+
+@pytest.mark.parametrize("stencil", ["wide", "reduced"])
 def test_step_2d_conservation(stencil):
     rng = np.random.default_rng(7)
     for _ in range(10):
@@ -250,8 +217,6 @@ def test_step_2d_flux_form_identity_linear_eos():
     # so the returned pair must satisfy the flux-form density update with
     # the implicit momentum average: the literal elliptic right-hand side IS
     # the exact elimination of the coupled scheme.
-    from lowmach.twodim import _diss
-
     rng = np.random.default_rng(5)
     m = 12
     eos1 = EquationOfState(1.0, 1.0)
@@ -259,9 +224,9 @@ def test_step_2d_flux_form_identity_linear_eos():
     params = SchemeParams(epsilon=0.4, alpha=1.0)
     dt, dx, dy = 0.002, 1 / m, 1 / m
     out, _ = step_ap_2d(st, eos1, params, "wide", dt, dx, dy)
-    a_x, a_y = directional_speeds(st, eos1, params.alpha)
+    a_x, a_y = oracle.speeds_2d(st, eos1, params.alpha)[1]
     flux_div = discrete_divergence_2d(out, dx, dy)
-    diss = _diss(st.rho, a_x, dx, 0) + _diss(st.rho, a_y, dy, 1)
+    diss = oracle.dissipation_2d(st.rho, a_x, dx, 0) + oracle.dissipation_2d(st.rho, a_y, dy, 1)
     resid = out.rho - st.rho + dt * (flux_div + diss)
     assert np.max(np.abs(resid)) <= 1e-12
 
