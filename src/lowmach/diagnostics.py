@@ -112,7 +112,8 @@ def alpha_admissible(dx: float, dt: float, epsilon: float, sigma: float, umax: f
 def ap_fluctuation(state, epsilon: float):
     """(mean density, max|rho - mean| / eps^2): the measured amplitude of
     the second-order density fluctuation around the constant limit.  An
-    epsilon whose eps^2 or 1/eps^2 leaves float range is a ValueError."""
+    epsilon whose eps^2 or 1/eps^2 leaves float range is a ValueError; a
+    fluctuation beyond it reads inf, with numpy's default overflow warning."""
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     eps2 = epsilon * epsilon

@@ -12,7 +12,7 @@ sum (and, for the density, its minimum), and only a field that fails them
 is searched for the error and the cell to report.
 
 :func:`check_dt_advances`, :func:`check_step_count` and :data:`MAX_STEPS`
-bound the number of steps a run, or one trial of a stability scan, takes.
+bound the steps of a run or a scan trial; :func:`float_error_boundary` its float errors.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def _check_new_density(rho_new):
     if (rho_new <= 0.0).any():
         bad = _cell_index(rho_new.argmin(), rho_new.shape)
         raise PositivityError(bad, f"density lost positivity at cell {bad}")
-    # Finite and positive: only the sum overflowed.
+    # Finite and positive: only the sum overflowed (in a verb, the boundary raised).
     return total
 
 
@@ -126,3 +126,12 @@ def check_step_count(dt: float, t_end: float, error=InstabilityError, dt_name: s
     if t_end / dt > MAX_STEPS and t_end - dt != t_end:
         raise error(f"{t_name} / {dt_name} = {t_end:.6g} / {dt:.3g} needs more than the "
                     f"{MAX_STEPS} steps a run may take")
+
+
+def float_error_boundary():
+    """A fresh ``np.errstate`` (numpy 1.x's keeps its saved state on the instance):
+    a numpy overflow, invalid value or divide by zero raises InstabilityError
+    naming its kind, and underflow is ignored.  Entered once per verb step loop."""
+    def fail(kind, flag):
+        raise InstabilityError(f"float {kind} in a numpy operation")
+    return np.errstate(over="call", invalid="call", divide="call", under="ignore", call=fail)

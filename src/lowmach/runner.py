@@ -30,7 +30,7 @@ from .config import RunConfig, build_config, build_problem, config_to_dict, sche
 from .core import FluidState1D, Grid2D
 from .diagnostics import _sample_indices, relative_l2_error, total_variation
 from .errors import ConfigError, InstabilityError, NumericsError
-from .handoff import MAX_STEPS, check_dt_advances, check_step_count
+from .handoff import MAX_STEPS, check_dt_advances, check_step_count, float_error_boundary
 from .onedim import max_stable_dt_scan, step_ap_1d, step_explicit_llf_1d, step_ice_1d
 from .twodim import _cell_speeds, step_ap_2d
 
@@ -152,42 +152,43 @@ def run(cfg: RunConfig) -> RunResult:
     status = STATUS_OK
     message = "completed"
     try:
-        while True:
-            # Every snapshot due at t, then the next step; outputs holds
-            # only snapshots until the loop ends.
-            while snapshots and t >= snapshots[0] - _EVENT_TOL:
-                name = f"snapshot_{len(outputs):03d}.csv"
-                snapshot(out_dir / name, state)
-                outputs.append(name)
-                snapshots.pop(0)
-            if t >= cfg.t_final - _EVENT_TOL:
-                break
-            if cfg.dt is not None:
-                dt = cfg.dt
-            else:
-                if nstep >= MAX_STEPS:
-                    raise InstabilityError(f"the CFL rule took {MAX_STEPS} steps, the most a "
-                                           f"run may take, without reaching t_final")
-                lam = speed(state)
-                if lam == 0.0:
-                    dt = cfg.t_final - t
+        with float_error_boundary():
+            while True:
+                # Every snapshot due at t, then the next step; outputs holds
+                # only snapshots until the loop ends.
+                while snapshots and t >= snapshots[0] - _EVENT_TOL:
+                    name = f"snapshot_{len(outputs):03d}.csv"
+                    snapshot(out_dir / name, state)
+                    outputs.append(name)
+                    snapshots.pop(0)
+                if t >= cfg.t_final - _EVENT_TOL:
+                    break
+                if cfg.dt is not None:
+                    dt = cfg.dt
                 else:
-                    # 0 or nan where the speed is not finite or dt underflows;
-                    # inf, where the speed is tiny, is cut to the next event.
-                    dt = cfg.sigma * length / lam
-                    if not dt > 0.0:
-                        raise InstabilityError(f"CFL wave speed {lam:.3g} gives the adaptive "
-                                               f"time step dt = {dt:.3g}")
-            check_dt_advances(dt, cfg.t_final)
-            next_event = snapshots[0] if snapshots else cfg.t_final
-            dt = min(dt, next_event - t, cfg.t_final - t)
-            state, report = step(state, dt)
-            t += dt
-            nstep += 1
-            step_rows.append((nstep, t, dt, report.max_wave_speed,
-                              report.mass_total, report.momentum_total,
-                              report.momentum2_total, report.consistency_residual,
-                              report.newton_iters, report.linear_iters))
+                    if nstep >= MAX_STEPS:
+                        raise InstabilityError(f"the CFL rule took {MAX_STEPS} steps, the most a "
+                                               f"run may take, without reaching t_final")
+                    lam = speed(state)
+                    if lam == 0.0:
+                        dt = cfg.t_final - t
+                    else:
+                        # 0 or nan where the speed is not finite or dt underflows;
+                        # inf, where the speed is tiny, is cut to the next event.
+                        dt = cfg.sigma * length / lam
+                        if not dt > 0.0:
+                            raise InstabilityError(f"CFL wave speed {lam:.3g} gives the adaptive "
+                                                   f"time step dt = {dt:.3g}")
+                check_dt_advances(dt, cfg.t_final)
+                next_event = snapshots[0] if snapshots else cfg.t_final
+                dt = min(dt, next_event - t, cfg.t_final - t)
+                state, report = step(state, dt)
+                t += dt
+                nstep += 1
+                step_rows.append((nstep, t, dt, report.max_wave_speed,
+                                  report.mass_total, report.momentum_total,
+                                  report.momentum2_total, report.consistency_residual,
+                                  report.newton_iters, report.linear_iters))
     except NumericsError as exc:
         status = STATUS_NUMERICAL
         message = f"numerical failure at step {nstep + 1} (t={t:.6g}): {exc}"
@@ -330,8 +331,9 @@ def reference_solution(eps: float, cells=None, inv_dt=None, t_final=0.1, refine=
     dt = 1.0 / (k * inv_dt)
     check_dt_advances(dt, t_final)
     check_step_count(dt, t_final)
-    for _ in range(int(round(nominal_steps)) * k):
-        state, _ = step(state, dt)
+    with float_error_boundary():
+        for _ in range(int(round(nominal_steps)) * k):
+            state, _ = step(state, dt)
     if refine == 1:
         return state
     idx = _sample_indices(cells, fine_cells)
@@ -362,26 +364,27 @@ def reproduce_table2(eps_list, refinement_levels=5, t_final=0.1, variant="ld",
                                   f"{ref_m} cells of the reference")
     rows = []
     # levels[level][i] is the case of eps_list[i].
-    for eps, cases in zip(eps_list, zip(*levels)):
-        ref = refs[eps] if eps in refs else reference_solution(eps, t_final=t_final)
-        prev = None
-        for cfg in cases:
-            grid, state, step, speed = _case(cfg)
-            dt = table2_dt(eps, grid.dx, speed(state), t_final)
-            for _ in range(round(t_final / dt)):
-                state, _ = step(state, dt)
-            err = relative_l2_error(state, ref)
-            row = {
-                "epsilon": eps,
-                "dx": grid.dx,
-                "dt": dt,
-                "e_rho": err.e_rho,
-                "ratio_rho": (prev["e_rho"] / err.e_rho) if prev else float("nan"),
-                "e_q": err.e_q,
-                "ratio_q": (prev["e_q"] / err.e_q) if prev else float("nan"),
-            }
-            rows.append(row)
-            prev = row
+    with float_error_boundary():
+        for eps, cases in zip(eps_list, zip(*levels)):
+            ref = refs[eps] if eps in refs else reference_solution(eps, t_final=t_final)
+            prev = None
+            for cfg in cases:
+                grid, state, step, speed = _case(cfg)
+                dt = table2_dt(eps, grid.dx, speed(state), t_final)
+                for _ in range(round(t_final / dt)):
+                    state, _ = step(state, dt)
+                err = relative_l2_error(state, ref)
+                row = {
+                    "epsilon": eps,
+                    "dx": grid.dx,
+                    "dt": dt,
+                    "e_rho": err.e_rho,
+                    "ratio_rho": (prev["e_rho"] / err.e_rho) if prev else float("nan"),
+                    "e_q": err.e_q,
+                    "ratio_q": (prev["e_q"] / err.e_q) if prev else float("nan"),
+                }
+                rows.append(row)
+                prev = row
     if output_path is not None:
         _write_table(Path(output_path), rows, ("epsilon", "dx", "dt", "e_rho", "ratio_rho", "e_q", "ratio_q"))
     return rows
@@ -402,18 +405,18 @@ def compare_ice(epsilon, dx, dt, t_final, output_dir=None):
     _, ice_state, ice_step, _ = _case(ice_case)
     n_steps = int(np.ceil(t_final / dt))
 
-    for _ in range(n_steps):
-        ap_state, _ = ap_step(ap_state, dt)
-        ice_state, _ = ice_step(ice_state, dt)
-
-    result = {
-        "tv_rho_ap": total_variation(ap_state.rho),
-        "tv_rho_ice": total_variation(ice_state.rho),
-        "tv_q_ap": total_variation(ap_state.q),
-        "tv_q_ice": total_variation(ice_state.q),
-        "ap_state": ap_state,
-        "ice_state": ice_state,
-    }
+    with float_error_boundary():
+        for _ in range(n_steps):
+            ap_state, _ = ap_step(ap_state, dt)
+            ice_state, _ = ice_step(ice_state, dt)
+        result = {
+            "tv_rho_ap": total_variation(ap_state.rho),
+            "tv_rho_ice": total_variation(ice_state.rho),
+            "tv_q_ap": total_variation(ap_state.q),
+            "tv_q_ice": total_variation(ice_state.q),
+            "ap_state": ap_state,
+            "ice_state": ice_state,
+        }
     if output_dir is not None:
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)

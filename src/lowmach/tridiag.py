@@ -124,8 +124,6 @@ def solve_periodic_tridiagonal(sub, diag, sup, rhs):
     _, _, _, yz, info = dgtsv(sub[1:], d, sup[:-1], b.T, overwrite_d=True, overwrite_b=True)
     if info != 0:
         raise SingularSystemError(f"tridiagonal core singular (dgtsv info {info})")
-    if not np.isfinite(yz).all():
-        raise SingularSystemError("tridiagonal core produced non-finite solution")
     (y0, z0), (y_n, z_n) = yz[0].tolist(), yz[-1].tolist()
 
     # x = y - z (v.y)/(1 + v.z) with v = (1, 0, ..., 0, sub[0]/gamma).

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -603,6 +604,40 @@ def test_cli_run_flux_near_the_float_maximum_exits_without_a_traceback(tmp_path,
     assert json.loads((out / "manifest.json").read_text())["status"] == code
 
 
+@pytest.mark.parametrize("action", ["error", "ignore"])
+@pytest.mark.parametrize("flags", [
+    # q u overflows in the LLF kernel, also in the ICE predictor.
+    ["--dt", "1e-3", "--q0", "1e308"],
+    ["--dt", "1e-3", "--q0", "1e308", "--stepper", "ice"],
+    # p or p' overflows, on every scheme, and on the CFL rule too.
+    ["--dt", "1e-3", "--rho0", "1e308", "--variant", "ld"],
+    ["--dt", "1e-3", "--rho0", "1e308", "--variant", "nl"],
+    ["--dt", "1e-3", "--rho0", "1e308", "--stepper", "explicit_llf"],
+    ["--dt", "1e-3", "--rho0", "1e308", "--stepper", "ice"],
+    ["--rho0", "1e308", "--stepper", "ice"],
+    ["--dt", "1e-3", "--rho0", "1e308", "--dimension", "2", "--m1", "8", "--m2", "8"],
+    ["--dt", "1e-3", "--rho0", "1e154", "--gamma", "3"],
+    # Only the density's sum overflows: this run used to complete and write
+    # mass_total = inf where warnings were off.
+    ["--dt", "1e-3", "--rho0", "1e308", "--gamma", "1"],
+])
+def test_cli_run_float_error_exits_3(tmp_path, capsys, flags, action):
+    # A numpy float error inside the step loop fails the step it happens in
+    # (exit 3), whether RuntimeWarning is an error or ignored, and no value
+    # that is not finite reaches steps.csv.
+    out = tmp_path / "float"
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        code = main(["run", "--preset", "custom", "--m", "8", "--t-final", "0.002", *flags,
+                     "--output-dir", str(out)])
+    assert code == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == 3
+    assert manifest["message"].startswith("numerical failure at step 1")
+    assert capsys.readouterr().out.startswith("numerical failure at step 1")
+    assert (out / "steps.csv").read_text().count("\n") == 1
+
+
 def test_explicit_run_on_a_tiny_grid_completes(tmp_path):
     # Such a grid is valid: the explicit step needs no face coefficients.
     code = main(["run", "--preset", "custom", "--domain-a", "0", "--domain-b", "1e-300",
@@ -855,6 +890,24 @@ def test_cli_sweep_runtime_failure_spares_other_entries(tmp_path, monkeypatch):
             assert len((out / "steps.csv").read_text().splitlines()) == 6
         else:
             assert "lost positivity" in manifest["message"]
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_cli_sweep_entry_with_a_float_error_spares_the_other(tmp_path, monkeypatch, capsys,
+                                                             action):
+    # The second entry's density overflows p' in its first step: that entry
+    # fails (exit 3) and the first is still run and reported, with
+    # RuntimeWarning an error in both workers or ignored.
+    monkeypatch.setenv("LOWMACH_SWEEP_PROCS", "2")
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        code = main(["sweep", "--preset", "custom", "--m", "8", "--dt", "1e-3",
+                     "--t-final", "0.002", "--vary", "rho0=1,1e308",
+                     "--sweep-dir", str(tmp_path / "sw")])
+    assert code == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("[0] ") and lines[0].endswith("rho0=1: completed")
+    assert lines[1].startswith("[3] ") and "numerical failure at step 1" in lines[1]
 
 
 def test_config_to_dict_roundtrip():

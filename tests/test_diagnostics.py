@@ -150,6 +150,13 @@ def test_ap_fluctuation_examples():
             ap_fluctuation(st, eps)
 
 
+def test_ap_fluctuation_beyond_float_range_keeps_numpys_default():
+    # A library call outside the verbs: the overflowing division reads inf,
+    # with numpy's warning, and raises nothing of lowmach's.
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert ap_fluctuation(np.array([1.0, 1e300]), 1e-10)[1] == np.inf
+
+
 def test_discrete_divergence_examples():
     m = 32
     x = (np.arange(m) + 0.5) / m

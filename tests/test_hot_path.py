@@ -746,8 +746,9 @@ def test_new_density_non_positive_names_the_cell(shape, value):
 def test_new_density_check_returns_the_sum(shape):
     rho = np.random.default_rng(1).uniform(0.5, 2.0, shape)
     assert _check_new_density(rho) == rho.sum()
-    # Finite and positive with an overflowing sum passes, as the hand-off
-    # always let it: the report carries mass_total = inf.
+    # Finite and positive with an overflowing sum passes a library call's
+    # check, which returns inf; a verb's float-error boundary fails the step
+    # at that overflow, so no verb writes mass_total = inf.
     big = np.full(shape, 1e308)
     with np.errstate(over="ignore"):
         assert _check_new_density(big) == np.inf

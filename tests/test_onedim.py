@@ -2,6 +2,7 @@
 step against the reference in ``oracle.py`` on hypothesis-drawn input,
 conservation, consistency residuals, stability scans."""
 
+import warnings
 from math import ceil
 from types import SimpleNamespace
 
@@ -394,6 +395,36 @@ def test_scan_returns_the_largest_speed_of_the_accepted_trial(dt_hi, unstable_ab
     assert (dt == dt_hi) == (unstable_above > dt_hi)
     assert 1e-4 < dt <= min(dt_hi, unstable_above)
     assert speed == trial_speed(dt) > trial_speed(1e-4)
+
+
+def test_scan_trial_with_a_float_error_is_unstable():
+    # A fake step that is stable at every dt but whose numpy arithmetic
+    # overflows above 4e-4: each trial runs inside the float-error boundary,
+    # so those trials fail, with warnings ignored too, and the scan returns
+    # a dt at or below 4e-4 instead of dt_hi.
+    initial = FluidState1D(rho=np.ones(8), q=np.zeros(8))
+
+    def step(state, dt):
+        if dt > 4e-4:
+            np.full(2, 1e308) * 10.0
+        return state, SimpleNamespace(max_wave_speed=1.0)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        dt, _ = max_stable_dt_scan(initial, step, 0.01, 1e-4, 1e-3)
+    assert 1e-4 < dt <= 4e-4
+
+
+def test_library_step_keeps_numpys_float_error_default():
+    # Outside the verbs a step runs under the caller's numpy error state:
+    # p' = 2 rho overflows with numpy's RuntimeWarning, and the hand-off
+    # still names the cell whose mobility is not finite.
+    st = FluidState1D(rho=np.full(8, 1e308), q=np.zeros(8))
+    params = SchemeParams(epsilon=0.5, alpha=1.0)
+    with pytest.warns(RuntimeWarning) as caught:
+        with pytest.raises(PositivityError, match="at cell 0"):
+            step_ap_1d(st, EOS2, params, "ld", 1e-3, 1 / 8)
+    assert "overflow" in str(caught[0].message)
 
 
 def test_scan_with_a_dt_lo_that_cannot_advance_T_raises():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lowmach import (ConfigError, FluidState1D, FluidState2D, Grid1D, Grid2D, InstabilityError,
-                     onedim, runner)
+                     NumericsError, onedim, runner)
 from lowmach.cli import main
 from lowmach.config import build_config
 from lowmach.presets import example1_grid, example1_state
@@ -221,6 +221,58 @@ def test_every_verb_steps_through_case(tmp_path, monkeypatch):
         schemes.clear()
         call()
         assert schemes == expected[verb], verb
+
+
+@pytest.mark.parametrize("overflow", [False, True], ids=["returns", "float-error"])
+def test_every_verb_restores_the_float_error_state(tmp_path, monkeypatch, overflow):
+    # Each verb enters its float-error boundary and leaves numpy's error
+    # state and callback as it found them, whether it returns or raises.
+    # Table 2 computes its reference inside, one verb in another, or is
+    # given one, so that only its levels step.  A step that overflows fails
+    # at the boundary, whatever the caller's state.
+    monkeypatch.setattr(runner, "TABLE_REFERENCE", (20, 100))
+    if overflow:
+        build = runner._case
+
+        def overflowing(cfg):
+            grid, state, _, speed = build(cfg)
+
+            def step(st, dt):
+                np.full(2, 1e308) * 10.0
+                raise AssertionError("a float overflow passed the boundary")
+
+            return grid, state, step, speed
+
+        monkeypatch.setattr(runner, "_case", overflowing)
+    verbs = {
+        "run": lambda: run_raw({"preset": "example1", "m": 20, "dt": 1e-3, "t_final": 0.002,
+                                "output_dir": str(tmp_path / "run")}).status,
+        "table1": lambda: reproduce_table1([0.8], [0.1], t_final=0.01),
+        "table2": lambda: reproduce_table2([0.8], 1, t_final=0.01),
+        "table2 levels": lambda: reproduce_table2(
+            [0.8], 1, t_final=0.01, reference_states={0.8: example1_state(example1_grid(20), 0.8)}),
+        "compare_ice": lambda: compare_ice(0.3, 0.05, 1e-3, 0.002),
+        "reference": lambda: reference_solution(0.8, cells=20, inv_dt=1000, t_final=0.002,
+                                                refine=1),
+    }
+
+    def handler(kind, flag):
+        raise AssertionError(f"the caller's handler saw a float {kind}")
+
+    for verb, call in verbs.items():
+        with np.errstate(all="ignore", call=handler):
+            before = np.geterr(), np.geterrcall()
+            try:
+                outcome = call()
+            except NumericsError as exc:
+                outcome = exc
+            assert (np.geterr(), np.geterrcall()) == before, verb
+        if not overflow:
+            assert not isinstance(outcome, Exception) and outcome != 3, verb
+        elif verb == "run":
+            assert outcome == 3
+        else:
+            assert isinstance(outcome, NumericsError), verb
 
 
 def test_reproduce_table2_levels_must_divide_the_reference(monkeypatch):
