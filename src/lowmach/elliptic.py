@@ -41,17 +41,24 @@ which that solve checks.
 The 2D solves (wide stride-2 or reduced five-point stencil) run one
 conjugate-gradient iteration on the full grid, preconditioned by the
 constant-mobility operator inverted with FFTs; in the low-Mach limit that
-preconditioner is nearly exact, so a solve takes a few iterations.
+preconditioner is nearly exact, so a solve takes a few iterations.  It
+writes every intermediate in place (``out=``, the FFTs too) into the
+calling thread's scratch set (:func:`_grid_buffers`), which it shares with
+the 2D step, and allocates only the solution it returns; the faces it
+hands back are read-only views of the set, valid until the thread's next
+2D solve.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import EquationOfState, _cell_index, _periodic, _shift, _square
+from .core import EquationOfState, _cell_index, _periodic, _square
 from .errors import (
     InstabilityError,
     NewtonDivergenceError,
@@ -139,22 +146,60 @@ def _face_scale(beta: float, h2: float) -> float:
                            f"is not finite")
 
 
-def _face_coefficients(stride: int, coeff: EllipticCoefficients, spacings):
+def _flat(*arrays):
+    """Each array as one C-order row: a view of a C-contiguous array (an
+    output must be one), a copy of any other.  Neighbours at distance s
+    along an axis are s * :func:`_neighbour` apart in the row, so one ufunc
+    pass over two slices of it takes the differences along that axis; along
+    the last axis the pass also crosses each row's end, and the pass over
+    the wrap column overwrites those cells.  It runs at the speed of
+    contiguous rows, where numpy copies slices of columns through its
+    iteration buffers."""
+    return tuple(a.reshape(-1) for a in arrays)
+
+
+def _neighbour(x, axis: int) -> int:
+    """Distance in the flat C-order row of ``x`` between neighbours along
+    ``axis``: the product of the lengths of the later axes."""
+    return math.prod(x.shape[axis + 1:])
+
+
+def _face_coefficients(stride: int, coeff: EllipticCoefficients, spacings, out=None):
     """Face coefficients beta/(s h)^2 p'_{i+1} of the stride-s flux form, one
-    array per axis with h the spacing along that axis; :func:`_linear_bands`
-    restates them for the 1D linear solves."""
-    return tuple(_face_scale(coeff.beta, _square(stride * h)) * _shift(coeff.mobility, -1, axis)
-                 for axis, h in enumerate(spacings))
+    array per axis with h the spacing along that axis, written into ``out``
+    (C-contiguous; new arrays where None) as :func:`_flat` describes;
+    :func:`_linear_bands` restates them for the 1D linear solves."""
+    mob = coeff.mobility
+    faces = tuple(np.empty(mob.shape) for _ in spacings) if out is None else out
+    for axis, (h, face) in enumerate(zip(spacings, faces)):
+        scale = _face_scale(coeff.beta, _square(stride * h))
+        (m, f), d = _flat(mob, face), _neighbour(mob, axis)
+        np.multiply(scale, m[d:], out=f[:-d])
+        v, w = (mob, face) if axis == 0 else (mob.T, face.T)
+        np.multiply(scale, v[:1], out=w[-1:])
+    return faces
 
 
-def _flux_operator(rho, stride: int, faces) -> np.ndarray:
+def _flux_operator(rho, stride: int, faces, out=None, work=None) -> np.ndarray:
     """rho - beta div(p' grad rho) in flux form: along each axis the flux
     between cells i and i+s is F_i = face_i (rho_{i+s} - rho_i), and row i
-    takes F_i - F_{i-s}."""
-    out = rho.copy()
+    takes F_i - F_{i-s}.  Written into ``out`` with the two arrays of
+    ``work`` as scratch (C-contiguous; new arrays where None), from
+    differences as :func:`_flat` describes: the floats of the shifted-copy
+    formulas."""
+    out = np.empty(rho.shape) if out is None else out
+    flux, div = (np.empty(rho.shape), np.empty(rho.shape)) if work is None else work
+    np.copyto(out, rho)
+    s = stride
     for axis, face in enumerate(faces):
-        flux = face * (_shift(rho, -stride, axis) - rho)
-        out -= flux - _shift(flux, stride, axis)
+        (r, f, g), d = _flat(rho, flux, div), s * _neighbour(rho, axis)
+        v, fv, gv = (rho, flux, div) if axis == 0 else (rho.T, flux.T, div.T)
+        np.subtract(r[d:], r[:-d], out=f[:-d])
+        np.subtract(v[:s], v[-s:], out=fv[-s:])
+        np.multiply(face, flux, out=flux)
+        np.subtract(f[d:], f[:-d], out=g[d:])
+        np.subtract(fv[:s], fv[-s:], out=gv[:s])
+        out -= div
     return out
 
 
@@ -339,11 +384,50 @@ def _stride(stencil: str) -> int:
     return _STENCIL_STRIDE[stencil]
 
 
-def _cg(matvec, b, rtol, maxiter, precond):
-    """Conjugate gradients for an SPD operator, preconditioned by the SPD
-    map ``precond``; returns (x, iters).
+class _GridBuffers(NamedTuple):
+    """A thread's scratch arrays for one 2D grid shape: 12 float arrays of
+    the shape and two complex ones of rfft2's output shape.  ``faces`` hold
+    a solve's face coefficients until the next solve; the solve iterates in
+    ``work`` (CG's x, r and p, the result of its operator and
+    preconditioner, and the operator's scratch), which a step also uses
+    before and after its solve; ``held`` keeps what a step carries across
+    its solve; ``spectra`` are the preconditioner's spectrum and symbol."""
 
-    The stopping test is on the unpreconditioned residual,
+    faces: tuple
+    work: tuple
+    held: tuple
+    spectra: tuple
+
+
+_THREAD = threading.local()
+
+
+def _grid_buffers(shape) -> _GridBuffers:
+    """The calling thread's scratch set for 2D grids of ``shape``, kept
+    between calls so that a 2D step and its solve write into the same
+    memory every step; made anew when the shape changes.  Nothing a step or
+    a solve returns is one of its arrays or a writable view of one."""
+    bufs = getattr(_THREAD, "grid_buffers", None)
+    if bufs is None or bufs.faces[0].shape != shape:
+        def grids(n):
+            return tuple(np.empty(shape) for _ in range(n))
+
+        # rfft2's output shape; the symbol's imaginary part stays 0.
+        half = (shape[0], shape[1] // 2 + 1)
+        bufs = _GridBuffers(grids(2), grids(6), grids(4),
+                            tuple(np.zeros(half, dtype=complex) for _ in range(2)))
+        _THREAD.grid_buffers = bufs
+    return bufs
+
+
+def _cg(matvec, b, rtol, maxiter, precond, work):
+    """Conjugate gradients for an SPD operator, preconditioned by the SPD
+    map ``precond``; returns (x, iters), x one of ``work``.
+
+    ``work`` is (x, r, p), arrays of b's shape that the iteration writes in
+    place; ``b`` may be its r.  ``matvec`` and ``precond`` write into one
+    array of their own, which then holds alpha A p and alpha p while r and
+    x are updated.  The stopping test is on the unpreconditioned residual,
     ||b - A x|| <= rtol ||b||, whatever the preconditioner.  It is taken as
     soon as the residual is updated, so the converged residual is never
     preconditioned: a solve of ``iters`` iterations calls ``precond``
@@ -355,16 +439,17 @@ def _cg(matvec, b, rtol, maxiter, precond):
         bb = np.vdot(b, b)
     if bb == math.inf and np.isfinite(b).all():
         exponent = math.frexp(float(np.abs(b).max()))[1]
-        x, it = _cg(matvec, np.ldexp(b, -exponent), rtol, maxiter, precond)
+        x, it = _cg(matvec, np.ldexp(b, -exponent), rtol, maxiter, precond, work)
         return np.ldexp(x, exponent), it
+    x, r, p = work
+    x.fill(0.0)
     bnorm = np.sqrt(bb)
     if bnorm == 0.0:
-        return np.zeros_like(b), 0
+        return x, 0
     rr = float(bb)
-    x = np.zeros_like(b)
-    r = b.copy()
+    np.copyto(r, b)
     z = precond(r)
-    p = z.copy()
+    np.copyto(p, z)
     rz = float(np.vdot(r, z))
     tol2 = (rtol * bnorm) ** 2
     it = 0
@@ -385,29 +470,37 @@ def _cg(matvec, b, rtol, maxiter, precond):
         if pap <= 0.0 or not np.isfinite(pap):
             raise SolverFailureError("CG breakdown: operator not positive definite")
         alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
+        r -= np.multiply(alpha, ap, out=ap)
+        x += np.multiply(alpha, p, out=ap)
         rr = float(np.vdot(r, r))
         it += 1
         if not rr > tol2:
             break
         z = precond(r)
         rz_new = float(np.vdot(r, z))
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     return x, it
 
 
-def _fft_preconditioner(shape, stride, coeff: EllipticCoefficients, dx: float, dy: float):
+def _fft_preconditioner(stride, coeff: EllipticCoefficients, dx: float, dy: float, out,
+                        spectra):
     """Inverse of the stencil's operator with the mobility frozen at its mean.
 
     That operator is circulant, so rfft2 diagonalizes it with the symbol
     1 + mean(p') (b_x 4 sin^2(pi s k1/m1) + b_y 4 sin^2(pi s k2/m2)), s the
     stride and b_x = beta/(s dx)^2.  In the low-Mach limit p'(rho) is
     constant up to O(eps^2) and the preconditioner is close to exact
-    (Strang 1986; T. Chan 1988).
+    (Strang 1986; T. Chan 1988).  The map writes into ``out``, through
+    ``spectra`` = (spectrum, symbol), complex arrays of rfft2's output
+    shape.  The inverse symbol sits in the real part of the second (its
+    imaginary part is 0): the complex product a real symbol is cast to,
+    without numpy's cast buffer.  The inverse transform is irfft2's two
+    passes, the ifft over axis 0 in place and the irfft over axis 1.
     """
-    m1, m2 = shape
+    m1, m2 = out.shape
+    spectrum, symbol = spectra
     b_x = coeff.beta / _square(stride * dx)
     b_y = coeff.beta / _square(stride * dy)
     k1 = np.arange(m1)[:, None]
@@ -417,11 +510,18 @@ def _fft_preconditioner(shape, stride, coeff: EllipticCoefficients, dx: float, d
     if not (top < math.inf and mean_mob * top < math.inf):
         raise InstabilityError(f"preconditioner symbol 1 + {mean_mob:.3g} * {top:.3g} "
                                f"is not finite")
-    inv_symbol = 1.0 / (1.0 + mean_mob * (b_x * 4.0 * np.sin(np.pi * stride * k1 / m1) ** 2
-                                          + b_y * 4.0 * np.sin(np.pi * stride * k2 / m2) ** 2))
+    inv_symbol = symbol.real
+    np.add(b_x * 4.0 * np.sin(np.pi * stride * k1 / m1) ** 2,
+           b_y * 4.0 * np.sin(np.pi * stride * k2 / m2) ** 2, out=inv_symbol)
+    np.multiply(mean_mob, inv_symbol, out=inv_symbol)
+    np.add(1.0, inv_symbol, out=inv_symbol)
+    np.divide(1.0, inv_symbol, out=inv_symbol)
 
     def precond(r):
-        return np.fft.irfft2(np.fft.rfft2(r) * inv_symbol, s=shape)
+        np.fft.rfft2(r, out=spectrum)
+        np.multiply(spectrum, symbol, out=spectrum)
+        np.fft.ifft(spectrum, m1, 0, out=spectrum)
+        return np.fft.irfft(spectrum, m2, 1, out=out)
 
     return precond
 
@@ -438,10 +538,12 @@ def solve_elliptic_2d(dphi, coeff: EllipticCoefficients, dx: float, dy: float,
     ``maxiter`` defaults to m1 m2, the number of unknowns: in exact
     arithmetic CG converges within that many iterations, so a solve that
     has not is stagnating; a ``maxiter`` below 1 is a ValueError.  Returns
-    (rho, cg_iterations, faces), with faces the face coefficients the
-    operator was built from, for a residual check through
-    :func:`_flux_operator` that builds none; () where beta = 0, whose
-    operator is the identity.
+    (rho, cg_iterations, faces): rho a new array; faces the face
+    coefficients the operator was built from, for a residual check through
+    :func:`_flux_operator` that builds none, () where beta = 0, whose
+    operator is the identity.  The faces are read-only views of the
+    thread's scratch set (:func:`_grid_buffers`), valid until the thread's
+    next 2D solve.
     """
     if maxiter is not None and maxiter < 1:
         raise ValueError(f"maxiter must be >= 1, got {maxiter}")
@@ -454,14 +556,25 @@ def solve_elliptic_2d(dphi, coeff: EllipticCoefficients, dx: float, dy: float,
         raise UnsupportedGridError("wide 2D stencil requires even cell counts")
     if coeff.beta == 0.0:
         return dphi.copy(), 0, ()
-    # Deviation-from-constant solve: exact free-stream preservation.
+    bufs = _grid_buffers(dphi.shape)
+    x, r, p, w, flux, div = bufs.work
+    # Deviation-from-constant solve: exact free-stream preservation.  The
+    # right-hand side goes straight into CG's residual.
     shift = dphi.flat[0]
-    rhs = dphi - shift
+    np.subtract(dphi, shift, out=r)
 
-    faces = _face_coefficients(stride, coeff, (dx, dy))
-    x, iters = _cg(lambda v: _flux_operator(v, stride, faces), rhs, _CG_RTOL, maxiter,
-                   _fft_preconditioner((m1, m2), stride, coeff, dx, dy))
-    return x + shift, iters, faces
+    faces = _face_coefficients(stride, coeff, (dx, dy), bufs.faces)
+    x, iters = _cg(lambda v: _flux_operator(v, stride, faces, w, (flux, div)), r, _CG_RTOL,
+                   maxiter, _fft_preconditioner(stride, coeff, dx, dy, w, bufs.spectra),
+                   (x, r, p))
+    return x + shift, iters, tuple(_read_only(face) for face in faces)
+
+
+def _read_only(a):
+    """A read-only view of ``a``."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def apply_elliptic_operator_2d(stencil: str, rho, coeff: EllipticCoefficients,

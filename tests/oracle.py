@@ -205,14 +205,29 @@ def shift_matrix(shape, s, axis):
     return np.roll(np.eye(n).reshape(*shape, n), -s, axis).reshape(n, n)
 
 
+def face_coefficients(mobility, beta, spacings, stride):
+    """face_i = beta/(s h)^2 p'_{i+1} along each axis, h its spacing."""
+    return tuple(beta / (stride * h)**2 * np.roll(mobility, -1, axis)
+                 for axis, h in enumerate(spacings))
+
+
+def flux_form(rho, faces, stride):
+    """rho - beta div(p' grad rho) in flux form, applied: along each axis the
+    flux F = face (rho_{+s} - rho), and rho loses F - F_{-s}."""
+    out = rho.copy()
+    for axis, face in enumerate(faces):
+        flux = face * (np.roll(rho, -stride, axis) - rho)
+        out -= flux - np.roll(flux, stride, axis)
+    return out
+
+
 def dense_operator(mobility, beta, spacings, stride):
     """rho - beta div(p' grad rho) in flux form as a matrix: I + sum over the
     axes of (I - S)^T diag(face) (I - S), S the stride-s shift along the axis
-    and face_i = beta/(s h)^2 p'_{i+1} its face coefficients."""
+    and face its :func:`face_coefficients`."""
     n = mobility.size
     a = np.eye(n)
-    for axis, h in enumerate(spacings):
-        face = beta / (stride * h)**2 * np.roll(mobility, -1, axis)
+    for axis, face in enumerate(face_coefficients(mobility, beta, spacings, stride)):
         jump = np.eye(n) - shift_matrix(mobility.shape, stride, axis)
         a += jump.T @ (face.reshape(n, 1) * jump)
     return a

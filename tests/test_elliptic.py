@@ -259,6 +259,35 @@ def test_2d_beta_zero_identity_and_constant(stencil):
 SHAPES = [(4, 6), (6, 4), (4, 10), (8, 6), (6, 10), (10, 8)]
 
 
+_KERNEL_SHAPES = [(8,), (2,), (6, 4), (2, 6), (4, 2), (10, 8), (1, 6)]
+
+
+@pytest.mark.parametrize("shape, stride", [(shape, s) for s in (1, 2) for shape in _KERNEL_SHAPES
+                                           if not any(n % s for n in shape)])
+def test_flux_form_kernels_equal_np_roll_formulas(shape, stride):
+    # The face coefficients and the operator write from slices of flat
+    # rows, into new arrays or into given ones (filled with NaN here, so
+    # that a cell left unwritten shows); the reference's np.roll formulas
+    # are their floats, bit for bit, along every axis, also where the
+    # length equals the stride.
+    from lowmach import elliptic
+
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1] * 10 + stride)
+    spacings = tuple(rng.uniform(0.05, 0.3, len(shape)))
+    for _ in range(5):
+        coeff = EllipticCoefficients(float(10.0 ** rng.uniform(-4, 0)), 0.5 + rng.random(shape))
+        rho = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
+        faces = oracle.face_coefficients(coeff.mobility, coeff.beta, spacings, stride)
+        expected = oracle.flux_form(rho, faces, stride)
+        dirty = [np.full(shape, np.nan) for _ in range(5)]
+        for built in (elliptic._face_coefficients(stride, coeff, spacings),
+                      elliptic._face_coefficients(stride, coeff, spacings, tuple(dirty[:len(shape)]))):
+            assert all(np.array_equal(f, want) for f, want in zip(built, faces))
+        assert np.array_equal(_flux_operator(rho, stride, faces), expected)
+        out = _flux_operator(rho, stride, faces, dirty[2], (dirty[3], dirty[4]))
+        assert out is dirty[2] and np.array_equal(out, expected)
+
+
 @pytest.mark.parametrize("stencil", ["wide", "reduced"])
 @SOLVE_SETTINGS
 @given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 2**32 - 1),

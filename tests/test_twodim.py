@@ -106,18 +106,30 @@ def test_dphi2_matches_oracle_random():
 
 @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (9, 4), (1, 6), (6, 2), (3, 1)])
 def test_kernels_equal_np_roll_formulas(shape):
-    # _dc and _diss write from slice views; the reference's np.roll formulas
-    # are their floats, bit for bit, along both axes.
-    from lowmach.twodim import _dc, _diss
+    # The speeds, _dc and _diss write from slices of flat rows, into new
+    # arrays or into given ones (filled with NaN here, so that a cell left
+    # unwritten shows); the reference's np.roll formulas are their floats,
+    # bit for bit, along both axes.
+    from lowmach.twodim import _cell_speeds, _dc, _diss, _interface_speeds
 
     rng = np.random.default_rng(shape[0] * 10 + shape[1])
     for _ in range(5):
         u = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
         a = rng.uniform(0.1, 5.0, shape)
         h = float(rng.uniform(0.01, 1.0))
+        dirty = [np.full(shape, np.nan) for _ in range(4)]
         for axis in (0, 1):
             assert np.array_equal(_dc(u, h, axis), oracle.centered_2d(u, h, axis))
-            assert np.array_equal(_diss(u, a, h, axis), oracle.dissipation_2d(u, a, h, axis))
+            assert np.array_equal(_dc(u, h, axis, dirty[0]), oracle.centered_2d(u, h, axis))
+            want = oracle.dissipation_2d(u, a, h, axis)
+            assert np.array_equal(_diss(u, a, h, axis, dirty[1], dirty[2]), want)
+        state = FluidState2D(rho=a, q1=u, q2=rng.standard_normal(shape))
+        alpha = float(rng.choice([0.0, 1.0]))
+        speed, speeds = oracle.speeds_2d(state, EOS2, alpha)
+        cell = _cell_speeds(*state.velocity(), EOS2.pressure_derivative(a), alpha, *dirty[:2])
+        assert np.array_equal(cell, speed)
+        for got, want in zip(_interface_speeds(cell, *dirty[2:]), speeds):
+            assert np.array_equal(got, want)
 
 
 # The ids say that the step's right-hand side is the literal elimination.
@@ -314,12 +326,20 @@ def test_2d_positivity_error_carries_index():
     assert "density lost positivity at cell (3, 2)" in str(err.value)
 
 
+def _scratch_set(shape):
+    """Every array of the calling thread's 2D scratch set for ``shape``."""
+    from lowmach.elliptic import _grid_buffers
+
+    return [a for group in _grid_buffers(shape) for a in group]
+
+
 @pytest.mark.parametrize("stencil", ["wide", "reduced"])
 def test_step_2d_peak_working_set(stencil):
-    # The step sums each momentum's explicit part before the solve and drops
-    # the interface speeds and the flux and dissipation terms: its traced
-    # peak is ~19 arrays of m1 m2 floats at 64^2 (~25.8 while the terms were
-    # held through the solve).
+    # A step takes its temporaries from the thread's scratch set, which
+    # outlives it: 12 arrays of m1 m2 floats and two complex ones of rfft2's
+    # shape, ~14.2 arrays at 64^2 (<= 16).  A warm step then allocates p and
+    # p' of rho^n, rho^{n+1}, p(rho^{n+1}) and the two new momenta: a traced
+    # peak of ~5.26 arrays (~19 while every temporary was a new array).
     import tracemalloc
 
     m = 64
@@ -327,16 +347,139 @@ def test_step_2d_peak_working_set(stencil):
     eps = 0.005
     args = (example3_state(grid, eps), example3_eos(), SchemeParams(epsilon=eps, alpha=1.0),
             stencil, 0.2 * grid.dx, grid.dx, grid.dy)
-    step_ap_2d(*args)  # warm-up: nothing cached on a first call is counted
+    small = example3_grid(8, 8)
+    # An 8 x 8 step leaves the thread an 8 x 8 set, which the next step replaces.
+    step_ap_2d(example3_state(small, eps), *args[1:4], 0.01, small.dx, small.dy)
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
     try:
-        tracemalloc.reset_peak()
         base, _ = tracemalloc.get_traced_memory()
+        step_ap_2d(*args)  # warm-up: builds the 64 x 64 set
+        retained, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        warm, _ = tracemalloc.get_traced_memory()
         step_ap_2d(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    assert (peak - base) / (m * m * 8) < 23.0
+    array = m * m * 8
+    assert (retained - base) / array <= 16.0
+    assert (peak - warm) / array < 6.3
+
+
+@pytest.mark.parametrize("stencil", ["wide", "reduced"])
+def test_step_2d_hands_back_no_scratch_array(stencil):
+    # The new state, a solve's rho and assemble_dphi_2d's right-hand side
+    # are new arrays; the faces a solve returns are read-only views of the
+    # scratch set.
+    from lowmach import EllipticCoefficients, beta_coefficient, solve_elliptic_2d
+
+    grid = example3_grid(16, 12)
+    params = SchemeParams(epsilon=0.05, alpha=0.0)
+    dt = 0.25 * grid.dx
+    out, _ = step_ap_2d(example3_state(grid, 0.05), example3_eos(), params, stencil, dt,
+                        grid.dx, grid.dy)
+    dphi = assemble_dphi_2d(out, example3_eos(), params, dt, grid.dx, grid.dy)
+    coeff = EllipticCoefficients(beta_coefficient(0.05, 0.0, dt),
+                                 example3_eos().pressure_derivative(out.rho))
+    rho, _, faces = solve_elliptic_2d(dphi, coeff, grid.dx, grid.dy, stencil=stencil)
+    scratch = _scratch_set(out.shape)
+    for arr in (out.rho, out.q1, out.q2, dphi, rho):
+        assert not any(np.shares_memory(arr, a) for a in scratch)
+    assert len(faces) == 2
+    for face in faces:
+        assert any(np.shares_memory(face, a) for a in scratch)
+        with pytest.raises(ValueError):
+            face[0, 0] = 1.0
+
+
+def test_step_2d_outputs_keep_their_bytes():
+    # A state, a right-hand side and a solve's rho are unchanged by later
+    # steps on the same shape and on another one, which replaces the
+    # thread's scratch set, and back.
+    from lowmach import EllipticCoefficients, solve_elliptic_2d
+
+    eps, params = 0.05, SchemeParams(epsilon=0.05, alpha=0.0)
+    grid = example3_grid(16, 16)
+    state, _ = step_ap_2d(example3_state(grid, eps), example3_eos(), params, "wide",
+                          0.25 * grid.dx, grid.dx, grid.dy)
+    dphi = assemble_dphi_2d(state, example3_eos(), params, 0.25 * grid.dx, grid.dx, grid.dy)
+    rho, _, _ = solve_elliptic_2d(dphi, EllipticCoefficients(0.01, np.ones((16, 16))),
+                                  grid.dx, grid.dy)
+    kept = [a.tobytes() for a in (state.rho, state.q1, state.q2, dphi, rho)]
+    for g in (grid, example3_grid(8, 12), grid):
+        later = example3_state(g, eps)
+        for stencil in ("reduced", "wide"):
+            later, _ = step_ap_2d(later, example3_eos(), params, stencil, 0.25 * g.dx, g.dx, g.dy)
+    assert [a.tobytes() for a in (state.rho, state.q1, state.q2, dphi, rho)] == kept
+
+
+def test_step_2d_reads_any_memory_layout():
+    # The kernels read their inputs through flat C-order rows, which copy a
+    # Fortran-ordered state: its right-hand side is the C-ordered state's to
+    # the bit, and its step the same to round-off (CG then sums its dot
+    # products in another order).
+    rng = np.random.default_rng(12)
+    fields = [rng.uniform(0.6, 1.4, (8, 6)), 0.4 * rng.standard_normal((8, 6)),
+              0.4 * rng.standard_normal((8, 6))]
+    c_state = FluidState2D(*fields)
+    f_state = FluidState2D(*(np.asfortranarray(f) for f in fields))
+    assert f_state.rho.flags.f_contiguous and not f_state.rho.flags.c_contiguous
+    params = SchemeParams(epsilon=0.3, alpha=1.0)
+    args = (EOS2, params, 0.01, 1 / 8, 1 / 6)
+    assert np.array_equal(assemble_dphi_2d(f_state, *args), assemble_dphi_2d(c_state, *args))
+    for stencil in ("wide", "reduced"):
+        want, _ = step_ap_2d(c_state, EOS2, params, stencil, 0.01, 1 / 8, 1 / 6)
+        got, _ = step_ap_2d(f_state, EOS2, params, stencil, 0.01, 1 / 8, 1 / 6)
+        for name in ("rho", "q1", "q2"):
+            assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-14
+
+
+def _twenty_steps(m, stencil):
+    grid = example3_grid(m, m)
+    state = example3_state(grid, 0.05)
+    params = SchemeParams(epsilon=0.05, alpha=0.0)
+    reports = []
+    for _ in range(20):
+        state, report = step_ap_2d(state, example3_eos(), params, stencil, 0.25 * grid.dx,
+                                   grid.dx, grid.dy)
+        reports.append(report)
+    return state, reports
+
+
+def test_step_2d_threads_reproduce_serial_results():
+    # Each thread has its own scratch set: four threads (more than a
+    # two-core machine has), two stepping 32^2 and two 16^2, released
+    # together and switching every microsecond, give the serial results
+    # bit for bit.
+    import threading
+
+    cases = [(32, "wide"), (16, "reduced"), (32, "reduced"), (16, "wide")]
+    serial = [_twenty_steps(*case) for case in cases]
+    results = [[] for _ in cases]
+    start = threading.Barrier(len(cases))
+
+    def run(case, result):
+        start.wait(timeout=60)
+        result.append(_twenty_steps(*case))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(case, result))
+                   for case, result in zip(cases, results)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for (state, reports), result in zip(serial, results):
+        assert len(result) == 1
+        got, got_reports = result[0]
+        for name in ("rho", "q1", "q2"):
+            assert np.array_equal(getattr(got, name), getattr(state, name))
+        assert got_reports == reports
