@@ -31,6 +31,7 @@ from .elliptic import _STENCIL_STRIDE, _VARIANT_STRIDE
 from .errors import ConfigError, InvalidStateError, ParamError
 from .handoff import check_step_count
 from .presets import (
+    _PRESET_FIXED,
     PRESET_NAMES,
     custom_state_1d,
     custom_state_2d,
@@ -41,11 +42,6 @@ from .presets import (
 
 _STEPPERS = ("ap", "explicit_llf", "ice")
 
-_PRESET_FIXED = {
-    "example1": dict(dimension=1, lambda_coeff=1.0, gamma=2.0, domain_a=0.0, domain_b=1.0),
-    "example2": dict(dimension=1, lambda_coeff=1.0, gamma=1.4, domain_a=-1.0, domain_b=1.0),
-    "example3": dict(dimension=2, lambda_coeff=1.0, gamma=2.0, domain_a=0.0, domain_b=1.0),
-}
 _PRESET_STATES = {"example1": example1_state, "example2": example2_state,
                   "example3": example3_state}
 

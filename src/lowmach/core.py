@@ -135,21 +135,6 @@ class Grid2D:
         return x, y
 
 
-def _shift(x, k, axis=0):
-    """``np.roll(x, k, axis)``, as a new array.  A nonempty 1D array
-    (``axis`` ignored), or a nonempty 2D array along axis 0 or 1, is the
-    concatenation of two slices, which costs a fraction of ``np.roll``
-    (at 128 x 128, 5.5-8 us against 11-14 us on a 2-core x86 VM); any other
-    input goes to ``np.roll``."""
-    if x.size and (x.ndim == 1 or x.ndim == 2 and axis == 0):
-        k %= x.shape[0]
-        return np.concatenate((x[-k:], x[:-k]))
-    if x.size and x.ndim == 2 and axis == 1:
-        k %= x.shape[1]
-        return np.concatenate((x[:, -k:], x[:, :-k]), axis=1)
-    return np.roll(x, k, axis=axis)
-
-
 def _square(x):
     """x**2, or inf where that overflows: the square of a Python float
     raises OverflowError there, where a numpy float's reads inf."""
@@ -165,6 +150,43 @@ def _periodic(x, width=1):
     by one concatenation: cell j sits at index j + width, and its neighbour
     at distance s <= width is a slice view."""
     return np.concatenate((x[-width:], x, x[:width]))
+
+
+def _pair(op, x, a: int, b: int, axis: int, out):
+    """``op(x[i+a], x[i+b], out=...)`` along ``axis`` of a 1D or 2D float
+    array, indices taken modulo the axis length n, written into ``out`` (of
+    x's shape, C-contiguous, not overlapping x); returns ``out``.
+
+    The cells whose two neighbours both lie inside the axis take one ufunc
+    pass over slices of the flat C-order row of x (a copy of x where x is
+    not C-contiguous), in which neighbours along ``axis`` are the product
+    of the later axes' lengths apart; along the last axis the pass also
+    crosses each row's end.  Then one call per end writes the wrap band,
+    the first max(0, -a, -b) or the last max(0, a, b) rows or columns,
+    which overwrites those cells.  A flat pass runs at the speed of
+    contiguous rows, where numpy copies slices of columns through its
+    iteration buffers.  Offsets of one sign, and an axis shorter than its
+    two bands, go through np.roll.  Every cell is ``op`` of the operands of
+    the np.roll formula: the same float."""
+    n = x.shape[axis]
+    lo, hi = (-a if a < b else -b), (a if a > b else b)
+    if lo < 0 or hi < 0 or lo + hi > n:
+        return op(np.roll(x, -a, axis), np.roll(x, -b, axis), out=out)
+    if x.ndim == 1:  # the one row of a 2D array, whose bands are columns
+        _pair(op, x[None], a, b, 1, out[None])
+        return out
+    d = x.shape[1] if axis == 0 else 1
+    xf, of = x.ravel(), out.ravel()
+    start, stop = lo * d, of.size - hi * d
+    op(xf[start + a * d:stop + a * d], xf[start + b * d:stop + b * d], out=of[start:stop])
+    v, o = (x, out) if axis == 0 else (x.T, out.T)
+    for j, w in ((0, lo), (n - hi, hi)):
+        ja, jb = (j + a) % n, (j + b) % n
+        if w == 1:  # one row (or column): numpy iterates it faster than a band of one
+            op(v[ja], v[jb], out=o[j])
+        elif w:
+            op(v[ja:ja + w], v[jb:jb + w], out=o[j:j + w])
+    return out
 
 
 def _cell_index(flat: int, shape):

@@ -8,7 +8,7 @@ from math import inf, log2
 
 import numpy as np
 
-from .core import FluidState1D, FluidState2D, _shift
+from .core import FluidState1D, FluidState2D
 from .errors import UnsupportedGridError
 from .twodim import _dc
 
@@ -70,7 +70,7 @@ def total_variation(field) -> float:
     field = np.asarray(field, dtype=float)
     if field.ndim != 1:
         raise ValueError("total_variation expects a 1D field")
-    return float(np.sum(np.abs(_shift(field, -1) - field)))
+    return float(np.sum(np.abs(np.diff(field, append=field[:1]))))
 
 
 def convergence_order(errors):

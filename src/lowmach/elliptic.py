@@ -17,10 +17,10 @@ periodic extension of the mobility scaled by -beta/(s dx)^2 (the
 off-diagonals are slices of it) and return, with the solution, the max-norm
 residual that the tridiagonal solve has already tested, which the steps
 report; they apply no operator after the solve.  In 2D the CG solve builds
-the face coefficients from the mobility once and hands them back for the
-step's residual check (a real check there: CG's recursive residual can
-drift from the true one).  Every solve hands its results back by return
-value.  Three 1D variants:
+the face coefficients from the mobility once, and applies the operator once
+more to its solution for the residual it returns (a real check there: CG's
+recursive residual can drift from the true one).  Every solve hands its
+results back by return value.  Three 1D variants:
 
 * LD -- stride 1, one cyclic tridiagonal solve;
 * L  -- stride 2; even and odd cells decouple into two cyclic tridiagonal
@@ -44,9 +44,9 @@ constant-mobility operator inverted with FFTs; in the low-Mach limit that
 preconditioner is nearly exact, so a solve takes a few iterations.  It
 writes every intermediate in place (``out=``, the FFTs too) into the
 calling thread's scratch set (:func:`_grid_buffers`), which it shares with
-the 2D step, and allocates only the solution it returns; the faces it
-hands back are read-only views of the set, valid until the thread's next
-2D solve.
+the 2D step, and allocates only the solution it returns.  The face
+coefficients and the operator take each periodic difference with
+:func:`lowmach.core._pair`.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import EquationOfState, _cell_index, _periodic, _square
+from .core import EquationOfState, _cell_index, _pair, _periodic, _square
 from .errors import (
     InstabilityError,
     NewtonDivergenceError,
@@ -146,37 +146,17 @@ def _face_scale(beta: float, h2: float) -> float:
                            f"is not finite")
 
 
-def _flat(*arrays):
-    """Each array as one C-order row: a view of a C-contiguous array (an
-    output must be one), a copy of any other.  Neighbours at distance s
-    along an axis are s * :func:`_neighbour` apart in the row, so one ufunc
-    pass over two slices of it takes the differences along that axis; along
-    the last axis the pass also crosses each row's end, and the pass over
-    the wrap column overwrites those cells.  It runs at the speed of
-    contiguous rows, where numpy copies slices of columns through its
-    iteration buffers."""
-    return tuple(a.reshape(-1) for a in arrays)
-
-
-def _neighbour(x, axis: int) -> int:
-    """Distance in the flat C-order row of ``x`` between neighbours along
-    ``axis``: the product of the lengths of the later axes."""
-    return math.prod(x.shape[axis + 1:])
-
-
 def _face_coefficients(stride: int, coeff: EllipticCoefficients, spacings, out=None):
     """Face coefficients beta/(s h)^2 p'_{i+1} of the stride-s flux form, one
     array per axis with h the spacing along that axis, written into ``out``
-    (C-contiguous; new arrays where None) as :func:`_flat` describes;
+    (C-contiguous; new arrays where None) by :func:`lowmach.core._pair`;
     :func:`_linear_bands` restates them for the 1D linear solves."""
     mob = coeff.mobility
     faces = tuple(np.empty(mob.shape) for _ in spacings) if out is None else out
     for axis, (h, face) in enumerate(zip(spacings, faces)):
         scale = _face_scale(coeff.beta, _square(stride * h))
-        (m, f), d = _flat(mob, face), _neighbour(mob, axis)
-        np.multiply(scale, m[d:], out=f[:-d])
-        v, w = (mob, face) if axis == 0 else (mob.T, face.T)
-        np.multiply(scale, v[:1], out=w[-1:])
+        # scale p'_{i+1}: the pair's second operand, p'_i, is not read.
+        _pair(lambda m, _, out: np.multiply(scale, m, out=out), mob, 1, 0, axis, face)
     return faces
 
 
@@ -184,22 +164,16 @@ def _flux_operator(rho, stride: int, faces, out=None, work=None) -> np.ndarray:
     """rho - beta div(p' grad rho) in flux form: along each axis the flux
     between cells i and i+s is F_i = face_i (rho_{i+s} - rho_i), and row i
     takes F_i - F_{i-s}.  Written into ``out`` with the two arrays of
-    ``work`` as scratch (C-contiguous; new arrays where None), from
-    differences as :func:`_flat` describes: the floats of the shifted-copy
-    formulas."""
+    ``work`` as scratch (C-contiguous; new arrays where None), each
+    difference by :func:`lowmach.core._pair`: the floats of the
+    shifted-copy formulas."""
     out = np.empty(rho.shape) if out is None else out
     flux, div = (np.empty(rho.shape), np.empty(rho.shape)) if work is None else work
     np.copyto(out, rho)
-    s = stride
     for axis, face in enumerate(faces):
-        (r, f, g), d = _flat(rho, flux, div), s * _neighbour(rho, axis)
-        v, fv, gv = (rho, flux, div) if axis == 0 else (rho.T, flux.T, div.T)
-        np.subtract(r[d:], r[:-d], out=f[:-d])
-        np.subtract(v[:s], v[-s:], out=fv[-s:])
+        _pair(np.subtract, rho, stride, 0, axis, flux)
         np.multiply(face, flux, out=flux)
-        np.subtract(f[d:], f[:-d], out=g[d:])
-        np.subtract(fv[:s], fv[-s:], out=gv[:s])
-        out -= div
+        out -= _pair(np.subtract, flux, 0, -stride, axis, div)
     return out
 
 
@@ -441,6 +415,9 @@ def _cg(matvec, b, rtol, maxiter, precond, work):
         exponent = math.frexp(float(np.abs(b).max()))[1]
         x, it = _cg(matvec, np.ldexp(b, -exponent), rtol, maxiter, precond, work)
         return np.ldexp(x, exponent), it
+    if not math.isfinite(bb):
+        # A NaN or infinite norm would pass the stopping test below.
+        raise InstabilityError(f"CG right-hand side is not finite (||b||^2 = {bb})")
     x, r, p = work
     x.fill(0.0)
     bnorm = np.sqrt(bb)
@@ -534,16 +511,15 @@ def solve_elliptic_2d(dphi, coeff: EllipticCoefficients, dx: float, dy: float,
     counts) or "reduced" (5-point).  Both run one FFT-preconditioned CG on
     the full grid with the operator of ``apply_elliptic_operator_2d``, for
     the deviation b of dphi from dphi[0, 0], and stop where the recursive
-    residual has ||b - A x||_2 <= 1e-13 ||b||_2.
+    residual has ||b - A x||_2 <= 1e-13 ||b||_2; a b that is not finite is
+    an InstabilityError.
     ``maxiter`` defaults to m1 m2, the number of unknowns: in exact
     arithmetic CG converges within that many iterations, so a solve that
     has not is stagnating; a ``maxiter`` below 1 is a ValueError.  Returns
-    (rho, cg_iterations, faces): rho a new array; faces the face
-    coefficients the operator was built from, for a residual check through
-    :func:`_flux_operator` that builds none, () where beta = 0, whose
-    operator is the identity.  The faces are read-only views of the
-    thread's scratch set (:func:`_grid_buffers`), valid until the thread's
-    next 2D solve.
+    (rho, cg_iterations, residual): rho a new array, and residual
+    max|A rho - dphi|, the operator applied again to rho (CG's recursive
+    residual can drift from the true one; Greenbaum 1997, section 7.3);
+    0.0 where beta = 0, whose operator is the identity.
     """
     if maxiter is not None and maxiter < 1:
         raise ValueError(f"maxiter must be >= 1, got {maxiter}")
@@ -555,7 +531,7 @@ def solve_elliptic_2d(dphi, coeff: EllipticCoefficients, dx: float, dy: float,
     if stride == 2 and (m1 % 2 != 0 or m2 % 2 != 0):
         raise UnsupportedGridError("wide 2D stencil requires even cell counts")
     if coeff.beta == 0.0:
-        return dphi.copy(), 0, ()
+        return dphi.copy(), 0, 0.0
     bufs = _grid_buffers(dphi.shape)
     x, r, p, w, flux, div = bufs.work
     # Deviation-from-constant solve: exact free-stream preservation.  The
@@ -567,14 +543,10 @@ def solve_elliptic_2d(dphi, coeff: EllipticCoefficients, dx: float, dy: float,
     x, iters = _cg(lambda v: _flux_operator(v, stride, faces, w, (flux, div)), r, _CG_RTOL,
                    maxiter, _fft_preconditioner(stride, coeff, dx, dy, w, bufs.spectra),
                    (x, r, p))
-    return x + shift, iters, tuple(_read_only(face) for face in faces)
-
-
-def _read_only(a):
-    """A read-only view of ``a``."""
-    view = a.view()
-    view.flags.writeable = False
-    return view
+    rho = x + shift
+    resid = _flux_operator(rho, stride, faces, w, (flux, div))
+    resid -= dphi
+    return rho, iters, float(np.abs(resid, out=resid).max())
 
 
 def apply_elliptic_operator_2d(stencil: str, rho, coeff: EllipticCoefficients,

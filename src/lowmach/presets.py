@@ -19,13 +19,32 @@ from .core import EquationOfState, FluidState1D, FluidState2D, Grid1D, Grid2D
 
 PRESET_NAMES = ("example1", "example2", "example3", "custom")
 
+# What each built-in preset fixes, by config key: its dimension, equation of
+# state and domain (example3's is the unit square).  The example*_eos and
+# example*_grid functions below and lowmach.config both read this table.
+_PRESET_FIXED = {
+    "example1": dict(dimension=1, lambda_coeff=1.0, gamma=2.0, domain_a=0.0, domain_b=1.0),
+    "example2": dict(dimension=1, lambda_coeff=1.0, gamma=1.4, domain_a=-1.0, domain_b=1.0),
+    "example3": dict(dimension=2, lambda_coeff=1.0, gamma=2.0, domain_a=0.0, domain_b=1.0),
+}
+
+
+def _eos(preset: str) -> EquationOfState:
+    fixed = _PRESET_FIXED[preset]
+    return EquationOfState(lambda_coeff=fixed["lambda_coeff"], gamma=fixed["gamma"])
+
+
+def _grid_1d(preset: str, m: int) -> Grid1D:
+    fixed = _PRESET_FIXED[preset]
+    return Grid1D(a=fixed["domain_a"], b=fixed["domain_b"], m=m)
+
 
 def example1_eos() -> EquationOfState:
-    return EquationOfState(lambda_coeff=1.0, gamma=2.0)
+    return _eos("example1")
 
 
 def example1_grid(m: int) -> Grid1D:
-    return Grid1D(a=0.0, b=1.0, m=m)
+    return _grid_1d("example1", m)
 
 
 def example1_state(grid: Grid1D, epsilon: float) -> FluidState1D:
@@ -45,11 +64,11 @@ def example1_state(grid: Grid1D, epsilon: float) -> FluidState1D:
 
 
 def example2_eos() -> EquationOfState:
-    return EquationOfState(lambda_coeff=1.0, gamma=1.4)
+    return _eos("example2")
 
 
 def example2_grid(m: int) -> Grid1D:
-    return Grid1D(a=-1.0, b=1.0, m=m)
+    return _grid_1d("example2", m)
 
 
 def example2_state(grid: Grid1D, epsilon: float) -> FluidState1D:
@@ -61,7 +80,7 @@ def example2_state(grid: Grid1D, epsilon: float) -> FluidState1D:
 
 
 def example3_eos() -> EquationOfState:
-    return EquationOfState(lambda_coeff=1.0, gamma=2.0)
+    return _eos("example3")
 
 
 def example3_grid(m1: int, m2: int) -> Grid2D:

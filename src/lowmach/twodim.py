@@ -26,11 +26,10 @@ only p and p' of rho^n, p of rho^{n+1}, and the arrays it hands back
 (rho^{n+1} and both momenta), and takes no fresh pages from the allocator.
 The terms and the cell speeds sit in the set's ``held`` arrays while the
 solve uses its ``work`` arrays.  The speeds, the centered difference and
-the dissipation write their interiors from slices of flat views and their
-wrap rows or columns apart, with the floats of the shifted-copy formulas
-(:func:`lowmach.elliptic._flat`).  The residual check applies the face
-coefficients the solve built.  The step checks its inputs and ends through
-the checked hand-off of :mod:`lowmach.handoff`
+the dissipation take each periodic neighbour pair with
+:func:`lowmach.core._pair`, with the floats of the shifted-copy formulas.
+The step reports the residual its solve returns.  It checks its inputs and
+ends through the checked hand-off of :mod:`lowmach.handoff`
 (:func:`~lowmach.handoff._check_new_density`, then
 :func:`~lowmach.handoff._finish_step`), as the three 1D steppers do.
 
@@ -43,14 +42,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import EquationOfState, FluidState2D, SchemeParams, _square
+from .core import EquationOfState, FluidState2D, SchemeParams, _pair, _square
 from .elliptic import (
     _STENCIL_STRIDE,
     EllipticCoefficients,
-    _flat,
-    _flux_operator,
     _grid_buffers,
-    _neighbour,
     beta_coefficient,
     solve_elliptic_2d,
 )
@@ -72,26 +68,16 @@ def _interface_speeds(cell_max, a_x, a_y):
     arrays: a_x[i, j] is A at interface (i+1/2, j), a_y[i, j] is A at
     (i, j+1/2); each is the larger cell speed of the two adjacent cells."""
     for axis, a in enumerate((a_x, a_y)):
-        (c, af), d = _flat(cell_max, a), _neighbour(cell_max, axis)
-        np.maximum(c[:-d], c[d:], out=af[:-d])
-        v, w = (cell_max, a) if axis == 0 else (cell_max.T, a.T)
-        np.maximum(v[-1:], v[:1], out=w[-1:])
+        _pair(np.maximum, cell_max, 0, 1, axis, a)
     return a_x, a_y
 
 
 def _dc(u, h, axis, out=None):
     """Centered difference (u_{+1} - u_{-1}) / 2h along ``axis``, written
-    into ``out`` (C-contiguous; a new array where None): the interior in one
-    pass over the flat views (:func:`lowmach.elliptic._flat`), then the two
-    wrap rows (or columns), whose neighbours are indexed modulo the length
-    n, so that n = 1 reads 0."""
-    out = np.empty(u.shape) if out is None else out
-    (uf, of), d = _flat(u, out), _neighbour(u, axis)
-    np.subtract(uf[2 * d:], uf[:-2 * d], out=of[d:-d])
-    v, o = (u, out) if axis == 0 else (u.T, out.T)
-    n = len(v)
-    np.subtract(v[1 % n], v[-1], out=o[0])
-    np.subtract(v[0], v[-2 % n], out=o[-1])
+    into ``out`` (C-contiguous; a new array where None) by
+    :func:`lowmach.core._pair`, whose neighbours are indexed modulo the
+    length n, so that n = 1 reads 0."""
+    out = _pair(np.subtract, u, 1, -1, axis, np.empty(u.shape) if out is None else out)
     out /= 2.0 * h
     return out
 
@@ -101,15 +87,11 @@ def _diss(u, a, h, axis, out, f):
     at interface i+1/2: minus the LLF diffusion; it enters the updates with
     the flux-divergence sign.  With the interface flux f = a (u_{+1} - u) / h
     it is (f_{-1} - f) / 2, f written into ``f`` and the result into
-    ``out`` (C-contiguous), each as :func:`_dc` writes."""
-    (uf, ff, of), d = _flat(u, f, out), _neighbour(u, axis)
-    v, g, o = (u, f, out) if axis == 0 else (u.T, f.T, out.T)
-    np.subtract(uf[d:], uf[:-d], out=ff[:-d])
-    np.subtract(v[0], v[-1], out=g[-1])
+    ``out`` (C-contiguous), each by :func:`lowmach.core._pair`."""
+    _pair(np.subtract, u, 1, 0, axis, f)
     f /= h
     f *= a
-    np.subtract(ff[:-d], ff[d:], out=of[d:])
-    np.subtract(g[-1], g[0], out=o[0])
+    _pair(np.subtract, f, -1, 0, axis, out)
     out *= 0.5
     return out
 
@@ -197,11 +179,9 @@ def step_ap_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
     """One semi-implicit 2D step; returns (new_state, StepReport).
 
     The report's consistency_residual is the max-norm residual of the
-    density row: the new density put through the stencil's elliptic
-    operator, minus the right-hand side (in density units).  Unlike the 1D
-    linear steps, which report their tridiagonal solve's tested residual,
-    this re-applies the operator, from the face coefficients the solve
-    built: CG's recursive residual can drift from the true one.
+    density row that :func:`lowmach.elliptic.solve_elliptic_2d` returns:
+    the new density put through the stencil's elliptic operator, minus the
+    right-hand side (in density units).
 
     The new state's arrays are new; every temporary is an array of the
     thread's scratch set (:func:`lowmach.elliptic._grid_buffers`).
@@ -215,12 +195,12 @@ def step_ap_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
     explicit = _explicit_parts(flux, diss)
     bufs = _grid_buffers(state.shape)
     dphi = _dphi(state, speeds, explicit, dt, dx, dy, bufs.held[3])
-    rho_new, cg_iters, faces = solve_elliptic_2d(dphi, coeff, dx, dy, stencil=stencil)
+    rho_new, cg_iters, residual = solve_elliptic_2d(dphi, coeff, dx, dy, stencil=stencil)
 
     mass = _check_new_density(rho_new)
     p_new = eos._pressure(rho_new)
     c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
-    g, t0, t1, *_ = bufs.work
+    g = bufs.work[0]
     momenta = []
     for q, e, h, axis in ((state.q1, explicit[0], dx, 0), (state.q2, explicit[1], dy, 1)):
         _dc(p_new, h, axis, g)
@@ -228,8 +208,5 @@ def step_ap_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
         np.add(e, g, out=g)
         g *= dt
         momenta.append(q - g)
-    r_density = _flux_operator(rho_new, _STENCIL_STRIDE[stencil], faces, g, (t0, t1))
-    r_density -= dphi
-    residual = float(np.abs(r_density, out=r_density).max())
     return _finish_step(FluidState2D, rho_new, mass, momenta, dx * dy, cell_max, residual,
                         linear_iters=cg_iters)

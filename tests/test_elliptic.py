@@ -13,6 +13,7 @@ from lowmach import (
     EllipticCoefficients,
     EquationOfState,
     FluidState2D,
+    InstabilityError,
     NewtonDivergenceError,
     NumericsError,
     PositivityError,
@@ -246,9 +247,9 @@ def test_ld_one_sided_mobility_maps_to_mirror_operator():
 def test_2d_beta_zero_identity_and_constant(stencil):
     rng = np.random.default_rng(3)
     dphi = 1 + 0.1 * rng.random((8, 8))
-    out, iters, faces = solve_elliptic_2d(dphi, EllipticCoefficients(0.0, np.ones((8, 8))),
-                                          1 / 8, 1 / 8, stencil=stencil)
-    assert np.array_equal(out, dphi) and iters == 0 and faces == ()
+    out, iters, residual = solve_elliptic_2d(dphi, EllipticCoefficients(0.0, np.ones((8, 8))),
+                                             1 / 8, 1 / 8, stencil=stencil)
+    assert np.array_equal(out, dphi) and iters == 0 and residual == 0.0
     const = np.full((8, 8), 2.5)
     out, _, _ = solve_elliptic_2d(const, EllipticCoefficients(0.04, np.ones((8, 8))),
                                   1 / 8, 1 / 8, stencil=stencil)
@@ -294,20 +295,21 @@ def test_flux_form_kernels_equal_np_roll_formulas(shape, stride):
        log_beta=st.floats(-4.0, -1.0))
 def test_2d_matches_dense_oracle(stencil, shape, seed, log_beta):
     # dx != dy, U(0.05, 0.3) each from seed: the dense solve within 1e-10;
-    # the operator of the residual check, from the faces the solve hands
-    # back, is the public operator to the bit and the dense one within 1e-13.
+    # the residual the solve returns is that of the public operator applied
+    # to its solution, to the bit, and that operator the dense one within
+    # 1e-13.
     rng = np.random.default_rng(seed)
     mob = 0.5 + rng.random(shape)
     dphi = 1 + 0.4 * rng.standard_normal(shape)
     spacings = tuple(rng.uniform(0.05, 0.3, 2))
     beta = 10.0**log_beta
     coeff = EllipticCoefficients(beta=beta, mobility=mob)
-    out, _, faces = solve_elliptic_2d(dphi, coeff, *spacings, stencil=stencil)
+    out, _, residual = solve_elliptic_2d(dphi, coeff, *spacings, stencil=stencil)
     dense = oracle.dense_operator(mob, beta, spacings, oracle.STRIDE[stencil])
     exact = np.linalg.solve(dense, dphi.ravel()).reshape(shape)
     assert np.max(np.abs(out - exact)) <= 1e-10 * max(1.0, np.max(np.abs(exact)))
     applied = apply_elliptic_operator_2d(stencil, out, coeff, *spacings)
-    assert np.array_equal(_flux_operator(out, oracle.STRIDE[stencil], faces), applied)
+    assert residual == np.max(np.abs(applied - dphi))
     assert np.max(np.abs(applied.ravel() - dense @ out.ravel())) <= 1e-13 * np.max(np.abs(applied))
 
 
@@ -324,6 +326,19 @@ def test_2d_solve_scales_a_right_hand_side_whose_norm_overflows(stencil):
     big = np.ldexp(dphi, 1000)
     out, big_iters, _ = solve_elliptic_2d(big, coeff, 1 / 8, 1 / 8, stencil=stencil)
     assert big_iters == iters >= 2 and np.array_equal(out, np.ldexp(small, 1000))
+
+
+@pytest.mark.parametrize("stencil", ["wide", "reduced"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_2d_non_finite_right_hand_side_is_instability(stencil, value):
+    # A NaN or infinite squared norm would pass CG's stopping test at once
+    # and return a density made up from dphi[0, 0]; it is a numerical
+    # failure, as in the 1D solves.
+    dphi = np.ones((8, 8))
+    dphi[3, 4] = value
+    with pytest.raises(InstabilityError, match="right-hand side is not finite"):
+        solve_elliptic_2d(dphi, EllipticCoefficients(0.01, np.ones((8, 8))), 1 / 8, 1 / 8,
+                          stencil=stencil)
 
 
 def test_2d_wide_requires_even_cells():

@@ -1,4 +1,4 @@
-"""The hot path: the periodic shift that replaces np.roll, the 1D LLF
+"""The hot path: the periodic pair kernel of the 2D path, the 1D LLF
 kernel and the nl Newton loop on periodic extensions, the validate-once
 contract of the 1D and 2D steppers and of the Newton solve, what the
 solves hand back by return value, the 1D bands built without face
@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lowmach
 import oracle
@@ -37,7 +39,8 @@ from lowmach import (
     step_ice_1d,
 )
 from lowmach import elliptic, onedim, tridiag, twodim
-from lowmach.core import FluidState2D, _shift
+from lowmach.core import FluidState2D, _pair
+from lowmach.diagnostics import total_variation
 from lowmach.elliptic import _solve_strided_tridiagonal, apply_elliptic_operator_1d
 from lowmach.handoff import _check_new_density, _finish_step
 # The 1D linear solves' tolerance, which the steps use.
@@ -57,21 +60,37 @@ from lowmach.presets import (
 EOS2 = EquationOfState(1.0, 2.0)
 
 
+def _rolled_pair(op, x, a, b, axis, out):
+    """The np.roll formula of :func:`lowmach.core._pair`."""
+    return op(np.roll(x, -a, axis), np.roll(x, -b, axis), out=out)
+
+
+def _pairs_equal_roll(x, axis):
+    # Every pair of offsets within one period and a cell either side, into
+    # an output filled with NaN, so that a cell left unwritten shows.
+    n = x.shape[axis]
+    for a in range(-n - 1, n + 2):
+        for b in range(-n - 1, n + 2):
+            out = _pair(np.subtract, x, a, b, axis, np.full(x.shape, np.nan))
+            assert np.array_equal(out, _rolled_pair(np.subtract, x, a, b, axis, np.empty(x.shape)))
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 8, 11])
 def test_shift_equals_roll(m):
+    # The periodic shifts of a 1D field: _pair's and the total variation's
+    # wrap difference are np.roll's.
     x = np.random.default_rng(m).standard_normal(m)
-    for k in range(-m - 1, m + 2):
-        shifted = _shift(x, k)
-        assert np.array_equal(shifted, np.roll(x, k))
-        assert shifted is not x and not np.shares_memory(shifted, x)
+    _pairs_equal_roll(x, 0)
+    assert total_variation(x) == float(np.sum(np.abs(np.roll(x, -1) - x)))
 
 
 def test_shift_on_2d_and_empty_input_equals_roll():
     x = np.arange(12.0).reshape(3, 4)
     for axis in (0, 1):
         for k in (-2, 1, 5):
-            assert np.array_equal(_shift(x, k, axis), np.roll(x, k, axis=axis))
-    assert _shift(np.zeros(0), 1).shape == (0,)
+            out = _pair(np.subtract, x, k, 0, axis, np.full(x.shape, np.nan))
+            assert np.array_equal(out, np.roll(x, -k, axis=axis) - x)
+    assert total_variation(np.zeros(0)) == 0.0
 
 
 @pytest.mark.parametrize("layout", ["c", "transposed", "read-only"])
@@ -84,18 +103,34 @@ def test_shift_2d_equals_roll_for_every_k(shape, layout):
     elif layout == "read-only":
         x.flags.writeable = False
     for axis in (0, 1):
-        n = shape[axis]
-        for k in range(-n - 1, n + 2):
-            shifted = _shift(x, k, axis)
-            assert np.array_equal(shifted, np.roll(x, k, axis=axis))
-            assert not np.shares_memory(shifted, x)
-    for empty in (np.zeros((0, 4)), np.zeros((4, 0))):
-        for axis in (0, 1):
-            assert _shift(empty, 1, axis).shape == empty.shape
+        _pairs_equal_roll(x, axis)
 
 
-def _rolled(x, k, axis=0):
-    return np.roll(x, k, axis=axis)
+# Every (a, b) the 2D kernels pass to _pair, s the stride 1 or 2.
+_KERNEL_PAIRS = [(1, -1), (1, 0), (-1, 0), (0, 1), (2, 0), (0, -1), (0, -2)]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(pair=st.sampled_from(_KERNEL_PAIRS), op=st.sampled_from([np.subtract, np.maximum]),
+       shape=st.lists(st.integers(1, 9), min_size=1, max_size=2).map(tuple),
+       axis=st.integers(0, 1), layout=st.sampled_from(["c", "transposed", "strided"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_pair_equals_roll(pair, op, shape, axis, layout, seed):
+    # _pair against np.roll for the kernels' offsets, along either axis of
+    # 1D and 2D arrays with axes of length 1, 2, 3 or more, read from C,
+    # transposed or strided memory and written over NaN.
+    axis %= len(shape)
+    rng = np.random.default_rng(seed)
+    if layout == "transposed":
+        x = rng.standard_normal(shape[::-1]).T
+    elif layout == "strided":
+        x = rng.standard_normal(tuple(2 * n for n in shape))[(slice(None, None, 2),) * len(shape)]
+    else:
+        x = rng.standard_normal(shape)
+    a, b = pair
+    out = np.full(shape, np.nan)
+    assert _pair(op, x, a, b, axis, out) is out
+    assert np.array_equal(out, _rolled_pair(op, x, a, b, axis, np.empty(shape)))
 
 
 _EXAMPLES_1D = {
@@ -157,17 +192,16 @@ def test_steps_bit_identical_to_np_roll(name, monkeypatch):
     run = _ROLL_CASES[name]
     fast_state, fast_reports = run()
     patched = [mod for mod_name, mod in sys.modules.items()
-               if mod_name.startswith("lowmach.") and vars(mod).get("_shift") is _shift]
-    # The 1D LLF kernel, the Newton loop, the tridiagonal residual and the 2D
-    # step and solve make no shift; test_1d_kernel_equals_roll_formulas, the
-    # np.roll Newton oracle below and the 2D slice-kernel tests
-    # (test_twodim.py::test_kernels_equal_np_roll_formulas,
-    # test_elliptic.py::test_flux_form_kernels_equal_np_roll_formulas) pin
-    # them.  Here the second run repeats the first on the thread's 2D
-    # scratch set as the first left it.
-    assert {m.__name__ for m in patched} >= {"lowmach.diagnostics"}
+               if mod_name.startswith("lowmach.") and vars(mod).get("_pair") is _pair]
+    # The 2D kernels take every periodic neighbour through _pair; here it is
+    # the np.roll formula.  The 1D LLF kernel, the Newton loop and the
+    # tridiagonal residual work on periodic extensions instead;
+    # test_1d_kernel_equals_roll_formulas and the np.roll Newton oracle
+    # below pin them, and here the second run repeats the first (on the
+    # thread's 2D scratch set as the first left it).
+    assert {m.__name__ for m in patched} >= {"lowmach.elliptic", "lowmach.twodim"}
     for mod in patched:
-        monkeypatch.setattr(mod, "_shift", _rolled)
+        monkeypatch.setattr(mod, "_pair", _rolled_pair)
     roll_state, roll_reports = run()
     for field in fast_state.__match_args__:
         assert np.array_equal(getattr(fast_state, field), getattr(roll_state, field))
@@ -559,8 +593,8 @@ def _one_step(kind):
 @pytest.mark.parametrize("kind", ["ld", "l", "ice", "wide", "reduced"])
 def test_step_builds_its_faces_once(kind, monkeypatch):
     # A 1D linear step builds no faces and extends its mobility once; a 2D
-    # step builds them once, for its solve, and its residual check applies
-    # the faces the solve hands back.
+    # step builds them once, in its solve, whose residual check applies
+    # them again.
     expected, expected_report = _one_step(kind)
     built, extended = [], []
     builder, periodic = elliptic._face_coefficients, elliptic._periodic
@@ -600,7 +634,7 @@ def test_linear_bands_are_the_faces(stride):
         coeff = EllipticCoefficients(beta=beta, mobility=rng.uniform(0.1, 4.0, m))
         with np.errstate(over="ignore"):
             (face,) = elliptic._face_coefficients(stride, coeff, (dx,))
-            face_w = _shift(face, stride)
+            face_w = np.roll(face, stride)
             sub, diag, sup = elliptic._linear_bands(coeff, dx, stride)
             expected = (-face_w, 1.0 + face + face_w, -face)
         for band, want in zip((sub, diag, sup), expected):

@@ -101,7 +101,8 @@ def test_example3_well_prepared():
     ("example3", example3_eos(), example3_grid(8, 8)),
 ])
 def test_config_presets_build_the_preset_eos_and_grid(preset, eos, grid):
-    # config fixes each preset's EOS and domain itself; they must be these.
+    # config fixes each preset's EOS and domain from the presets' one table,
+    # which the preset's own functions read too.
     built_eos, built_grid, _ = build_problem(build_config({"preset": preset, "m": 20,
                                                            "m1": 8, "m2": 8}))
     assert built_eos == eos and built_grid == grid

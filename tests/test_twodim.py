@@ -372,8 +372,7 @@ def test_step_2d_peak_working_set(stencil):
 @pytest.mark.parametrize("stencil", ["wide", "reduced"])
 def test_step_2d_hands_back_no_scratch_array(stencil):
     # The new state, a solve's rho and assemble_dphi_2d's right-hand side
-    # are new arrays; the faces a solve returns are read-only views of the
-    # scratch set.
+    # are new arrays, none a view of the thread's scratch set.
     from lowmach import EllipticCoefficients, beta_coefficient, solve_elliptic_2d
 
     grid = example3_grid(16, 12)
@@ -384,15 +383,11 @@ def test_step_2d_hands_back_no_scratch_array(stencil):
     dphi = assemble_dphi_2d(out, example3_eos(), params, dt, grid.dx, grid.dy)
     coeff = EllipticCoefficients(beta_coefficient(0.05, 0.0, dt),
                                  example3_eos().pressure_derivative(out.rho))
-    rho, _, faces = solve_elliptic_2d(dphi, coeff, grid.dx, grid.dy, stencil=stencil)
+    rho, _, residual = solve_elliptic_2d(dphi, coeff, grid.dx, grid.dy, stencil=stencil)
     scratch = _scratch_set(out.shape)
     for arr in (out.rho, out.q1, out.q2, dphi, rho):
         assert not any(np.shares_memory(arr, a) for a in scratch)
-    assert len(faces) == 2
-    for face in faces:
-        assert any(np.shares_memory(face, a) for a in scratch)
-        with pytest.raises(ValueError):
-            face[0, 0] = 1.0
+    assert type(residual) is float
 
 
 def test_step_2d_outputs_keep_their_bytes():
