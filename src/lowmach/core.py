@@ -18,6 +18,10 @@ from .errors import InvalidStateError, ParamError
 # The most cells a float array can hold: its bytes must fit in an intp.
 _MAX_CELLS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
+# The largest alpha eps^2, in float, that validate_params accepts: 1 plus
+# two units in the last place of 1.
+_ALPHA_BOUND = 1.0 + 2 * math.ulp(1.0)
+
 
 @dataclass(frozen=True)
 class EquationOfState:
@@ -217,7 +221,7 @@ class _State:
         place, without the copy and re-check of the constructor."""
         state = object.__new__(cls)
         for name, arr in zip(cls.__match_args__, arrays):
-            arr.flags.writeable = False
+            arr.setflags(write=False)
             object.__setattr__(state, name, arr)
         return state
 
@@ -304,9 +308,10 @@ class SchemeParams:
     """Knobs of the semi-implicit scheme.
 
     epsilon is the scaled Mach number; alpha the pressure-splitting
-    parameter (alpha <= 1/epsilon^2, the equality giving a fully explicit
-    pressure); sigma the Courant number for the explicit part; dt_policy a
-    :class:`DtPolicy` that nothing in the library builds, checks or reads.
+    parameter (alpha epsilon^2 <= 1 up to rounding, the equality giving a
+    fully explicit pressure); sigma the Courant number for the explicit
+    part; dt_policy a :class:`DtPolicy` that nothing in the library builds,
+    checks or reads.
     The solves' tolerances are their own constants, not parameters.
     """
 
@@ -329,7 +334,11 @@ def validate_params(p: SchemeParams) -> None:
                          f"epsilon={p.epsilon} puts epsilon^2 or 1/epsilon^2 out of float range")
     if not (math.isfinite(p.alpha) and p.alpha >= 0.0):
         raise ParamError("alpha-negative", f"alpha must be >= 0, got {p.alpha}")
-    if p.alpha > 1.0 / p.epsilon**2:
+    # alpha eps^2 <= 1 up to rounding: a decimal alpha = 1/eps^2 lands up to
+    # 2 ulp above 1 through the roundings of eps, alpha, eps^2 and the
+    # product (0.8**2 rounds up, so 1.5625 * 0.8**2 is 1 + 1 ulp).  At that
+    # bound beta is 0, the explicit limit (beta_coefficient clamps it).
+    if not float(p.alpha) * eps2 <= _ALPHA_BOUND:
         raise ParamError(
             "alpha-exceeds-bound",
             f"alpha={p.alpha} exceeds 1/epsilon^2={1.0 / p.epsilon**2}",

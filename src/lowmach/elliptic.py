@@ -30,9 +30,11 @@ results back by return value.  Three 1D variants:
   Each iterate is extended by two cells on either side with one
   concatenation (:func:`lowmach.core._periodic`); p and p' are evaluated on
   the extension, and the Jacobian bands and the neighbours of the residual
-  G are slice views of it.  The solve returns, with the solution, max|G|
-  and p on the extension at the solution, which the step reports and
-  differences instead of evaluating them again.
+  G are slice views of it.  The step hands the solve p and p' of rho^n on
+  its extension, which it has evaluated for its fluxes and mobility, as the
+  start iterate's.  The solve returns, with the solution, max|G| and p on
+  the extension at the solution, which the step reports and differences
+  instead of evaluating them again.
 
 Each 1D tridiagonal system goes to
 :func:`lowmach.tridiag.solve_periodic_tridiagonal` as its four bands,
@@ -109,8 +111,9 @@ class EllipticCoefficients:
         numerical failures of the step."""
         if not math.isfinite(beta):
             raise InstabilityError(f"elliptic coefficient beta = {beta} is not finite")
-        if beta >= 0.0 and mobility.min() > 0.0 and mobility.max() < math.inf:
-            mobility.flags.writeable = False
+        if (beta >= 0.0 and np.minimum.reduce(mobility, axis=None) > 0.0
+                and np.maximum.reduce(mobility, axis=None) < math.inf):
+            mobility.setflags(write=False)
             coeff = object.__new__(cls)
             object.__setattr__(coeff, "beta", beta)
             object.__setattr__(coeff, "mobility", mobility)
@@ -270,7 +273,7 @@ def _nl_operator(rho, p_ext, beta: float, dx: float) -> np.ndarray:
 
 def _check_newton_iterate(rho, what: str):
     """Raise PositivityError naming a cell unless rho is positive and finite."""
-    if rho.min() > 0.0 and rho.max() < np.inf:
+    if np.minimum.reduce(rho) > 0.0 and np.maximum.reduce(rho) < np.inf:
         return
     finite = np.isfinite(rho)
     if finite.all():
@@ -281,7 +284,7 @@ def _check_newton_iterate(rho, what: str):
 
 
 def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: EquationOfState,
-                         dx: float, newton_max_iter: int = 50):
+                         dx: float, newton_max_iter: int = 50, *, start=None):
     """Nonlinear stride-2 variant: find rho with
 
     G(rho) = rho - beta * (p(rho)_{j+2} - 2 p(rho)_j + p(rho)_{j-2})/(4 dx^2) - dphi = 0
@@ -297,6 +300,11 @@ def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: Equation
     rho = dphi where beta = 0), and returns that iterate's p and max|G|; G
     is otherwise the next Newton step's right-hand side.  A
     ``newton_max_iter`` below 1 is a ValueError.
+
+    ``start``, from a step that has them, is (p, p') of rho_n on its
+    two-cell periodic extension, rho_n a valid density: the start iterate
+    is then neither checked nor extended, and takes p and its Jacobian's p'
+    from ``start`` (read, not written).
     """
     if newton_max_iter < 1:
         raise ValueError(f"newton_max_iter must be >= 1, got {newton_max_iter}")
@@ -307,16 +315,22 @@ def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: Equation
         raise UnsupportedGridError("stride-2 elliptic variant requires an even cell count")
     beta = coeff.beta
     b4 = _face_scale(beta, 4.0 * _square(dx))
-    scale = max(1.0, float(np.abs(dphi).max()))
-    rho, it, converged = (dphi.copy(), 1, True) if beta == 0.0 else (rho_n, 0, False)
+    scale = max(1.0, float(np.maximum.reduce(np.abs(dphi))))
+    if beta == 0.0:
+        rho, it, converged, start = dphi.copy(), 1, True, None
+    else:
+        rho, it, converged = rho_n, 0, False
     while True:
-        _check_newton_iterate(rho, "solution" if converged else "iterate")
-        ext = _periodic(rho, 2)
-        p = eos._pressure(ext)
+        if start is None:
+            _check_newton_iterate(rho, "solution" if converged else "iterate")
+            ext = _periodic(rho, 2)
+            p, dp = eos._pressure(ext), None
+        else:
+            (p, dp), start = start, None
         g = _nl_operator(rho, p, beta, dx)
         g -= dphi
         if it:  # the starting iterate of a Newton solve is not tested
-            residual = float(np.abs(g).max())
+            residual = float(np.maximum.reduce(np.abs(g)))
             if converged or residual <= _NEWTON_TOL * scale:
                 return rho, it, residual, p
             if it >= newton_max_iter:
@@ -328,11 +342,12 @@ def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: Equation
         # Exact Jacobian of the power law, (I - b4 S2 diag(p'(rho))) with S2
         # the stride-2 second difference: p' sits at the stencil points of
         # the current iterate, and even/odd cells still decouple.
-        dp = eos._pressure_derivative(ext)
+        if dp is None:
+            dp = eos._pressure_derivative(ext)
         delta, _ = _solve_strided_tridiagonal(-b4 * dp[:-4], 1.0 + 2.0 * b4 * dp[2:-2],
                                               -b4 * dp[4:], -g, 2)
         rho = rho + delta
-        converged = np.abs(delta).max() <= _NEWTON_TOL
+        converged = np.maximum.reduce(np.abs(delta)) <= _NEWTON_TOL
 
 
 def apply_elliptic_operator_1d(variant: str, rho, coeff: EllipticCoefficients,

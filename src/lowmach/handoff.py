@@ -11,6 +11,12 @@ The checks ride on the sums the report needs: a valid field passes on its
 sum (and, for the density, its minimum), and only a field that fails them
 is searched for the error and the cell to report.
 
+Each stepper evaluates the wave speeds of its state once, as one
+:class:`_Speeds`; its ``max_wave_speed`` is :func:`_max_speed` of their
+cell speeds, and so is a run's CFL wave speed, which hands the same
+evaluation to the step (the ``speeds`` keyword of every stepper) instead
+of making it twice.
+
 :func:`check_dt_advances`, :func:`check_step_count` and :data:`MAX_STEPS`
 bound the steps of a run or a scan trial; :func:`float_error_boundary` its float errors.
 """
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +44,24 @@ class StepReport:
     newton_iters: int
     linear_iters: int
     momentum2_total: float = 0.0
+
+
+class _Speeds(NamedTuple):
+    """One evaluation of a state's wave speeds, by its stepper's evaluator:
+    the velocity (u in 1D, (u1, u2) in 2D), p' of the density (None where
+    the step takes none from it) and the cell speeds.  A step of that state
+    takes it as its ``speeds`` and may write into its arrays, so an
+    evaluation serves one step."""
+
+    velocity: object
+    dp: object
+    cell: np.ndarray
+
+
+def _max_speed(cell_max) -> float:
+    """The largest of the cell speeds ``cell_max`` (NaN where one is NaN): a
+    step's ``max_wave_speed`` and a run's CFL wave speed."""
+    return float(np.maximum.reduce(cell_max, axis=None))
 
 
 def _check_step_inputs(params: SchemeParams, dt: float, kind: str | None = None, name=None,
@@ -58,7 +83,9 @@ def _check_new_density(rho_new):
     ``rho_new.sum()``, the report's mass before the cell size.  A valid
     density passes on its minimum and that sum: NaN and -inf fail the
     first, +inf the second, and either is diagnosed below."""
-    total = rho_new.sum() if rho_new.min() > 0.0 else None
+    total = None
+    if np.minimum.reduce(rho_new, axis=None) > 0.0:
+        total = np.add.reduce(rho_new, axis=None)
     if total is not None and isfinite(total):
         return total
     if not np.isfinite(rho_new).all():
@@ -79,18 +106,18 @@ def _finish_step(state_cls, rho_new, mass, momenta, cell_size, cell_max, residua
     finite: one whose sum is finite passes, any other is searched for a
     non-finite entry.  The arrays are frozen into a ``state_cls`` through
     its ``_trusted``.  The report's totals are sums times ``cell_size``
-    (dx, or dx dy), its wave speed the max of ``cell_max``, and its
+    (dx, or dx dy), its wave speed :func:`_max_speed` of ``cell_max``, and its
     consistency_residual ``residual``, the max-norm residual of the density
     row (0.0 for a step without a solve).
     """
     totals = []
     for q in momenta:
-        total = q.sum()
+        total = np.add.reduce(q, axis=None)
         if not isfinite(total) and not np.isfinite(q).all():
             raise InstabilityError("non-finite momentum after step")
         totals.append(total)
     report = StepReport(
-        max_wave_speed=float(cell_max.max()),
+        max_wave_speed=_max_speed(cell_max),
         mass_total=float(mass * cell_size),
         momentum_total=float(totals[0] * cell_size),
         consistency_residual=residual,

@@ -7,11 +7,15 @@ numerical failure (instability / positivity / solver), 4 I/O error.
 The tables build every case as a run config (:func:`_table_case`) before
 any work, so ``run``'s rules check it; only a table's own shape is checked
 here.  Every verb builds its case through :func:`_case`, the one place a
-config picks its step function and the CFL wave speed of that step.
+config picks its step function and the CFL wave speed of that step.  The
+speed comes from the step's own evaluation of its wave speeds, which a run
+on the CFL rule hands to the step, so each state's speeds are evaluated
+once.
 
 Every CSV value is written as ``%.17g``.  A run builds its snapshot format
 once, with the grid columns already formatted into it, so each snapshot
-formats only the density and the momenta.
+formats only the density and the momenta, and it hashes each output for
+the manifest from the bytes it writes, without reading them back.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import ceil, isfinite
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,9 +35,11 @@ from .config import RunConfig, build_config, build_problem, config_to_dict, sche
 from .core import FluidState1D, Grid2D
 from .diagnostics import _sample_indices, relative_l2_error, total_variation
 from .errors import ConfigError, InstabilityError, NumericsError
-from .handoff import MAX_STEPS, check_dt_advances, check_step_count, float_error_boundary
-from .onedim import max_stable_dt_scan, step_ap_1d, step_explicit_llf_1d, step_ice_1d
-from .twodim import _cell_speeds, step_ap_2d
+from .handoff import (MAX_STEPS, _max_speed, check_dt_advances, check_step_count,
+                      float_error_boundary)
+from .onedim import (_ap_speeds, _explicit_speeds, _ice_speeds, max_stable_dt_scan, step_ap_1d,
+                     step_explicit_llf_1d, step_ice_1d)
+from .twodim import _speeds_2d, step_ap_2d
 
 STATUS_OK = 0
 STATUS_CONFIG = 2
@@ -70,19 +77,28 @@ def _values(columns) -> tuple:
     return tuple(np.column_stack(columns).ravel().tolist())
 
 
-def _write_csv(path: Path, header: str, columns):
+def _write_hashed(path: Path, text: str) -> str:
+    """Write ``text`` to ``path``; returns ``sha256:`` and the hex SHA-256
+    of the bytes written, the manifest's entry for the file."""
+    data = text.encode()
+    path.write_bytes(data)
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def _write_csv(path: Path, header: str, columns) -> str:
     """One row per index of the equal-length ``columns``, every value as
     ``%.17g``: the bytes of ``np.savetxt(fmt="%.17g")``, formatted in one
-    pass."""
+    pass.  Returns the file's manifest hash (:func:`_write_hashed`)."""
     row = ",".join(["%.17g"] * len(columns)) + "\n"
-    path.write_bytes((header + "\n" + row * len(columns[0]) % _values(columns)).encode())
+    return _write_hashed(path, header + "\n" + row * len(columns[0]) % _values(columns))
 
 
 def _snapshot_writer(grid):
     """Writer ``(path, state)`` of the snapshot CSVs of a run on ``grid``:
     x,rho,q in 1D, x,y,rho,q1,q2 in 2D, with the bytes of
-    :func:`_write_csv`.  The grid columns are formatted into the format
-    once, here; a snapshot formats only its state's fields."""
+    :func:`_write_csv`, and returning the file's manifest hash.  The grid
+    columns are formatted into the format once, here; a snapshot formats
+    only its state's fields."""
     if isinstance(grid, Grid2D):
         coords = [v.ravel() for v in np.meshgrid(*grid.cell_centers(), indexing="ij")]
         header, names = "x,y", ("rho", "q1", "q2")
@@ -94,42 +110,60 @@ def _snapshot_writer(grid):
 
     def write(path: Path, state):
         fields = [getattr(state, name).ravel() for name in names]
-        path.write_bytes((fmt % _values(fields)).encode())
+        return _write_hashed(path, fmt % _values(fields))
 
     return write
 
 
-def _case(cfg: RunConfig):
-    """(grid, initial state, step, speed) of ``cfg``: ``step(state, dt) ->
-    (state, StepReport)`` of its scheme, and ``speed(state)``, the largest
-    wave speed of that scheme's CFL condition, the ``max_wave_speed`` a step
-    from ``state`` reports.  A speed that overflows reads inf, or nan where
-    alpha = 0 meets p' = inf, without a float warning: the caller decides
-    what a speed that is not finite means."""
+class _Case(NamedTuple):
+    """A config's grid, initial state and scheme (:func:`_case`)."""
+
+    grid: object
+    state: object
+    # step(state, dt, speeds=None) -> (state, StepReport)
+    step: Callable
+    # speed(state) -> the CFL wave speed, the max_wave_speed a step reports
+    speed: Callable
+    # speeds(state) -> (speed(state), the evaluation behind it), which a
+    # step of that state takes as ``speeds`` instead of evaluating it again
+    speeds: Callable
+
+
+def _case(cfg: RunConfig) -> _Case:
+    """The :class:`_Case` of ``cfg``, from one dispatch on its dimension and
+    stepper: the scheme's step, and its CFL wave speed from the scheme's own
+    evaluation of its wave speeds (``_ap_speeds``, ``_explicit_speeds``,
+    ``_ice_speeds`` or ``_speeds_2d``).  That evaluation runs without float
+    warnings, so a speed that overflows reads inf, or nan where alpha = 0
+    meets p' = inf: the caller decides what a speed that is not finite
+    means."""
     eos, grid, state = build_problem(cfg)
     params = scheme_params(cfg)
-    dp, dx, alpha = eos._pressure_derivative, grid.dx, params.alpha
+    dx, alpha = grid.dx, params.alpha
     if cfg.dimension == 2:
         stencil, dy = cfg.stencil, grid.dy
-        step = lambda st, dt: step_ap_2d(st, eos, params, stencil, dt, dx, dy)
-        cell_speeds = lambda st: _cell_speeds(*st.velocity(), dp(st.rho), alpha)
+        evaluate = lambda st: _speeds_2d(st, eos, alpha)
+        step = lambda st, dt, speeds=None: step_ap_2d(st, eos, params, stencil, dt, dx, dy,
+                                                      speeds=speeds)
     elif cfg.stepper == "ap":
         variant = cfg.variant
-        step = lambda st, dt: step_ap_1d(st, eos, params, variant, dt, dx)
-        cell_speeds = lambda st: np.abs(st.velocity()) + np.sqrt(alpha * dp(st.rho))
+        evaluate = lambda st: _ap_speeds(st, eos, alpha)
+        step = lambda st, dt, speeds=None: step_ap_1d(st, eos, params, variant, dt, dx,
+                                                      speeds=speeds)
     elif cfg.stepper == "explicit_llf":
-        step = lambda st, dt: step_explicit_llf_1d(st, eos, params, dt, dx)
-        cell_speeds = lambda st: np.abs(st.velocity()) + np.sqrt(dp(st.rho)) / params.epsilon
+        evaluate = lambda st: _explicit_speeds(st, eos, params.epsilon)
+        step = lambda st, dt, speeds=None: step_explicit_llf_1d(st, eos, params, dt, dx,
+                                                                speeds=speeds)
     else:
-        # The pressureless predictor's speed is |u| alone.
-        step = lambda st, dt: step_ice_1d(st, eos, params, dt, dx)
-        cell_speeds = lambda st: np.abs(st.velocity())
+        evaluate = _ice_speeds
+        step = lambda st, dt, speeds=None: step_ice_1d(st, eos, params, dt, dx, speeds=speeds)
 
-    def speed(st) -> float:
+    def speeds(st):
         with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.max(cell_speeds(st)))
+            evaluation = evaluate(st)
+            return _max_speed(evaluation.cell), evaluation
 
-    return grid, state, step, speed
+    return _Case(grid, state, step, lambda st: speeds(st)[0], speeds)
 
 
 def run(cfg: RunConfig) -> RunResult:
@@ -138,13 +172,14 @@ def run(cfg: RunConfig) -> RunResult:
     code (0 success, 3 numerical failure).  A fixed dt was checked with the
     config; a run on the CFL rule that has taken MAX_STEPS steps without
     reaching t_final is a numerical failure."""
-    grid, state, step, speed = _case(cfg)
+    grid, state, step, _, speeds = _case(cfg)
     snapshot = _snapshot_writer(grid)
     length = min(grid.dx, grid.dy) if cfg.dimension == 2 else grid.dx
 
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
+    # Each output's manifest hash, taken from the bytes as they are written.
+    outputs = {}
     snapshots = sorted(cfg.snapshot_times or (cfg.t_final,))
     step_rows = []
     t = 0.0
@@ -158,18 +193,18 @@ def run(cfg: RunConfig) -> RunResult:
                 # only snapshots until the loop ends.
                 while snapshots and t >= snapshots[0] - _EVENT_TOL:
                     name = f"snapshot_{len(outputs):03d}.csv"
-                    snapshot(out_dir / name, state)
-                    outputs.append(name)
+                    outputs[name] = snapshot(out_dir / name, state)
                     snapshots.pop(0)
                 if t >= cfg.t_final - _EVENT_TOL:
                     break
+                evaluation = None
                 if cfg.dt is not None:
                     dt = cfg.dt
                 else:
                     if nstep >= MAX_STEPS:
                         raise InstabilityError(f"the CFL rule took {MAX_STEPS} steps, the most a "
                                                f"run may take, without reaching t_final")
-                    lam = speed(state)
+                    lam, evaluation = speeds(state)
                     if lam == 0.0:
                         dt = cfg.t_final - t
                     else:
@@ -182,7 +217,7 @@ def run(cfg: RunConfig) -> RunResult:
                 check_dt_advances(dt, cfg.t_final)
                 next_event = snapshots[0] if snapshots else cfg.t_final
                 dt = min(dt, next_event - t, cfg.t_final - t)
-                state, report = step(state, dt)
+                state, report = step(state, dt, speeds=evaluation)
                 t += dt
                 nstep += 1
                 step_rows.append((nstep, t, dt, report.max_wave_speed,
@@ -195,18 +230,16 @@ def run(cfg: RunConfig) -> RunResult:
 
     # The integer columns print as integers under %.17g too.
     steps_table = np.array(step_rows, dtype=float).reshape(-1, len(_STEPS_COLUMNS))
-    _write_csv(out_dir / "steps.csv", ",".join(_STEPS_COLUMNS), steps_table.T)
-    outputs.append("steps.csv")
+    outputs["steps.csv"] = _write_csv(out_dir / "steps.csv", ",".join(_STEPS_COLUMNS),
+                                      steps_table.T)
     _write_manifest(out_dir, cfg, status, message, outputs)
     return RunResult(status=status, message=message, output_dir=out_dir,
                      outputs=tuple(outputs), steps_taken=nstep, final_time=t)
 
 
-def _write_manifest(out_dir: Path, cfg: RunConfig, status: int, message: str, outputs):
-    hashes = {}
-    for name in outputs:
-        digest = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-        hashes[name] = f"sha256:{digest}"
+def _write_manifest(out_dir: Path, cfg: RunConfig, status: int, message: str, hashes: dict):
+    """manifest.json: the config, the outcome and ``hashes``, each output's
+    name and the hash its writer returned."""
     manifest = {
         "config": config_to_dict(cfg),
         "status": status,
@@ -260,7 +293,7 @@ def reproduce_table1(eps_list, dx_list, variant="ld", t_final=0.1, output_path=N
              for eps in eps_list for m in cell_counts]
     rows = []
     for cfg in cases:
-        grid, state, step, speed = _case(cfg)
+        grid, state, step, speed, _ = _case(cfg)
         lam0 = speed(state)
         # max_lambda is that of the scan's accepted trial, the run at
         # stable_dt, so the run is not repeated.
@@ -324,7 +357,7 @@ def reference_solution(eps: float, cells=None, inv_dt=None, t_final=0.1, refine=
             and abs(nominal_steps - round(nominal_steps)) <= 1e-9 * nominal_steps):
         raise ConfigError(f"t_final = {t_final:.6g} is not a whole positive number of steps "
                           f"of 1/inv_dt, inv_dt = {inv_dt:.6g}")
-    _, state, step, speed = _case(cfg)
+    _, state, step, speed, _ = _case(cfg)
     lam0 = speed(state)
     # integer multiple of the nominal rate keeping the explicit CFL <= 0.45
     k = max(1, int(np.ceil(lam0 * fine_cells / (0.45 * inv_dt))))
@@ -369,7 +402,7 @@ def reproduce_table2(eps_list, refinement_levels=5, t_final=0.1, variant="ld",
             ref = refs[eps] if eps in refs else reference_solution(eps, t_final=t_final)
             prev = None
             for cfg in cases:
-                grid, state, step, speed = _case(cfg)
+                grid, state, step, speed, _ = _case(cfg)
                 dt = table2_dt(eps, grid.dx, speed(state), t_final)
                 for _ in range(round(t_final / dt)):
                     state, _ = step(state, dt)
@@ -401,8 +434,8 @@ def compare_ice(epsilon, dx, dt, t_final, output_dir=None):
     ice_case = _table_case(epsilon, m, t_final, alpha=1.0, stepper="ice", dt=dt)
     # dt is not cut to t_final: the runs take ceil(t_final/dt) steps of dt.
     check_dt_advances(dt, t_final)
-    grid, ap_state, ap_step, _ = _case(ap_case)
-    _, ice_state, ice_step, _ = _case(ice_case)
+    grid, ap_state, ap_step, *_ = _case(ap_case)
+    _, ice_state, ice_step, *_ = _case(ice_case)
     n_steps = int(np.ceil(t_final / dt))
 
     with float_error_boundary():

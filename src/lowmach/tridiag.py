@@ -6,10 +6,11 @@ rank-one (Sherman-Morrison) correction of an ordinary tridiagonal solve:
 one call of LAPACK ``dgtsv`` with two right-hand sides.
 
 The solve takes the four bands as arrays and checks them in one place:
-float arrays of one length N >= 3.  Its residual check applies the system
-with both neighbours of each unknown taken from one periodic extension of
-x, and it returns the max norm of that residual with the solution: the 1D
-linear steps report it instead of applying their operator again.
+float arrays of one length N >= 3.  It writes x into its one-cell
+periodic extension, whose slices are both neighbours of each unknown in
+the residual check, and it returns the max norm of that residual with the
+solution: the 1D linear steps report it instead of applying their
+operator again.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import os
 
 import numpy as np
 
-from .core import _periodic
 from .errors import SingularSystemError
 
 # Near-zero threshold for the Sherman-Morrison denominator; a vanishing
@@ -64,16 +64,6 @@ def _load_dgtsv():
         from scipy.linalg.lapack import dgtsv
     _dgtsv = dgtsv
     return dgtsv
-
-
-def _matvec(sub, diag, sup, x):
-    """sub x_{i-1} + diag x_i + sup x_{i+1}, indices modulo N, the neighbours
-    slice views of one periodic extension of x."""
-    ext = _periodic(x)
-    out = sub * ext[:-2]
-    out += diag * x
-    out += sup * ext[2:]
-    return out
 
 
 def solve_periodic_tridiagonal(sub, diag, sup, rhs):
@@ -133,15 +123,21 @@ def solve_periodic_tridiagonal(sub, diag, sup, rhs):
     scale = 1.0 + abs(z0) + abs(sub0_g * z_n)
     if not math.isfinite(denom) or abs(denom) <= _DENOM_RTOL * scale:
         raise SingularSystemError("cyclic system is numerically singular")
-    x = yz[:, 0] - yz[:, 1] * (vy / denom)
+    # x is written into its one-cell periodic extension, whose slices are
+    # the neighbours of the residual's rows.
+    ext = np.empty(n + 2)
+    x = np.subtract(yz[:, 0], yz[:, 1] * (vy / denom), out=ext[1:-1])
+    ext[0], ext[-1] = x[-1], x[0]
 
     # Every row of the residual holds its unknown times a coefficient, so a
     # non-finite entry of x makes the residual inf or NaN, and the NaN-safe
     # test below fails it; a zero rhs passes only a zero residual.
-    r = _matvec(sub, diag, sup, x)
+    r = sub * ext[:-2]
+    r += diag * x
+    r += sup * ext[2:]
     r -= rhs
-    resid = np.abs(r, out=r).max()
-    rhs_scale = np.abs(rhs).max()
+    resid = np.maximum.reduce(np.abs(r, out=r))
+    rhs_scale = np.maximum.reduce(np.abs(rhs))
     if not resid <= _LINEAR_RTOL * rhs_scale or resid == math.inf:
         raise SingularSystemError(
             f"residual {resid:.3e} exceeds {_LINEAR_RTOL:.1e} * ||rhs|| = "

@@ -8,9 +8,11 @@ implicit.  Eliminating the momentum updates from the density equation
 leaves one elliptic solve for the new density (wide stride-2 stencil or
 reduced 5-point stencil), then explicit momentum updates.
 
-As in :func:`lowmach.onedim.step_ap_1d`, :func:`_explicit_terms` evaluates
-the explicit terms of rho^n once per step: p and p' (unchecked: the state's
-density is valid), the cell and interface speeds, each momentum's flux
+As in :func:`lowmach.onedim.step_ap_1d`, the explicit terms of rho^n are
+evaluated once per step: :func:`_speeds_2d` evaluates the velocities, p'
+(unchecked: the state's density is valid) and the cell speeds, which a run
+on the CFL rule evaluates for its time step and hands to the step, and
+:func:`_explicit_terms` p, the interface speeds, each momentum's flux
 divergence and the four dissipation terms.  :func:`_explicit_parts` sums
 each momentum's explicit part, its flux divergence plus both dissipations,
 which the momentum update and the elliptic right-hand side both take:
@@ -50,14 +52,12 @@ from .elliptic import (
     beta_coefficient,
     solve_elliptic_2d,
 )
-from .handoff import _check_new_density, _check_step_inputs, _finish_step
+from .handoff import _check_new_density, _check_step_inputs, _finish_step, _Speeds
 
 
-def _cell_speeds(u1, u2, dp, alpha, out=None, work=None):
+def _cell_speeds(u1, u2, dp, alpha, out, work):
     """Largest eigenvalue magnitude per cell: max(|u1|, |u2|) + sqrt(alpha p'),
-    written into ``out`` with ``work`` as scratch (new arrays where None)."""
-    out = np.empty(u1.shape) if out is None else out
-    work = np.empty(u1.shape) if work is None else work
+    written into ``out`` with ``work`` as scratch."""
     np.maximum(np.abs(u1, out=out), np.abs(u2, out=work), out=out)
     np.multiply(alpha, dp, out=work)
     return np.add(out, np.sqrt(work, out=work), out=out)
@@ -96,23 +96,41 @@ def _diss(u, a, h, axis, out, f):
     return out
 
 
-def _explicit_terms(state: FluidState2D, eos: EquationOfState, alpha: float, dx: float, dy: float):
-    """(p', cell speeds, interface speeds, flux, diss) of rho^n, with
-    flux[k] the divergence of row k of the momentum flux (g1, w; w, g2) and
-    diss[k][d] the dissipation of q_k along axis d.  p' is a new array; the
-    others are arrays of the thread's scratch set (:func:`_grid_buffers`):
-    the cell speeds and the fluxes in three of its ``held`` arrays, the
-    interface speeds and the dissipations in its ``work`` arrays; the fourth
-    ``held`` array, which will hold the right-hand side, is scratch here."""
-    rho, q1, q2 = state.rho, state.q1, state.q2
+def _speeds_2d(state: FluidState2D, eos: EquationOfState, alpha: float) -> _Speeds:
+    """Wave speeds of the 2D step: (u1, u2), p' (a new array) and the cell
+    speeds max(|u1|, |u2|) + sqrt(alpha p'), written into the thread's
+    scratch set (:func:`_grid_buffers`), the velocities into ``work``
+    arrays 0 and 1 and the cell speeds into ``held`` array 0, with ``work``
+    array 2 as scratch: they are valid until the thread's next 2D step,
+    solve or speeds of that shape."""
+    rho = state.rho
     bufs = _grid_buffers(rho.shape)
-    cell_max, flux0, flux1, scratch = bufs.held
-    u1, u2, a_x, a_y, w, ap = bufs.work
-    np.divide(q1, rho, out=u1)
-    np.divide(q2, rho, out=u2)
+    u1, u2, scratch = bufs.work[:3]
+    np.divide(state.q1, rho, out=u1)
+    np.divide(state.q2, rho, out=u2)
     dp = eos._pressure_derivative(rho)
-    _cell_speeds(u1, u2, dp, alpha, cell_max, a_x)
-    _interface_speeds(cell_max, a_x, a_y)
+    return _Speeds((u1, u2), dp, _cell_speeds(u1, u2, dp, alpha, bufs.held[0], scratch))
+
+
+def _explicit_terms(state: FluidState2D, eos: EquationOfState, alpha: float, dx: float,
+                    dy: float, speeds: _Speeds | None = None):
+    """(speeds, interface speeds, flux, diss) of rho^n, with ``speeds`` its
+    :func:`_speeds_2d` (evaluated here where None), flux[k] the divergence
+    of row k of the momentum flux (g1, w; w, g2) and diss[k][d] the
+    dissipation of q_k along axis d.  Apart from p' in ``speeds``, the
+    arrays are the thread's scratch set (:func:`_grid_buffers`): the cell
+    speeds and the fluxes in three of its ``held`` arrays, the interface
+    speeds and the dissipations in its ``work`` arrays; the fourth ``held``
+    array, which will hold the right-hand side, is scratch here."""
+    rho, q1, q2 = state.rho, state.q1, state.q2
+    if speeds is None:
+        speeds = _speeds_2d(state, eos, alpha)
+    bufs = _grid_buffers(rho.shape)
+    _, flux0, flux1, scratch = bufs.held
+    # The velocities are the speeds' work arrays 0 and 1, written over below.
+    u1, u2 = speeds.velocity
+    _, _, a_x, a_y, w, ap = bufs.work
+    _interface_speeds(speeds.cell, a_x, a_y)
     p = eos._pressure(rho)
     np.multiply(rho, np.multiply(u1, u2, out=w), out=w)
     np.multiply(q1, u1, out=u1)
@@ -125,7 +143,7 @@ def _explicit_terms(state: FluidState2D, eos: EquationOfState, alpha: float, dx:
     np.add(u1, _dc(u2, dy, 1, flux1), out=flux1)
     diss = ((_diss(q1, a_x, dx, 0, u1, scratch), _diss(q1, a_y, dy, 1, u2, scratch)),
             (_diss(q2, a_x, dx, 0, w, scratch), _diss(q2, a_y, dy, 1, ap, scratch)))
-    return dp, cell_max, (a_x, a_y), (flux0, flux1), diss
+    return speeds, (a_x, a_y), (flux0, flux1), diss
 
 
 def _explicit_parts(flux, diss):
@@ -170,12 +188,14 @@ def assemble_dphi_2d(state: FluidState2D, eos: EquationOfState, params: SchemePa
     and its dissipations along both directions (so the x-direction
     dissipation of q2 takes an outer y-derivative, and vice versa).
     """
-    _, _, speeds, flux, diss = _explicit_terms(state, eos, params.alpha, dx, dy)
-    return _dphi(state, speeds, _explicit_parts(flux, diss), dt, dx, dy, np.empty(state.shape))
+    _, interface, flux, diss = _explicit_terms(state, eos, params.alpha, dx, dy)
+    return _dphi(state, interface, _explicit_parts(flux, diss), dt, dx, dy,
+                 np.empty(state.shape))
 
 
 def step_ap_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
-               stencil: str, dt: float, dx: float, dy: float):
+               stencil: str, dt: float, dx: float, dy: float, *,
+               speeds: _Speeds | None = None):
     """One semi-implicit 2D step; returns (new_state, StepReport).
 
     The report's consistency_residual is the max-norm residual of the
@@ -185,16 +205,20 @@ def step_ap_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
 
     The new state's arrays are new; every temporary is an array of the
     thread's scratch set (:func:`lowmach.elliptic._grid_buffers`).
+    ``speeds`` is this state's :func:`_speeds_2d`, evaluated since the
+    thread's last 2D step, where the caller has evaluated them (for its CFL
+    rule); the step evaluates them where None.
     """
     _check_step_inputs(params, dt, "2D stencil", stencil, _STENCIL_STRIDE)
 
-    # p'(rho^n) is both the sound speed and the mobility.
-    dp, cell_max, speeds, flux, diss = _explicit_terms(state, eos, params.alpha, dx, dy)
-    # beta first: an overflowing dt^2 fails here, not in the right-hand side.
-    coeff = EllipticCoefficients._of_step(beta_coefficient(params.epsilon, params.alpha, dt), dp)
+    speeds, interface, flux, diss = _explicit_terms(state, eos, params.alpha, dx, dy, speeds)
+    # p'(rho^n) is both the sound speed and the mobility.  beta first: an
+    # overflowing dt^2 fails here, not in the right-hand side.
+    coeff = EllipticCoefficients._of_step(beta_coefficient(params.epsilon, params.alpha, dt),
+                                          speeds.dp)
     explicit = _explicit_parts(flux, diss)
     bufs = _grid_buffers(state.shape)
-    dphi = _dphi(state, speeds, explicit, dt, dx, dy, bufs.held[3])
+    dphi = _dphi(state, interface, explicit, dt, dx, dy, bufs.held[3])
     rho_new, cg_iters, residual = solve_elliptic_2d(dphi, coeff, dx, dy, stencil=stencil)
 
     mass = _check_new_density(rho_new)
@@ -208,5 +232,5 @@ def step_ap_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
         np.add(e, g, out=g)
         g *= dt
         momenta.append(q - g)
-    return _finish_step(FluidState2D, rho_new, mass, momenta, dx * dy, cell_max, residual,
+    return _finish_step(FluidState2D, rho_new, mass, momenta, dx * dy, speeds.cell, residual,
                         linear_iters=cg_iters)

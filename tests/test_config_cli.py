@@ -202,6 +202,17 @@ def test_cli_run_exit_codes(tmp_path):
     assert code == 3
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_run_alpha_at_the_bound_as_a_decimal_exits_0(tmp_path, capsys):
+    # alpha = 1/eps^2 = 1.5625 at eps = 0.8, written as decimals: the
+    # explicit limit, a run on the CFL rule that completes (it used to exit
+    # 2, "alpha=1.5625 exceeds 1/epsilon^2=1.5624999999999998").
+    out = tmp_path / "bound"
+    assert main(["run", "--preset", "example1", "--epsilon", "0.8", "--alpha", "1.5625",
+                 "--m", "20", "--t-final", "0.01", "--output-dir", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["status"] == 0
+
+
 @pytest.mark.parametrize("flags", [
     [],
     ["--stepper", "ice"],
@@ -454,12 +465,11 @@ def no_steps(monkeypatch):
     """Every case that runner builds gets a step that fails the test."""
     case = runner_module._case
 
-    def no_step(*args):
+    def no_step(*args, **kwargs):
         raise AssertionError("a step ran")
 
     def no_step_case(cfg):
-        grid, state, _, speed = case(cfg)
-        return grid, state, no_step, speed
+        return case(cfg)._replace(step=no_step)
 
     monkeypatch.setattr(runner_module, "_case", no_step_case)
 

@@ -18,6 +18,7 @@ from lowmach import (
     InvalidStateError,
     ParamError,
     SchemeParams,
+    beta_coefficient,
     validate_params,
 )
 
@@ -118,6 +119,19 @@ def test_validate_params_examples():
     validate_params(SchemeParams(epsilon=0.05, alpha=0.0, sigma=0.5))
     # the boundary alpha = 1/eps^2 is allowed
     validate_params(SchemeParams(epsilon=0.5, alpha=4.0))
+
+
+@pytest.mark.parametrize("eps, alpha", [(0.8, 1.5625), (0.1, 100.0), (0.05, 400.0)])
+def test_validate_params_alpha_bound_up_to_rounding(eps, alpha):
+    # alpha = 1/eps^2 as a decimal is the explicit limit, although
+    # alpha * eps**2 reads 1 + 1 ulp in float where eps**2 rounds up
+    # (0.8**2 = 0.6400000000000001); its beta is 0.  A relative 1e-9 beyond
+    # it is out of bounds.
+    validate_params(SchemeParams(epsilon=eps, alpha=alpha))
+    assert beta_coefficient(eps, alpha, 0.01) == 0.0
+    with pytest.raises(ParamError) as err:
+        validate_params(SchemeParams(epsilon=eps, alpha=alpha * (1.0 + 1e-9)))
+    assert err.value.code == "alpha-exceeds-bound"
 
 
 def test_validate_params_named_errors():

@@ -510,8 +510,9 @@ def test_newton_equals_roll_loop(gamma, seed, eps, monkeypatch):
 def test_nl_step_equals_roll_step(gamma, seed, eps, monkeypatch):
     # The consistency residual is max|G(rho^{n+1})| that the solve returns:
     # its last G where it stopped on its G test, else evaluated once at the
-    # solution.  Either way p is evaluated once for the fluxes and once per
-    # Newton iterate, the start and the accepted one included.
+    # solution.  Either way p is evaluated once for the fluxes, which the
+    # Newton solve takes as its start iterate's, and once per later Newton
+    # iterate, the accepted one included.
     eos, state, params, dt, dx, _, _ = _nl_case(gamma, seed, eps)
     expected_state, expected = oracle.ap_step_1d(state, eos, params, "nl", dt, dx)
     calls = []
@@ -525,7 +526,7 @@ def test_nl_step_equals_roll_step(gamma, seed, eps, monkeypatch):
     out, report = step_ap_1d(state, eos, params, "nl", dt, dx)
     assert np.array_equal(out.rho, expected_state.rho) and np.array_equal(out.q, expected_state.q)
     assert report == expected
-    assert len(calls) == report.newton_iters + 2
+    assert len(calls) == report.newton_iters + 1
 
 
 def test_singular_tridiagonal_core_raises():

@@ -6,8 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from lowmach import (ConfigError, FluidState1D, FluidState2D, Grid1D, Grid2D, InstabilityError,
-                     NumericsError, onedim, runner)
+from lowmach import (ConfigError, EquationOfState, FluidState1D, FluidState2D, Grid1D, Grid2D,
+                     InstabilityError, NumericsError, onedim, runner)
 from lowmach.cli import main
 from lowmach.config import build_config
 from lowmach.presets import example1_grid, example1_state
@@ -80,20 +80,71 @@ def test_run_example3_2d_preset(tmp_path):
     assert result.steps_taken == 80
 
 
-@pytest.mark.parametrize("raw", [
+# Every scheme a case can pick: each 1D variant at two alphas, explicit LLF,
+# ICE, and both 2D stencils at alpha 0 and 1.
+_SCHEMES = [
     *({"variant": variant, "alpha": alpha} for variant in ("ld", "l", "nl") for alpha in (1.0, 0.5)),
     {"stepper": "explicit_llf"},
     {"stepper": "ice"},
     *({"preset": "example3", "stencil": stencil, "alpha": alpha}
       for stencil in ("wide", "reduced") for alpha in (0.0, 1.0)),
-], ids=lambda raw: "-".join(map(str, raw.values())))
+]
+
+
+def _scheme_id(raw):
+    return "-".join(map(str, raw.values()))
+
+
+@pytest.mark.parametrize("raw", _SCHEMES, ids=_scheme_id)
 def test_cfl_speed_is_the_speed_a_step_reports(raw):
     # A case's CFL speed states its scheme's sound speed (sqrt(alpha p'),
     # sqrt(p')/eps, 0) beside the step's: it must read the float the step
     # itself reports.
     cfg = build_config({"epsilon": 0.3, "m": 20, "m1": 8, "m2": 8, "dt": 1e-3, **raw})
-    _, state, step, speed = _case(cfg)
+    _, state, step, speed, _ = _case(cfg)
     assert speed(state) == step(state, cfg.dt)[1].max_wave_speed
+
+
+def test_cfl_nl_run_evaluates_each_state_once(tmp_path, monkeypatch):
+    # On the CFL rule a run evaluates the wave speeds of each state once and
+    # hands them to the step: p'(rho^n) is the speed, the mobility and the
+    # first Newton Jacobian, so p' is evaluated once per state plus once per
+    # later Jacobian, and p once for the fluxes (the Newton start iterate's
+    # too) plus once per later iterate, newton_iters + 1 per step.
+    counts = {"_pressure": 0, "_pressure_derivative": 0}
+    for name in counts:
+        evaluate = getattr(EquationOfState, name)
+
+        def counting(self, rho, name=name, evaluate=evaluate):
+            counts[name] += 1
+            return evaluate(self, rho)
+
+        monkeypatch.setattr(EquationOfState, name, counting)
+    result = run_raw({"preset": "example2", "epsilon": 0.05, "m": 100, "variant": "nl",
+                      "sigma": 0.9, "t_final": 0.05, "output_dir": str(tmp_path)})
+    assert result.status == 0
+    iters = np.loadtxt(tmp_path / "steps.csv", delimiter=",", skiprows=1, usecols=8, ndmin=1)
+    steps = len(iters)
+    assert steps == result.steps_taken > 5 and iters.min() >= 2
+    assert counts["_pressure_derivative"] == steps + np.sum(iters - 1)
+    assert counts["_pressure"] == np.sum(iters + 1)
+
+
+@pytest.mark.parametrize("raw", _SCHEMES, ids=_scheme_id)
+def test_step_given_its_cfl_evaluation_is_the_plain_step(raw):
+    # A run on the CFL rule hands the step the evaluation its speed came
+    # from: three steps so taken are the steps that evaluate their own, bit
+    # for bit, reports included.
+    cfg = build_config({"epsilon": 0.3, "m": 20, "m1": 8, "m2": 8, "dt": 1e-3, **raw})
+    _, state, step, _, speeds = _case(cfg)
+    given = plain = state
+    for _ in range(3):
+        lam, evaluation = speeds(given)
+        given, given_report = step(given, cfg.dt, speeds=evaluation)
+        plain, plain_report = step(plain, cfg.dt)
+        assert given_report == plain_report and given_report.max_wave_speed == lam
+        for name in state.__match_args__:
+            assert np.array_equal(getattr(given, name), getattr(plain, name))
 
 
 @pytest.mark.parametrize("raw, length", [
@@ -109,7 +160,7 @@ def test_cfl_dt_is_sigma_length_over_the_case_speed(raw, length, tmp_path):
     assert runner.run(cfg).status == 0
     dts = np.loadtxt(tmp_path / "steps.csv", delimiter=",", skiprows=1, usecols=2)
     assert len(dts) > 2
-    grid, state, step, speed = _case(cfg)
+    grid, state, step, speed, _ = _case(cfg)
     for i, dt in enumerate(dts):
         cfl_dt = cfg.sigma * getattr(grid, length) / speed(state)
         assert dt == cfl_dt if i < len(dts) - 1 else dt <= cfl_dt
@@ -141,9 +192,9 @@ def test_table1_takes_max_lambda_from_the_accepted_scan_trial(monkeypatch):
     step = onedim.step_ap_1d
     dts = []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         dts.append(args[4])
-        return step(*args)
+        return step(*args, **kwargs)
 
     monkeypatch.setattr(runner, "step_ap_1d", counting)
     [row] = reproduce_table1([0.3], [1 / 50], variant="ld", t_final=0.05)
@@ -235,13 +286,11 @@ def test_every_verb_restores_the_float_error_state(tmp_path, monkeypatch, overfl
         build = runner._case
 
         def overflowing(cfg):
-            grid, state, _, speed = build(cfg)
-
-            def step(st, dt):
+            def step(st, dt, speeds=None):
                 np.full(2, 1e308) * 10.0
                 raise AssertionError("a float overflow passed the boundary")
 
-            return grid, state, step, speed
+            return build(cfg)._replace(step=step)
 
         monkeypatch.setattr(runner, "_case", overflowing)
     verbs = {
@@ -408,8 +457,8 @@ def test_steps_csv_bytes_match_per_step_lines(tmp_path, monkeypatch, raw, status
     steps = []
     step = onedim.step_ap_1d
 
-    def recording_step(state, eos, params, variant, dt, dx):
-        state, report = step(state, eos, params, variant, dt, dx)
+    def recording_step(state, eos, params, variant, dt, dx, **kwargs):
+        state, report = step(state, eos, params, variant, dt, dx, **kwargs)
         steps.append((dt, report))
         return state, report
 

@@ -41,7 +41,7 @@ def random_state_2d(rng, m1, m2, q_amp=0.4):
 
 def directional_speeds(state, eos, alpha):
     """The step's interface speeds (a_x, a_y)."""
-    return _explicit_terms(state, eos, alpha, 1.0, 1.0)[2]
+    return _explicit_terms(state, eos, alpha, 1.0, 1.0)[1]
 
 
 def test_directional_speeds_examples():
