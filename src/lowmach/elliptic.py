@@ -43,10 +43,11 @@ which that solve checks.
 The 2D solves (wide stride-2 or reduced five-point stencil) run one
 conjugate-gradient iteration on the full grid, preconditioned by the
 constant-mobility operator inverted with FFTs; in the low-Mach limit that
-preconditioner is nearly exact, so a solve takes a few iterations.  It
-writes every intermediate in place (``out=``, the FFTs too) into the
-calling thread's scratch set (:func:`_grid_buffers`), which it shares with
-the 2D step, and allocates only the solution it returns.  The face
+preconditioner is nearly exact, so a solve takes a few iterations, each at
+unit scale (:func:`_cg`).  It writes every intermediate in place (``out=``,
+the FFTs too) into the calling thread's scratch set (:func:`_grid_buffers`),
+which it shares with the 2D step, and allocates only the solution it
+returns.  The face
 coefficients and the operator take each periodic difference with
 :func:`lowmach.core._pair`.
 """
@@ -76,8 +77,10 @@ from .tridiag import solve_periodic_tridiagonal
 _CG_RTOL = 1e-13
 
 # Newton stops where the increment's max norm is at most _NEWTON_TOL, or
-# max|G| at most _NEWTON_TOL max(1, max|dphi|).
+# max|G| at most _NEWTON_TOL max(1, max|dphi|); an iterate that has passed
+# neither after _NEWTON_MAX_ITER steps is a NewtonDivergenceError.
 _NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 50
 
 # Neighbour distance of each 1D variant's and each 2D stencil's operator.
 _VARIANT_STRIDE = {"nl": 2, "l": 2, "ld": 1}
@@ -108,32 +111,36 @@ class EllipticCoefficients:
         can still leave float range: beta = (1 - alpha eps^2) dt^2 / eps^2
         can overflow (InstabilityError), and p' can underflow to 0 or
         overflow (PositivityError naming the first such cell).  Both are
-        numerical failures of the step."""
+        numerical failures of the step; a negative beta is the caller's
+        error (ValueError)."""
         if not math.isfinite(beta):
             raise InstabilityError(f"elliptic coefficient beta = {beta} is not finite")
-        if (beta >= 0.0 and np.minimum.reduce(mobility, axis=None) > 0.0
+        if beta < 0.0:
+            raise ValueError(f"beta must be >= 0, got {beta}")
+        if not (np.minimum.reduce(mobility, axis=None) > 0.0
                 and np.maximum.reduce(mobility, axis=None) < math.inf):
-            mobility.setflags(write=False)
-            coeff = object.__new__(cls)
-            object.__setattr__(coeff, "beta", beta)
-            object.__setattr__(coeff, "mobility", mobility)
-            return coeff
-        try:
-            return cls(beta=beta, mobility=mobility)
-        except ValueError:
-            bad = ~((mobility > 0.0) & (mobility < np.inf))
-            if not bad.any():
-                raise
-            cell = _cell_index(np.argmax(bad), mobility.shape)
+            cell = _cell_index(np.argmin((mobility > 0.0) & (mobility < math.inf)),
+                               mobility.shape)
             raise PositivityError(
                 cell, f"mobility p'(rho) = {mobility[cell]:.3g} is not positive and finite "
-                      f"at cell {cell}") from None
+                      f"at cell {cell}")
+        mobility.setflags(write=False)
+        coeff = object.__new__(cls)
+        object.__setattr__(coeff, "beta", beta)
+        object.__setattr__(coeff, "mobility", mobility)
+        return coeff
 
 
 def beta_coefficient(epsilon: float, alpha: float, dt: float) -> float:
     """(1 - alpha eps^2) dt^2 / eps^2; zero at the fully explicit limit
     alpha = 1/eps^2."""
     return max((1.0 - alpha * epsilon**2), 0.0) * _square(dt) / epsilon**2
+
+
+def _momentum_coefficient(epsilon: float, alpha: float) -> float:
+    """(1 - alpha eps^2) / eps^2, the implicit pressure gradient's weight in
+    the AP momentum updates, clamped at 0 as beta is."""
+    return max(1.0 - alpha * epsilon**2, 0.0) / epsilon**2
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +291,7 @@ def _check_newton_iterate(rho, what: str):
 
 
 def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: EquationOfState,
-                         dx: float, newton_max_iter: int = 50, *, start=None):
+                         dx: float, *, start=None):
     """Nonlinear stride-2 variant: find rho with
 
     G(rho) = rho - beta * (p(rho)_{j+2} - 2 p(rho)_j + p(rho)_{j-2})/(4 dx^2) - dphi = 0
@@ -298,16 +305,14 @@ def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: Equation
     step, max|G| are then evaluated once on it, unchecked.  The iteration
     stops at the iterate whose increment or max|G| passes its test (or at
     rho = dphi where beta = 0), and returns that iterate's p and max|G|; G
-    is otherwise the next Newton step's right-hand side.  A
-    ``newton_max_iter`` below 1 is a ValueError.
+    is otherwise the next Newton step's right-hand side.  A solve that has
+    passed neither test after 50 Newton steps is a NewtonDivergenceError.
 
     ``start``, from a step that has them, is (p, p') of rho_n on its
     two-cell periodic extension, rho_n a valid density: the start iterate
     is then neither checked nor extended, and takes p and its Jacobian's p'
     from ``start`` (read, not written).
     """
-    if newton_max_iter < 1:
-        raise ValueError(f"newton_max_iter must be >= 1, got {newton_max_iter}")
     rho_n = np.asarray(rho_n, dtype=float)
     dphi = np.asarray(dphi, dtype=float)
     m = dphi.shape[0]
@@ -333,9 +338,9 @@ def solve_elliptic_nl_1d(rho_n, dphi, coeff: EllipticCoefficients, eos: Equation
             residual = float(np.maximum.reduce(np.abs(g)))
             if converged or residual <= _NEWTON_TOL * scale:
                 return rho, it, residual, p
-            if it >= newton_max_iter:
+            if it >= _NEWTON_MAX_ITER:
                 raise NewtonDivergenceError(
-                    f"Newton did not converge in {newton_max_iter} iterations "
+                    f"Newton did not converge in {_NEWTON_MAX_ITER} iterations "
                     f"(last increment {np.max(np.abs(delta)):.3e})"
                 )
         it += 1
@@ -409,41 +414,37 @@ def _grid_buffers(shape) -> _GridBuffers:
     return bufs
 
 
-def _cg(matvec, b, rtol, maxiter, precond, work):
+def _cg(matvec, precond, work, maxiter):
     """Conjugate gradients for an SPD operator, preconditioned by the SPD
-    map ``precond``; returns (x, iters), x one of ``work``.
+    map ``precond``, for the b held in r of ``work`` = (x, r, p), arrays
+    that the iteration writes in place; returns (x, iters).
 
-    ``work`` is (x, r, p), arrays of b's shape that the iteration writes in
-    place; ``b`` may be its r.  ``matvec`` and ``precond`` write into one
-    array of their own, which then holds alpha A p and alpha p while r and
-    x are updated.  The stopping test is on the unpreconditioned residual,
-    ||b - A x|| <= rtol ||b||, whatever the preconditioner.  It is taken as
-    soon as the residual is updated, so the converged residual is never
-    preconditioned: a solve of ``iters`` iterations calls ``precond``
-    ``iters`` times.  A finite ``b`` whose squared norm overflows is solved
-    scaled by a power of two, which scales every iterate exactly: the
-    iterates and their count are those of the unscaled solve.
+    ``matvec`` and ``precond`` write into one array of their own, which then
+    holds alpha A p and alpha p while r and x are updated.  The stopping
+    test is on the unpreconditioned residual, ||b - A x|| <= _CG_RTOL ||b||,
+    taken as soon as the residual is updated, so a solve of ``iters``
+    iterations calls ``precond`` ``iters`` times; one that has not converged
+    in ``maxiter`` is a SolverFailureError.  b is scaled by the power of two
+    that puts max|b| in [0.5, 1), and x back: exact, so the iterates and
+    their count are those of the unscaled solve wherever its norms stay in
+    float range, and no norm leaves it at any scale of b.  A b that is not
+    finite is an InstabilityError (it would pass the stopping test).
     """
-    with np.errstate(over="ignore"):
-        bb = np.vdot(b, b)
-    if bb == math.inf and np.isfinite(b).all():
-        exponent = math.frexp(float(np.abs(b).max()))[1]
-        x, it = _cg(matvec, np.ldexp(b, -exponent), rtol, maxiter, precond, work)
-        return np.ldexp(x, exponent), it
-    if not math.isfinite(bb):
-        # A NaN or infinite norm would pass the stopping test below.
-        raise InstabilityError(f"CG right-hand side is not finite (||b||^2 = {bb})")
     x, r, p = work
+    bmax = float(np.abs(r, out=x).max())
+    if not bmax < math.inf:
+        raise InstabilityError(f"CG right-hand side is not finite (max|b| = {bmax})")
     x.fill(0.0)
-    bnorm = np.sqrt(bb)
-    if bnorm == 0.0:
+    if bmax == 0.0:
         return x, 0
-    rr = float(bb)
-    np.copyto(r, b)
+    exponent = math.frexp(bmax)[1]
+    np.ldexp(r, -exponent, out=r)
+    rr = float(np.vdot(r, r))
+    bnorm = math.sqrt(rr)
     z = precond(r)
     np.copyto(p, z)
     rz = float(np.vdot(r, z))
-    tol2 = (rtol * bnorm) ** 2
+    tol2 = (_CG_RTOL * bnorm) ** 2
     it = 0
     while rr > tol2:
         if it >= maxiter:
@@ -473,7 +474,7 @@ def _cg(matvec, b, rtol, maxiter, precond, work):
         p *= rz_new / rz
         p += z
         rz = rz_new
-    return x, it
+    return np.ldexp(x, exponent, out=x), it
 
 
 def _fft_preconditioner(stride, coeff: EllipticCoefficients, dx: float, dy: float, out,
@@ -519,29 +520,24 @@ def _fft_preconditioner(stride, coeff: EllipticCoefficients, dx: float, dy: floa
 
 
 def solve_elliptic_2d(dphi, coeff: EllipticCoefficients, dx: float, dy: float,
-                      stencil: str = "reduced", maxiter: int | None = None):
+                      stencil: str = "reduced"):
     """Solve the 2D screened-diffusion system on a periodic grid.
 
     ``stencil`` is "wide" (stride-2 in each direction, requires even cell
     counts) or "reduced" (5-point).  Both run one FFT-preconditioned CG on
     the full grid with the operator of ``apply_elliptic_operator_2d``, for
-    the deviation b of dphi from dphi[0, 0], and stop where the recursive
-    residual has ||b - A x||_2 <= 1e-13 ||b||_2; a b that is not finite is
-    an InstabilityError.
-    ``maxiter`` defaults to m1 m2, the number of unknowns: in exact
-    arithmetic CG converges within that many iterations, so a solve that
-    has not is stagnating; a ``maxiter`` below 1 is a ValueError.  Returns
+    the deviation b of dphi from dphi[0, 0] at unit scale, and stop where
+    the recursive residual has ||b - A x||_2 <= 1e-13 ||b||_2; a b that is
+    not finite is an InstabilityError.  A solve that has not converged in
+    m1 m2 iterations, the number of unknowns (CG's exact-arithmetic bound),
+    is stagnating: a SolverFailureError.  Returns
     (rho, cg_iterations, residual): rho a new array, and residual
     max|A rho - dphi|, the operator applied again to rho (CG's recursive
     residual can drift from the true one; Greenbaum 1997, section 7.3);
     0.0 where beta = 0, whose operator is the identity.
     """
-    if maxiter is not None and maxiter < 1:
-        raise ValueError(f"maxiter must be >= 1, got {maxiter}")
     dphi = np.asarray(dphi, dtype=float)
     m1, m2 = dphi.shape
-    if maxiter is None:
-        maxiter = m1 * m2
     stride = _stride(stencil)
     if stride == 2 and (m1 % 2 != 0 or m2 % 2 != 0):
         raise UnsupportedGridError("wide 2D stencil requires even cell counts")
@@ -555,9 +551,9 @@ def solve_elliptic_2d(dphi, coeff: EllipticCoefficients, dx: float, dy: float,
     np.subtract(dphi, shift, out=r)
 
     faces = _face_coefficients(stride, coeff, (dx, dy), bufs.faces)
-    x, iters = _cg(lambda v: _flux_operator(v, stride, faces, w, (flux, div)), r, _CG_RTOL,
-                   maxiter, _fft_preconditioner(stride, coeff, dx, dy, w, bufs.spectra),
-                   (x, r, p))
+    x, iters = _cg(lambda v: _flux_operator(v, stride, faces, w, (flux, div)),
+                   _fft_preconditioner(stride, coeff, dx, dy, w, bufs.spectra), (x, r, p),
+                   dphi.size)
     rho = x + shift
     resid = _flux_operator(rho, stride, faces, w, (flux, div))
     resid -= dphi

@@ -62,6 +62,7 @@ from .diagnostics import total_variation
 from .elliptic import (
     _VARIANT_STRIDE,
     EllipticCoefficients,
+    _momentum_coefficient,
     beta_coefficient,
     solve_elliptic_l_1d,
     solve_elliptic_ld_1d,
@@ -255,7 +256,7 @@ def step_ap_1d(state: FluidState1D, eos: EquationOfState, params: SchemeParams,
         rho_new, residual = solve(dphi, coeff, dx)
         mass = _check_new_density(rho_new)
         p_jump = _centered_difference(eos._pressure(rho_new))
-    c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
+    c = _momentum_coefficient(params.epsilon, params.alpha)
     q_new = _momentum_from_fluxes(q, df2, p_jump, c, dt, dx)
     return _finish_step(FluidState1D, rho_new, mass, (q_new,), dx, speeds.cell, residual,
                         newton_iters=newton_iters)

@@ -49,6 +49,7 @@ from .elliptic import (
     _STENCIL_STRIDE,
     EllipticCoefficients,
     _grid_buffers,
+    _momentum_coefficient,
     beta_coefficient,
     solve_elliptic_2d,
 )
@@ -223,7 +224,7 @@ def step_ap_2d(state: FluidState2D, eos: EquationOfState, params: SchemeParams,
 
     mass = _check_new_density(rho_new)
     p_new = eos._pressure(rho_new)
-    c = (1.0 - params.alpha * params.epsilon**2) / params.epsilon**2
+    c = _momentum_coefficient(params.epsilon, params.alpha)
     g = bufs.work[0]
     momenta = []
     for q, e, h, axis in ((state.q1, explicit[0], dx, 0), (state.q2, explicit[1], dy, 1)):

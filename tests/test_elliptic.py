@@ -199,13 +199,16 @@ def test_nl_residual_contract():
     assert np.max(np.abs(resid)) <= 1e-11
 
 
-def test_nl_divergence_reported():
+def test_nl_divergence_reported(monkeypatch):
     # An absurd rhs far from any positive solution must not be patched over.
+    from lowmach import elliptic
+
+    monkeypatch.setattr(elliptic, "_NEWTON_MAX_ITER", 4)
     m = 8
     coeff = EllipticCoefficients(beta=10.0, mobility=np.ones(m))
     dphi = np.array([1e6, -1e6] * 4, dtype=float)
     with pytest.raises((NewtonDivergenceError, PositivityError)):
-        solve_elliptic_nl_1d(np.ones(m), dphi, coeff, EOS2, 1 / m, newton_max_iter=4)
+        solve_elliptic_nl_1d(np.ones(m), dphi, coeff, EOS2, 1 / m)
 
 
 def test_ld_reflection_symmetry_constant_mobility():
@@ -391,48 +394,34 @@ def test_2d_low_mach_solve_takes_few_iterations(stencil):
     assert 1 <= report.linear_iters <= 10
 
 
-def test_2d_iteration_cap_reports_failure():
-    from lowmach import SolverFailureError
-
-    rng = np.random.default_rng(29)
-    dphi = 1 + 0.3 * rng.standard_normal((8, 8))
-    coeff = EllipticCoefficients(beta=0.5, mobility=0.5 + rng.random((8, 8)))
-    with pytest.raises(SolverFailureError):
-        solve_elliptic_2d(dphi, coeff, 1 / 8, 1 / 8, stencil="reduced", maxiter=1)
-
-
-def test_2d_wide_iteration_cap_reports_failure():
-    rng = np.random.default_rng(29)
-    dphi = 1 + 0.3 * rng.standard_normal((8, 8))
-    coeff = EllipticCoefficients(beta=0.5, mobility=0.5 + rng.random((8, 8)))
-    with pytest.raises(SolverFailureError):
-        solve_elliptic_2d(dphi, coeff, 1 / 8, 1 / 8, stencil="wide", maxiter=1)
-
-
-@pytest.mark.parametrize("cap", [0, -1, -3])
-def test_iteration_cap_below_one_is_a_value_error(cap, monkeypatch):
-    # A cap below 1 is the caller's error, raised before any work, and not
-    # a numerical failure (NewtonDivergenceError or SolverFailureError).
+def _cap_cg(monkeypatch, cap):
+    """Give every 2D solve's CG the iteration cap ``cap`` in place of the
+    number of unknowns."""
     from lowmach import elliptic
 
-    def no_work(*args):
-        raise AssertionError("the solve started")
+    cg = elliptic._cg
+    monkeypatch.setattr(elliptic, "_cg",
+                        lambda matvec, precond, work, maxiter: cg(matvec, precond, work, cap))
 
-    monkeypatch.setattr(elliptic, "_check_newton_iterate", no_work)
-    monkeypatch.setattr(elliptic, "_face_coefficients", no_work)
+
+def test_2d_iteration_cap_reports_failure(monkeypatch):
+    from lowmach import SolverFailureError
+
+    _cap_cg(monkeypatch, 1)
     rng = np.random.default_rng(29)
-    m = 16
-    coeff = EllipticCoefficients(beta=0.01, mobility=EOS2.pressure_derivative(np.ones(m)))
-    with pytest.raises(ValueError, match=f"newton_max_iter must be >= 1, got {cap}") as err:
-        solve_elliptic_nl_1d(np.ones(m), 1 + 0.1 * rng.standard_normal(m), coeff, EOS2, 1 / m,
-                             newton_max_iter=cap)
-    assert not isinstance(err.value, NumericsError)
+    dphi = 1 + 0.3 * rng.standard_normal((8, 8))
     coeff = EllipticCoefficients(beta=0.5, mobility=0.5 + rng.random((8, 8)))
-    for stencil in ("reduced", "wide"):
-        with pytest.raises(ValueError, match=f"maxiter must be >= 1, got {cap}") as err:
-            solve_elliptic_2d(1 + 0.3 * rng.standard_normal((8, 8)), coeff, 1 / 8, 1 / 8,
-                              stencil=stencil, maxiter=cap)
-        assert not isinstance(err.value, NumericsError)
+    with pytest.raises(SolverFailureError):
+        solve_elliptic_2d(dphi, coeff, 1 / 8, 1 / 8, stencil="reduced")
+
+
+def test_2d_wide_iteration_cap_reports_failure(monkeypatch):
+    _cap_cg(monkeypatch, 1)
+    rng = np.random.default_rng(29)
+    dphi = 1 + 0.3 * rng.standard_normal((8, 8))
+    coeff = EllipticCoefficients(beta=0.5, mobility=0.5 + rng.random((8, 8)))
+    with pytest.raises(SolverFailureError):
+        solve_elliptic_2d(dphi, coeff, 1 / 8, 1 / 8, stencil="wide")
 
 
 def test_2d_unknown_stencil_rejected():
@@ -457,8 +446,8 @@ def test_2d_cg_vanishing_preconditioned_residual_reports_failure():
 
 def test_2d_stagnating_solve_fails_within_the_unknown_count(monkeypatch):
     # beta = 1e40 on a 10 x 10 wide stencil with mobility spread over two
-    # decades: CG stagnates near residual 1.  The default cap is m1 m2, the
-    # exact-arithmetic bound of CG; an explicit maxiter still sets the cap.
+    # decades: CG stagnates near residual 1.  The cap is m1 m2, the
+    # exact-arithmetic bound of CG, and CG stops at the cap it is given.
     from lowmach import elliptic
 
     rng = np.random.default_rng(0)
@@ -477,8 +466,9 @@ def test_2d_stagnating_solve_fails_within_the_unknown_count(monkeypatch):
         solve_elliptic_2d(dphi, coeff, 0.1, 0.1, stencil="wide")
     assert len(applied) == 100
     applied.clear()
+    _cap_cg(monkeypatch, 300)
     with pytest.raises(SolverFailureError, match="in 300 iterations"):
-        solve_elliptic_2d(dphi, coeff, 0.1, 0.1, stencil="wide", maxiter=300)
+        solve_elliptic_2d(dphi, coeff, 0.1, 0.1, stencil="wide")
     assert len(applied) == 300
 
 
@@ -530,7 +520,7 @@ def test_2d_cg_iteration_counts_are_pinned(eps, stencil, expected):
 
 
 @pytest.mark.parametrize("stencil", ["wide", "reduced"])
-def test_2d_cg_stops_at_its_relative_residual_bound(stencil):
+def test_2d_cg_stops_at_its_relative_residual_bound(stencil, monkeypatch):
     # CG stops at the first iterate whose residual has ||b - A x||_2 <=
     # 1e-13 ||b||_2, for b the deviation of dphi from dphi[0, 0]: the solve
     # meets that bound, and one iteration fewer is still above it.
@@ -543,6 +533,7 @@ def test_2d_cg_stops_at_its_relative_residual_bound(stencil):
     residual = dphi - apply_elliptic_operator_2d(stencil, out, coeff, 1 / m, 1 / m)
     assert np.linalg.norm(residual) <= 1e-13 * b_norm
     assert iters >= 2
+    _cap_cg(monkeypatch, iters - 1)
     with pytest.raises(SolverFailureError, match=f"in {iters - 1} iterations") as err:
-        solve_elliptic_2d(dphi, coeff, 1 / m, 1 / m, stencil=stencil, maxiter=iters - 1)
+        solve_elliptic_2d(dphi, coeff, 1 / m, 1 / m, stencil=stencil)
     assert float(str(err.value).split("residual ")[1].rstrip(")")) > 1e-13

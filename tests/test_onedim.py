@@ -203,6 +203,36 @@ def test_step_ap_consistency_residual(variant):
         assert rep.consistency_residual <= 10 * LINEAR_TOL * scale
 
 
+# The decimal explicit limits alpha = 1/eps^2 whose alpha * eps**2 rounds
+# above 1, where (1 - alpha eps^2)/eps^2 reads -3.5e-16, -2.2e-14, -8.9e-14.
+EXPLICIT_LIMITS = [(0.8, 1.5625), (0.1, 100.0), (0.05, 400.0)]
+
+
+@pytest.mark.parametrize("eps, alpha", EXPLICIT_LIMITS)
+@pytest.mark.parametrize("variant", ["nl", "l", "ld"])
+def test_explicit_limit_drops_the_new_pressure_from_the_momentum(variant, eps, alpha,
+                                                                monkeypatch):
+    # At alpha = 1/eps^2 the implicit pressure gradient's coefficient c is
+    # exactly 0, so the new momentum does not depend on the new density's
+    # pressure: replacing its differences by 2^1000 leaves every bit.
+    from lowmach import onedim
+
+    state = example1_state(example1_grid(20), eps)
+    params = SchemeParams(epsilon=eps, alpha=alpha)
+    new, _ = step_ap_1d(state, EOS2, params, variant, 1e-3, 0.05)
+    update = onedim._momentum_from_fluxes
+    seen = []
+
+    def huge_pressure_jump(q, df2, p_jump, c, dt, dx):
+        seen.append(c)
+        return update(q, df2, np.full_like(p_jump, 2.0**1000), c, dt, dx)
+
+    monkeypatch.setattr(onedim, "_momentum_from_fluxes", huge_pressure_jump)
+    probed, _ = step_ap_1d(state, EOS2, params, variant, 1e-3, 0.05)
+    assert seen == [0.0]
+    assert np.array_equal(probed.q, new.q) and np.array_equal(probed.rho, new.rho)
+
+
 # ---------------------------------------------------------------------------
 # explicit LLF
 

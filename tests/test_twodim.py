@@ -224,6 +224,43 @@ def test_step_2d_consistency_residual(stencil):
         assert rep.consistency_residual <= 10 * LINEAR_TOL * scale
 
 
+@pytest.mark.parametrize("eps, alpha", [(0.8, 1.5625), (0.1, 100.0), (0.05, 400.0)])
+@pytest.mark.parametrize("stencil", ["wide", "reduced"])
+def test_explicit_limit_drops_the_new_pressure_from_the_momentum(stencil, eps, alpha,
+                                                                monkeypatch):
+    # At the decimal alpha = 1/eps^2, where alpha * eps**2 rounds above 1
+    # and (1 - alpha eps**2)/eps**2 to -3.5e-16, -2.2e-14 and -8.9e-14, the
+    # implicit pressure gradient's coefficient c is exactly 0: with the new
+    # density's pressure differences replaced by 2^1000, the new momenta
+    # keep every bit.
+    from lowmach import twodim
+
+    grid = example3_grid(8, 8)
+    state = example3_state(grid, eps)
+    params = SchemeParams(epsilon=eps, alpha=alpha)
+    new, _ = step_ap_2d(state, EOS2, params, stencil, 1e-3, grid.dx, grid.dy)
+    solve, dc = twodim.solve_elliptic_2d, twodim._dc
+    solved = []
+
+    def noting_solve(*args, **kwargs):
+        solved.append(1)
+        return solve(*args, **kwargs)
+
+    def huge_after_the_solve(u, h, axis, out=None):
+        # After the solve, the step differences only p of the new density.
+        if solved:
+            out.fill(2.0**1000)
+            return out
+        return dc(u, h, axis, out)
+
+    monkeypatch.setattr(twodim, "solve_elliptic_2d", noting_solve)
+    monkeypatch.setattr(twodim, "_dc", huge_after_the_solve)
+    probed, _ = step_ap_2d(state, EOS2, params, stencil, 1e-3, grid.dx, grid.dy)
+    assert solved
+    for name in ("rho", "q1", "q2"):
+        assert np.array_equal(getattr(probed, name), getattr(new, name))
+
+
 def test_step_2d_flux_form_identity_linear_eos():
     # With a linear pressure law the frozen-mobility wide operator is exact,
     # so the returned pair must satisfy the flux-form density update with
